@@ -109,6 +109,7 @@ def _cmd_verify(args):
         "window": args.window, "modes": args.modes, "probes": args.probes,
         "hecke_probes": args.hecke_probes, "seed": args.seed,
         "workers": args.workers, "family": args.family,
+        "relations": args.relations,
         "negative_control": True if args.negative_control else None,
         "symbolic": True if args.symbolic else None,
         "out": args.out,
@@ -177,6 +178,7 @@ def build_parser():
     v.add_argument("--hecke-probes", dest="hecke_probes", type=int)
     v.add_argument("--seed", type=int)
     v.add_argument("--workers", type=int)
+    v.add_argument("--relations", help="comma-separated relation-id prefixes to keep")
     v.add_argument("--out", help="JSON-lines report path (summary written alongside)")
     v.add_argument("--negative-control", action="store_true")
     v.add_argument("--symbolic", action="store_true", help="keep q, d formal")

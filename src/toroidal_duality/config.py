@@ -47,6 +47,7 @@ PRESETS = {
 _INT_KEYS = ("n", "l", "window", "modes", "probes", "hecke_probes", "seed", "workers")
 _STR_KEYS = ("q", "d", "a", "b", "family", "out", "relations")
 _BOOL_KEYS = ("negative_control", "symbolic")
+_COUNT_KEYS = ("modes", "probes", "hecke_probes")  # each must be at least 1
 
 ENV_PREFIX = "TOROIDAL_"
 
@@ -164,6 +165,9 @@ def load_config(path=None, preset=None, overrides=None, env=None):
             clean[key] = _coerce(key, value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+    for key in _COUNT_KEYS:
+        if key in clean and clean[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {clean[key]}")
     try:
         return SweepConfig(**clean)
     except TypeError as exc:

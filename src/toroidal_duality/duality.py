@@ -76,8 +76,12 @@ def t_on_tensor(i, jt, q):
 
 
 def dvec_add(acc, items, coeff=Fraction(1)):
+    unit = coeff == 1
     for key, c in items:
-        s = acc.get(key, 0) + sc_mul(coeff, c)
+        if not unit:
+            c = sc_mul(coeff, c)
+        prev = acc.get(key)
+        s = c if prev is None else prev + c
         if is_zero(s):
             acc.pop(key, None)
         else:
@@ -86,7 +90,7 @@ def dvec_add(acc, items, coeff=Fraction(1)):
 
 def dvec_sub(u, v):
     out = dict(u)
-    dvec_add(out, [(k, sc_mul(Fraction(-1), c)) for k, c in v.items()])
+    dvec_add(out, [(k, -c) for k, c in v.items()])
     return out
 
 
@@ -170,7 +174,8 @@ class DualityModule:
                 self._cache[(tag, key)] = entry
             items, margins, valid = entry
             budget.observe(margins, valid)
-            dvec_add(out, items, coeff)
+            if items:
+                dvec_add(out, items, coeff)
         return out
 
     # -- canonical form ------------------------------------------------------
@@ -501,13 +506,17 @@ class DualityModule:
         k = 0 modes are k_{i,0} and its inverse).  Vertex 0 is computed by
         psi-conjugation with the spectral rescale (q d^-1)^-k.
         """
-        if budget is None:
-            budget = WindowBudget()
         assert 0 <= i <= self.n
         if kind == "k+":
             assert k >= 0
         elif kind == "k-":
             assert k <= 0
+        elif kind not in ("e", "f"):
+            raise ValueError(kind)
+        if not vec:
+            return {}
+        if budget is None:
+            budget = WindowBudget()
         if i == 0:
             def basis(key, b):
                 v = self.psi({key: Fraction(1)}, b)
@@ -523,10 +532,8 @@ class DualityModule:
             fn = lambda key, b: self._fmode_basis(i, k, key, b)
         elif kind == "k+":
             fn = lambda key, b: self._kmode_basis(+1, i, k, key, b)
-        elif kind == "k-":
-            fn = lambda key, b: self._kmode_basis(-1, i, k, key, b)
         else:
-            raise ValueError(kind)
+            fn = lambda key, b: self._kmode_basis(-1, i, k, key, b)
         return self._linear(("M", kind, i, k), fn, vec, budget)
 
     # -- probes ----------------------------------------------------------------

@@ -43,7 +43,6 @@ from .scalars import (
     is_zero,
     sc_inv,
     sc_mul,
-    sc_neg,
     sc_pow,
     scalar_to_json,
 )
@@ -216,7 +215,7 @@ class PolynomialModule:
         skey = key[: i - 1] + (b, a) + key[i + 1 :]
         items[skey] = lead
         if a != b:
-            c = self._q2m1 if a < b else sc_neg(self._q2m1)
+            c = self._q2m1 if a < b else -self._q2m1
             hi, lo = (b, a) if a < b else (a, b)
             for t in range(hi - lo):
                 k2 = key[: i - 1] + (hi - 1 - t, lo + 1 + t) + key[i + 1 :]

@@ -77,17 +77,19 @@ def _kmode(ops, sign, i, k, vec, budget):
     return ops.mode("k-", i, k, vec, budget)
 
 
-def _pair_cleared(left, right, a, m, d, q, R, S, vec, budget):
-    """LHS - RHS of the cleared template for currents (left, right) twisted by (a, m)."""
-    dm = sc_pow(d, m)
-    qa = sc_pow(q, a)
+def _pair_cleared(left, right, coeffs, R, S, vec, budget):
+    """
+    LHS - RHS of the cleared template for currents (left, right) twisted by
+    (a, m), where `coeffs` is (d^m, -q^a, -q^a d^m).
+    """
+    dm, mqa, mqadm = coeffs
     acc = {}
     hR1 = left(R + 1, right(S - 1, dict(vec), budget), budget)
     dvec_add(acc, hR1.items(), dm)
     hRS = left(R, right(S, dict(vec), budget), budget)
-    dvec_add(acc, hRS.items(), sc_mul(Fraction(-1), qa))
+    dvec_add(acc, hRS.items(), mqa)
     gSR = right(S - 1, left(R + 1, dict(vec), budget), budget)
-    dvec_add(acc, gSR.items(), sc_mul(Fraction(-1), sc_mul(qa, dm)))
+    dvec_add(acc, gSR.items(), mqadm)
     gSS = right(S, left(R, dict(vec), budget), budget)
     dvec_add(acc, gSS.items(), Fraction(1))
     return acc
@@ -102,7 +104,16 @@ def current_relation_items(ops, K, probes):
     n = ops.n
     q, d = ops.q, ops.d
     qmqinv = q - sc_inv(q)
+    minus_qqinv = -(q + sc_inv(q))
+    twists = {}
     items = []
+
+    def twist(a, m):
+        """(d^m, -q^a, -q^a d^m), computed once per twist (a, m)."""
+        if (a, m) not in twists:
+            dm, qa = sc_pow(d, m), sc_pow(q, a)
+            twists[a, m] = (dm, -qa, -sc_mul(qa, dm))
+        return twists[a, m]
 
     def emit(rel, ij, modes, pid, thunk):
         items.append(((rel, ij, modes, pid), thunk))
@@ -157,13 +168,14 @@ def current_relation_items(ops, K, probes):
                     # definitionally zero for the given sign
                     Rs = [-1] + kplus_range[:-1] if sign > 0 else kminus_range
                     Rs = sorted(set(Rs))
+                    coeffs = twist(aa, m)
                     for R in Rs:
                         for S in range(-K + 1, K + 1):
-                            def ke_thunk(i=i, j=j, sign=sign, other_kind=other_kind, aa=aa, m=m, R=R, S=S, vec=vec):
+                            def ke_thunk(i=i, j=j, sign=sign, other_kind=other_kind, coeffs=coeffs, R=R, S=S, vec=vec):
                                 budget = WindowBudget()
                                 left = lambda kk, v, b: _kmode(ops, sign, i, kk, v, b)
                                 right = lambda kk, v, b: ops.mode(other_kind, j, kk, v, b)
-                                res = _pair_cleared(left, right, aa, m, d, q, R, S, vec, budget)
+                                res = _pair_cleared(left, right, coeffs, R, S, vec, budget)
                                 return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
                             emit(rel, (i, j), (sign, R, S), pid, ke_thunk)
 
@@ -188,13 +200,14 @@ def current_relation_items(ops, K, probes):
 
                 # (2.1.6)/(2.1.7): e-e and f-f exchange with theta twist.
                 for rel, kind, aa in (("2.1.6", "e", a), ("2.1.7", "f", -a)):
+                    coeffs = twist(aa, m)
                     for r in range(-K + 1, K + 1):
                         for s in range(-K + 1, K + 1):
-                            def ee_thunk(i=i, j=j, kind=kind, aa=aa, m=m, r=r, s=s, vec=vec):
+                            def ee_thunk(i=i, j=j, kind=kind, coeffs=coeffs, r=r, s=s, vec=vec):
                                 budget = WindowBudget()
                                 left = lambda kk, v, b: ops.mode(kind, i, kk, v, b)
                                 right = lambda kk, v, b: ops.mode(kind, j, kk, v, b)
-                                res = _pair_cleared(left, right, aa, m, d, q, r - 1, s, vec, budget)
+                                res = _pair_cleared(left, right, coeffs, r - 1, s, vec, budget)
                                 return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
                             emit(rel, (i, j), (r, s), pid, ee_thunk)
 
@@ -208,7 +221,6 @@ def current_relation_items(ops, K, probes):
                         for kk in e_range:
                             def serre_thunk(i=i, j=j, kind=kind, k1=k1, k2=k2, kk=kk, vec=vec):
                                 budget = WindowBudget()
-                                qq = q + sc_inv(q)
 
                                 def word(aaa, bbb, ccc, v):
                                     v = ops.mode(kind, *ccc, dict(v), budget)
@@ -219,7 +231,7 @@ def current_relation_items(ops, K, probes):
                                 for m1, m2 in ((k1, k2), (k2, k1)):
                                     dvec_add(acc, word((i, m1), (i, m2), (j, kk), vec).items())
                                     dvec_add(acc, word((i, m1), (j, kk), (i, m2), vec).items(),
-                                             sc_mul(Fraction(-1), qq))
+                                             minus_qqinv)
                                     dvec_add(acc, word((j, kk), (i, m1), (i, m2), vec).items())
                                 return (not acc), budget.ok(), "" if not acc else f"{len(acc)} residual terms"
                             emit(rel, (i, j), (k1, k2, kk), pid, serre_thunk)

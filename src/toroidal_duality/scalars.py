@@ -112,10 +112,20 @@ class Laurent:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, LaurentFrac):
+        if isinstance(other, Laurent):
+            if len(other.terms) == 1:
+                return self._shift(other)
+            if len(self.terms) == 1:
+                return other._shift(self)
+        elif isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
+            if not other:
+                return Fraction(0)
+            return Laurent({e: c * other for e, c in self.terms.items()})
+        elif isinstance(other, LaurentFrac):
             return other.__rmul__(self)
-        other = self._lift(other)
-        if other is None:
+        else:
             return NotImplemented
         terms = {}
         for e1, c1 in self.terms.items():
@@ -129,6 +139,18 @@ class Laurent:
         return make_laurent(terms)
 
     __rmul__ = __mul__
+
+    def _shift(self, mono):
+        """Product with a single-term Laurent `mono`: exponents move, nothing merges."""
+        (e2, c2), = mono.terms.items()
+        unit = c2 == 1
+        terms = {
+            (e[0] + e2[0], e[1] + e2[1], e[2] + e2[2]): c if unit else c * c2
+            for e, c in self.terms.items()
+        }
+        if len(terms) == 1 and _ZEXP in terms:
+            return terms[_ZEXP]
+        return Laurent(terms)
 
     def __pow__(self, n):
         if n < 0:
@@ -369,17 +391,17 @@ class LaurentFrac:
         if o is None:
             return NotImplemented
         return LaurentFrac.make(
-            sc_add(sc_mul(self.num, o.den), sc_mul(o.num, self.den)),
+            self.num * o.den + o.num * self.den,
             sc_mul(self.den, o.den),
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentFrac(sc_neg(self.num), self.den)
+        return LaurentFrac(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + sc_neg(other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -429,25 +451,12 @@ D = Laurent.var("d")
 YSYM = Laurent.var("y")
 
 
-def sc_add(a, b):
-    return a + b
-
-
-def sc_sub(a, b):
-    return a - b
-
-
 def sc_mul(a, b):
     return a * b
 
 
-def sc_neg(a):
-    return -a
-
-
 def is_zero(a):
-    if isinstance(a, (int, Fraction)):
-        return a == 0
+    # every scalar kind is false exactly when zero (LaurentFrac never is)
     return not a
 
 
@@ -482,10 +491,6 @@ def sc_pow(a, n):
             raise ZeroDivisionError("division by zero")
         return a ** n
     return a ** n
-
-
-def sc_div(a, b):
-    return sc_mul(a, sc_inv(b))
 
 
 def specialize(a, subs):

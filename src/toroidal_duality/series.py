@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Scalar, is_unit, is_zero, sc_inv, sc_mul, sc_pow, sc_sub
+from .scalars import Scalar, is_unit, is_zero, sc_inv, sc_mul, sc_pow
 
 AT_INFINITY = "at-infinity"
 AT_ZERO = "at-zero"
@@ -65,7 +65,7 @@ def divide_series(num, den, direction, order):
         for j in range(r):
             dc = den.get(v_den + (r - j), None)
             if dc is not None:
-                acc = sc_sub(acc, sc_mul(dc, out[j]))
+                acc = acc - sc_mul(dc, out[j])
         out.append(sc_mul(acc, lead_inv))
     return out
 

@@ -1,6 +1,8 @@
 """CLI contract: exit codes, config precedence, canonical report streams."""
 
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -100,8 +102,6 @@ def test_config_rejects_unknown_keys(tmp_path):
 def test_relation_selection(tmp_path):
     out = tmp_path / "r.jsonl"
     main(["verify", "toroidal", "--preset", "l1", *FAST, "--out", str(out)])
-    import os
-
     os.environ["TOROIDAL_RELATIONS"] = "2.1.5,2.1.6"
     try:
         out2 = tmp_path / "sel.jsonl"
@@ -110,6 +110,55 @@ def test_relation_selection(tmp_path):
         del os.environ["TOROIDAL_RELATIONS"]
     rels = {json.loads(line)["relation"] for line in out2.read_text().splitlines()}
     assert rels == {"2.1.5", "2.1.6"}
+
+    out3 = tmp_path / "flag.jsonl"
+    code = main(["verify", "toroidal", "--preset", "l1", *FAST,
+                 "--relations", "2.1.5,2.1.6", "--out", str(out3)])
+    assert code == EXIT_PASS
+    assert out3.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("target, flag, value", [
+    ("toroidal", "--modes", "0"),
+    ("duality", "--modes", "-1"),
+    ("toroidal", "--probes", "0"),
+    ("toroidal", "--probes", "-3"),
+    ("hecke", "--hecke-probes", "0"),
+])
+def test_count_flags_below_one_are_config_errors(target, flag, value, capsys):
+    code = main(["verify", target, "--preset", "l1", flag, value])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and "at least 1" in err
+
+
+def test_count_keys_checked_from_environment_and_file(tmp_path):
+    with pytest.raises(ConfigError, match="modes"):
+        load_config(preset="l1", env={"TOROIDAL_MODES": "0"})
+    cfgfile = tmp_path / "sweep.ini"
+    cfgfile.write_text("[sweep]\nhecke_probes = 0\n")
+    with pytest.raises(ConfigError, match="hecke_probes"):
+        load_config(path=str(cfgfile), env={})
+
+
+# sha256 of the canonical stream and summary of
+# `verify toroidal --preset poly --symbolic --probes 1 --modes 1`, the only
+# pinned sweep whose coefficients are Laurent polynomials in formal q, d.
+SYMBOLIC_STREAM_SHA256 = "c7c8d39c6705038dc6504c8181e4267d2de16e5c12b0a9b43310eaab59afd95a"
+SYMBOLIC_SUMMARY_SHA256 = "588076cb0ebcaab96d64d5f70bc0d16229750fa8991d7cf328f96bd6b41ce862"
+
+
+def test_symbolic_sweep_golden_digests(tmp_path, monkeypatch):
+    for key in [k for k in os.environ if k.startswith("TOROIDAL_")]:
+        monkeypatch.delenv(key)
+    out = tmp_path / "sym.jsonl"
+    code = main(["verify", "toroidal", "--preset", "poly", "--symbolic",
+                 "--probes", "1", "--modes", "1", "--out", str(out)])
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SYMBOLIC_STREAM_SHA256
+    summary = (tmp_path / "sym.summary.json").read_bytes()
+    assert hashlib.sha256(summary).hexdigest() == SYMBOLIC_SUMMARY_SHA256
 
 
 def test_summary_manifest(tmp_path):

@@ -182,6 +182,21 @@ def test_mode_requires_signed_window(dm_poly):
         dm_poly.mode("k-", 1, 1, {})
 
 
+def test_mode_checks_arguments_before_empty_shortcut(dm_poly):
+    # an empty input returns {} only after the arguments were checked
+    for i in (0, 1):
+        with pytest.raises(ValueError):
+            dm_poly.mode("g", i, 0, {})
+        assert dm_poly.mode("e", i, 0, {}) == {}
+    for bad in (-1, dm_poly.n + 1):
+        with pytest.raises(AssertionError):
+            dm_poly.mode("e", bad, 0, {})
+    with pytest.raises(AssertionError):
+        dm_poly.mode("k+", 0, -1, {})
+    with pytest.raises(AssertionError):
+        dm_poly.mode("k-", 0, 1, {})
+
+
 def test_probe_coverage(dm_poly):
     probes = duality_probes(dm_poly, 8, seed=11)
     tuples = {jt for _, vec in probes for (_, jt) in vec}

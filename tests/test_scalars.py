@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toroidal_duality.scalars import (
@@ -159,3 +159,50 @@ def test_serialization_shapes():
     obj = scalar_to_json(Q + 1)
     assert obj == {"laurent": [[[0, 0, 0], "1"], [[1, 0, 0], "1"]]}
     assert "num" in scalar_to_json(sc_inv(Q + YSYM))
+
+
+def _double_loop_product(a, b):
+    """Reference product: every term pair, merged and normalized by make_laurent."""
+    ta = a.terms if isinstance(a, Laurent) else {(0, 0, 0): Fraction(a)}
+    tb = b.terms if isinstance(b, Laurent) else {(0, 0, 0): Fraction(b)}
+    terms = {}
+    for e1, c1 in ta.items():
+        for e2, c2 in tb.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            terms[exp] = terms.get(exp, 0) + c1 * c2
+    return make_laurent(terms)
+
+
+factors = st.one_of(st.sampled_from([Fraction(0), Fraction(1), 0, 1]), rationals)
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def monomials(draw):
+    return make_laurent({draw(exponents): draw(nonzero_rationals)})
+
+
+@given(laurents(), factors, monomials())
+@settings(max_examples=150, deadline=None)
+def test_rational_and_monomial_products_match_double_loop(a, c, m):
+    assume(isinstance(a, Laurent))
+    for got, want in ((a * c, _double_loop_product(a, c)),
+                      (c * a, _double_loop_product(c, a)),
+                      (a * m, _double_loop_product(a, m)),
+                      (m * a, _double_loop_product(m, a))):
+        assert type(got) is type(want)
+        assert got == want
+
+
+def test_product_demotion():
+    a = Q + D
+    assert type(a * 0) is Fraction and a * 0 == 0
+    assert type(a * Fraction(0)) is Fraction
+    assert a * 1 is a
+    for k in range(-3, 4):
+        one = sc_pow(Q, k) * sc_pow(Q, -k)
+        assert type(one) is Fraction and one == 1
+    mono = make_laurent({(2, -1, 0): Fraction(3, 2)})
+    inv = make_laurent({(-2, 1, 0): Fraction(2, 3)})
+    assert type(mono * inv) is Fraction and mono * inv == 1
+    assert mono * make_laurent({(-2, 1, 0): Fraction(5)}) == Fraction(15, 2)
