@@ -13,11 +13,13 @@ then evaluated on probes.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
-from .hecke import WindowBudget, apply_expr, apply_word, lt, tij_word, wmul
-from .duality import dvec_add, dvec_scale, dvec_sub, fund_ktheta_exp
-from .qtoroidal import CartanData
-from .scalars import is_zero, sc_inv, sc_mul, sc_pow
+from .duality import dvec_add, fund_ktheta_exp
+from .hecke import WindowBudget, apply_expr, apply_word, lt, tij_word, vec_scale, vec_sub, wmul
+from .qtoroidal import CartanData, weight_display
+from .reports import identity
+from .scalars import sc_inv, sc_mul, sc_pow
 
 KINDS = ("e", "f", "k+", "k-")
 
@@ -35,37 +37,33 @@ def _mode_range(kind, K):
 
 def psi_conjugation_items(dmod, K, probes):
     """Modewise psi^-1 g_{i,k} psi = (q^-1 d)^-k g_{i-1,k}, plus the double twist."""
+    n = dmod.n
     scale1 = sc_mul(sc_inv(dmod.q), dmod.d)
+    shift = identity(
+        lambda b, i, kind, k, vec: dmod.psi_inv(dmod.mode(kind, i, k, dmod.psi(dict(vec), b), b), b),
+        lambda b, i, kind, k, vec: vec_scale(
+            sc_pow(scale1, -k), dmod.mode(kind, (i - 1) % (n + 1), k, dict(vec), b)
+        ),
+    )
+
+    def double_lhs(b, kind, k, vec):
+        v = dmod.psi(dmod.psi(dict(vec), b), b)
+        v = dmod.mode(kind, 1, k, v, b)
+        return dmod.psi_inv(dmod.psi_inv(v, b), b)
+
+    double = identity(
+        double_lhs,
+        lambda b, kind, k, vec: vec_scale(sc_pow(scale1, -2 * k), dmod.mode(kind, n, k, dict(vec), b)),
+    )
     items = []
     for pid, vec in probes:
-        for i in range(dmod.n + 1):
-            prev = (i - 1) % (dmod.n + 1)
+        for i in range(n + 1):
             for kind in KINDS:
                 for k in _mode_range(kind, K):
-                    def shift_thunk(i=i, prev=prev, kind=kind, k=k, vec=vec):
-                        budget = WindowBudget()
-                        lhs = dmod.psi_inv(
-                            dmod.mode(kind, i, k, dmod.psi(dict(vec), budget), budget), budget
-                        )
-                        rhs = dvec_scale(
-                            sc_pow(scale1, -k), dmod.mode(kind, prev, k, dict(vec), budget)
-                        )
-                        res = dvec_sub(lhs, rhs)
-                        return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
-                    items.append(((f"psi.shift-{kind}", (i,), (k,), pid), shift_thunk))
+                    items.append(((f"psi.shift-{kind}", (i,), (k,), pid), partial(shift, i, kind, k, vec)))
         for kind in KINDS:
             for k in _mode_range(kind, K):
-                def double_thunk(kind=kind, k=k, vec=vec):
-                    budget = WindowBudget()
-                    v = dmod.psi(dict(vec), budget)
-                    v = dmod.psi(v, budget)
-                    v = dmod.mode(kind, 1, k, v, budget)
-                    v = dmod.psi_inv(v, budget)
-                    lhs = dmod.psi_inv(v, budget)
-                    rhs = dvec_scale(sc_pow(scale1, -2 * k), dmod.mode(kind, dmod.n, k, dict(vec), budget))
-                    res = dvec_sub(lhs, rhs)
-                    return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
-                items.append(((f"psi.double-{kind}", (1, dmod.n), (k,), pid), double_thunk))
+                items.append(((f"psi.double-{kind}", (1, n), (k,), pid), partial(double, kind, k, vec)))
     return items
 
 
@@ -121,24 +119,13 @@ def tprime_symbol(i, sym, cartan, q):
 
 def tprime_expr(i, expr, cartan, q):
     """Extend the vertex-i automorphism multiplicatively over an NC expression."""
-    out = []
+    merged = {}
     for coeff, word in expr:
-        partial = [(coeff, ())]
+        terms = [((), coeff)]
         for sym in word:
             image = tprime_symbol(i, sym, cartan, q)
-            partial = [
-                (sc_mul(c1, c2), w1 + w2)
-                for c1, w1 in partial
-                for c2, w2 in image
-            ]
-        out.extend(partial)
-    merged = {}
-    for c, w in out:
-        s = merged.get(w, 0) + c
-        if is_zero(s):
-            merged.pop(w, None)
-        else:
-            merged[w] = s
+            terms = [(w1 + w2, sc_mul(c1, c2)) for w1, c1 in terms for c2, w2 in image]
+        dvec_add(merged, terms)
     return tuple((c, w) for w, c in sorted(merged.items()))
 
 
@@ -192,7 +179,6 @@ def intertwining_items(dmod, probes):
     """(3.2.1) for the finite braid operators, (3.2.2) for the rotation, (3.2.3) combined."""
     cartan = CartanData(dmod.n)
     n, q = dmod.n, dmod.q
-    items = []
     gens = gen_symbols(n)
     omega_images = {}
     for sym in gens:
@@ -200,35 +186,33 @@ def intertwining_items(dmod, probes):
         for i in range(1, n + 1):
             expr = tprime_expr(i, expr, cartan, q)
         omega_images[sym] = tauprime_expr(expr, n, dmod.d)
+    braid = identity(
+        lambda b, i, sym, vec: dmod.braid(i, dmod.km(*sym, dict(vec), b), b),
+        lambda b, i, sym, vec: eval_nc(dmod, tprime_symbol(i, sym, cartan, q), dmod.braid(i, dict(vec), b), b),
+    )
+    rotation = identity(
+        lambda b, sym, vec: dmod.tau(dmod.km(*sym, dict(vec), b), b),
+        lambda b, sym, vec: vec_scale(
+            tauprime_symbol_scale(*sym, n, dmod.d),
+            dmod.km(sym[0], sym[1] % (n + 1) + 1, dmod.tau(dict(vec), b), b),
+        ),
+    )
+    translation = identity(
+        lambda b, sym, vec: dmod.t_omega1(dmod.km(*sym, dict(vec), b), b),
+        lambda b, sym, vec: eval_nc(dmod, omega_images[sym], dmod.t_omega1(dict(vec), b), b),
+    )
+    items = []
     for pid, vec in probes:
         for i in range(1, n + 1):
             for sym in gens:
-                def t_thunk(i=i, sym=sym, vec=vec):
-                    budget = WindowBudget()
-                    lhs = dmod.braid(i, dmod.km(sym[0], sym[1], dict(vec), budget), budget)
-                    image = tprime_symbol(i, sym, cartan, q)
-                    rhs = eval_nc(dmod, image, dmod.braid(i, dict(vec), budget), budget)
-                    res = dvec_sub(lhs, rhs)
-                    return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
-                items.append((("braid.intertwine", (i,) + sym[1:], (), f"{sym[0]}{sym[1]}|{pid}"), t_thunk))
+                items.append((("braid.intertwine", (i,) + sym[1:], (), f"{sym[0]}{sym[1]}|{pid}"),
+                              partial(braid, i, sym, vec)))
         for sym in gens:
-            def tau_thunk(sym=sym, vec=vec):
-                budget = WindowBudget()
-                lhs = dmod.tau(dmod.km(sym[0], sym[1], dict(vec), budget), budget)
-                rot = sym[1] % (n + 1) + 1
-                scale = tauprime_symbol_scale(sym[0], sym[1], n, dmod.d)
-                rhs = dvec_scale(scale, dmod.km(sym[0], rot, dmod.tau(dict(vec), budget), budget))
-                res = dvec_sub(lhs, rhs)
-                return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
-            items.append((("rotation.intertwine", sym[1:], (), f"{sym[0]}{sym[1]}|{pid}"), tau_thunk))
+            items.append((("rotation.intertwine", sym[1:], (), f"{sym[0]}{sym[1]}|{pid}"),
+                          partial(rotation, sym, vec)))
         for sym in gens:
-            def omega_thunk(sym=sym, vec=vec):
-                budget = WindowBudget()
-                lhs = dmod.t_omega1(dmod.km(sym[0], sym[1], dict(vec), budget), budget)
-                rhs = eval_nc(dmod, omega_images[sym], dmod.t_omega1(dict(vec), budget), budget)
-                res = dvec_sub(lhs, rhs)
-                return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
-            items.append((("translation.intertwine", sym[1:], (), f"{sym[0]}{sym[1]}|{pid}"), omega_thunk))
+            items.append((("translation.intertwine", sym[1:], (), f"{sym[0]}{sym[1]}|{pid}"),
+                          partial(translation, sym, vec)))
     return items
 
 
@@ -248,180 +232,147 @@ def regression_items(dmod, K, probes):
     items = []
 
     if l == 1:
-        hkeys = dmod.h.basis_keys()
-        for hkey in hkeys:
+        def slot_rhs(b, hkey, i, j):
+            sij, coeff = _expect_l1_braid(dmod, i, j)
+            return vec_scale(coeff, dmod.basis_vector(hkey, (sij,), b))
+
+        def sign_rhs(b, hkey, j):
+            if j != 1:
+                return vec_scale(Fraction(-1), dmod.basis_vector(hkey, (j,), b))
+            hv = apply_word(dmod.h, lt("Y", 1), {hkey: sc_pow(q, n)}, b)
+            return dmod.straighten({(hk, (1,)): c for hk, c in hv.items()}, b)
+
+        braid_slot = identity(lambda b, hkey, i, j: dmod.braid(i, dmod.basis_vector(hkey, (j,), b), b),
+                              slot_rhs)
+        translation_sign = identity(lambda b, hkey, j: dmod.t_omega1(dmod.basis_vector(hkey, (j,), b), b),
+                                    sign_rhs)
+        for hkey in dmod.h.basis_keys():
             for j in range(1, n + 2):
                 for i in range(1, n + 1):
-                    def b_thunk(hkey=hkey, i=i, j=j):
-                        budget = WindowBudget()
-                        v = dmod.basis_vector(hkey, (j,), budget)
-                        got = dmod.braid(i, v, budget)
-                        sij, coeff = _expect_l1_braid(dmod, i, j)
-                        want = dvec_scale(coeff, dmod.basis_vector(hkey, (sij,), budget))
-                        res = dvec_sub(got, want)
-                        return (not res), budget.ok(), "" if not res else "single-slot braid mismatch"
-                    items.append((("reg.braid-slot", (i, j), (), "basis"), b_thunk))
-                def w_thunk(hkey=hkey, j=j):
-                    budget = WindowBudget()
-                    v = dmod.basis_vector(hkey, (j,), budget)
-                    got = dmod.t_omega1(v, budget)
-                    if j == 1:
-                        hv = apply_word(dmod.h, lt("Y", 1), {hkey: Fraction(1)}, budget)
-                        hv = {hk: sc_mul(sc_pow(q, n), c) for hk, c in hv.items()}
-                        want = {}
-                        dvec_add(want, [((hk, (1,)), c) for hk, c in hv.items()])
-                        want = dmod.straighten(want, budget)
-                    else:
-                        want = dvec_scale(Fraction(-1), v)
-                    res = dvec_sub(got, want)
-                    return (not res), budget.ok(), "" if not res else "translation mismatch"
-                items.append((("reg.translation-sign", (j,), (), "basis"), w_thunk))
+                    items.append((("reg.braid-slot", (i, j), (), "basis"), partial(braid_slot, hkey, i, j)))
+                items.append((("reg.translation-sign", (j,), (), "basis"), partial(translation_sign, hkey, j)))
 
     # translation-operator product formula on every nondecreasing probe term
+    def product_rhs(b, vec):
+        want = {}
+        for (hkey, jt), c in vec.items():
+            s = sum(1 for v in jt if v == 1)
+            word = tuple(("Y", p, 1) for p in range(1, s + 1))
+            hv = apply_word(dmod.h, word, {hkey: c}, b)
+            sign = Fraction(-1) if (l + s) % 2 else Fraction(1)
+            dvec_add(want, [((hk, jt), cc) for hk, cc in hv.items()], sc_mul(sign, sc_pow(q, n * s)))
+        return dmod.straighten(want, b)
+
+    # the independently written closed form for the first-vertex e modes
+    def first_mode_rhs(b, h, vec):
+        want = {}
+        for (hkey, jt), c in vec.items():
+            s = sum(1 for v in jt if v == 1)
+            t = s + sum(1 for v in jt if v == 2)
+            if t == s:
+                continue
+            pref = sc_mul(sc_pow(d, -h), sc_pow(q, 1 - t + s - h * n))
+            expr = tuple(
+                [(Fraction(1), lt("Y", s + 1, -h))]
+                + [
+                    (Fraction(1), wmul(tij_word(kk, s + 1), lt("Y", s + 1, -h)))
+                    for kk in range(s + 1, t)
+                ]
+            )
+            hv = apply_expr(dmod.h, expr, {hkey: sc_mul(c, pref)}, b)
+            j2 = jt[:s] + (1,) + jt[s + 1 :]
+            dvec_add(want, [((hk, j2), cc) for hk, cc in hv.items()])
+        return dmod.straighten(want, b)
+
+    # the first Cartan mode display
+    def cartan_mode1_rhs(budget, i, vec):
+        want = {}
+        for (hkey, jt), c in vec.items():
+            a = sum(1 for v in jt if v == i)
+            b = sum(1 for v in jt if v == i + 1)
+            base = sc_mul(
+                sc_pow(q, i - n + a - b),
+                sc_mul(Fraction(1) - sc_pow(q, -2), sc_pow(d, -i)),
+            )
+            hv = {}
+            for p, v in enumerate(jt, 1):
+                if v == i:
+                    start = sc_inv(q)
+                elif v == i + 1:
+                    start = sc_mul(Fraction(-1), q)
+                else:
+                    continue
+                dvec_add(hv, apply_word(dmod.h, lt("Y", p, -1), {hkey: start}, budget).items())
+            dvec_add(want, [((hk, jt), cc) for hk, cc in hv.items()], sc_mul(c, base))
+        return dmod.straighten(want, budget)
+
+    # consequence of the Cartan-current exchange at trivial central charge:
+    # e_1 k_{2,1} - q k_{2,1} e_1 = (q - q^-1) d^-1 e_{1,1} k_2
+    def charge_lhs(b, vec):
+        lhs = dmod.mode("e", 1, 0, dmod.mode("k+", 2, 1, dict(vec), b), b)
+        dvec_add(lhs, dmod.mode("k+", 2, 1, dmod.mode("e", 1, 0, dict(vec), b), b).items(),
+                 sc_mul(Fraction(-1), q))
+        return lhs
+
+    charge_coeff = sc_mul(q - sc_inv(q), sc_inv(d))
+
+    # wrap-vertex zero modes in closed form
+    def wrap_zero_rhs(b, kind, vec):
+        want = {}
+        for (hkey, jt), c in vec.items():
+            if kind == "k":
+                w = -sum(fund_ktheta_exp(v, n) for v in jt)
+                dvec_add(want, [((hkey, jt), sc_mul(c, sc_pow(q, w)))])
+                continue
+            for p, v in enumerate(jt, 1):
+                if kind == "e" and v == 1:
+                    wexp = -sum(fund_ktheta_exp(jt[t], n) for t in range(p, l))
+                    hv = apply_word(dmod.h, lt("X", p), {hkey: sc_pow(q, wexp)}, b)
+                    j2 = jt[: p - 1] + (n + 1,) + jt[p:]
+                elif kind == "f" and v == n + 1:
+                    wexp = sum(fund_ktheta_exp(jt[t], n) for t in range(p - 1))
+                    hv = apply_word(dmod.h, lt("X", p, -1), {hkey: sc_pow(q, wexp)}, b)
+                    j2 = jt[: p - 1] + (1,) + jt[p:]
+                else:
+                    continue
+                dvec_add(want, [((hk, j2), cc) for hk, cc in hv.items()], c)
+        return dmod.straighten(want, b)
+
+    translation_product = identity(lambda b, vec: dmod.t_omega1(dict(vec), b), product_rhs)
+    first_mode = identity(lambda b, h, vec: dmod.mode("e", 1, h, dict(vec), b), first_mode_rhs)
+    cartan_weight = identity(lambda b, i, vec: dmod.km("k", i, dict(vec), b),
+                             lambda b, i, vec: weight_display(dmod, i, vec))
+    cartan_mode1 = identity(lambda b, i, vec: dmod.mode("k+", i, 1, dict(vec), b), cartan_mode1_rhs)
+    charge_one = identity(charge_lhs, lambda b, vec: vec_scale(
+        charge_coeff, dmod.mode("e", 1, 1, dmod.mode("k+", 2, 0, dict(vec), b), b)))
+    wrap_zero = identity(
+        lambda b, kind, vec: dmod.mode({"e": "e", "f": "f", "k": "k+"}[kind], 0, 0, dict(vec), b),
+        wrap_zero_rhs,
+    )
     for pid, vec in probes:
-        def lem32_thunk(vec=vec):
-            budget = WindowBudget()
-            got = dmod.t_omega1(dict(vec), budget)
-            want = {}
-            for (hkey, jt), c in vec.items():
-                s = sum(1 for v in jt if v == 1)
-                word = tuple(("Y", p, 1) for p in range(1, s + 1))
-                hv = apply_word(dmod.h, word, {hkey: c}, budget)
-                sign = Fraction(-1) if (l + s) % 2 else Fraction(1)
-                coeff = sc_mul(sign, sc_pow(q, n * s))
-                dvec_add(want, [((hk, jt), sc_mul(coeff, cc)) for hk, cc in hv.items()])
-            want = dmod.straighten(want, budget)
-            res = dvec_sub(got, want)
-            return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
-        items.append((("reg.translation-product", (), (), pid), lem32_thunk))
-
-        # the independently written closed form for the first-vertex e modes
+        items.append((("reg.translation-product", (), (), pid), partial(translation_product, vec)))
         for h in range(-K, K + 1):
-            def e1h_thunk(h=h, vec=vec):
-                budget = WindowBudget()
-                got = dmod.mode("e", 1, h, dict(vec), budget)
-                want = {}
-                for (hkey, jt), c in vec.items():
-                    s = sum(1 for v in jt if v == 1)
-                    t = s + sum(1 for v in jt if v == 2)
-                    if t == s:
-                        continue
-                    pref = sc_mul(sc_pow(d, -h), sc_pow(q, 1 - t + s - h * n))
-                    expr = tuple(
-                        [(Fraction(1), lt("Y", s + 1, -h))]
-                        + [
-                            (Fraction(1), wmul(tij_word(kk, s + 1), lt("Y", s + 1, -h)))
-                            for kk in range(s + 1, t)
-                        ]
-                    )
-                    hv = apply_expr(dmod.h, expr, {hkey: sc_mul(c, pref)}, budget)
-                    j2 = jt[:s] + (1,) + jt[s + 1 :]
-                    dvec_add(want, [((hk, j2), cc) for hk, cc in hv.items()])
-                want = dmod.straighten(want, budget)
-                res = dvec_sub(got, want)
-                return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
-            items.append((("reg.first-vertex-mode", (1,), (h,), pid), e1h_thunk))
-
-        # the weight display and the first Cartan mode display
+            items.append((("reg.first-vertex-mode", (1,), (h,), pid), partial(first_mode, h, vec)))
         for i in range(1, n + 1):
-            def k0_thunk(i=i, vec=vec):
-                budget = WindowBudget()
-                got = dmod.km("k", i, dict(vec), budget)
-                want = {}
-                for (hkey, jt), c in vec.items():
-                    w = dmod.weight(i, jt)
-                    dvec_add(want, [((hkey, jt), sc_mul(c, sc_pow(q, w)))])
-                res = dvec_sub(got, want)
-                return (not res), budget.ok(), "" if not res else "weight display mismatch"
-            items.append((("reg.cartan-weight", (i,), (0,), pid), k0_thunk))
-
-            def k1_thunk(i=i, vec=vec):
-                budget = WindowBudget()
-                got = dmod.mode("k+", i, 1, dict(vec), budget)
-                want = {}
-                one = Fraction(1)
-                for (hkey, jt), c in vec.items():
-                    a = sum(1 for v in jt if v == i)
-                    b = sum(1 for v in jt if v == i + 1)
-                    base = sc_mul(
-                        sc_pow(q, i - n + a - b),
-                        sc_mul(one - sc_pow(q, -2), sc_pow(d, -i)),
-                    )
-                    hv = {}
-                    for p, v in enumerate(jt, 1):
-                        if v == i:
-                            part = apply_word(dmod.h, lt("Y", p, -1), {hkey: sc_inv(q)}, budget)
-                        elif v == i + 1:
-                            part = apply_word(dmod.h, lt("Y", p, -1), {hkey: sc_mul(Fraction(-1), q)}, budget)
-                        else:
-                            continue
-                        for hk, cc in part.items():
-                            s = hv.get(hk, 0) + cc
-                            if is_zero(s):
-                                hv.pop(hk, None)
-                            else:
-                                hv[hk] = s
-                    coeff = sc_mul(c, base)
-                    dvec_add(want, [((hk, jt), sc_mul(coeff, cc)) for hk, cc in hv.items()])
-                want = dmod.straighten(want, budget)
-                res = dvec_sub(got, want)
-                return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
-            items.append((("reg.cartan-mode1", (i,), (1,), pid), k1_thunk))
-
-        # consequence of the Cartan-current exchange at trivial central charge:
-        # e_1 k_{2,1} - q k_{2,1} e_1 = (q - q^-1) d^-1 e_{1,1} k_2
-        def c1_thunk(vec=vec):
-            budget = WindowBudget()
-            lhs = dmod.mode("e", 1, 0, dmod.mode("k+", 2, 1, dict(vec), budget), budget)
-            dvec_add(lhs, dmod.mode("k+", 2, 1, dmod.mode("e", 1, 0, dict(vec), budget), budget).items(),
-                     sc_mul(Fraction(-1), q))
-            coeff = sc_mul(q - sc_inv(q), sc_inv(d))
-            rhs = dvec_scale(coeff, dmod.mode("e", 1, 1, dmod.mode("k+", 2, 0, dict(vec), budget), budget))
-            res = dvec_sub(lhs, rhs)
-            return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
-        items.append((("reg.charge-one", (1, 2), (0, 1), pid), c1_thunk))
-
-        # wrap-vertex zero modes in closed form
+            items.append((("reg.cartan-weight", (i,), (0,), pid), partial(cartan_weight, i, vec)))
+            items.append((("reg.cartan-mode1", (i,), (1,), pid), partial(cartan_mode1, i, vec)))
+        items.append((("reg.charge-one", (1, 2), (0, 1), pid), partial(charge_one, vec)))
         for kind in ("e", "f", "k"):
-            def r35_thunk(kind=kind, vec=vec):
-                budget = WindowBudget()
-                got = dmod.mode({"e": "e", "f": "f", "k": "k+"}[kind], 0, 0, dict(vec), budget)
-                want = {}
-                for (hkey, jt), c in vec.items():
-                    if kind == "k":
-                        w = -sum(fund_ktheta_exp(v, n) for v in jt)
-                        dvec_add(want, [((hkey, jt), sc_mul(c, sc_pow(q, w)))])
-                        continue
-                    for p, v in enumerate(jt, 1):
-                        if kind == "e" and v == 1:
-                            wexp = -sum(fund_ktheta_exp(jt[t], n) for t in range(p, l))
-                            hv = apply_word(dmod.h, lt("X", p), {hkey: sc_pow(q, wexp)}, budget)
-                            j2 = jt[: p - 1] + (n + 1,) + jt[p:]
-                        elif kind == "f" and v == n + 1:
-                            wexp = sum(fund_ktheta_exp(jt[t], n) for t in range(p - 1))
-                            hv = apply_word(dmod.h, lt("X", p, -1), {hkey: sc_pow(q, wexp)}, budget)
-                            j2 = jt[: p - 1] + (1,) + jt[p:]
-                        else:
-                            continue
-                        dvec_add(want, [((hk, j2), sc_mul(c, cc)) for hk, cc in hv.items()])
-                want = dmod.straighten(want, budget)
-                res = dvec_sub(got, want)
-                return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
-            items.append(((f"reg.wrap-{kind}0", (0,), (0,), pid), r35_thunk))
+            items.append(((f"reg.wrap-{kind}0", (0,), (0,), pid), partial(wrap_zero, kind, vec)))
 
     # wrap-vertex action on the standard tuple lands on q^(1-l) m Q (x) w
     if l <= n:
+        def standard_e0_rhs(b, hkey):
+            hv = apply_word(dmod.h, lt("Q"), {hkey: sc_pow(q, 1 - l)}, b)
+            w = tuple(range(2, l + 1)) + (n + 1,)
+            return dmod.straighten({(hk, w): c for hk, c in hv.items()}, b)
+
+        standard_e0 = identity(
+            lambda b, hkey: dmod.mode("e", 0, 0, dmod.basis_vector(hkey, tuple(range(1, l + 1)), b), b),
+            standard_e0_rhs,
+        )
         for hkey in _module_probe_keys(dmod):
-            def e0_thunk(hkey=hkey):
-                budget = WindowBudget()
-                v = dmod.basis_vector(hkey, tuple(range(1, l + 1)), budget)
-                got = dmod.mode("e", 0, 0, v, budget)
-                hv = apply_word(dmod.h, lt("Q"), {hkey: sc_pow(q, 1 - l)}, budget)
-                w = tuple(range(2, l + 1)) + (n + 1,)
-                want = dmod.straighten({(hk, w): c for hk, c in hv.items()}, budget)
-                res = dvec_sub(got, want)
-                return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
-            items.append((("reg.standard-e0", (0,), (0,), f"m{hkey}"), e0_thunk))
+            items.append((("reg.standard-e0", (0,), (0,), f"m{hkey}"), partial(standard_e0, hkey)))
     return items
 
 
@@ -437,88 +388,54 @@ def _module_probe_keys(dmod):
 
 def reconstruction_items(dmod, K, hprobes):
     """(4.2.1) on the module side plus the two displays from its proof."""
+    from .series import AT_INFINITY, AT_ZERO, theta_expand
+
     n, l, q, d = dmod.n, dmod.l, dmod.q, dmod.d
-    p = dmod.params
-    items = []
     qw, qinv = lt("Q"), lt("Q", 0, -1)
+    w_first = tuple(range(2, l + 1)) + (n + 1,)
+    w_second = tuple(range(3, l + 2)) + (n + 1,)
+
+    def placed(b, word, c, hvec, slots):
+        """The straightened vector (word applied to c * hvec) (x) slots."""
+        hv = apply_word(dmod.h, word, vec_scale(c, hvec), b)
+        return dmod.straighten({(hk, slots): cc for hk, cc in hv.items()}, b)
+
+    y_shift = identity(
+        lambda b, hvec: apply_word(dmod.h, wmul(qw, lt("Y", 1), qinv), dict(hvec), b),
+        lambda b, hvec: apply_word(dmod.h, lt("Y", 2), dict(hvec), b),
+    )
+    y_wrap = identity(
+        lambda b, hvec: apply_word(dmod.h, wmul(qw, lt("Y", l), qinv), dict(hvec), b),
+        lambda b, hvec: vec_scale(dmod.params.x, apply_word(dmod.h, lt("Y", 1), dict(hvec), b)),
+    )
+    theta_conj = identity(
+        lambda b, e, c, hvec: placed(b, wmul(lt("Y", 2, e), qw), c, hvec, w_first),
+        lambda b, e, c, hvec: placed(b, wmul(qw, lt("Y", 1, e)), c, hvec, w_first),
+    )
+    wrap_display = identity(
+        lambda b, hvec: placed(b, wmul(qw, lt("Y", l)), sc_pow(d, n + 1), hvec, w_second),
+        lambda b, hvec: placed(b, wmul(lt("Y", 1), qw), sc_pow(q, n + 1), hvec, w_second),
+    )
+    # (sgn, r), the Y exponent and the scaled theta coefficient of each theta conjugation
+    theta_cases = []
+    scale = sc_mul(sc_pow(q, n), sc_mul(d, d))
+    for direction, sgn in ((AT_INFINITY, +1), (AT_ZERO, -1)):
+        coeffs = theta_expand(1, direction, K, q).coeffs
+        for r in range(K + 1):
+            e = -r if sgn > 0 else r
+            theta_cases.append(((sgn, r), e, sc_mul(coeffs[r], sc_pow(scale, e))))
+
+    items = []
     for pid, hvec in hprobes:
         if l >= 2:
-            def rec_a(hvec=hvec):
-                budget = WindowBudget()
-                lhs = apply_word(dmod.h, wmul(qw, lt("Y", 1), qinv), dict(hvec), budget)
-                rhs = apply_word(dmod.h, lt("Y", 2), dict(hvec), budget)
-                res = hvec_sub(lhs, rhs)
-                return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
-            items.append((("recon.y-shift", (), (), pid), rec_a))
-
-        def rec_b(hvec=hvec):
-            budget = WindowBudget()
-            lhs = apply_word(dmod.h, wmul(qw, lt("Y", l), qinv), dict(hvec), budget)
-            rhs = dvec_scale_h(p.x, apply_word(dmod.h, lt("Y", 1), dict(hvec), budget))
-            res = hvec_sub(lhs, rhs)
-            return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
-        items.append((("recon.y-wrap", (), (), pid), rec_b))
-
+            items.append((("recon.y-shift", (), (), pid), partial(y_shift, hvec)))
+        items.append((("recon.y-wrap", (), (), pid), partial(y_wrap, hvec)))
         if l >= 2:
-            w_first = tuple(range(2, l + 1)) + (n + 1,)
-            scale = sc_mul(sc_pow(q, n), sc_mul(d, d))
-            from .series import AT_INFINITY, AT_ZERO, theta_expand
-
-            for direction, sgn in ((AT_INFINITY, +1), (AT_ZERO, -1)):
-                coeffs = theta_expand(1, direction, K, q).coeffs
-                for r in range(K + 1):
-                    def theta_thunk(hvec=hvec, r=r, coeffs=coeffs, sgn=sgn):
-                        budget = WindowBudget()
-                        c = sc_mul(coeffs[r], sc_pow(scale, -r if sgn > 0 else r))
-                        lhs_h = apply_word(
-                            dmod.h, wmul(lt("Y", 2, -r if sgn > 0 else r), qw),
-                            dvec_scale_h(c, dict(hvec)), budget,
-                        )
-                        rhs_h = apply_word(
-                            dmod.h, wmul(qw, lt("Y", 1, -r if sgn > 0 else r)),
-                            dvec_scale_h(c, dict(hvec)), budget,
-                        )
-                        lhs = dmod.straighten({(hk, w_first): cc for hk, cc in lhs_h.items()}, budget)
-                        rhs = dmod.straighten({(hk, w_first): cc for hk, cc in rhs_h.items()}, budget)
-                        res = dvec_sub(lhs, rhs)
-                        return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
-                    items.append((("recon.theta-conj", (2, 1), (sgn, r), pid), theta_thunk))
-
+            for modes, e, c in theta_cases:
+                items.append((("recon.theta-conj", (2, 1), modes, pid), partial(theta_conj, e, c, hvec)))
         if n > l + 1:
-            w_second = tuple(range(3, l + 2)) + (n + 1,)
-
-            def wrap_thunk(hvec=hvec):
-                budget = WindowBudget()
-                lhs_h = apply_word(dmod.h, wmul(qw, lt("Y", l)),
-                                   dvec_scale_h(sc_pow(d, n + 1), dict(hvec)), budget)
-                rhs_h = apply_word(dmod.h, wmul(lt("Y", 1), qw),
-                                   dvec_scale_h(sc_pow(q, n + 1), dict(hvec)), budget)
-                lhs = dmod.straighten({(hk, w_second): cc for hk, cc in lhs_h.items()}, budget)
-                rhs = dmod.straighten({(hk, w_second): cc for hk, cc in rhs_h.items()}, budget)
-                res = dvec_sub(lhs, rhs)
-                return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
-            items.append((("recon.wrap-display", (0, n), (), pid), wrap_thunk))
+            items.append((("recon.wrap-display", (0, n), (), pid), partial(wrap_display, hvec)))
     return items
-
-
-def dvec_scale_h(c, hv):
-    out = {}
-    for k, v in hv.items():
-        s = sc_mul(c, v)
-        if not is_zero(s):
-            out[k] = s
-    return out
-
-
-def hvec_sub(u, v):
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k, 0) - c
-        if is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
 
 
 def psi_inverse_items(dmod, probes):
@@ -529,8 +446,8 @@ def psi_inverse_items(dmod, probes):
             budget = WindowBudget()
             a = dmod.psi_inv(dmod.psi(dict(vec), budget), budget)
             b = dmod.psi(dmod.psi_inv(dict(vec), budget), budget)
-            ra = dvec_sub(a, vec)
-            rb = dvec_sub(b, vec)
+            ra = vec_sub(a, vec)
+            rb = vec_sub(b, vec)
             ok = not ra and not rb
             return ok, budget.ok(), "" if ok else "psi inverse fails"
         items.append((("psi.inverse", (), (), pid), inv_thunk))

@@ -27,9 +27,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .hecke import WindowBudget, apply_expr, apply_word, lt, tij_word, wmul
+from .hecke import WindowBudget, apply_expr, apply_word, lt, tij_word, vec_scale, wmul
+from .hecke import merge_vec as dvec_add  # perfbench/layers.py traces the kernel by this name
 from .params import Params
-from .scalars import Scalar, is_zero, sc_inv, sc_mul, sc_pow
+from .scalars import Scalar, sc_inv, sc_mul, sc_pow
 from .series import AT_INFINITY, AT_ZERO, theta_expand
 
 JTuple = tuple[int, ...]
@@ -73,31 +74,6 @@ def t_on_tensor(i, jt, q):
     if r < s:
         return [(swapped, q)]
     return [(swapped, q), (jt, q2 - Fraction(1))]
-
-
-def dvec_add(acc, items, coeff=Fraction(1)):
-    unit = coeff == 1
-    for key, c in items:
-        if not unit:
-            c = sc_mul(coeff, c)
-        prev = acc.get(key)
-        s = c if prev is None else prev + c
-        if is_zero(s):
-            acc.pop(key, None)
-        else:
-            acc[key] = s
-
-
-def dvec_sub(u, v):
-    out = dict(u)
-    dvec_add(out, [(k, -c) for k, c in v.items()])
-    return out
-
-
-def dvec_scale(c, v):
-    if is_zero(c):
-        return {}
-    return {k: sc_mul(c, x) for k, x in v.items()}
 
 
 def _first_descent(jt):
@@ -170,10 +146,10 @@ class DualityModule:
             if entry is None:
                 b = WindowBudget()
                 res = fn(key, b)
-                entry = (tuple(sorted(res.items())), b.margins, b.valid)
+                entry = (tuple(sorted(res.items())), b.valid)
                 self._cache[(tag, key)] = entry
-            items, margins, valid = entry
-            budget.observe(margins, valid)
+            items, valid = entry
+            budget.observe(valid)
             if items:
                 dvec_add(out, items, coeff)
         return out
@@ -213,13 +189,7 @@ class DualityModule:
             hv, j = pending.pop()
             p = _first_descent(j)
             if p is None:
-                acc = by_tuple.setdefault(j, {})
-                for hk, c in hv.items():
-                    s = acc.get(hk, 0) + c
-                    if is_zero(s):
-                        acc.pop(hk, None)
-                    else:
-                        acc[hk] = s
+                dvec_add(by_tuple.setdefault(j, {}), hv.items())
             else:
                 j2 = j[: p - 1] + (j[p], j[p - 1]) + j[p + 1 :]
                 hv2 = apply_expr(self.h, ((self._qinv, lt("T", p)),), hv, budget)
@@ -229,8 +199,7 @@ class DualityModule:
             blocks = _blocks(j)
             if blocks:
                 hv = apply_expr(self.h, self._symmetrizer_expr(blocks), hv, budget)
-            for hk, c in hv.items():
-                dvec_add(out, [((hk, j), c)])
+            dvec_add(out, [((hk, j), c) for hk, c in hv.items()])
         return out
 
     def straighten(self, vec, budget=None):
@@ -242,8 +211,7 @@ class DualityModule:
         """raw_terms: list of (module vector expr applied already, tuple, coeff)."""
         out = {}
         for hv, j, coeff in raw_terms:
-            for hk, c in hv.items():
-                dvec_add(out, [((hk, j), sc_mul(coeff, c))])
+            dvec_add(out, [((hk, j), c) for hk, c in hv.items()], coeff)
         return self.straighten(out, budget)
 
     # -- Kac-Moody actions ----------------------------------------------------
@@ -480,7 +448,6 @@ class DualityModule:
         if absk > 0 and not factors:
             return {}
         out_hv = {}
-        budget_local = budget
         for comp in _compositions(absk, len(factors)):
             coeff = Fraction(1)
             word = ()
@@ -489,13 +456,7 @@ class DualityModule:
                 if rp:
                     coeff = sc_mul(coeff, sc_pow(scale, -rp if sign > 0 else rp))
                     word = wmul(word, lt("Y", p, -rp if sign > 0 else rp))
-            hv = apply_word(self.h, word, {hkey: coeff}, budget_local)
-            for hk, c in hv.items():
-                s = out_hv.get(hk, 0) + c
-                if is_zero(s):
-                    out_hv.pop(hk, None)
-                else:
-                    out_hv[hk] = s
+            dvec_add(out_hv, apply_word(self.h, word, {hkey: coeff}, budget).items())
         return self._hecke_then_straighten([(out_hv, jt, Fraction(1))], budget)
 
     def mode(self, kind, i, k, vec, budget=None):
@@ -523,7 +484,7 @@ class DualityModule:
                 v = self.mode(kind, 1, k, v, b)
                 v = self.psi_inv(v, b)
                 scale = sc_pow(sc_mul(self.q, sc_inv(self.d)), -k)
-                return dvec_scale(scale, v)
+                return vec_scale(scale, v)
 
             return self._linear(("M0", kind, k), basis, vec, budget)
         if kind == "e":

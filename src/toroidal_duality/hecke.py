@@ -35,6 +35,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .params import Params
 from .scalars import (
@@ -93,46 +94,47 @@ def p_word(r, l) -> Word:
 
 
 class WindowBudget:
-    """Per-coordinate safety margins of an evaluation; valid only if nothing escaped."""
+    """Whether an evaluation stayed inside the lattice window."""
 
-    __slots__ = ("margins", "valid")
+    __slots__ = ("valid",)
 
     def __init__(self):
-        self.margins = None
         self.valid = True
 
-    def observe(self, margins, valid):
+    def observe(self, valid):
         if not valid:
             self.valid = False
-        if margins is not None:
-            if self.margins is None:
-                self.margins = margins
-            else:
-                self.margins = tuple(min(a, b) for a, b in zip(self.margins, margins))
 
     def ok(self):
         return self.valid
 
-    def as_json(self):
-        return {"margins": list(self.margins) if self.margins is not None else None,
-                "valid": self.valid}
 
+# -- the sparse-vector kernel: vectors are {key: scalar} with no zero entries --
 
-def _key_margins(keys, window):
-    margins = None
-    for key in keys:
-        m = tuple(window - abs(c) for c in key)
-        margins = m if margins is None else tuple(min(a, b) for a, b in zip(margins, m))
-    return margins
-
-
-def merge_vec(acc, items, coeff):
+def merge_vec(acc, items, coeff=Fraction(1)):
+    """acc += coeff * items in place, dropping every entry that cancels to zero."""
+    unit = coeff == 1
     for key, c in items:
-        s = acc.get(key, 0) + sc_mul(coeff, c)
+        if not unit:
+            c = sc_mul(coeff, c)
+        prev = acc.get(key)
+        s = c if prev is None else prev + c
         if is_zero(s):
             acc.pop(key, None)
         else:
             acc[key] = s
+
+
+def vec_sub(u, v):
+    out = dict(u)
+    merge_vec(out, [(k, -c) for k, c in v.items()])
+    return out
+
+
+def vec_scale(c, v):
+    out = {}
+    merge_vec(out, v.items(), c)
+    return out
 
 
 class UnitModule:
@@ -161,11 +163,11 @@ class UnitModule:
         if kind in ("X", "Q"):
             if kind == "X" and idx != 1:
                 raise ValueError(f"X index {idx} out of range for l = 1")
-            return ((key, sc_pow(self.a, exp)),), None, True
+            return ((key, sc_pow(self.a, exp)),), True
         if kind == "Y":
             if idx != 1:
                 raise ValueError(f"Y index {idx} out of range for l = 1")
-            return ((key, sc_pow(self.b, exp)),), None, True
+            return ((key, sc_pow(self.b, exp)),), True
         raise ValueError(f"letter {letter} undefined for l = 1")
 
     def basis_keys(self):
@@ -211,19 +213,14 @@ class PolynomialModule:
 
     def _dl_items(self, key, i, lead):
         a, b = key[i - 1], key[i]
-        items = {}
-        skey = key[: i - 1] + (b, a) + key[i + 1 :]
-        items[skey] = lead
+        items = {key[: i - 1] + (b, a) + key[i + 1 :]: lead}
         if a != b:
             c = self._q2m1 if a < b else -self._q2m1
             hi, lo = (b, a) if a < b else (a, b)
-            for t in range(hi - lo):
-                k2 = key[: i - 1] + (hi - 1 - t, lo + 1 + t) + key[i + 1 :]
-                s = items.get(k2, 0) + c
-                if is_zero(s):
-                    items.pop(k2, None)
-                else:
-                    items[k2] = s
+            merge_vec(items, [
+                (key[: i - 1] + (hi - 1 - t, lo + 1 + t) + key[i + 1 :], c)
+                for t in range(hi - lo)
+            ])
         return list(items.items())
 
     def _atomic_items(self, letter, key):
@@ -239,12 +236,9 @@ class PolynomialModule:
             if exp == 1:
                 return items
             # T^-1 = q^-2 (T + 1 - q^2)
-            out = {k: sc_mul(self._q2inv, c) for k, c in items}
-            s = out.get(key, 0) + (self._q2inv - Fraction(1))
-            if is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
+            out = {}
+            merge_vec(out, items, self._q2inv)
+            merge_vec(out, [(key, self._q2inv - Fraction(1))])
             return list(out.items())
         if kind == "W":
             assert exp in (1, -1)
@@ -301,24 +295,23 @@ class PolynomialModule:
             for atom in prog:
                 out = {}
                 for k, c in vec.items():
-                    items, margins, valid = self.letter_cached(atom, k)
-                    budget.observe(margins, valid)
+                    items, valid = self.letter_cached(atom, k)
+                    budget.observe(valid)
                     merge_vec(out, items, c)
                 vec = out
-            entry = (tuple(sorted(vec.items())), budget.margins, budget.valid)
+            entry = (tuple(sorted(vec.items())), budget.valid)
         else:
             raw = self._atomic_items(letter, key)
-            kept = [(k, c) for k, c in raw if max(abs(x) for x in k) <= self.window]
-            valid = len(kept) == len(raw)
-            entry = (tuple(kept), _key_margins([k for k, _ in kept], self.window), valid)
+            kept = [(k, c) for k, c in raw if self._inside(k)]
+            entry = (tuple(kept), len(kept) == len(raw))
         self._cache[(letter, key)] = entry
         return entry
 
+    def _inside(self, key):
+        return max(abs(x) for x in key) <= self.window
+
     def observe_vec(self, budget, vec):
-        keys = list(vec.keys())
-        if keys:
-            inside = [k for k in keys if max(abs(x) for x in k) <= self.window]
-            budget.observe(_key_margins(inside, self.window), len(inside) == len(keys))
+        budget.observe(all(self._inside(k) for k in vec))
 
     def basis_keys(self):
         return [(0,) * self.l]
@@ -348,8 +341,8 @@ def apply_word(module, word, vec, budget=None):
     for letter in word:
         out = {}
         for key, c in vec.items():
-            items, margins, valid = module.letter_cached(letter, key)
-            budget.observe(margins, valid)
+            items, valid = module.letter_cached(letter, key)
+            budget.observe(valid)
             merge_vec(out, items, c)
         vec = out
     return vec
@@ -360,24 +353,7 @@ def apply_expr(module, expr, vec, budget=None):
         budget = WindowBudget()
     out = {}
     for coeff, word in expr:
-        part = apply_word(module, word, vec, budget)
-        for key, c in part.items():
-            s = out.get(key, 0) + sc_mul(coeff, c)
-            if is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
-
-
-def vec_sub(u, v):
-    out = dict(u)
-    for key, c in v.items():
-        s = out.get(key, 0) - c
-        if is_zero(s):
-            out.pop(key, None)
-        else:
-            out[key] = s
+        merge_vec(out, apply_word(module, word, vec, budget).items(), coeff)
     return out
 
 
@@ -397,35 +373,63 @@ def _scaled(coeff, word) -> Expr:
     return ((coeff, word),)
 
 
-def defining_relation_checks(module) -> list[RelCheck]:
-    """The defining relation suite of the l-strand algebra, one check per instance."""
-    l = module.l
-    p = module.params
-    q2 = sc_mul(p.q, p.q)
+def _shared_checks(prefix, l, q2) -> list[RelCheck]:
+    """The T and Y relations that the defining and Q-presentation suites share."""
     out = []
     for i in range(1, l):
         ti, tiv = lt("T", i), lt("T", i, -1)
-        out.append(RelCheck("defining.t-inv", (i,), _one(wmul(ti, tiv)), _one(EMPTY)))
-        out.append(RelCheck("defining.t-inv", (-i,), _one(wmul(tiv, ti)), _one(EMPTY)))
+        out.append(RelCheck(f"{prefix}.t-inv", (i,), _one(wmul(ti, tiv)), _one(EMPTY)))
         # (T + 1)(T - q^2) = 0  <=>  T.T = (q^2 - 1) T + q^2
         out.append(RelCheck(
-            "defining.t-quad", (i,),
+            f"{prefix}.t-quad", (i,),
             _one(wmul(ti, ti)),
             ((q2 - Fraction(1), ti), (q2, EMPTY)),
         ))
+        out.append(RelCheck(
+            f"{prefix}.tyt", (i,),
+            _one(wmul(tiv, lt("Y", i), tiv)),
+            _scaled(sc_inv(q2), lt("Y", i + 1)),
+        ))
     for i in range(1, l - 1):
         out.append(RelCheck(
-            "defining.t-braid", (i,),
+            f"{prefix}.t-braid", (i,),
             _one(wmul(lt("T", i), lt("T", i + 1), lt("T", i))),
             _one(wmul(lt("T", i + 1), lt("T", i), lt("T", i + 1))),
         ))
     for i, j in itertools.combinations(range(1, l), 2):
         if j - i > 1:
             out.append(RelCheck(
-                "defining.t-comm", (i, j),
+                f"{prefix}.t-comm", (i, j),
                 _one(wmul(lt("T", i), lt("T", j))),
                 _one(wmul(lt("T", j), lt("T", i))),
             ))
+    for i, j in itertools.combinations(range(1, l + 1), 2):
+        out.append(RelCheck(
+            f"{prefix}.y-comm", (i, j),
+            _one(wmul(lt("Y", i), lt("Y", j))),
+            _one(wmul(lt("Y", j), lt("Y", i))),
+        ))
+    for i in range(1, l):
+        for j in range(1, l + 1):
+            if j not in (i, i + 1):
+                out.append(RelCheck(
+                    f"{prefix}.yt-comm", (j, i),
+                    _one(wmul(lt("Y", j), lt("T", i))),
+                    _one(wmul(lt("T", i), lt("Y", j))),
+                ))
+    return out
+
+
+def defining_relation_checks(module) -> list[RelCheck]:
+    """The defining relation suite of the l-strand algebra, one check per instance."""
+    l = module.l
+    p = module.params
+    q2 = sc_mul(p.q, p.q)
+    out = _shared_checks("defining", l, q2)
+    for i in range(1, l):
+        out.append(RelCheck(
+            "defining.t-inv", (-i,), _one(wmul(lt("T", i, -1), lt("T", i))), _one(EMPTY)
+        ))
     out.append(RelCheck(
         "defining.xy-twist", (),
         _one(wmul(x0_word(l), lt("Y", 1))),
@@ -437,35 +441,18 @@ def defining_relation_checks(module) -> list[RelCheck]:
             _one(wmul(lt("X", i), lt("X", j))),
             _one(wmul(lt("X", j), lt("X", i))),
         ))
-        out.append(RelCheck(
-            "defining.y-comm", (i, j),
-            _one(wmul(lt("Y", i), lt("Y", j))),
-            _one(wmul(lt("Y", j), lt("Y", i))),
-        ))
     for i in range(1, l):
         for j in range(1, l + 1):
-            if j in (i, i + 1):
-                continue
-            out.append(RelCheck(
-                "defining.xt-comm", (j, i),
-                _one(wmul(lt("X", j), lt("T", i))),
-                _one(wmul(lt("T", i), lt("X", j))),
-            ))
-            out.append(RelCheck(
-                "defining.yt-comm", (j, i),
-                _one(wmul(lt("Y", j), lt("T", i))),
-                _one(wmul(lt("T", i), lt("Y", j))),
-            ))
-    for i in range(1, l):
+            if j not in (i, i + 1):
+                out.append(RelCheck(
+                    "defining.xt-comm", (j, i),
+                    _one(wmul(lt("X", j), lt("T", i))),
+                    _one(wmul(lt("T", i), lt("X", j))),
+                ))
         out.append(RelCheck(
             "defining.txt", (i,),
             _one(wmul(lt("T", i), lt("X", i), lt("T", i))),
             _scaled(q2, lt("X", i + 1)),
-        ))
-        out.append(RelCheck(
-            "defining.tyt", (i,),
-            _one(wmul(lt("T", i, -1), lt("Y", i), lt("T", i, -1))),
-            _scaled(sc_inv(q2), lt("Y", i + 1)),
         ))
     if l >= 2:
         out.append(RelCheck(
@@ -480,49 +467,8 @@ def q_presentation_checks(module) -> list[RelCheck]:
     """The Q-presentation suite: shared T/Y relations plus the Q conjugations."""
     l = module.l
     p = module.params
-    q2 = sc_mul(p.q, p.q)
     qw, qinv = lt("Q"), lt("Q", 0, -1)
-    out = []
-    for i in range(1, l):
-        ti, tiv = lt("T", i), lt("T", i, -1)
-        out.append(RelCheck("qpres.t-inv", (i,), _one(wmul(ti, tiv)), _one(EMPTY)))
-        out.append(RelCheck(
-            "qpres.t-quad", (i,),
-            _one(wmul(ti, ti)),
-            ((q2 - Fraction(1), ti), (q2, EMPTY)),
-        ))
-        out.append(RelCheck(
-            "qpres.tyt", (i,),
-            _one(wmul(tiv, lt("Y", i), tiv)),
-            _scaled(sc_inv(q2), lt("Y", i + 1)),
-        ))
-    for i in range(1, l - 1):
-        out.append(RelCheck(
-            "qpres.t-braid", (i,),
-            _one(wmul(lt("T", i), lt("T", i + 1), lt("T", i))),
-            _one(wmul(lt("T", i + 1), lt("T", i), lt("T", i + 1))),
-        ))
-    for i, j in itertools.combinations(range(1, l), 2):
-        if j - i > 1:
-            out.append(RelCheck(
-                "qpres.t-comm", (i, j),
-                _one(wmul(lt("T", i), lt("T", j))),
-                _one(wmul(lt("T", j), lt("T", i))),
-            ))
-    for i, j in itertools.combinations(range(1, l + 1), 2):
-        out.append(RelCheck(
-            "qpres.y-comm", (i, j),
-            _one(wmul(lt("Y", i), lt("Y", j))),
-            _one(wmul(lt("Y", j), lt("Y", i))),
-        ))
-    for i in range(1, l):
-        for j in range(1, l + 1):
-            if j not in (i, i + 1):
-                out.append(RelCheck(
-                    "qpres.yt-comm", (j, i),
-                    _one(wmul(lt("Y", j), lt("T", i))),
-                    _one(wmul(lt("T", i), lt("Y", j))),
-                ))
+    out = _shared_checks("qpres", l, sc_mul(p.q, p.q))
     for i in range(2, l - 1):
         out.append(RelCheck(
             "qpres.q-shift-t", (i,),
@@ -638,19 +584,14 @@ def hecke_probes(module, count, seed, margin=None):
 
 def make_hecke_items(module, checks, probes):
     """(meta, thunk) pairs for the generic relation runner."""
-    items = []
-    for chk in checks:
-        for pid, vec in probes:
-            def thunk(chk=chk, vec=vec):
-                budget = WindowBudget()
-                lhs = apply_expr(module, chk.lhs, vec, budget)
-                rhs = apply_expr(module, chk.rhs, vec, budget)
-                res = vec_sub(lhs, rhs)
-                return (not res, budget.ok(), "" if not res else _residual_note(res))
-            items.append(((chk.relation, chk.indices, (), pid), thunk))
-    return items
+    from .reports import identity  # reports imports this module
 
-
-def _residual_note(res):
-    key = sorted(res)[0]
-    return f"residual has {len(res)} term(s); lead key {key}"
+    check = identity(
+        lambda b, chk, vec: apply_expr(module, chk.lhs, vec, b),
+        lambda b, chk, vec: apply_expr(module, chk.rhs, vec, b),
+    )
+    return [
+        ((chk.relation, chk.indices, (), pid), partial(check, chk, vec))
+        for chk in checks
+        for pid, vec in probes
+    ]

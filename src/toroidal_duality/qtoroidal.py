@@ -20,9 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .hecke import WindowBudget
-from .duality import dvec_add, dvec_scale, dvec_sub, nondecreasing_tuples
+from .duality import dvec_add, nondecreasing_tuples
+from .hecke import WindowBudget, vec_scale, vec_sub
+from .reports import identity
 from .scalars import sc_inv, sc_mul, sc_pow
 
 
@@ -95,6 +97,11 @@ def _pair_cleared(left, right, coeffs, R, S, vec, budget):
     return acc
 
 
+def weight_display(ops, i, vec):
+    """k_{i,0} in closed form: every term scaled by q to its weight at vertex i."""
+    return {key: sc_mul(c, sc_pow(ops.q, ops.weight(i, key[1]))) for key, c in vec.items()}
+
+
 def current_relation_items(ops, K, probes):
     """(meta, thunk) pairs for relations 2.1.1 - 2.1.9 at mode window K."""
     if ops.params.c != Fraction(1):
@@ -118,26 +125,77 @@ def current_relation_items(ops, K, probes):
     def emit(rel, ij, modes, pid, thunk):
         items.append(((rel, ij, modes, pid), thunk))
 
+    def unit_thunk(i, vec):
+        budget = WindowBudget()
+        one = ops.mode("k+", i, 0, ops.mode("k-", i, 0, dict(vec), budget), budget)
+        two = ops.mode("k-", i, 0, ops.mode("k+", i, 0, dict(vec), budget), budget)
+        ok = not vec_sub(one, vec) and not vec_sub(two, vec)
+        return ok, budget.ok(), "" if ok else "k0 inverse fails"
+
+    # (2.1.1): like-sign Cartan currents commute; (2.1.2) degenerates at c = 1
+    # to mixed-sign commutation
+    comm = identity(
+        lambda b, i, j, s1, ka, s2, kb, vec: _kmode(ops, s1, i, ka, _kmode(ops, s2, j, kb, dict(vec), b), b),
+        lambda b, i, j, s1, ka, s2, kb, vec: _kmode(ops, s2, j, kb, _kmode(ops, s1, i, ka, dict(vec), b), b),
+    )
+
+    # (2.1.3)/(2.1.4): Cartan current against e / f currents
+    @identity
+    def cartan_exchange(b, i, j, sign, other_kind, coeffs, R, S, vec):
+        left = lambda kk, v, bb: _kmode(ops, sign, i, kk, v, bb)
+        right = lambda kk, v, bb: ops.mode(other_kind, j, kk, v, bb)
+        return _pair_cleared(left, right, coeffs, R, S, vec, b)
+
+    # (2.1.5): exchange of e and f closes on the Cartan modes
+    def ef_lhs(b, i, j, r, s, vec):
+        ef = ops.mode("e", i, r, ops.mode("f", j, s, dict(vec), b), b)
+        fe = ops.mode("f", j, s, ops.mode("e", i, r, dict(vec), b), b)
+        return vec_scale(qmqinv, vec_sub(ef, fe))
+
+    def ef_rhs(b, i, j, r, s, vec):
+        rhs = {}
+        if i == j:
+            h = r + s
+            if h >= 0:
+                dvec_add(rhs, ops.mode("k+", i, h, dict(vec), b).items())
+            if h <= 0:
+                dvec_add(rhs, ops.mode("k-", i, h, dict(vec), b).items(), Fraction(-1))
+        return rhs
+
+    ef_exchange = identity(ef_lhs, ef_rhs)
+
+    # (2.1.6)/(2.1.7): e-e and f-f exchange with theta twist
+    @identity
+    def like_exchange(b, i, j, kind, coeffs, r, s, vec):
+        left = lambda kk, v, bb: ops.mode(kind, i, kk, v, bb)
+        right = lambda kk, v, bb: ops.mode(kind, j, kk, v, bb)
+        return _pair_cleared(left, right, coeffs, r - 1, s, vec, b)
+
+    # (2.1.8)/(2.1.9): cubic Serre relations, symmetrized over z1 <-> z2
+    @identity
+    def serre(b, i, j, kind, k1, k2, kk, vec):
+        def word(aaa, bbb, ccc):
+            v = ops.mode(kind, *ccc, dict(vec), b)
+            v = ops.mode(kind, *bbb, v, b)
+            return ops.mode(kind, *aaa, v, b)
+
+        acc = {}
+        for m1, m2 in ((k1, k2),) if k1 == k2 else ((k1, k2), (k2, k1)):
+            dvec_add(acc, word((i, m1), (i, m2), (j, kk)).items())
+            dvec_add(acc, word((i, m1), (j, kk), (i, m2)).items(), minus_qqinv)
+            dvec_add(acc, word((j, kk), (i, m1), (i, m2)).items())
+        return acc
+
     kplus_range = list(range(0, K + 1))
     kminus_range = list(range(-K, 1))
     e_range = list(range(-K, K + 1))
 
     for pid, vec in probes:
         for i in range(n + 1):
-            def unit_thunk(i=i, vec=vec):
-                budget = WindowBudget()
-                one = ops.mode("k+", i, 0, ops.mode("k-", i, 0, dict(vec), budget), budget)
-                two = ops.mode("k-", i, 0, ops.mode("k+", i, 0, dict(vec), budget), budget)
-                res1 = dvec_sub(one, vec)
-                res2 = dvec_sub(two, vec)
-                ok = not res1 and not res2
-                return ok, budget.ok(), "" if ok else "k0 inverse fails"
-            emit("2.1.1-unit", (i, i), (0, 0), pid, unit_thunk)
+            emit("2.1.1-unit", (i, i), (0, 0), pid, partial(unit_thunk, i, vec))
 
         for i in range(n + 1):
             for j in range(n + 1):
-                # (2.1.1): like-sign Cartan currents commute; (2.1.2) degenerates
-                # at c = 1 to mixed-sign commutation.
                 for rel, s1, s2, range1, range2 in (
                     ("2.1.1", +1, +1, kplus_range, kplus_range),
                     ("2.1.1", -1, -1, kminus_range, kminus_range),
@@ -146,18 +204,11 @@ def current_relation_items(ops, K, probes):
                 ):
                     for ka in range1:
                         for kb in range2:
-                            def comm_thunk(i=i, j=j, s1=s1, s2=s2, ka=ka, kb=kb, vec=vec):
-                                budget = WindowBudget()
-                                ab = _kmode(ops, s1, i, ka, _kmode(ops, s2, j, kb, dict(vec), budget), budget)
-                                ba = _kmode(ops, s2, j, kb, _kmode(ops, s1, i, ka, dict(vec), budget), budget)
-                                res = dvec_sub(ab, ba)
-                                return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
-                            emit(rel, (i, j), (s1, ka, s2, kb), pid, comm_thunk)
+                            emit(rel, (i, j), (s1, ka, s2, kb), pid,
+                                 partial(comm, i, j, s1, ka, s2, kb, vec))
 
                 a = cartan.a(i, j)
                 m = cartan.m(i, j)
-
-                # (2.1.3)/(2.1.4): Cartan current against e / f currents.
                 for rel, sign, other_kind, aa in (
                     ("2.1.3", +1, "e", a),
                     ("2.1.3", -1, "e", a),
@@ -171,47 +222,20 @@ def current_relation_items(ops, K, probes):
                     coeffs = twist(aa, m)
                     for R in Rs:
                         for S in range(-K + 1, K + 1):
-                            def ke_thunk(i=i, j=j, sign=sign, other_kind=other_kind, coeffs=coeffs, R=R, S=S, vec=vec):
-                                budget = WindowBudget()
-                                left = lambda kk, v, b: _kmode(ops, sign, i, kk, v, b)
-                                right = lambda kk, v, b: ops.mode(other_kind, j, kk, v, b)
-                                res = _pair_cleared(left, right, coeffs, R, S, vec, budget)
-                                return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
-                            emit(rel, (i, j), (sign, R, S), pid, ke_thunk)
+                            emit(rel, (i, j), (sign, R, S), pid,
+                                 partial(cartan_exchange, i, j, sign, other_kind, coeffs, R, S, vec))
 
-                # (2.1.5): exchange of e and f closes on the Cartan modes.
                 for r in e_range:
                     for s in e_range:
-                        def ef_thunk(i=i, j=j, r=r, s=s, vec=vec):
-                            budget = WindowBudget()
-                            ef = ops.mode("e", i, r, ops.mode("f", j, s, dict(vec), budget), budget)
-                            fe = ops.mode("f", j, s, ops.mode("e", i, r, dict(vec), budget), budget)
-                            lhs = dvec_scale(qmqinv, dvec_sub(ef, fe))
-                            rhs = {}
-                            if i == j:
-                                h = r + s
-                                if h >= 0:
-                                    dvec_add(rhs, ops.mode("k+", i, h, dict(vec), budget).items())
-                                if h <= 0:
-                                    dvec_add(rhs, ops.mode("k-", i, h, dict(vec), budget).items(), Fraction(-1))
-                            res = dvec_sub(lhs, rhs)
-                            return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
-                        emit("2.1.5", (i, j), (r, s), pid, ef_thunk)
+                        emit("2.1.5", (i, j), (r, s), pid, partial(ef_exchange, i, j, r, s, vec))
 
-                # (2.1.6)/(2.1.7): e-e and f-f exchange with theta twist.
                 for rel, kind, aa in (("2.1.6", "e", a), ("2.1.7", "f", -a)):
                     coeffs = twist(aa, m)
                     for r in range(-K + 1, K + 1):
                         for s in range(-K + 1, K + 1):
-                            def ee_thunk(i=i, j=j, kind=kind, coeffs=coeffs, r=r, s=s, vec=vec):
-                                budget = WindowBudget()
-                                left = lambda kk, v, b: ops.mode(kind, i, kk, v, b)
-                                right = lambda kk, v, b: ops.mode(kind, j, kk, v, b)
-                                res = _pair_cleared(left, right, coeffs, r - 1, s, vec, budget)
-                                return (not res), budget.ok(), "" if not res else f"{len(res)} residual terms"
-                            emit(rel, (i, j), (r, s), pid, ee_thunk)
+                            emit(rel, (i, j), (r, s), pid,
+                                 partial(like_exchange, i, j, kind, coeffs, r, s, vec))
 
-        # (2.1.8)/(2.1.9): cubic Serre relations for adjacent vertices.
         for i, j in cartan.adjacent_pairs():
             for rel, kind in (("2.1.8", "e"), ("2.1.9", "f")):
                 for k1 in e_range:
@@ -219,78 +243,60 @@ def current_relation_items(ops, K, probes):
                         if k2 < k1:
                             continue  # the z1 <-> z2 symmetrization makes (k1,k2) ~ (k2,k1)
                         for kk in e_range:
-                            def serre_thunk(i=i, j=j, kind=kind, k1=k1, k2=k2, kk=kk, vec=vec):
-                                budget = WindowBudget()
-
-                                def word(aaa, bbb, ccc, v):
-                                    v = ops.mode(kind, *ccc, dict(v), budget)
-                                    v = ops.mode(kind, *bbb, v, budget)
-                                    return ops.mode(kind, *aaa, v, budget)
-
-                                acc = {}
-                                for m1, m2 in ((k1, k2), (k2, k1)):
-                                    dvec_add(acc, word((i, m1), (i, m2), (j, kk), vec).items())
-                                    dvec_add(acc, word((i, m1), (j, kk), (i, m2), vec).items(),
-                                             minus_qqinv)
-                                    dvec_add(acc, word((j, kk), (i, m1), (i, m2), vec).items())
-                                return (not acc), budget.ok(), "" if not acc else f"{len(acc)} residual terms"
-                            emit(rel, (i, j), (k1, k2, kk), pid, serre_thunk)
+                            emit(rel, (i, j), (k1, k2, kk), pid,
+                                 partial(serre, i, j, kind, k1, k2, kk, vec))
     return items
 
 
 def integrability_items(ops, K, probes):
     """Weight decomposition with q-power eigenvalues, and mode nilpotency of order <= l + 1."""
     n, l = ops.n, ops.l
-    q = ops.q
+    weight = identity(
+        lambda b, i, vec: ops.mode("k+", i, 0, dict(vec), b),
+        lambda b, i, vec: weight_display(ops, i, vec),
+    )
+
+    @identity
+    def nilpotent(b, i, kind, k, vec):
+        v = dict(vec)
+        for _ in range(l + 1):
+            v = ops.mode(kind, i, k, v, b)
+            if not v:
+                break
+        return v
+
     items = []
     for pid, vec in probes:
         for i in range(n + 1):
-            def weight_thunk(i=i, vec=vec):
-                budget = WindowBudget()
-                got = ops.mode("k+", i, 0, dict(vec), budget)
-                want = {}
-                for (hk, jt), c in vec.items():
-                    dvec_add(want, [((hk, jt), sc_mul(c, sc_pow(q, ops.weight(i, jt))))])
-                res = dvec_sub(got, want)
-                return (not res), budget.ok(), "" if not res else "weight action mismatch"
-            items.append((("int.weight", (i,), (0,), pid), weight_thunk))
+            items.append((("int.weight", (i,), (0,), pid), partial(weight, i, vec)))
         for i in range(n + 1):
             for kind in ("e", "f"):
                 for k in range(-K, K + 1):
-                    def nil_thunk(i=i, kind=kind, k=k, vec=vec):
-                        budget = WindowBudget()
-                        v = dict(vec)
-                        for _ in range(l + 1):
-                            v = ops.mode(kind, i, k, v, budget)
-                            if not v:
-                                break
-                        return (not v), budget.ok(), "" if not v else "not nilpotent within l+1 steps"
-                    items.append((("int.nilpotent", (i,), (k,), pid), nil_thunk))
+                    items.append((("int.nilpotent", (i,), (k,), pid), partial(nilpotent, i, kind, k, vec)))
     return items
 
 
 def central_charge_items(ops, probes):
     """k_{0,0} k_{1,0} ... k_{n,0} = id, plus a mixed-sign commutation spot check."""
     n = ops.n
+
+    def k_product(b, vec):
+        v = dict(vec)
+        for i in range(n, -1, -1):
+            v = ops.mode("k+", i, 0, v, b)
+        return v
+
+    product = identity(k_product, lambda b, vec: vec)
+    mixed = identity(
+        lambda b, i, j, vec: ops.mode("k+", i, 1, ops.mode("k-", j, -1, dict(vec), b), b),
+        lambda b, i, j, vec: ops.mode("k-", j, -1, ops.mode("k+", i, 1, dict(vec), b), b),
+    )
     items = []
     for pid, vec in probes:
-        def prod_thunk(vec=vec):
-            budget = WindowBudget()
-            v = dict(vec)
-            for i in range(n, -1, -1):
-                v = ops.mode("k+", i, 0, v, budget)
-            res = dvec_sub(v, vec)
-            return (not res), budget.ok(), "" if not res else "k-product is not the identity"
-        items.append((("cc.k-product", (), (), pid), prod_thunk))
+        items.append((("cc.k-product", (), (), pid), partial(product, vec)))
         for i in range(n + 1):
             for j in range(n + 1):
-                def mix_thunk(i=i, j=j, vec=vec):
-                    budget = WindowBudget()
-                    ab = ops.mode("k+", i, 1, ops.mode("k-", j, -1, dict(vec), budget), budget)
-                    ba = ops.mode("k-", j, -1, ops.mode("k+", i, 1, dict(vec), budget), budget)
-                    res = dvec_sub(ab, ba)
-                    return (not res), budget.ok(), "" if not res else "mixed Cartan modes do not commute"
-                items.append((("cc.kpm-comm", (i, j), (1, -1), pid), mix_thunk))
+                items.append((("cc.kpm-comm", (i, j), (1, -1), pid), partial(mixed, i, j, vec)))
     return items
 
 

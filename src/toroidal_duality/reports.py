@@ -2,7 +2,8 @@
 Relation reports and the deterministic check runner.
 
 A check item is ((relation, indices, modes, probe), thunk) where the thunk
-returns (residual_zero, budget_valid, note).  Items may be fanned out to a
+returns (residual_zero, budget_valid, note); `identity` builds the thunks
+of every check that states one vector identity.  Items may be fanned out to a
 thread pool; results are merged by sorted key, so the emitted JSON stream
 is byte-identical across runs and worker counts.  Per-check wall time is
 kept on the in-memory record for the human table but deliberately left out
@@ -15,6 +16,33 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+from .hecke import WindowBudget, vec_sub
+
+
+def identity(lhs, rhs=None):
+    """
+    The check lhs == rhs, as a function of the instance's arguments.
+
+    Called with `args`, it evaluates lhs(budget, *args) and rhs(budget,
+    *args) against one fresh WindowBudget and returns (residual_zero,
+    budget_valid, note).  Without rhs, lhs is the residual itself.  Bind the
+    arguments with functools.partial to get the item's thunk.
+    """
+
+    def check(*args):
+        budget = WindowBudget()
+        res = lhs(budget, *args)
+        if rhs is not None:
+            res = vec_sub(res, rhs(budget, *args))
+        return not res, budget.ok(), _residual_note(res) if res else ""
+
+    return check
+
+
+def _residual_note(res):
+    key = sorted(res)[0]
+    return f"residual has {len(res)} term(s); lead key {key}"
 
 
 @dataclass(frozen=True)

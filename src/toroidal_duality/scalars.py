@@ -19,9 +19,7 @@ Canonical forms: no zero coefficients are stored, rationals are reduced
 by Fraction itself, and a LaurentFrac denominator is a non-unit
 polynomial with nonnegative exponents, integer coprime coefficients,
 positive leading coefficient under graded-lex order, and no common
-factor with the numerator (common factors are cleared whenever the
-denominator involves a single symbol, the only shape the workbench
-produces).
+factor with the numerator (cleared by a multivariate polynomial gcd).
 """
 
 from __future__ import annotations
@@ -216,91 +214,75 @@ def _vars_used(lp):
     return tuple(k for k in range(_NVARS) if any(e[k] for e in lp.terms))
 
 
-def _poly1_mod(a, b):
-    # univariate polynomial remainder over Q; dicts {exp: Fraction}, b nonzero
-    a = dict(a)
-    db = max(b)
-    lb = b[db]
-    while a and max(a) >= db:
-        da = max(a)
-        f = a[da] / lb
-        for e, c in b.items():
-            s = a.get(e + da - db, 0) - f * c
-            if s:
-                a[e + da - db] = s
-            else:
-                a.pop(e + da - db, None)
-    return a
+def _terms(p):
+    return p.terms if isinstance(p, Laurent) else ({_ZEXP: p} if p else {})
 
 
-def _poly1_gcd(a, b):
-    while b:
-        a, b = b, _poly1_mod(a, b)
-    if not a:
-        return {}
-    lead = a[max(a)]
-    return {e: c / lead for e, c in a.items()}  # monic
-
-
-def _split_by_other_vars(lp, k):
-    """View lp as a polynomial in symbol k with coefficients grouped by the other exponents."""
+def _collect(p, syms):
+    """p grouped by its exponents in `syms`: {those exponents: coefficient free of syms}."""
     groups = {}
-    for e, c in lp.terms.items():
-        rest = tuple(e[j] if j != k else 0 for j in range(_NVARS))
-        groups.setdefault(rest, {})[e[k]] = c
-    return groups
+    for e, c in _terms(p).items():
+        key = tuple(e[k] for k in syms)
+        groups.setdefault(key, {})[tuple(0 if k in syms else x for k, x in enumerate(e))] = c
+    return {key: make_laurent(t) for key, t in groups.items()}
 
 
-def _poly1_divexact(a, g):
-    # exact univariate division; caller guarantees divisibility
-    out = {}
-    a = dict(a)
-    dg = max(g)
-    lg = g[dg]
+def _exact_div(a, b):
+    """a / b for polynomials with b dividing a: long division on lex-leading terms."""
+    tb = _terms(b)
+    eb = max(tb)
+    out = Fraction(0)
     while a:
-        da = max(a)
-        assert da >= dg, "inexact division"
-        f = a[da] / lg
-        out[da - dg] = f
-        for e, c in g.items():
-            s = a.get(e + da - dg, 0) - f * c
-            if s:
-                a[e + da - dg] = s
-            else:
-                a.pop(e + da - dg, None)
+        ta = _terms(a)
+        ea = max(ta)
+        exp = tuple(x - y for x, y in zip(ea, eb))
+        assert min(exp) >= 0, "inexact division"
+        m = make_laurent({exp: ta[ea] / tb[eb]})
+        out = out + m
+        a = a - m * b
     return out
 
 
-def _reduce_multivariate(num, den):
-    """
-    Clear common polynomial factors when the denominator genuinely involves
-    several symbols.  The workbench's own flows only ever produce univariate
-    denominators (Poincare polynomials and q-factorials), so this path is a
-    correctness fallback, not a hot path; it leans on sympy's exact gcd.
-    """
-    import sympy
+def _content(p, k, rest):
+    """gcd in Q[rest] of the coefficients of p as a polynomial in symbol k."""
+    g = Fraction(0)
+    for c in _collect(p, (k,)).values():
+        g = _gcd(g, c, rest)
+    return g
 
-    gens = sympy.symbols(" ".join(SYMBOLS))
-    nmono, nshift = _monomial_content(num)
 
-    def to_poly(lp):
-        return sympy.Poly.from_dict(
-            {e: sympy.Rational(c.numerator, c.denominator) for e, c in lp.terms.items()},
-            *gens,
-        )
+def _primitive(p, k, rest):
+    """p over its content, scaled to lex-leading coefficient 1."""
+    p = _exact_div(p, _content(p, k, rest))
+    t = _terms(p)
+    return p * (1 / t[max(t)])
 
-    def from_poly(poly):
-        return make_laurent({
-            tuple(int(x) for x in e): Fraction(int(c.p), int(c.q))
-            for e, c in poly.as_dict().items()
-        })
 
-    pn, pd = to_poly(nshift), to_poly(den)
-    g = pn.gcd(pd)
-    if g.total_degree() > 0:
-        pn, pd = pn.exquo(g), pd.exquo(g)
-    num = sc_mul(from_poly(pn), make_laurent({nmono: Fraction(1)}))
-    return num, from_poly(pd)
+def _prem(a, b, k):
+    """Pseudo-remainder of a by b as polynomials in symbol k."""
+    (db,), lead_b = max(_collect(b, (k,)).items())
+    while a:
+        (da,), lead_a = max(_collect(a, (k,)).items())
+        if da < db:
+            break
+        shift = make_laurent({tuple(da - db if j == k else 0 for j in range(_NVARS)): Fraction(1)})
+        a = a * lead_b - lead_a * shift * b
+    return a
+
+
+def _gcd(a, b, syms):
+    """A gcd of polynomials a, b in Q[syms], by primitive remainder sequences."""
+    if not a or not b:
+        return a or b
+    if isinstance(a, Fraction) or isinstance(b, Fraction):
+        return Fraction(1)
+    k, rest = syms[0], syms[1:]
+    c = _gcd(_content(a, k, rest), _content(b, k, rest), rest)
+    a, b = _primitive(a, k, rest), _primitive(b, k, rest)
+    while b:
+        r = _prem(a, b, k)
+        a, b = b, (_primitive(r, k, rest) if r else Fraction(0))
+    return c * a
 
 
 class LaurentFrac:
@@ -331,32 +313,19 @@ class LaurentFrac:
         mono, den = _monomial_content(den)
         num = _lift(num * make_laurent({tuple(-m for m in mono): Fraction(1)}))
 
+        # a common factor lies in the denominator's symbols, so it divides
+        # each coefficient of the numerator over the other symbols
+        nmono, nshift = _monomial_content(num)
         dvars = _vars_used(den)
-        if len(dvars) == 1:
-            k = dvars[0]
-            nmono, nshift = _monomial_content(num)
-            g = {e: c for e, c in _split_by_other_vars(den, k)[_ZEXP].items()}
-            for coeffs in _split_by_other_vars(nshift, k).values():
-                g = _poly1_gcd(g, coeffs)
-                if g and max(g) == 0:
-                    g = {}
-                    break
-            if g:
-                dq = _poly1_divexact(_split_by_other_vars(den, k)[_ZEXP], g)
-                den = make_laurent({
-                    tuple(e if j == k else 0 for j in range(_NVARS)): c
-                    for e, c in dq.items()
-                })
-                nterms = {}
-                for rest, coeffs in _split_by_other_vars(nshift, k).items():
-                    for e, c in _poly1_divexact(coeffs, g).items():
-                        nterms[tuple(rest[j] if j != k else e for j in range(_NVARS))] = c
-                num = sc_mul(make_laurent(nterms), make_laurent({nmono: Fraction(1)}))
-                if isinstance(den, Fraction) or den.is_unit():
-                    return sc_mul(num, sc_inv(den))
-                num = _lift(num)
-        elif len(dvars) > 1:
-            num, den = _reduce_multivariate(num, den)
+        others = tuple(k for k in range(_NVARS) if k not in dvars)
+        g = den
+        for c in _collect(nshift, others).values():
+            g = _gcd(g, c, dvars)
+            if isinstance(g, Fraction):
+                break
+        if not isinstance(g, Fraction):
+            den = _exact_div(den, g)
+            num = sc_mul(_exact_div(nshift, g), make_laurent({nmono: Fraction(1)}))
             if isinstance(den, Fraction) or den.is_unit():
                 return sc_mul(num, sc_inv(den))
             num = _lift(num)

@@ -32,10 +32,6 @@ class SeriesExpansion:
         assert self.direction in (AT_INFINITY, AT_ZERO)
         assert len(self.coeffs) == self.order + 1
 
-    def coeff(self, r):
-        assert 0 <= r <= self.order
-        return self.coeffs[r]
-
 
 def divide_series(num, den, direction, order):
     """
@@ -84,9 +80,3 @@ def theta_expand(m, direction, order, q):
     den = {e: c for e, c in den.items() if not is_zero(c)}
     coeffs = divide_series(num, den, direction, order)
     return SeriesExpansion(direction, tuple(coeffs), order)
-
-
-def delta_mode(a, k):
-    """Pure power a^k; the z^k coefficient bookkeeping for delta(a z) lives with callers."""
-    assert is_unit(a), "delta argument scale must be a unit"
-    return sc_pow(a, k)

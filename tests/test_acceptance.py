@@ -4,6 +4,7 @@ Every residual is exact (zero tolerance); runtime budgets are asserted
 directly.  Run with -s to see one pass/fail line per criterion.
 """
 
+import hashlib
 from collections import defaultdict
 
 import pytest
@@ -21,6 +22,24 @@ SWEEPS = {
     "toroidal-poly": ("toroidal", "poly", {}),
     "duality-l1": ("duality", "l1", {}),
     "duality-poly": ("duality", "poly", {}),
+}
+
+# sha256 of each sweep's canonical stream and summary at workers=1, recorded
+# before the sparse-vector kernel and the identity constructor were folded;
+# a refactor must keep every byte
+PINNED = {
+    "hecke-poly": ("5b16b459b9f0b3b47ed695b9f1dfa8bb7d1da99b04c04a79a279d41f2b8d805e",
+                   "e62ff13c9f5e009103f319fc8768b6f67931a6d8e347ddbb8e1c7bc63ba4f016"),
+    "hecke-poly-negative": ("27dd54a2e66cdbf0d0737a5d54a841e93365e70ed2ef2dd6da8982fddb6adfa6",
+                            "a9d828f687564b3157d5188399b91bedbf9c4c82d1774a0b8c112fa81a17c3bc"),
+    "toroidal-l1": ("52ee72723ec60afcfd23b992dc662cc43d342ccc0ae644504b6baa6631640ffa",
+                    "2043a10199393d2790980454d31a76b3454a0120a25c2f66cef9528ffdfb88ad"),
+    "toroidal-poly": ("ae3ef6e95d9fbf1e99552020f0973b7a14db4b0f5cb015afc469c324c4b06a5c",
+                      "1a67cd1509ecb51bf98197a9961725501f1a320c4c55f1527f7078f7c60d7f25"),
+    "duality-l1": ("1b4adeb3cfd15440dfe19d39f481d85fc32814db74afa4e761c6b39e936d89ef",
+                   "4fb82029db40a28583ec9408513a3cd98fd2658420c5fb5c20feaf8d45409523"),
+    "duality-poly": ("9f56422ed69c18e4ded6428214101c96f77f40e053226fd317d1d92c98a1c2a2",
+                     "2f58714d7d81e5167f17807101bbbcb93ca5a46c0997ed956092972cbf9ce6b9"),
 }
 
 
@@ -181,3 +200,11 @@ def test_criterion_8_determinism(runs, runs_parallel):
         ok = ok and s1 == s3
     _say(8, ok, "byte-identical JSON reports and summaries across runs with "
                 "worker counts 1 and 3")
+
+
+def test_reports_match_pinned_digests(runs):
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    got = {name: (sha(runs[name][2]), sha(dumps_canonical(runs[name][1]))) for name in SWEEPS}
+    assert got == PINNED

@@ -9,11 +9,11 @@ from toroidal_duality.duality import (
     DualityModule,
     duality_probes,
     dvec_add,
-    dvec_scale,
     nondecreasing_tuples,
     t_on_tensor,
 )
 from toroidal_duality.hecke import PolynomialModule, UnitModule, apply_word, lt
+from toroidal_duality.hecke import vec_scale as dvec_scale
 from toroidal_duality.params import specialized_params
 
 

@@ -137,7 +137,6 @@ def test_window_escape_is_flagged_not_raised(module):
     budget = WindowBudget()
     out = apply_word(module, lt("X", 1), {(8, 0): Fraction(1)}, budget)
     assert out == {} and not budget.ok()
-    assert budget.as_json() == {"margins": [0, 8], "valid": False}
 
 
 def test_window_independence_on_trusted_region():

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from toroidal_duality.duality import DualityModule, duality_probes, dvec_add, dvec_sub
+from toroidal_duality.duality import DualityModule, duality_probes, dvec_add
 from toroidal_duality.hecke import UnitModule, WindowBudget
+from toroidal_duality.hecke import vec_sub as dvec_sub
 from toroidal_duality.params import specialized_params
 from toroidal_duality.qtoroidal import (
     CartanData,

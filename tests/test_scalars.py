@@ -124,6 +124,13 @@ def test_fraction_canonical_form():
     assert (Q * Q + 1) * f == Fraction(1)
 
 
+def test_multivariate_common_factor_is_cleared():
+    common = Q * D + YSYM + 1
+    assert LaurentFrac.make(common * (Q - YSYM), common * (D + Q)) == LaurentFrac.make(Q - YSYM, D + Q)
+    assert LaurentFrac.make(common * (Q + 1), common) == Q + 1
+    assert sc_inv(Q + D) * (Q + D) == Fraction(1)
+
+
 def test_mixed_variant_promotion_chain():
     r = Fraction(3, 2)
     lp = Q + 1

@@ -4,13 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from toroidal_duality.scalars import Q, make_laurent, sc_mul, sc_pow
-from toroidal_duality.series import AT_INFINITY, AT_ZERO, delta_mode, theta_expand
-
-
-def _ml(**mono):
-    exp = (mono.get("q", 0), mono.get("d", 0), mono.get("y", 0))
-    return make_laurent({exp: Fraction(mono.get("c", 1))})
+from toroidal_duality.scalars import Q, sc_mul, sc_pow
+from toroidal_duality.series import AT_INFINITY, AT_ZERO, theta_expand
 
 
 def test_theta_zero_is_constant_one():
@@ -72,11 +67,3 @@ def test_theta_specialized_matches_symbolic():
         for cs, cv in zip(sym, spec):
             assert specialize(cs, {"q": Fraction(2)}) == cv
 
-
-def test_delta_mode_powers():
-    assert delta_mode(Fraction(1), 5) == Fraction(1)
-    assert delta_mode(Q, -2) == sc_pow(Q, -2)
-    a = sc_mul(sc_pow(Q, 3), _ml(d=1))
-    assert delta_mode(a, 1) == a
-    with pytest.raises(AssertionError):
-        delta_mode(Q + 1 - Q - 1, 1)  # zero is not a unit
