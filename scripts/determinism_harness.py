@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """
-Byte-level determinism harness: run each preset sweep, and a toroidal sweep
-with formal q and d, twice with different worker counts and diff the
-canonical JSON streams and summaries.
+Byte-level determinism harness: run each preset sweep, and a toroidal and
+a duality sweep with formal q and d, twice with different worker counts and
+diff the canonical JSON streams and summaries.
 
 Usage:
     python scripts/determinism_harness.py
@@ -22,6 +22,7 @@ SWEEPS = [
     ("toroidal-poly-symbolic", "toroidal", "poly", {"symbolic": True, "probes": 1, "modes": 1}),
     ("duality-l1", "duality", "l1", {}),
     ("duality-poly", "duality", "poly", {}),
+    ("duality-poly-symbolic", "duality", "poly", {"symbolic": True, "probes": 2, "modes": 1}),
 ]
 
 

@@ -7,7 +7,8 @@ The intertwining checks need images of Kac-Moody generators under the
 braid-group automorphisms.  Those images are composed symbolically as
 noncommutative polynomials in the generator symbols (the diagram has no
 edges of weight below -1, so no divided powers survive in the tables) and
-then evaluated on probes.
+then evaluated on probes through suffix tries, so words that end in the
+same letters share their operator calls.
 """
 
 from __future__ import annotations
@@ -119,56 +120,99 @@ def tprime_symbol(i, sym, cartan, q):
 
 def tprime_expr(i, expr, cartan, q):
     """Extend the vertex-i automorphism multiplicatively over an NC expression."""
+    images = {}
     merged = {}
     for coeff, word in expr:
         terms = [((), coeff)]
         for sym in word:
-            image = tprime_symbol(i, sym, cartan, q)
-            terms = [(w1 + w2, sc_mul(c1, c2)) for w1, c1 in terms for c2, w2 in image]
+            image = images.get(sym)
+            if image is None:
+                image = images[sym] = tprime_symbol(i, sym, cartan, q)
+            # most coefficients are 1: those products are skipped
+            terms = [(w1 + w2, c1 if c2 == 1 else c2 if c1 == 1 else sc_mul(c1, c2))
+                     for w1, c1 in terms for c2, w2 in image]
         dvec_add(merged, terms)
     return tuple((c, w) for w, c in sorted(merged.items()))
 
 
-def tauprime_symbol_scale(kind, j, n, d):
+def wrap_exponent(kind, j, n):
     """
-    d-factor the rotation picks up at the wrap with the decorated affine
+    Power of d the rotation picks up at the wrap with the decorated affine
     action (e_{n+1} carries d^-1 and f_{n+1} carries d relative to the
     undecorated structure the rotation was stated for).
     """
-    if kind == "e":
-        if j == n:
-            return d
-        if j == n + 1:
-            return sc_inv(d)
-    if kind == "f":
-        if j == n:
-            return sc_inv(d)
-        if j == n + 1:
-            return d
-    return Fraction(1)
+    if (kind, j) in (("e", n), ("f", n + 1)):
+        return 1
+    if (kind, j) in (("e", n + 1), ("f", n)):
+        return -1
+    return 0
 
 
 def tauprime_expr(expr, n, d):
-    rot = lambda j: j % (n + 1) + 1
+    """The rotation on an NC expression: each word is scaled once by d to its net wrap exponent."""
+    weight = {(kind, j): wrap_exponent(kind, j, n) for kind in ("e", "f") for j in (n, n + 1)}
+    rot = {j: j % (n + 1) + 1 for j in range(1, n + 2)}
     out = []
     for c, w in expr:
-        for kind, j in w:
-            c = sc_mul(c, tauprime_symbol_scale(kind, j, n, d))
-        out.append((c, tuple((kind, rot(j)) for kind, j in w)))
+        e = sum(weight.get(sym, 0) for sym in w)
+        if e:
+            c = sc_mul(c, sc_pow(d, e))
+        out.append((c, tuple((kind, rot[j]) for kind, j in w)))
     return tuple(out)
+
+
+def omega_images(n, q, d):
+    """Image of every generator symbol under tau' t'_n ... t'_1, as NC expressions."""
+    cartan = CartanData(n)
+    images = {}
+    for sym in gen_symbols(n):
+        expr = ((Fraction(1), (sym,)),)
+        for i in range(1, n + 1):
+            expr = tprime_expr(i, expr, cartan, q)
+        images[sym] = tauprime_expr(expr, n, d)
+    return images
+
+
+def nc_trie(expr):
+    """
+    Suffix trie of an NC expression.  Words act rightmost letter first, so
+    words that end in the same letters share the nodes of that suffix.  A
+    node is (children by letter, coefficients of the words that end there).
+    """
+    root = ({}, [])
+    for c, word in expr:
+        node = root
+        for sym in reversed(word):
+            child = node[0].get(sym)
+            if child is None:
+                child = node[0][sym] = ({}, [])
+            node = child
+        node[1].append(c)
+    return root
+
+
+def eval_trie(dmod, trie, vec, budget):
+    """
+    Evaluate a suffix trie on a vector, depth first with one `km` per node.
+    Each node sees the vector its suffix gives word by word, and a subtree
+    below an empty vector is skipped, as a word stops at one.
+    """
+    out = {}
+    stack = [(trie, vec)]
+    while stack:
+        (children, ends), v = stack.pop()
+        for c in ends:
+            dvec_add(out, v.items(), c)
+        for (kind, j), child in children.items():
+            w = dmod.km(kind, j, v, budget)
+            if w:
+                stack.append((child, w))
+    return out
 
 
 def eval_nc(dmod, expr, vec, budget):
     """Evaluate an NC expression (written left to right) on a vector: rightmost first."""
-    out = {}
-    for c, word in expr:
-        v = dict(vec)
-        for kind, j in reversed(word):
-            v = dmod.km(kind, j, v, budget)
-            if not v:
-                break
-        dvec_add(out, v.items(), c)
-    return out
+    return eval_trie(dmod, nc_trie(expr), vec, budget)
 
 
 def gen_symbols(n):
@@ -180,12 +224,8 @@ def intertwining_items(dmod, probes):
     cartan = CartanData(dmod.n)
     n, q = dmod.n, dmod.q
     gens = gen_symbols(n)
-    omega_images = {}
-    for sym in gens:
-        expr = ((Fraction(1), (sym,)),)
-        for i in range(1, n + 1):
-            expr = tprime_expr(i, expr, cartan, q)
-        omega_images[sym] = tauprime_expr(expr, n, dmod.d)
+    # built per call, so every sweep pays for its tables as a command-line run does
+    omega_tries = {sym: nc_trie(expr) for sym, expr in omega_images(n, q, dmod.d).items()}
     braid = identity(
         lambda b, i, sym, vec: dmod.braid(i, dmod.km(*sym, dict(vec), b), b),
         lambda b, i, sym, vec: eval_nc(dmod, tprime_symbol(i, sym, cartan, q), dmod.braid(i, dict(vec), b), b),
@@ -193,13 +233,13 @@ def intertwining_items(dmod, probes):
     rotation = identity(
         lambda b, sym, vec: dmod.tau(dmod.km(*sym, dict(vec), b), b),
         lambda b, sym, vec: vec_scale(
-            tauprime_symbol_scale(*sym, n, dmod.d),
+            sc_pow(dmod.d, wrap_exponent(*sym, n)),
             dmod.km(sym[0], sym[1] % (n + 1) + 1, dmod.tau(dict(vec), b), b),
         ),
     )
     translation = identity(
         lambda b, sym, vec: dmod.t_omega1(dmod.km(*sym, dict(vec), b), b),
-        lambda b, sym, vec: eval_nc(dmod, omega_images[sym], dmod.t_omega1(dict(vec), b), b),
+        lambda b, sym, vec: eval_trie(dmod, omega_tries[sym], dmod.t_omega1(dict(vec), b), b),
     )
     items = []
     for pid, vec in probes:

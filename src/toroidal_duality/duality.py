@@ -327,7 +327,8 @@ class DualityModule:
         """Lusztig's integrable braid operator at a finite vertex i in 1..n."""
         if budget is None:
             budget = WindowBudget()
-        assert 1 <= i <= self.n
+        if not 1 <= i <= self.n:
+            raise ValueError(f"braid vertex {i} outside 1..{self.n}")
         return self._linear(("B", i), lambda key, b: self._braid_basis(i, key, b), vec, budget)
 
     def _tau_basis(self, key, budget):
@@ -467,11 +468,14 @@ class DualityModule:
         k = 0 modes are k_{i,0} and its inverse).  Vertex 0 is computed by
         psi-conjugation with the spectral rescale (q d^-1)^-k.
         """
-        assert 0 <= i <= self.n
+        if not 0 <= i <= self.n:
+            raise ValueError(f"mode vertex {i} outside 0..{self.n}")
         if kind == "k+":
-            assert k >= 0
+            if k < 0:
+                raise ValueError(f"k+ mode needs k >= 0, got {k}")
         elif kind == "k-":
-            assert k <= 0
+            if k > 0:
+                raise ValueError(f"k- mode needs k <= 0, got {k}")
         elif kind not in ("e", "f"):
             raise ValueError(kind)
         if not vec:

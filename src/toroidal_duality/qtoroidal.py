@@ -106,7 +106,8 @@ def current_relation_items(ops, K, probes):
     """(meta, thunk) pairs for relations 2.1.1 - 2.1.9 at mode window K."""
     if ops.params.c != Fraction(1):
         raise ValueError("relation sweeps are defined at trivial central charge only")
-    assert K >= 1
+    if K < 1:
+        raise ValueError(f"mode window K must be at least 1, got {K}")
     cartan = CartanData(ops.n)
     n = ops.n
     q, d = ops.q, ops.d

@@ -143,8 +143,8 @@ def test_count_keys_checked_from_environment_and_file(tmp_path):
 
 
 # sha256 of the canonical stream and summary of
-# `verify toroidal --preset poly --symbolic --probes 1 --modes 1`, the only
-# pinned sweep whose coefficients are Laurent polynomials in formal q, d.
+# `verify toroidal --preset poly --symbolic --probes 1 --modes 1`, a pinned
+# sweep whose coefficients are Laurent polynomials in formal q, d.
 SYMBOLIC_STREAM_SHA256 = "c7c8d39c6705038dc6504c8181e4267d2de16e5c12b0a9b43310eaab59afd95a"
 SYMBOLIC_SUMMARY_SHA256 = "588076cb0ebcaab96d64d5f70bc0d16229750fa8991d7cf328f96bd6b41ce862"
 
@@ -159,6 +159,26 @@ def test_symbolic_sweep_golden_digests(tmp_path, monkeypatch):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SYMBOLIC_STREAM_SHA256
     summary = (tmp_path / "sym.summary.json").read_bytes()
     assert hashlib.sha256(summary).hexdigest() == SYMBOLIC_SUMMARY_SHA256
+
+
+# the same for `verify duality --preset poly --symbolic --probes 2 --modes 1`
+# (421 checks): the braid, rotation and translation intertwiners and the
+# operator columns with formal q, d, where the tables' unit-coefficient
+# shortcuts meet Laurent coefficients.
+SYMBOLIC_DUALITY_STREAM_SHA256 = "837eb828fc95ee9c076b24482cb640b8aaef746f7e1b56d333fa0f75fd61d2e1"
+SYMBOLIC_DUALITY_SUMMARY_SHA256 = "3f2dcd0861368300e2537c4aee1b52b75d02eb0fdf938918c4435520b3bc62eb"
+
+
+def test_symbolic_duality_sweep_golden_digests(tmp_path, monkeypatch):
+    for key in [k for k in os.environ if k.startswith("TOROIDAL_")]:
+        monkeypatch.delenv(key)
+    out = tmp_path / "symdual.jsonl"
+    code = main(["verify", "duality", "--preset", "poly", "--symbolic",
+                 "--probes", "2", "--modes", "1", "--out", str(out)])
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SYMBOLIC_DUALITY_STREAM_SHA256
+    summary = (tmp_path / "symdual.summary.json").read_bytes()
+    assert hashlib.sha256(summary).hexdigest() == SYMBOLIC_DUALITY_SUMMARY_SHA256
 
 
 def test_summary_manifest(tmp_path):

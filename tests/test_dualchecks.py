@@ -3,11 +3,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from toroidal_duality.duality import DualityModule, duality_probes
+from toroidal_duality import dualchecks
+from toroidal_duality.config import load_config
+from toroidal_duality.duality import DualityModule, duality_probes, dvec_add
 from toroidal_duality.dualchecks import (
     eval_nc,
+    gen_symbols,
     intertwining_items,
+    omega_images,
     psi_conjugation_items,
     psi_inverse_items,
     reconstruction_items,
@@ -15,11 +21,11 @@ from toroidal_duality.dualchecks import (
     tprime_expr,
     tprime_symbol,
 )
-from toroidal_duality.hecke import PolynomialModule, UnitModule, hecke_probes
+from toroidal_duality.hecke import PolynomialModule, UnitModule, WindowBudget, hecke_probes
 from toroidal_duality.params import specialized_params
 from toroidal_duality.qtoroidal import CartanData
 from toroidal_duality.reports import run_relation_items
-from toroidal_duality.scalars import Q, sc_inv
+from toroidal_duality.scalars import D, Q, sc_inv
 
 
 @pytest.fixture(scope="module")
@@ -140,9 +146,159 @@ def test_symbolic_duality_residuals_are_exact_zero():
 def test_eval_nc_order(dm_unit):
     # words evaluate rightmost-first (left action)
     vec = dm_unit.basis_vector((), (2,))
-    from toroidal_duality.hecke import WindowBudget
-
     budget = WindowBudget()
     ek = eval_nc(dm_unit, ((Fraction(1), (("e", 1), ("k", 1))),), vec, budget)
     manual = dm_unit.km("e", 1, dm_unit.km("k", 1, dict(vec)))
     assert ek == manual
+
+
+# -- the translation tables against their first, per-letter construction -------
+
+
+def _omega_reference(n, q, d):
+    """Every letter's image multiplied in and every wrap letter scaled on its own."""
+    cartan = CartanData(n)
+    scale = {("e", n): d, ("e", n + 1): sc_inv(d), ("f", n): sc_inv(d), ("f", n + 1): d}
+    out = {}
+    for sym in gen_symbols(n):
+        expr = [(Fraction(1), (sym,))]
+        for i in range(1, n + 1):
+            merged = {}
+            for coeff, word in expr:
+                terms = [((), coeff)]
+                for letter in word:
+                    terms = [(w1 + w2, c1 * c2) for w1, c1 in terms
+                             for c2, w2 in tprime_symbol(i, letter, cartan, q)]
+                for w, c in terms:
+                    merged[w] = merged[w] + c if w in merged else c
+            expr = [(c, w) for w, c in sorted(merged.items()) if c]
+        image = []
+        for c, word in expr:
+            for letter in word:
+                c = c * scale.get(letter, Fraction(1))
+            image.append((c, tuple((kind, j % (n + 1) + 1) for kind, j in word)))
+        out[sym] = tuple(image)
+    return out
+
+
+@pytest.mark.parametrize("q, d", [(Fraction(2), Fraction(3)), (Fraction(-5, 7), Fraction(11, 3)), (Q, D)],
+                         ids=["specialized", "specialized-negative", "formal"])
+def test_omega_images_match_per_letter_reference(q, d):
+    for n in range(2, 7):
+        got, want = omega_images(n, q, d), _omega_reference(n, q, d)
+        assert got.keys() == want.keys()
+        for sym in want:
+            # equal values of equal scalar kinds, term by term and in order
+            assert [(type(c), c, w) for c, w in got[sym]] == [(type(c), c, w) for c, w in want[sym]], (n, sym)
+
+
+def _eval_word_by_word(dmod, expr, vec, budget):
+    out = {}
+    for c, word in expr:
+        v = dict(vec)
+        for kind, j in reversed(word):
+            v = dmod.km(kind, j, v, budget)
+            if not v:
+                break
+        dvec_add(out, v.items(), c)
+    return out
+
+
+@pytest.fixture(scope="module")
+def dm_edge():
+    # window 2 with an input key outside it: symmetrizing that key leaves the window
+    p = specialized_params(n=4, l=2, q=2, d=3)
+    dm = DualityModule(PolynomialModule(p, window=2))
+    vecs = [dm.basis_vector((0, 0), (1, 2)), dm.basis_vector((1, 0), (2, 5)),
+            dm.basis_vector((0, 0), (5, 5)), {((3, -1), (1, 2)): Fraction(1), ((0, 0), (3, 3)): Fraction(2)}]
+    return dm, vecs
+
+
+letters = st.tuples(st.sampled_from(("e", "f", "k", "kinv")), st.integers(1, 5))
+words = st.lists(letters, max_size=4).map(tuple)
+coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def nc_exprs(draw):
+    """NC expressions whose words often end in each other's letters, suffixes included."""
+    terms = draw(st.lists(st.tuples(coeffs, words), max_size=6))
+    cuts = draw(st.lists(st.integers(0, 4), max_size=len(terms)))
+    terms += [(c, w[cut:]) for (c, w), cut in zip(terms, cuts)]
+    return tuple(terms)
+
+
+@given(expr=nc_exprs(), which=st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+@example(expr=((Fraction(1), (("e", 1), ("e", 1))), (Fraction(2), (("e", 1),)), (Fraction(-1), ())), which=3)
+@example(expr=((Fraction(1), (("f", 2), ("k", 1))), (Fraction(1), (("f", 2), ("k", 1)))), which=0)
+def test_trie_evaluation_matches_word_by_word(dm_edge, expr, which):
+    dm, vecs = dm_edge
+    b_trie, b_words = WindowBudget(), WindowBudget()
+    got = eval_nc(dm, expr, vecs[which], b_trie)
+    want = _eval_word_by_word(dm, expr, vecs[which], b_words)
+    assert got == want
+    assert b_trie.ok() == b_words.ok()
+
+
+def test_edge_probe_leaves_window_and_words_empty_out(dm_edge):
+    # the property above sees invalid budgets and words that stop early
+    dm, vecs = dm_edge
+    budget = WindowBudget()
+    assert dm.km("e", 1, dict(vecs[3]), budget) and not budget.ok()
+    assert not dm.km("e", 1, dm.km("e", 1, dict(vecs[0])))
+
+
+# -- planted faults in the translation tables ----------------------------------
+
+
+@pytest.fixture(scope="module")
+def poly_two_probes():
+    cfg = load_config(preset="poly", overrides={"probes": 2}, env={})
+    dm = DualityModule(cfg.build_hecke_module())
+    return dm, duality_probes(dm, cfg.probes, cfg.seed)
+
+
+def _translation_failures(dm, probes):
+    items = [entry for entry in intertwining_items(dm, probes) if entry[0][0] == "translation.intertwine"]
+    assert items
+    return sum(r.status == "fail" for r in run_relation_items(items))
+
+
+def test_translation_catches_planted_table_faults(poly_two_probes, monkeypatch):
+    dm, probes = poly_two_probes
+    assert _translation_failures(dm, probes) == 0
+    # f_1's first term is a composed word that acts on these probes
+    target = omega_images(dm.n, dm.q, dm.d)[("f", 1)]
+
+    with monkeypatch.context() as m:
+        m.setattr(dualchecks, "wrap_exponent", lambda kind, j, n: 0)
+        assert _translation_failures(dm, probes) > 0
+
+    def flip_one_sign(n, q, d):
+        images = omega_images(n, q, d)
+        (c, w), *rest = images[("f", 1)]
+        images[("f", 1)] = ((-c, w), *rest)
+        return images
+
+    with monkeypatch.context() as m:
+        m.setattr(dualchecks, "omega_images", flip_one_sign)
+        assert _translation_failures(dm, probes) > 0
+
+    nc_trie = dualchecks.nc_trie
+    dropped = []
+
+    def drop_one_end(expr):
+        # the trie node of f_1's first word loses its end coefficient
+        trie = nc_trie(expr)
+        if expr == target:
+            node = trie
+            for sym in reversed(target[0][1]):
+                node = node[0][sym]
+            dropped.append(node[1].pop())
+        return trie
+
+    with monkeypatch.context() as m:
+        m.setattr(dualchecks, "nc_trie", drop_one_end)
+        assert _translation_failures(dm, probes) > 0
+    assert dropped == [target[0][0]]

@@ -1,10 +1,15 @@
 """Straightening, canonical form, and the operator suite of the tensor module."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import toroidal_duality
 from toroidal_duality.duality import (
     DualityModule,
     duality_probes,
@@ -176,9 +181,9 @@ def test_vertex_zero_zero_modes(dm_poly):
 
 
 def test_mode_requires_signed_window(dm_poly):
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         dm_poly.mode("k+", 1, -1, {})
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         dm_poly.mode("k-", 1, 1, {})
 
 
@@ -189,12 +194,47 @@ def test_mode_checks_arguments_before_empty_shortcut(dm_poly):
             dm_poly.mode("g", i, 0, {})
         assert dm_poly.mode("e", i, 0, {}) == {}
     for bad in (-1, dm_poly.n + 1):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             dm_poly.mode("e", bad, 0, {})
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         dm_poly.mode("k+", 0, -1, {})
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         dm_poly.mode("k-", 0, 1, {})
+
+
+_GUARDS_UNDER_O = """
+from fractions import Fraction
+from toroidal_duality.duality import DualityModule
+from toroidal_duality.hecke import UnitModule
+from toroidal_duality.params import specialized_params
+from toroidal_duality.qtoroidal import current_relation_items
+
+dm = DualityModule(UnitModule(Fraction(5), Fraction(7), specialized_params(n=3, l=1, q=2, d=2)))
+calls = [
+    lambda: dm.mode("e", 4, 0, {}),
+    lambda: dm.mode("k+", 1, -1, {}),
+    lambda: dm.mode("k-", 1, 1, {}),
+    lambda: dm.braid(0, {}),
+    lambda: current_relation_items(dm, 0, []),
+]
+for call in calls:
+    try:
+        call()
+    except ValueError:
+        print("ValueError")
+    else:
+        print("accepted")
+print(__debug__)
+"""
+
+
+def test_argument_guards_survive_optimize():
+    # python -O strips assert statements; the argument guards must still raise
+    src = str(Path(toroidal_duality.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-O", "-c", _GUARDS_UNDER_O], env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert out == ["ValueError"] * 5 + ["False"]
 
 
 def test_probe_coverage(dm_poly):

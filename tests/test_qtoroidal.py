@@ -139,7 +139,7 @@ def test_full_sweep_passes(dm):
 
 
 def test_mode_window_guard(dm):
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         current_relation_items(dm, 0, [])
 
 
