@@ -4,7 +4,7 @@ Run every desk-scale sweep (both presets, all targets) and write the
 canonical report streams plus summaries under out/.
 
 Usage:
-    python scripts/run_preset_sweeps.py [--workers N] [--outdir out]
+    python scripts/run_preset_sweeps.py [--outdir out]
 """
 
 import argparse
@@ -26,7 +26,6 @@ SWEEPS = [
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--outdir", default="out")
     args = ap.parse_args()
     outdir = pathlib.Path(args.outdir)
@@ -34,7 +33,7 @@ def main():
 
     failed = 0
     for target, preset in SWEEPS:
-        cfg = load_config(preset=preset, overrides={"workers": args.workers}, env={})
+        cfg = load_config(preset=preset, env={})
         reports, summary, wall = run_verify(target, cfg)
         stem = f"{target}-{preset}"
         write_jsonl(outdir / f"{stem}.jsonl", reports)

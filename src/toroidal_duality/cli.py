@@ -96,7 +96,7 @@ def run_verify(target, cfg: SweepConfig):
     """Run a sweep; returns (reports, summary, wall_seconds)."""
     t0 = time.perf_counter()
     items, manifest = collect_items(target, cfg)
-    reports = run_relation_items(items, workers=cfg.workers)
+    reports = run_relation_items(items)
     wall = time.perf_counter() - t0
     summary = summarize(reports, {"target": target, **cfg.echo()})
     summary.update(manifest)
@@ -107,8 +107,7 @@ def _cmd_verify(args):
     overrides = {
         "n": args.n, "l": args.l, "q": args.q, "d": args.d,
         "window": args.window, "modes": args.modes, "probes": args.probes,
-        "hecke_probes": args.hecke_probes, "seed": args.seed,
-        "workers": args.workers, "family": args.family,
+        "hecke_probes": args.hecke_probes, "seed": args.seed, "family": args.family,
         "relations": args.relations,
         "negative_control": True if args.negative_control else None,
         "symbolic": True if args.symbolic else None,
@@ -177,7 +176,6 @@ def build_parser():
     v.add_argument("--probes", type=int)
     v.add_argument("--hecke-probes", dest="hecke_probes", type=int)
     v.add_argument("--seed", type=int)
-    v.add_argument("--workers", type=int)
     v.add_argument("--relations", help="comma-separated relation-id prefixes to keep")
     v.add_argument("--out", help="JSON-lines report path (summary written alongside)")
     v.add_argument("--negative-control", action="store_true")

@@ -44,7 +44,7 @@ PRESETS = {
     },
 }
 
-_INT_KEYS = ("n", "l", "window", "modes", "probes", "hecke_probes", "seed", "workers")
+_INT_KEYS = ("n", "l", "window", "modes", "probes", "hecke_probes", "seed")
 _STR_KEYS = ("q", "d", "a", "b", "family", "out", "relations")
 _BOOL_KEYS = ("negative_control", "symbolic")
 _COUNT_KEYS = ("modes", "probes", "hecke_probes")  # each must be at least 1
@@ -68,7 +68,6 @@ class SweepConfig:
     probes: int = 8
     hecke_probes: int = 50
     seed: int = 11
-    workers: int = 1
     a: str = "5"
     b: str = "7"
     relations: str = ""  # comma-separated relation-id prefixes; empty = all

@@ -139,7 +139,9 @@ class DualityModule:
 
     # -- generic cached linear extension ------------------------------------
 
-    def _linear(self, tag, fn, vec, budget):
+    def _linear(self, tag, fn, vec, budget=None):
+        if budget is None:
+            budget = WindowBudget()
         out = {}
         for key, coeff in vec.items():
             entry = self._cache.get((tag, key))
@@ -203,8 +205,6 @@ class DualityModule:
         return out
 
     def straighten(self, vec, budget=None):
-        if budget is None:
-            budget = WindowBudget()
         return self._linear(("S",), self._straighten_basis, vec, budget)
 
     def _hecke_then_straighten(self, raw_terms, budget):
@@ -276,8 +276,6 @@ class DualityModule:
 
     def km(self, kind, j, vec, budget=None):
         """Kac-Moody generator action, vertices j in 1..n+1; kinds e f k kinv."""
-        if budget is None:
-            budget = WindowBudget()
         if j == self.n + 1:
             return self._linear(("A", kind), lambda key, b: self._affine_basis(kind, key, b), vec, budget)
         return self._linear(
@@ -325,30 +323,30 @@ class DualityModule:
 
     def braid(self, i, vec, budget=None):
         """Lusztig's integrable braid operator at a finite vertex i in 1..n."""
-        if budget is None:
-            budget = WindowBudget()
         if not 1 <= i <= self.n:
             raise ValueError(f"braid vertex {i} outside 1..{self.n}")
         return self._linear(("B", i), lambda key, b: self._braid_basis(i, key, b), vec, budget)
 
-    def _tau_basis(self, key, budget):
+    def _rotate_basis(self, letter, exp, carrier, step, key, budget):
+        """
+        Every slot entry v moves to (v - 1 + step) % (n + 1) + 1; each slot p
+        holding `carrier` first picks up the module letter (letter, p, exp).
+        """
         hkey, jt = key
         n = self.n
-        word = tuple(("Y", p, 1) for p in range(1, self.l + 1) if jt[p - 1] == n + 1)
+        word = tuple((letter, p, exp) for p in range(1, self.l + 1) if jt[p - 1] == carrier)
         hv = apply_word(self.h, word, {hkey: Fraction(1)}, budget)
-        j2 = tuple(v % (n + 1) + 1 for v in jt)
+        j2 = tuple((v - 1 + step) % (n + 1) + 1 for v in jt)
         return self._hecke_then_straighten([(hv, j2, Fraction(1))], budget)
 
     def tau(self, vec, budget=None):
         """Diagram rotation on the module: slot entries advance, wrap picks up Y's."""
-        if budget is None:
-            budget = WindowBudget()
-        return self._linear(("TAU",), self._tau_basis, vec, budget)
+        return self._linear(
+            ("TAU",), lambda key, b: self._rotate_basis("Y", 1, self.n + 1, 1, key, b), vec, budget
+        )
 
     def t_omega1(self, vec, budget=None):
         """The translation operator tau'' o t''_n o ... o t''_1."""
-        if budget is None:
-            budget = WindowBudget()
 
         def basis(key, b):
             v = {key: Fraction(1)}
@@ -360,31 +358,15 @@ class DualityModule:
 
     # -- the psi twist ---------------------------------------------------------
 
-    def _psi_basis(self, key, budget):
-        hkey, jt = key
-        n = self.n
-        word = tuple(("X", p, -1) for p in range(1, self.l + 1) if jt[p - 1] == n + 1)
-        hv = apply_word(self.h, word, {hkey: Fraction(1)}, budget)
-        j2 = tuple(v % (n + 1) + 1 for v in jt)
-        return self._hecke_then_straighten([(hv, j2, Fraction(1))], budget)
-
-    def _psi_inv_basis(self, key, budget):
-        hkey, jt = key
-        n = self.n
-        word = tuple(("X", p, 1) for p in range(1, self.l + 1) if jt[p - 1] == 1)
-        hv = apply_word(self.h, word, {hkey: Fraction(1)}, budget)
-        j2 = tuple((v - 2) % (n + 1) + 1 for v in jt)
-        return self._hecke_then_straighten([(hv, j2, Fraction(1))], budget)
-
     def psi(self, vec, budget=None):
-        if budget is None:
-            budget = WindowBudget()
-        return self._linear(("P",), self._psi_basis, vec, budget)
+        return self._linear(
+            ("P",), lambda key, b: self._rotate_basis("X", -1, self.n + 1, 1, key, b), vec, budget
+        )
 
     def psi_inv(self, vec, budget=None):
-        if budget is None:
-            budget = WindowBudget()
-        return self._linear(("Pi",), self._psi_inv_basis, vec, budget)
+        return self._linear(
+            ("Pi",), lambda key, b: self._rotate_basis("X", 1, 1, -1, key, b), vec, budget
+        )
 
     # -- Drinfeld modes --------------------------------------------------------
 
@@ -439,24 +421,27 @@ class DualityModule:
         direction = AT_INFINITY if sign > 0 else AT_ZERO
         cpl = self._theta_coeffs(1, direction, absk)
         cmi = self._theta_coeffs(-1, direction, absk)
-        beta = sc_mul(sc_pow(q, n + 2 - i), sc_pow(d, i))
-        gamma = sc_mul(sc_pow(q, n - i), sc_pow(d, i))
-        factors = [
-            (p, cpl, beta) for p in range(1, self.l + 1) if jt[p - 1] == i
-        ] + [
-            (p, cmi, gamma) for p in range(1, self.l + 1) if jt[p - 1] == i + 1
-        ]
+        e = -sign  # k+ modes shift by Y^-r, k- modes by Y^r
+        factors = []
+        # slots holding i scale by beta = q^(n+2-i) d^i, slots holding i+1 by
+        # gamma = q^(n-i) d^i; pows[r] = scale^(e r) for a composition part r
+        for carrier, coefs, qexp in ((i, cpl, n + 2 - i), (i + 1, cmi, n - i)):
+            slots = [p for p in range(1, self.l + 1) if jt[p - 1] == carrier]
+            if slots:
+                scale = sc_mul(sc_pow(q, qexp), sc_pow(d, i))
+                pows = [sc_pow(scale, e * r) for r in range(absk + 1)]
+                factors += [(p, coefs, pows) for p in slots]
         if absk > 0 and not factors:
             return {}
         out_hv = {}
         for comp in _compositions(absk, len(factors)):
             coeff = Fraction(1)
             word = ()
-            for (p, coefs, scale), rp in zip(factors, comp):
+            for (p, coefs, pows), rp in zip(factors, comp):
                 coeff = sc_mul(coeff, coefs[rp])
                 if rp:
-                    coeff = sc_mul(coeff, sc_pow(scale, -rp if sign > 0 else rp))
-                    word = wmul(word, lt("Y", p, -rp if sign > 0 else rp))
+                    coeff = sc_mul(coeff, pows[rp])
+                    word = wmul(word, lt("Y", p, e * rp))
             dvec_add(out_hv, apply_word(self.h, word, {hkey: coeff}, budget).items())
         return self._hecke_then_straighten([(out_hv, jt, Fraction(1))], budget)
 
@@ -480,8 +465,6 @@ class DualityModule:
             raise ValueError(kind)
         if not vec:
             return {}
-        if budget is None:
-            budget = WindowBudget()
         if i == 0:
             def basis(key, b):
                 v = self.psi({key: Fraction(1)}, b)

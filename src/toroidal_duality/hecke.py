@@ -546,16 +546,14 @@ def conjugation_lemma_checks(module) -> list[RelCheck]:
     return out
 
 
-def hecke_probes(module, count, seed, margin=None):
+def hecke_probes(module, count, seed):
     """Deterministic window-interior probes: labelled monomials plus small combos."""
     if module.family == "l1":
         return [("h000", {(): Fraction(1)})]
     l = module.l
-    if margin is None:
-        # widest transient excursion of any suite word is the double Q wrap
-        # (two X_1's) plus one X_0 pass; l + 2 keeps every probe trusted
-        margin = l + 2
-    reach = max(1, module.window - margin)
+    # widest transient excursion of any suite word is the double Q wrap
+    # (two X_1's) plus one X_0 pass; a margin of l + 2 keeps every probe trusted
+    reach = max(1, module.window - (l + 2))
     while (2 * reach + 1) ** l < count + 5 and reach < module.window - 1:
         reach += 1
     rng = random.Random(seed)

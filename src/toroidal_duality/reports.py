@@ -3,18 +3,16 @@ Relation reports and the deterministic check runner.
 
 A check item is ((relation, indices, modes, probe), thunk) where the thunk
 returns (residual_zero, budget_valid, note); `identity` builds the thunks
-of every check that states one vector identity.  Items may be fanned out to a
-thread pool; results are merged by sorted key, so the emitted JSON stream
-is byte-identical across runs and worker counts.  Per-check wall time is
-kept on the in-memory record for the human table but deliberately left out
-of the canonical JSON.
+of every check that states one vector identity.  The runner evaluates the
+items in order and sorts the reports by key, so the emitted JSON stream is
+byte-identical across runs.  Per-check wall time is kept on the in-memory
+record for the human table but deliberately left out of the canonical JSON.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .hecke import WindowBudget, vec_sub
@@ -81,23 +79,18 @@ class RelationReport:
         return obj
 
 
-def run_relation_items(items, workers=1):
+def run_relation_items(items, *, workers=1):
     """Execute check items and return reports sorted by (relation, indices, modes, probe)."""
-
-    def run_one(entry):
-        meta, thunk = entry
+    # kept only because perfbench/sweep.py forwards workers=1 to this runner
+    if workers != 1:
+        raise ValueError(f"the check runner is serial; workers must be 1, got {workers!r}")
+    reports = []
+    for (relation, indices, modes, probe), thunk in items:
         t0 = time.perf_counter()
         zero, valid, note = thunk()
         dt = time.perf_counter() - t0
-        relation, indices, modes, probe = meta
-        return RelationReport(relation, tuple(indices), tuple(modes), probe,
-                              bool(zero), bool(valid), dt, note)
-
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_one, items))
-    else:
-        reports = [run_one(entry) for entry in items]
+        reports.append(RelationReport(relation, tuple(indices), tuple(modes), probe,
+                                      bool(zero), bool(valid), dt, note))
     reports.sort(key=RelationReport.sort_key)
     return reports
 

@@ -413,8 +413,6 @@ class LaurentFrac:
 
 Scalar = Fraction | Laurent | LaurentFrac
 
-ONE = Fraction(1)
-ZERO = Fraction(0)
 Q = Laurent.var("q")
 D = Laurent.var("d")
 YSYM = Laurent.var("y")

@@ -24,9 +24,9 @@ SWEEPS = {
     "duality-poly": ("duality", "poly", {}),
 }
 
-# sha256 of each sweep's canonical stream and summary at workers=1, recorded
-# before the sparse-vector kernel and the identity constructor were folded;
-# a refactor must keep every byte
+# sha256 of each sweep's canonical stream and summary, recorded in another
+# process before the sparse-vector kernel and the identity constructor were
+# folded; a refactor must keep every byte
 PINNED = {
     "hecke-poly": ("5b16b459b9f0b3b47ed695b9f1dfa8bb7d1da99b04c04a79a279d41f2b8d805e",
                    "e62ff13c9f5e009103f319fc8768b6f67931a6d8e347ddbb8e1c7bc63ba4f016"),
@@ -43,10 +43,10 @@ PINNED = {
 }
 
 
-def _run_all(workers):
+def _run_all():
     out = {}
     for name, (target, preset, extra) in SWEEPS.items():
-        cfg = load_config(preset=preset, overrides={"workers": workers, **extra}, env={})
+        cfg = load_config(preset=preset, overrides=extra, env={})
         reports, summary, wall = run_verify(target, cfg)
         blob = "\n".join(dumps_canonical(r.to_json_obj()) for r in reports)
         out[name] = (reports, summary, blob, wall)
@@ -55,12 +55,13 @@ def _run_all(workers):
 
 @pytest.fixture(scope="module")
 def runs():
-    return _run_all(workers=1)
+    return _run_all()
 
 
 @pytest.fixture(scope="module")
-def runs_parallel():
-    return _run_all(workers=3)
+def reruns(runs):
+    # a second pass in the same process, with every operator cache warm
+    return _run_all()
 
 
 def _passed(reports):
@@ -189,17 +190,13 @@ def test_criterion_7_reconstruction(runs):
                 "at l + 1 < n with q off the unit circle")
 
 
-def test_criterion_8_determinism(runs, runs_parallel):
+def test_criterion_8_determinism(runs, reruns):
     ok = True
     for name in SWEEPS:
-        blob1 = runs[name][2]
-        blob3 = runs_parallel[name][2]
-        ok = ok and blob1 == blob3
-        s1 = dumps_canonical(runs[name][1])
-        s3 = dumps_canonical(runs_parallel[name][1])
-        ok = ok and s1 == s3
-    _say(8, ok, "byte-identical JSON reports and summaries across runs with "
-                "worker counts 1 and 3")
+        ok = ok and runs[name][2] == reruns[name][2]
+        ok = ok and dumps_canonical(runs[name][1]) == dumps_canonical(reruns[name][1])
+    _say(8, ok, "byte-identical JSON reports and summaries across two runs "
+                "in one process, the second with warm caches")
 
 
 def test_reports_match_pinned_digests(runs):

@@ -8,6 +8,7 @@ import pytest
 
 from toroidal_duality.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main
 from toroidal_duality.config import ConfigError, load_config
+from toroidal_duality.reports import run_relation_items
 
 FAST = ["--probes", "3", "--hecke-probes", "6", "--modes", "1", "--seed", "11"]
 
@@ -67,14 +68,27 @@ def test_report_rejects_garbage(tmp_path, capsys):
     assert main(["report", "json", str(bad)]) == EXIT_CONFIG
 
 
-def test_determinism_across_runs_and_workers(tmp_path):
+def test_determinism_across_runs(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    main(["verify", "toroidal", "--preset", "l1", *FAST, "--workers", "1", "--out", str(a)])
-    main(["verify", "toroidal", "--preset", "l1", *FAST, "--workers", "3", "--out", str(b)])
+    main(["verify", "toroidal", "--preset", "l1", *FAST, "--out", str(a)])
+    main(["verify", "toroidal", "--preset", "l1", *FAST, "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
-    sa = (tmp_path / "a.summary.json").read_text()
-    sb = (tmp_path / "b.summary.json").read_text()
-    assert json.loads(sa)["totals"] == json.loads(sb)["totals"]
+    sa = (tmp_path / "a.summary.json").read_bytes()
+    sb = (tmp_path / "b.summary.json").read_bytes()
+    assert sa == sb
+
+
+def test_workers_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "toroidal", "--preset", "l1", "--workers", "3"])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--workers" in err and "Traceback" not in err
+
+
+def test_runner_is_serial_only():
+    with pytest.raises(ValueError, match="serial"):
+        run_relation_items([], workers=2)
 
 
 def test_config_file_and_env_and_flag_precedence(tmp_path, monkeypatch):
@@ -92,11 +106,15 @@ def test_config_file_and_env_and_flag_precedence(tmp_path, monkeypatch):
     assert cfg.probes == 9  # flags beat env
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfgfile = tmp_path / "sweep.ini"
-    cfgfile.write_text("[sweep]\nbogus = 1\n")
-    with pytest.raises(ConfigError):
-        load_config(path=str(cfgfile))
+    for key in ("bogus", "workers"):  # the runner is serial; `workers` is no key
+        cfgfile.write_text(f"[sweep]\n{key} = 3\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path=str(cfgfile))
+        code = main(["verify", "toroidal", "--preset", "l1", "--config", str(cfgfile)])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
 
 def test_relation_selection(tmp_path):
