@@ -14,6 +14,7 @@ relation, 2 on a configuration violation.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -117,6 +118,8 @@ def _cmd_verify(args):
         cfg = load_config(path=args.config, preset=args.preset, overrides=overrides)
         if cfg.negative_control and cfg.family != "polynomial":
             raise ConfigError("negative control perturbs T_1 and needs the polynomial family")
+        if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
+            raise ConfigError(f"--out directory does not exist: {cfg.out!r}")
         reports, summary, wall = run_verify(args.target, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -150,8 +153,13 @@ def _cmd_report(args):
     if args.format == "json":
         for obj in objs:
             print(dumps_canonical(obj))
-    else:
-        print(render_table(objs))
+        return EXIT_PASS
+    try:
+        table = render_table(objs)
+    except (KeyError, TypeError) as exc:
+        print(f"cannot read report stream: not a report record ({type(exc).__name__}: {exc})", file=sys.stderr)
+        return EXIT_CONFIG
+    print(table)
     return EXIT_PASS
 
 
@@ -195,8 +203,6 @@ def main(argv=None):
     try:
         return args.func(args)
     except BrokenPipeError:
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PASS
 

@@ -17,9 +17,11 @@ The config document is an INI file with [params] and [sweep] sections, e.g.
     seed = 11
 
 Environment overrides use the TOROIDAL_ prefix (TOROIDAL_N, TOROIDAL_Q,
-TOROIDAL_WINDOW, ...).  Duality-mode constraints (the x formula, l + 1 < n,
-y = c = 1, q away from roots of unity) are enforced when the blocks are
-materialized into Params.
+TOROIDAL_WINDOW, ...).  A TOROIDAL_ variable that names no key is a
+ConfigError, as are an unknown INI key and a file that does not parse.
+Duality-mode constraints (the x formula, l + 1 < n, y = c = 1, q away
+from roots of unity) are enforced when the blocks are materialized into
+Params.
 """
 
 from __future__ import annotations
@@ -129,6 +131,7 @@ def _coerce(key, value):
 
 def load_config(path=None, preset=None, overrides=None, env=None):
     """Merge defaults, optional preset, config file, environment, and flag overrides."""
+    known = _INT_KEYS + _STR_KEYS + _BOOL_KEYS
     merged = {}
     if preset:
         if preset not in PRESETS:
@@ -136,26 +139,30 @@ def load_config(path=None, preset=None, overrides=None, env=None):
         merged.update(PRESETS[preset])
     if path:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot parse config file {path!r}: {' '.join(str(exc).split())}") from exc
         if not read:
             raise ConfigError(f"cannot read config file {path!r}")
         for section in parser.sections():
             if section not in ("params", "sweep", "output"):
                 raise ConfigError(f"unknown config section [{section}]")
             for key, value in parser.items(section):
-                if key not in _INT_KEYS + _STR_KEYS + _BOOL_KEYS:
+                if key not in known:
                     raise ConfigError(f"unknown config key {key!r}")
                 merged[key] = value
     env = os.environ if env is None else env
-    for key in _INT_KEYS + _STR_KEYS + _BOOL_KEYS:
-        env_key = ENV_PREFIX + key.upper()
-        if env_key in env:
+    for env_key in sorted(env):
+        if env_key.startswith(ENV_PREFIX):
+            key = env_key[len(ENV_PREFIX):].lower()
+            if key not in known or env_key != ENV_PREFIX + key.upper():
+                raise ConfigError(f"unknown environment variable {env_key}")
             merged[key] = env[env_key]
     if overrides:
         for key, value in overrides.items():
             if value is not None:
                 merged[key] = value
-    known = _INT_KEYS + _STR_KEYS + _BOOL_KEYS
     clean = {}
     for key, value in merged.items():
         if key not in known:

@@ -3,12 +3,14 @@ Closed-form regressions and conjugation/intertwining suites for the duality
 module: everything that pins the operator implementation against an
 independently written formula rather than against an algebra relation.
 
-The intertwining checks need images of Kac-Moody generators under the
-braid-group automorphisms.  Those images are composed symbolically as
-noncommutative polynomials in the generator symbols (the diagram has no
-edges of weight below -1, so no divided powers survive in the tables) and
-then evaluated on probes through suffix tries, so words that end in the
-same letters share their operator calls.
+Every check is stated as data for `reports.identity` (see there for the
+letters).  The intertwining checks need images of Kac-Moody generators
+under the braid-group automorphisms.  Those images are composed
+symbolically as noncommutative polynomials in the generator symbols (the
+diagram has no edges of weight below -1, so no divided powers survive in
+the tables), which are words over the same alphabet.  The translation
+images are built into suffix tries once per sweep and shared by every
+probe, so words that end in the same letters share their operator calls.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from fractions import Fraction
 from functools import partial
 
 from .duality import dvec_add, fund_ktheta_exp
-from .hecke import WindowBudget, apply_expr, apply_word, lt, tij_word, vec_scale, vec_sub, wmul
+from .hecke import RelCheck, apply_expr, apply_word, lt, make_hecke_items, tij_word, vec_scale, wmul
 from .qtoroidal import CartanData, weight_display
-from .reports import identity
+from .reports import MINUS_ONE, ONE, UNIT, eval_trie, identity, nc_trie
 from .scalars import sc_inv, sc_mul, sc_pow
 
+PSI, PSI_INV, TAU, T_OMEGA1, STRAIGHTEN = ("psi",), ("psi_inv",), ("tau",), ("t_omega1",), ("straighten",)
 KINDS = ("e", "f", "k+", "k-")
 
 
@@ -40,31 +43,26 @@ def psi_conjugation_items(dmod, K, probes):
     """Modewise psi^-1 g_{i,k} psi = (q^-1 d)^-k g_{i-1,k}, plus the double twist."""
     n = dmod.n
     scale1 = sc_mul(sc_inv(dmod.q), dmod.d)
-    shift = identity(
-        lambda b, i, kind, k, vec: dmod.psi_inv(dmod.mode(kind, i, k, dmod.psi(dict(vec), b), b), b),
-        lambda b, i, kind, k, vec: vec_scale(
-            sc_pow(scale1, -k), dmod.mode(kind, (i - 1) % (n + 1), k, dict(vec), b)
-        ),
-    )
 
-    def double_lhs(b, kind, k, vec):
-        v = dmod.psi(dmod.psi(dict(vec), b), b)
-        v = dmod.mode(kind, 1, k, v, b)
-        return dmod.psi_inv(dmod.psi_inv(v, b), b)
+    @partial(identity, ops=dmod)
+    def shift(vec, i, kind, k):
+        lhs = ((ONE, (PSI_INV, ("mode", kind, i, k), PSI)),)
+        return (lhs, ((sc_pow(scale1, -k), (("mode", kind, (i - 1) % (n + 1), k),)),)),
 
-    double = identity(
-        double_lhs,
-        lambda b, kind, k, vec: vec_scale(sc_pow(scale1, -2 * k), dmod.mode(kind, n, k, dict(vec), b)),
-    )
+    @partial(identity, ops=dmod)
+    def double(vec, kind, k):
+        lhs = ((ONE, (PSI_INV, PSI_INV, ("mode", kind, 1, k), PSI, PSI)),)
+        return (lhs, ((sc_pow(scale1, -2 * k), (("mode", kind, n, k),)),)),
+
     items = []
     for pid, vec in probes:
         for i in range(n + 1):
             for kind in KINDS:
                 for k in _mode_range(kind, K):
-                    items.append(((f"psi.shift-{kind}", (i,), (k,), pid), partial(shift, i, kind, k, vec)))
+                    items.append(((f"psi.shift-{kind}", (i,), (k,), pid), partial(shift, vec, i, kind, k)))
         for kind in KINDS:
             for k in _mode_range(kind, K):
-                items.append(((f"psi.double-{kind}", (1, n), (k,), pid), partial(double, kind, k, vec)))
+                items.append(((f"psi.double-{kind}", (1, n), (k,), pid), partial(double, vec, kind, k)))
     return items
 
 
@@ -173,48 +171,6 @@ def omega_images(n, q, d):
     return images
 
 
-def nc_trie(expr):
-    """
-    Suffix trie of an NC expression.  Words act rightmost letter first, so
-    words that end in the same letters share the nodes of that suffix.  A
-    node is (children by letter, coefficients of the words that end there).
-    """
-    root = ({}, [])
-    for c, word in expr:
-        node = root
-        for sym in reversed(word):
-            child = node[0].get(sym)
-            if child is None:
-                child = node[0][sym] = ({}, [])
-            node = child
-        node[1].append(c)
-    return root
-
-
-def eval_trie(dmod, trie, vec, budget):
-    """
-    Evaluate a suffix trie on a vector, depth first with one `km` per node.
-    Each node sees the vector its suffix gives word by word, and a subtree
-    below an empty vector is skipped, as a word stops at one.
-    """
-    out = {}
-    stack = [(trie, vec)]
-    while stack:
-        (children, ends), v = stack.pop()
-        for c in ends:
-            dvec_add(out, v.items(), c)
-        for (kind, j), child in children.items():
-            w = dmod.km(kind, j, v, budget)
-            if w:
-                stack.append((child, w))
-    return out
-
-
-def eval_nc(dmod, expr, vec, budget):
-    """Evaluate an NC expression (written left to right) on a vector: rightmost first."""
-    return eval_trie(dmod, nc_trie(expr), vec, budget)
-
-
 def gen_symbols(n):
     return [(kind, j) for j in range(1, n + 2) for kind in ("e", "f", "k")]
 
@@ -224,35 +180,33 @@ def intertwining_items(dmod, probes):
     cartan = CartanData(dmod.n)
     n, q = dmod.n, dmod.q
     gens = gen_symbols(n)
-    # built per call, so every sweep pays for its tables as a command-line run does
-    omega_tries = {sym: nc_trie(expr) for sym, expr in omega_images(n, q, dmod.d).items()}
-    braid = identity(
-        lambda b, i, sym, vec: dmod.braid(i, dmod.km(*sym, dict(vec), b), b),
-        lambda b, i, sym, vec: eval_nc(dmod, tprime_symbol(i, sym, cartan, q), dmod.braid(i, dict(vec), b), b),
-    )
-    rotation = identity(
-        lambda b, sym, vec: dmod.tau(dmod.km(*sym, dict(vec), b), b),
-        lambda b, sym, vec: vec_scale(
-            sc_pow(dmod.d, wrap_exponent(*sym, n)),
-            dmod.km(sym[0], sym[1] % (n + 1) + 1, dmod.tau(dict(vec), b), b),
-        ),
-    )
-    translation = identity(
-        lambda b, sym, vec: dmod.t_omega1(dmod.km(*sym, dict(vec), b), b),
-        lambda b, sym, vec: eval_trie(dmod, omega_tries[sym], dmod.t_omega1(dict(vec), b), b),
-    )
+    # built per call, so every sweep pays for its tables as a command-line run does;
+    # each table is the image's trie below the t_omega1 it acts after
+    omega_tries = {sym: ({T_OMEGA1: nc_trie(expr)}, []) for sym, expr in omega_images(n, q, dmod.d).items()}
+
+    @partial(identity, ops=dmod)
+    def braid(vec, i, sym):
+        b = ("braid", i)
+        return (((ONE, (b, sym)),), tuple((c, w + (b,)) for c, w in tprime_symbol(i, sym, cartan, q))),
+
+    @partial(identity, ops=dmod)
+    def rotation(vec, sym):
+        kind, j = sym
+        rhs = ((sc_pow(dmod.d, wrap_exponent(kind, j, n)), ((kind, j % (n + 1) + 1), TAU)),)
+        return (((ONE, (TAU, sym)),), rhs),
+
+    @partial(identity, ops=dmod)
+    def translation(vec, sym):
+        return (((ONE, (T_OMEGA1, sym)),), partial(eval_trie, dmod, omega_tries[sym], vec)),
+
     items = []
     for pid, vec in probes:
-        for i in range(1, n + 1):
-            for sym in gens:
-                items.append((("braid.intertwine", (i,) + sym[1:], (), f"{sym[0]}{sym[1]}|{pid}"),
-                              partial(braid, i, sym, vec)))
         for sym in gens:
-            items.append((("rotation.intertwine", sym[1:], (), f"{sym[0]}{sym[1]}|{pid}"),
-                          partial(rotation, sym, vec)))
-        for sym in gens:
-            items.append((("translation.intertwine", sym[1:], (), f"{sym[0]}{sym[1]}|{pid}"),
-                          partial(translation, sym, vec)))
+            label = f"{sym[0]}{sym[1]}|{pid}"
+            for i in range(1, n + 1):
+                items.append((("braid.intertwine", (i,) + sym[1:], (), label), partial(braid, vec, i, sym)))
+            items.append((("rotation.intertwine", sym[1:], (), label), partial(rotation, vec, sym)))
+            items.append((("translation.intertwine", sym[1:], (), label), partial(translation, vec, sym)))
     return items
 
 
@@ -272,28 +226,34 @@ def regression_items(dmod, K, probes):
     items = []
 
     if l == 1:
-        def slot_rhs(b, hkey, i, j):
+        def slot_rhs(hkey, i, j, b):
             sij, coeff = _expect_l1_braid(dmod, i, j)
             return vec_scale(coeff, dmod.basis_vector(hkey, (sij,), b))
 
-        def sign_rhs(b, hkey, j):
+        def sign_rhs(hkey, j, b):
             if j != 1:
                 return vec_scale(Fraction(-1), dmod.basis_vector(hkey, (j,), b))
             hv = apply_word(dmod.h, lt("Y", 1), {hkey: sc_pow(q, n)}, b)
             return dmod.straighten({(hk, (1,)): c for hk, c in hv.items()}, b)
 
-        braid_slot = identity(lambda b, hkey, i, j: dmod.braid(i, dmod.basis_vector(hkey, (j,), b), b),
-                              slot_rhs)
-        translation_sign = identity(lambda b, hkey, j: dmod.t_omega1(dmod.basis_vector(hkey, (j,), b), b),
-                                    sign_rhs)
+        # both act on the unstraightened slot vector, straightened first
+        @partial(identity, ops=dmod)
+        def braid_slot(vec, hkey, i, j):
+            return (((ONE, (("braid", i), STRAIGHTEN)),), partial(slot_rhs, hkey, i, j)),
+
+        @partial(identity, ops=dmod)
+        def translation_sign(vec, hkey, j):
+            return (((ONE, (T_OMEGA1, STRAIGHTEN)),), partial(sign_rhs, hkey, j)),
+
         for hkey in dmod.h.basis_keys():
             for j in range(1, n + 2):
+                slot = {(hkey, (j,)): ONE}
                 for i in range(1, n + 1):
-                    items.append((("reg.braid-slot", (i, j), (), "basis"), partial(braid_slot, hkey, i, j)))
-                items.append((("reg.translation-sign", (j,), (), "basis"), partial(translation_sign, hkey, j)))
+                    items.append((("reg.braid-slot", (i, j), (), "basis"), partial(braid_slot, slot, hkey, i, j)))
+                items.append((("reg.translation-sign", (j,), (), "basis"), partial(translation_sign, slot, hkey, j)))
 
     # translation-operator product formula on every nondecreasing probe term
-    def product_rhs(b, vec):
+    def product_rhs(vec, b):
         want = {}
         for (hkey, jt), c in vec.items():
             s = sum(1 for v in jt if v == 1)
@@ -304,7 +264,7 @@ def regression_items(dmod, K, probes):
         return dmod.straighten(want, b)
 
     # the independently written closed form for the first-vertex e modes
-    def first_mode_rhs(b, h, vec):
+    def first_mode_rhs(h, vec, b):
         want = {}
         for (hkey, jt), c in vec.items():
             s = sum(1 for v in jt if v == 1)
@@ -325,7 +285,7 @@ def regression_items(dmod, K, probes):
         return dmod.straighten(want, b)
 
     # the first Cartan mode display
-    def cartan_mode1_rhs(budget, i, vec):
+    def cartan_mode1_rhs(i, vec, budget):
         want = {}
         for (hkey, jt), c in vec.items():
             a = sum(1 for v in jt if v == i)
@@ -346,18 +306,8 @@ def regression_items(dmod, K, probes):
             dvec_add(want, [((hk, jt), cc) for hk, cc in hv.items()], sc_mul(c, base))
         return dmod.straighten(want, budget)
 
-    # consequence of the Cartan-current exchange at trivial central charge:
-    # e_1 k_{2,1} - q k_{2,1} e_1 = (q - q^-1) d^-1 e_{1,1} k_2
-    def charge_lhs(b, vec):
-        lhs = dmod.mode("e", 1, 0, dmod.mode("k+", 2, 1, dict(vec), b), b)
-        dvec_add(lhs, dmod.mode("k+", 2, 1, dmod.mode("e", 1, 0, dict(vec), b), b).items(),
-                 sc_mul(Fraction(-1), q))
-        return lhs
-
-    charge_coeff = sc_mul(q - sc_inv(q), sc_inv(d))
-
     # wrap-vertex zero modes in closed form
-    def wrap_zero_rhs(b, kind, vec):
+    def wrap_zero_rhs(kind, vec, b):
         want = {}
         for (hkey, jt), c in vec.items():
             if kind == "k":
@@ -378,41 +328,63 @@ def regression_items(dmod, K, probes):
                 dvec_add(want, [((hk, j2), cc) for hk, cc in hv.items()], c)
         return dmod.straighten(want, b)
 
-    translation_product = identity(lambda b, vec: dmod.t_omega1(dict(vec), b), product_rhs)
-    first_mode = identity(lambda b, h, vec: dmod.mode("e", 1, h, dict(vec), b), first_mode_rhs)
-    cartan_weight = identity(lambda b, i, vec: dmod.km("k", i, dict(vec), b),
-                             lambda b, i, vec: weight_display(dmod, i, vec))
-    cartan_mode1 = identity(lambda b, i, vec: dmod.mode("k+", i, 1, dict(vec), b), cartan_mode1_rhs)
-    charge_one = identity(charge_lhs, lambda b, vec: vec_scale(
-        charge_coeff, dmod.mode("e", 1, 1, dmod.mode("k+", 2, 0, dict(vec), b), b)))
-    wrap_zero = identity(
-        lambda b, kind, vec: dmod.mode({"e": "e", "f": "f", "k": "k+"}[kind], 0, 0, dict(vec), b),
-        wrap_zero_rhs,
-    )
+    @partial(identity, ops=dmod)
+    def translation_product(vec):
+        return (((ONE, (T_OMEGA1,)),), partial(product_rhs, vec)),
+
+    @partial(identity, ops=dmod)
+    def first_mode(vec, h):
+        return (((ONE, (("mode", "e", 1, h),)),), partial(first_mode_rhs, h, vec)),
+
+    @partial(identity, ops=dmod)
+    def cartan_weight(vec, i):
+        return (((ONE, (("k", i),)),), partial(weight_display, dmod, i, vec)),
+
+    @partial(identity, ops=dmod)
+    def cartan_mode1(vec, i):
+        return (((ONE, (("mode", "k+", i, 1),)),), partial(cartan_mode1_rhs, i, vec)),
+
+    # consequence of the Cartan-current exchange at trivial central charge:
+    # e_1 k_{2,1} - q k_{2,1} e_1 = (q - q^-1) d^-1 e_{1,1} k_2
+    charge_coeff = sc_mul(q - sc_inv(q), sc_inv(d))
+    minus_q = sc_mul(MINUS_ONE, q)
+
+    @partial(identity, ops=dmod)
+    def charge_one(vec):
+        e10, k21 = ("mode", "e", 1, 0), ("mode", "k+", 2, 1)
+        lhs = ((ONE, (e10, k21)), (minus_q, (k21, e10)))
+        return (lhs, ((charge_coeff, (("mode", "e", 1, 1), ("mode", "k+", 2, 0))),)),
+
+    @partial(identity, ops=dmod)
+    def wrap_zero(vec, kind):
+        lhs = ((ONE, (("mode", {"e": "e", "f": "f", "k": "k+"}[kind], 0, 0),)),)
+        return (lhs, partial(wrap_zero_rhs, kind, vec)),
+
     for pid, vec in probes:
         items.append((("reg.translation-product", (), (), pid), partial(translation_product, vec)))
         for h in range(-K, K + 1):
-            items.append((("reg.first-vertex-mode", (1,), (h,), pid), partial(first_mode, h, vec)))
+            items.append((("reg.first-vertex-mode", (1,), (h,), pid), partial(first_mode, vec, h)))
         for i in range(1, n + 1):
-            items.append((("reg.cartan-weight", (i,), (0,), pid), partial(cartan_weight, i, vec)))
-            items.append((("reg.cartan-mode1", (i,), (1,), pid), partial(cartan_mode1, i, vec)))
+            items.append((("reg.cartan-weight", (i,), (0,), pid), partial(cartan_weight, vec, i)))
+            items.append((("reg.cartan-mode1", (i,), (1,), pid), partial(cartan_mode1, vec, i)))
         items.append((("reg.charge-one", (1, 2), (0, 1), pid), partial(charge_one, vec)))
         for kind in ("e", "f", "k"):
-            items.append(((f"reg.wrap-{kind}0", (0,), (0,), pid), partial(wrap_zero, kind, vec)))
+            items.append(((f"reg.wrap-{kind}0", (0,), (0,), pid), partial(wrap_zero, vec, kind)))
 
     # wrap-vertex action on the standard tuple lands on q^(1-l) m Q (x) w
     if l <= n:
-        def standard_e0_rhs(b, hkey):
+        def standard_e0_rhs(hkey, b):
             hv = apply_word(dmod.h, lt("Q"), {hkey: sc_pow(q, 1 - l)}, b)
             w = tuple(range(2, l + 1)) + (n + 1,)
             return dmod.straighten({(hk, w): c for hk, c in hv.items()}, b)
 
-        standard_e0 = identity(
-            lambda b, hkey: dmod.mode("e", 0, 0, dmod.basis_vector(hkey, tuple(range(1, l + 1)), b), b),
-            standard_e0_rhs,
-        )
+        @partial(identity, ops=dmod)
+        def standard_e0(vec, hkey):
+            return (((ONE, (("mode", "e", 0, 0), STRAIGHTEN)),), partial(standard_e0_rhs, hkey)),
+
         for hkey in _module_probe_keys(dmod):
-            items.append((("reg.standard-e0", (0,), (0,), f"m{hkey}"), partial(standard_e0, hkey)))
+            standard = {(hkey, tuple(range(1, l + 1))): ONE}
+            items.append((("reg.standard-e0", (0,), (0,), f"m{hkey}"), partial(standard_e0, standard, hkey)))
     return items
 
 
@@ -435,27 +407,21 @@ def reconstruction_items(dmod, K, hprobes):
     w_first = tuple(range(2, l + 1)) + (n + 1,)
     w_second = tuple(range(3, l + 2)) + (n + 1,)
 
-    def placed(b, word, c, hvec, slots):
+    def placed(word, c, hvec, slots, b):
         """The straightened vector (word applied to c * hvec) (x) slots."""
         hv = apply_word(dmod.h, word, vec_scale(c, hvec), b)
         return dmod.straighten({(hk, slots): cc for hk, cc in hv.items()}, b)
 
-    y_shift = identity(
-        lambda b, hvec: apply_word(dmod.h, wmul(qw, lt("Y", 1), qinv), dict(hvec), b),
-        lambda b, hvec: apply_word(dmod.h, lt("Y", 2), dict(hvec), b),
-    )
-    y_wrap = identity(
-        lambda b, hvec: apply_word(dmod.h, wmul(qw, lt("Y", l), qinv), dict(hvec), b),
-        lambda b, hvec: vec_scale(dmod.params.x, apply_word(dmod.h, lt("Y", 1), dict(hvec), b)),
-    )
-    theta_conj = identity(
-        lambda b, e, c, hvec: placed(b, wmul(lt("Y", 2, e), qw), c, hvec, w_first),
-        lambda b, e, c, hvec: placed(b, wmul(qw, lt("Y", 1, e)), c, hvec, w_first),
-    )
-    wrap_display = identity(
-        lambda b, hvec: placed(b, wmul(qw, lt("Y", l)), sc_pow(d, n + 1), hvec, w_second),
-        lambda b, hvec: placed(b, wmul(lt("Y", 1), qw), sc_pow(q, n + 1), hvec, w_second),
-    )
+    @identity
+    def theta_conj(hvec, e, c):
+        return (partial(placed, wmul(lt("Y", 2, e), qw), c, hvec, w_first),
+                partial(placed, wmul(qw, lt("Y", 1, e)), c, hvec, w_first)),
+
+    @identity
+    def wrap_display(hvec):
+        return (partial(placed, wmul(qw, lt("Y", l)), sc_pow(d, n + 1), hvec, w_second),
+                partial(placed, wmul(lt("Y", 1), qw), sc_pow(q, n + 1), hvec, w_second)),
+
     # (sgn, r), the Y exponent and the scaled theta coefficient of each theta conjugation
     theta_cases = []
     scale = sc_mul(sc_pow(q, n), sc_mul(d, d))
@@ -465,14 +431,15 @@ def reconstruction_items(dmod, K, hprobes):
             e = -r if sgn > 0 else r
             theta_cases.append(((sgn, r), e, sc_mul(coeffs[r], sc_pow(scale, e))))
 
-    items = []
+    # the Y-shift and Y-wrap are Hecke words, checked as the Hecke suites are
+    shifts = [RelCheck("recon.y-wrap", (), ((ONE, wmul(qw, lt("Y", l), qinv)),), ((dmod.params.x, lt("Y", 1)),))]
+    if l >= 2:
+        shifts.append(RelCheck("recon.y-shift", (), ((ONE, wmul(qw, lt("Y", 1), qinv)),), ((ONE, lt("Y", 2)),)))
+    items = make_hecke_items(dmod.h, shifts, hprobes)
     for pid, hvec in hprobes:
         if l >= 2:
-            items.append((("recon.y-shift", (), (), pid), partial(y_shift, hvec)))
-        items.append((("recon.y-wrap", (), (), pid), partial(y_wrap, hvec)))
-        if l >= 2:
             for modes, e, c in theta_cases:
-                items.append((("recon.theta-conj", (2, 1), modes, pid), partial(theta_conj, e, c, hvec)))
+                items.append((("recon.theta-conj", (2, 1), modes, pid), partial(theta_conj, hvec, e, c)))
         if n > l + 1:
             items.append((("recon.wrap-display", (0, n), (), pid), partial(wrap_display, hvec)))
     return items
@@ -480,15 +447,9 @@ def reconstruction_items(dmod, K, hprobes):
 
 def psi_inverse_items(dmod, probes):
     """psi o psi_inv and psi_inv o psi are the identity."""
-    items = []
-    for pid, vec in probes:
-        def inv_thunk(vec=vec):
-            budget = WindowBudget()
-            a = dmod.psi_inv(dmod.psi(dict(vec), budget), budget)
-            b = dmod.psi(dmod.psi_inv(dict(vec), budget), budget)
-            ra = vec_sub(a, vec)
-            rb = vec_sub(b, vec)
-            ok = not ra and not rb
-            return ok, budget.ok(), "" if ok else "psi inverse fails"
-        items.append((("psi.inverse", (), (), pid), inv_thunk))
-    return items
+
+    @partial(identity, ops=dmod)
+    def inverse(vec):
+        return (((ONE, (PSI_INV, PSI)),), UNIT), (((ONE, (PSI, PSI_INV)),), UNIT)
+
+    return [(("psi.inverse", (), (), pid), partial(inverse, vec)) for pid, vec in probes]

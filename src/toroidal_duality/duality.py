@@ -111,8 +111,6 @@ class DualityModule:
 
     def __init__(self, hmodule):
         p = hmodule.params
-        if p.mode != "duality":
-            raise ValueError("duality module needs duality-mode parameters")
         self.h = hmodule
         self.params: Params = p
         self.n = p.n

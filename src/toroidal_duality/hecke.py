@@ -114,9 +114,10 @@ class WindowBudget:
 def merge_vec(acc, items, coeff=Fraction(1)):
     """acc += coeff * items in place, dropping every entry that cancels to zero."""
     unit = coeff == 1
+    negate = not unit and coeff == -1  # a residual's rhs: negation, not a product
     for key, c in items:
         if not unit:
-            c = sc_mul(coeff, c)
+            c = -c if negate else sc_mul(coeff, c)
         prev = acc.get(key)
         s = c if prev is None else prev + c
         if is_zero(s):
@@ -584,12 +585,12 @@ def make_hecke_items(module, checks, probes):
     """(meta, thunk) pairs for the generic relation runner."""
     from .reports import identity  # reports imports this module
 
-    check = identity(
-        lambda b, chk, vec: apply_expr(module, chk.lhs, vec, b),
-        lambda b, chk, vec: apply_expr(module, chk.rhs, vec, b),
-    )
+    def sides(vec, chk):
+        return (partial(apply_expr, module, chk.lhs, vec), partial(apply_expr, module, chk.rhs, vec)),
+
+    check = identity(sides)
     return [
-        ((chk.relation, chk.indices, (), pid), partial(check, chk, vec))
+        ((chk.relation, chk.indices, (), pid), partial(check, vec, chk))
         for chk in checks
         for pid, vec in probes
     ]

@@ -14,6 +14,12 @@ coefficient of z^-R w^-S,
 
 which at the zero modes specializes to the familiar q-commutator form.
 All checks run at trivial central charge; central extensions are refused.
+
+Every instance is stated as data for `reports.identity`: words in the mode
+letters ("mode", kind, i, k), with q-power coefficients, built when the
+item's thunk runs.  The one evaluator calls only `ops.mode`, and drops a
+k+ / k- letter outside its sign range, so the sweeps need nothing more of
+the module than its modes (and `weight`, `q` for the weight display).
 """
 
 from __future__ import annotations
@@ -22,9 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .duality import dvec_add, nondecreasing_tuples
-from .hecke import WindowBudget, vec_scale, vec_sub
-from .reports import identity
+from .duality import dvec_add, nondecreasing_tuples  # noqa: F401 (perfbench/layers.py traces dvec_add by this name)
+from .reports import MINUS_ONE, ONE, UNIT, identity
 from .scalars import sc_inv, sc_mul, sc_pow
 
 
@@ -68,37 +73,27 @@ class CartanData:
         ]
 
 
-def _kmode(ops, sign, i, k, vec, budget):
-    """k+ modes live at k >= 0 and k- modes at k <= 0; outside they are zero."""
-    if sign > 0:
-        if k < 0:
-            return {}
-        return ops.mode("k+", i, k, vec, budget)
-    if k > 0:
-        return {}
-    return ops.mode("k-", i, k, vec, budget)
+K_KIND = {+1: "k+", -1: "k-"}  # a Cartan mode letter out of its sign range is zero
 
 
-def _pair_cleared(left, right, coeffs, R, S, vec, budget):
+def _swap(a, b):
+    """The pair (a b, b a): letters a and b commute."""
+    return ((ONE, (a, b)),), ((ONE, (b, a)),)
+
+
+def _cleared_terms(left, right, coeffs, R, S):
     """
     LHS - RHS of the cleared template for currents (left, right) twisted by
-    (a, m), where `coeffs` is (d^m, -q^a, -q^a d^m).
+    (a, m), as a 4-term expression.  `left` and `right` are mode letters
+    without their mode, and `coeffs` is (d^m, -q^a, -q^a d^m).
     """
     dm, mqa, mqadm = coeffs
-    acc = {}
-    hR1 = left(R + 1, right(S - 1, dict(vec), budget), budget)
-    dvec_add(acc, hR1.items(), dm)
-    hRS = left(R, right(S, dict(vec), budget), budget)
-    dvec_add(acc, hRS.items(), mqa)
-    gSR = right(S - 1, left(R + 1, dict(vec), budget), budget)
-    dvec_add(acc, gSR.items(), mqadm)
-    gSS = right(S, left(R, dict(vec), budget), budget)
-    dvec_add(acc, gSS.items(), Fraction(1))
-    return acc
+    gR1, gR, hS1, hS = left + (R + 1,), left + (R,), right + (S - 1,), right + (S,)
+    return ((dm, (gR1, hS1)), (mqa, (gR, hS)), (mqadm, (hS1, gR1)), (ONE, (hS, gR)))
 
 
-def weight_display(ops, i, vec):
-    """k_{i,0} in closed form: every term scaled by q to its weight at vertex i."""
+def weight_display(ops, i, vec, budget=None):
+    """k_{i,0} in closed form: every term scaled by q to its weight at vertex i (no budget used)."""
     return {key: sc_mul(c, sc_pow(ops.q, ops.weight(i, key[1]))) for key, c in vec.items()}
 
 
@@ -126,66 +121,45 @@ def current_relation_items(ops, K, probes):
     def emit(rel, ij, modes, pid, thunk):
         items.append(((rel, ij, modes, pid), thunk))
 
-    def unit_thunk(i, vec):
-        budget = WindowBudget()
-        one = ops.mode("k+", i, 0, ops.mode("k-", i, 0, dict(vec), budget), budget)
-        two = ops.mode("k-", i, 0, ops.mode("k+", i, 0, dict(vec), budget), budget)
-        ok = not vec_sub(one, vec) and not vec_sub(two, vec)
-        return ok, budget.ok(), "" if ok else "k0 inverse fails"
+    # (2.1.1) at the zero modes: k_{i,0}^+ and k_{i,0}^- are inverse
+    @partial(identity, ops=ops)
+    def unit(vec, i):
+        kp, km = ("mode", "k+", i, 0), ("mode", "k-", i, 0)
+        return (((ONE, (kp, km)),), UNIT), (((ONE, (km, kp)),), UNIT)
 
     # (2.1.1): like-sign Cartan currents commute; (2.1.2) degenerates at c = 1
     # to mixed-sign commutation
-    comm = identity(
-        lambda b, i, j, s1, ka, s2, kb, vec: _kmode(ops, s1, i, ka, _kmode(ops, s2, j, kb, dict(vec), b), b),
-        lambda b, i, j, s1, ka, s2, kb, vec: _kmode(ops, s2, j, kb, _kmode(ops, s1, i, ka, dict(vec), b), b),
-    )
+    @partial(identity, ops=ops)
+    def comm(vec, i, j, s1, ka, s2, kb):
+        return _swap(("mode", K_KIND[s1], i, ka), ("mode", K_KIND[s2], j, kb)),
 
     # (2.1.3)/(2.1.4): Cartan current against e / f currents
-    @identity
-    def cartan_exchange(b, i, j, sign, other_kind, coeffs, R, S, vec):
-        left = lambda kk, v, bb: _kmode(ops, sign, i, kk, v, bb)
-        right = lambda kk, v, bb: ops.mode(other_kind, j, kk, v, bb)
-        return _pair_cleared(left, right, coeffs, R, S, vec, b)
+    @partial(identity, ops=ops)
+    def cartan_exchange(vec, i, j, sign, other_kind, coeffs, R, S):
+        return (_cleared_terms(("mode", K_KIND[sign], i), ("mode", other_kind, j), coeffs, R, S), ()),
 
     # (2.1.5): exchange of e and f closes on the Cartan modes
-    def ef_lhs(b, i, j, r, s, vec):
-        ef = ops.mode("e", i, r, ops.mode("f", j, s, dict(vec), b), b)
-        fe = ops.mode("f", j, s, ops.mode("e", i, r, dict(vec), b), b)
-        return vec_scale(qmqinv, vec_sub(ef, fe))
-
-    def ef_rhs(b, i, j, r, s, vec):
-        rhs = {}
-        if i == j:
-            h = r + s
-            if h >= 0:
-                dvec_add(rhs, ops.mode("k+", i, h, dict(vec), b).items())
-            if h <= 0:
-                dvec_add(rhs, ops.mode("k-", i, h, dict(vec), b).items(), Fraction(-1))
-        return rhs
-
-    ef_exchange = identity(ef_lhs, ef_rhs)
+    @partial(identity, ops=ops)
+    def ef_exchange(vec, i, j, r, s):
+        e, f = ("mode", "e", i, r), ("mode", "f", j, s)
+        lhs = ((qmqinv, (e, f)), (-qmqinv, (f, e)))
+        rhs = ((ONE, (("mode", "k+", i, r + s),)), (MINUS_ONE, (("mode", "k-", i, r + s),))) if i == j else ()
+        return (lhs, rhs),
 
     # (2.1.6)/(2.1.7): e-e and f-f exchange with theta twist
-    @identity
-    def like_exchange(b, i, j, kind, coeffs, r, s, vec):
-        left = lambda kk, v, bb: ops.mode(kind, i, kk, v, bb)
-        right = lambda kk, v, bb: ops.mode(kind, j, kk, v, bb)
-        return _pair_cleared(left, right, coeffs, r - 1, s, vec, b)
+    @partial(identity, ops=ops)
+    def like_exchange(vec, i, j, kind, coeffs, r, s):
+        return (_cleared_terms(("mode", kind, i), ("mode", kind, j), coeffs, r - 1, s), ()),
 
     # (2.1.8)/(2.1.9): cubic Serre relations, symmetrized over z1 <-> z2
-    @identity
-    def serre(b, i, j, kind, k1, k2, kk, vec):
-        def word(aaa, bbb, ccc):
-            v = ops.mode(kind, *ccc, dict(vec), b)
-            v = ops.mode(kind, *bbb, v, b)
-            return ops.mode(kind, *aaa, v, b)
-
-        acc = {}
+    @partial(identity, ops=ops)
+    def serre(vec, i, j, kind, k1, k2, kk):
+        c = ("mode", kind, j, kk)
+        terms = ()
         for m1, m2 in ((k1, k2),) if k1 == k2 else ((k1, k2), (k2, k1)):
-            dvec_add(acc, word((i, m1), (i, m2), (j, kk)).items())
-            dvec_add(acc, word((i, m1), (j, kk), (i, m2)).items(), minus_qqinv)
-            dvec_add(acc, word((j, kk), (i, m1), (i, m2)).items())
-        return acc
+            a, b = ("mode", kind, i, m1), ("mode", kind, i, m2)
+            terms += ((ONE, (a, b, c)), (minus_qqinv, (a, c, b)), (ONE, (c, a, b)))
+        return (terms, ()),
 
     kplus_range = list(range(0, K + 1))
     kminus_range = list(range(-K, 1))
@@ -193,7 +167,7 @@ def current_relation_items(ops, K, probes):
 
     for pid, vec in probes:
         for i in range(n + 1):
-            emit("2.1.1-unit", (i, i), (0, 0), pid, partial(unit_thunk, i, vec))
+            emit("2.1.1-unit", (i, i), (0, 0), pid, partial(unit, vec, i))
 
         for i in range(n + 1):
             for j in range(n + 1):
@@ -206,7 +180,7 @@ def current_relation_items(ops, K, probes):
                     for ka in range1:
                         for kb in range2:
                             emit(rel, (i, j), (s1, ka, s2, kb), pid,
-                                 partial(comm, i, j, s1, ka, s2, kb, vec))
+                                 partial(comm, vec, i, j, s1, ka, s2, kb))
 
                 a = cartan.a(i, j)
                 m = cartan.m(i, j)
@@ -224,18 +198,18 @@ def current_relation_items(ops, K, probes):
                     for R in Rs:
                         for S in range(-K + 1, K + 1):
                             emit(rel, (i, j), (sign, R, S), pid,
-                                 partial(cartan_exchange, i, j, sign, other_kind, coeffs, R, S, vec))
+                                 partial(cartan_exchange, vec, i, j, sign, other_kind, coeffs, R, S))
 
                 for r in e_range:
                     for s in e_range:
-                        emit("2.1.5", (i, j), (r, s), pid, partial(ef_exchange, i, j, r, s, vec))
+                        emit("2.1.5", (i, j), (r, s), pid, partial(ef_exchange, vec, i, j, r, s))
 
                 for rel, kind, aa in (("2.1.6", "e", a), ("2.1.7", "f", -a)):
                     coeffs = twist(aa, m)
                     for r in range(-K + 1, K + 1):
                         for s in range(-K + 1, K + 1):
                             emit(rel, (i, j), (r, s), pid,
-                                 partial(like_exchange, i, j, kind, coeffs, r, s, vec))
+                                 partial(like_exchange, vec, i, j, kind, coeffs, r, s))
 
         for i, j in cartan.adjacent_pairs():
             for rel, kind in (("2.1.8", "e"), ("2.1.9", "f")):
@@ -245,35 +219,30 @@ def current_relation_items(ops, K, probes):
                             continue  # the z1 <-> z2 symmetrization makes (k1,k2) ~ (k2,k1)
                         for kk in e_range:
                             emit(rel, (i, j), (k1, k2, kk), pid,
-                                 partial(serre, i, j, kind, k1, k2, kk, vec))
+                                 partial(serre, vec, i, j, kind, k1, k2, kk))
     return items
 
 
 def integrability_items(ops, K, probes):
     """Weight decomposition with q-power eigenvalues, and mode nilpotency of order <= l + 1."""
     n, l = ops.n, ops.l
-    weight = identity(
-        lambda b, i, vec: ops.mode("k+", i, 0, dict(vec), b),
-        lambda b, i, vec: weight_display(ops, i, vec),
-    )
 
-    @identity
-    def nilpotent(b, i, kind, k, vec):
-        v = dict(vec)
-        for _ in range(l + 1):
-            v = ops.mode(kind, i, k, v, b)
-            if not v:
-                break
-        return v
+    @partial(identity, ops=ops)
+    def weight(vec, i):
+        return (((ONE, (("mode", "k+", i, 0),)),), partial(weight_display, ops, i, vec)),
+
+    @partial(identity, ops=ops)
+    def nilpotent(vec, i, kind, k):
+        return (((ONE, (("mode", kind, i, k),) * (l + 1)),), ()),
 
     items = []
     for pid, vec in probes:
         for i in range(n + 1):
-            items.append((("int.weight", (i,), (0,), pid), partial(weight, i, vec)))
+            items.append((("int.weight", (i,), (0,), pid), partial(weight, vec, i)))
         for i in range(n + 1):
             for kind in ("e", "f"):
                 for k in range(-K, K + 1):
-                    items.append((("int.nilpotent", (i,), (k,), pid), partial(nilpotent, i, kind, k, vec)))
+                    items.append((("int.nilpotent", (i,), (k,), pid), partial(nilpotent, vec, i, kind, k)))
     return items
 
 
@@ -281,23 +250,20 @@ def central_charge_items(ops, probes):
     """k_{0,0} k_{1,0} ... k_{n,0} = id, plus a mixed-sign commutation spot check."""
     n = ops.n
 
-    def k_product(b, vec):
-        v = dict(vec)
-        for i in range(n, -1, -1):
-            v = ops.mode("k+", i, 0, v, b)
-        return v
+    @partial(identity, ops=ops)
+    def product(vec):
+        return (((ONE, tuple(("mode", "k+", i, 0) for i in range(n + 1))),), UNIT),
 
-    product = identity(k_product, lambda b, vec: vec)
-    mixed = identity(
-        lambda b, i, j, vec: ops.mode("k+", i, 1, ops.mode("k-", j, -1, dict(vec), b), b),
-        lambda b, i, j, vec: ops.mode("k-", j, -1, ops.mode("k+", i, 1, dict(vec), b), b),
-    )
+    @partial(identity, ops=ops)
+    def mixed(vec, i, j):
+        return _swap(("mode", "k+", i, 1), ("mode", "k-", j, -1)),
+
     items = []
     for pid, vec in probes:
         items.append((("cc.k-product", (), (), pid), partial(product, vec)))
         for i in range(n + 1):
             for j in range(n + 1):
-                items.append((("cc.kpm-comm", (i, j), (1, -1), pid), partial(mixed, i, j, vec)))
+                items.append((("cc.kpm-comm", (i, j), (1, -1), pid), partial(mixed, vec, i, j)))
     return items
 
 

@@ -1,12 +1,17 @@
 """
-Relation reports and the deterministic check runner.
+Relation reports, the one way to state a check, and the deterministic
+check runner.
 
 A check item is ((relation, indices, modes, probe), thunk) where the thunk
-returns (residual_zero, budget_valid, note); `identity` builds the thunks
-of every check that states one vector identity.  The runner evaluates the
-items in order and sorts the reports by key, so the emitted JSON stream is
-byte-identical across runs.  Per-check wall time is kept on the in-memory
-record for the human table but deliberately left out of the canonical JSON.
+returns (residual_zero, budget_valid, note).  `identity` builds the thunk
+of every identity check lhs == rhs, each side either an expression, a
+tuple of (coeff, word) terms, or a closed-form function of the window
+budget.  Words act rightmost letter first; a letter is a Kac-Moody
+generator (kind, j) as printed, acting through `km`, or (operator,
+*arguments) for any other operator method, e.g. ("mode", kind, i, k) or
+("psi",).  `eval_trie` is the one evaluator of expressions.  The runner
+sorts the reports by key, so the emitted JSON stream is byte-identical
+across runs; per-check wall time stays out of the canonical JSON.
 """
 
 from __future__ import annotations
@@ -14,33 +19,98 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .hecke import WindowBudget, vec_sub
+from .hecke import WindowBudget, merge_vec
+
+KM_KINDS = frozenset(("e", "f", "k", "kinv"))
+ONE, MINUS_ONE = Fraction(1), Fraction(-1)
+UNIT = ((ONE, ()),)  # the empty word: the identity operator
 
 
-def identity(lhs, rhs=None):
+def nc_trie(expr, root=None, sign=1):
     """
-    The check lhs == rhs, as a function of the instance's arguments.
+    Suffix trie of an expression, or `root` with sign * expr added to it:
+    words that end in the same letters share the nodes of that suffix.  A
+    node is (children by letter, coefficients of the words that end there).
+    """
+    if root is None:
+        root = ({}, [])
+    for c, word in expr:
+        node = root
+        for sym in reversed(word):
+            child = node[0].get(sym)
+            if child is None:
+                child = node[0][sym] = ({}, [])
+            node = child
+        node[1].append(c if sign > 0 else -c)
+    return root
 
-    Called with `args`, it evaluates lhs(budget, *args) and rhs(budget,
-    *args) against one fresh WindowBudget and returns (residual_zero,
-    budget_valid, note).  Without rhs, lhs is the residual itself.  Bind the
-    arguments with functools.partial to get the item's thunk.
+
+def eval_trie(ops, trie, vec, budget, out=None):
+    """
+    Add the trie's expression applied to vec into `out` (a new vector if
+    None) and return it.  Depth first, one operator call per node: each node
+    sees the vector its suffix gives word by word, a subtree below an empty
+    vector is skipped, as a word stops at one, and so is a Cartan mode
+    letter outside its sign range, which is zero by definition.
+    """
+    if out is None:
+        out = {}
+    stack = [(trie, vec)]
+    while stack:
+        (children, ends), v = stack.pop()
+        for c in ends:
+            merge_vec(out, v.items(), c)
+        for letter, child in children.items():
+            name = letter[0]
+            if name == "mode":
+                _, kind, i, k = letter
+                if kind == "k+" and k < 0 or kind == "k-" and k > 0:
+                    continue  # k+ modes live at k >= 0 and k- modes at k <= 0
+                w = ops.mode(kind, i, k, v, budget)
+            elif name in KM_KINDS:
+                w = ops.km(name, letter[1], v, budget)
+            else:
+                w = getattr(ops, name)(*letter[1:], v, budget)
+            if w:
+                stack.append((child, w))
+    return out
+
+
+def identity(sides, ops=None):
+    """
+    The check lhs == rhs for every (lhs, rhs) pair that sides(vec, *args)
+    returns, as a function of (vec, *args).
+
+    Expression sides act on vec through the operators of `ops`; callable
+    sides are called with the budget.  Every pair is evaluated against one
+    fresh WindowBudget, and the check returns (residual_zero, budget_valid,
+    note), the note naming the first nonzero residual.  Bind the arguments
+    with functools.partial to get the item's thunk; `sides` runs inside it,
+    so an item costs nothing to build.
     """
 
-    def check(*args):
+    def check(vec, *args):
         budget = WindowBudget()
-        res = lhs(budget, *args)
-        if rhs is not None:
-            res = vec_sub(res, rhs(budget, *args))
-        return not res, budget.ok(), _residual_note(res) if res else ""
+        note = ""
+        for lhs, rhs in sides(vec, *args):
+            res, trie = {}, None
+            if callable(lhs):
+                res = dict(lhs(budget))
+            elif lhs:
+                trie = nc_trie(lhs)
+            if callable(rhs):
+                merge_vec(res, [(key, -c) for key, c in rhs(budget).items()])
+            elif rhs:
+                trie = nc_trie(rhs, trie, -1)
+            if trie is not None:
+                eval_trie(ops, trie, vec, budget, res)
+            if res and not note:
+                note = f"residual has {len(res)} term(s); lead key {min(res)}"
+        return not note, budget.ok(), note
 
     return check
-
-
-def _residual_note(res):
-    key = sorted(res)[0]
-    return f"residual has {len(res)} term(s); lead key {key}"
 
 
 @dataclass(frozen=True)

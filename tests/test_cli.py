@@ -68,6 +68,30 @@ def test_report_rejects_garbage(tmp_path, capsys):
     assert main(["report", "json", str(bad)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("record", ['{"relation": "2.1.5", "probe": "p000"}', "[1, 2]"])
+def test_report_table_rejects_records_that_are_not_reports(tmp_path, capsys, record):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(record + "\n")
+    assert main(["report", "table", str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot read report stream" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_out_directory_must_exist_before_the_sweep(tmp_path, capsys, monkeypatch):
+    import toroidal_duality.cli as cli
+
+    def no_sweep(target, cfg):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_verify", no_sweep)
+    out = tmp_path / "missing" / "x.jsonl"
+    code = main(["verify", "hecke", "--preset", "poly", "--hecke-probes", "1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--out directory does not exist" in err and len(err.strip().splitlines()) == 1
+
+
 def test_determinism_across_runs(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     main(["verify", "toroidal", "--preset", "l1", *FAST, "--out", str(a)])
@@ -151,6 +175,32 @@ def test_count_flags_below_one_are_config_errors(target, flag, value, capsys):
     assert len(err.strip().splitlines()) == 1 and "at least 1" in err
 
 
+def test_unknown_environment_variable_is_config_error(monkeypatch, capsys):
+    for name in ("TOROIDAL_PROBE", "TOROIDAL_WORKERS", "TOROIDAL_probes"):
+        with pytest.raises(ConfigError, match=name):
+            load_config(preset="l1", env={name: "0"})
+        monkeypatch.setenv(name, "0")
+        code = main(["verify", "toroidal", "--preset", "l1", "--relations", "level"])
+        monkeypatch.delenv(name)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert name in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", ["n = 4\n", "[params]\nn = 4\ngarbage line\n"],
+                         ids=["no-section-header", "line-without-equals"])
+def test_malformed_config_file_is_config_error(tmp_path, capsys, text):
+    cfgfile = tmp_path / "sweep.ini"
+    cfgfile.write_text(text)
+    with pytest.raises(ConfigError, match="cannot parse"):
+        load_config(path=str(cfgfile), env={})
+    code = main(["verify", "toroidal", "--preset", "l1", "--config", str(cfgfile)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot parse" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_count_keys_checked_from_environment_and_file(tmp_path):
     with pytest.raises(ConfigError, match="modes"):
         load_config(preset="l1", env={"TOROIDAL_MODES": "0"})
@@ -216,3 +266,21 @@ def test_config_summary_echo(tmp_path):
     assert summary["config"]["n"] == 3
     assert summary["status"] == "pass"
     assert summary["totals"]["passed"] == summary["totals"]["checked"]
+
+
+def test_benchmark_workloads_match_recorded_digests(tmp_path, monkeypatch):
+    # the four perfbench workloads at their default seed, against the stream
+    # and summary sha256 recorded in perfbench/baseline.json (read only)
+    for key in [k for k in os.environ if k.startswith("TOROIDAL_")]:
+        monkeypatch.delenv(key)
+    baseline = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "baseline.json")
+    with open(baseline, encoding="utf-8") as fh:
+        workloads = json.load(fh)["workloads"]
+    assert len(workloads) == 4
+    for name, spec in sorted(workloads.items()):
+        out = tmp_path / f"{name}.jsonl"
+        assert main(spec["argv"] + ["--seed", "11", "--out", str(out)]) == EXIT_PASS, name
+        summary = (tmp_path / f"{name}.summary.json").read_bytes()
+        got = {"stream": hashlib.sha256(out.read_bytes()).hexdigest(),
+               "summary": hashlib.sha256(summary).hexdigest()}
+        assert got == spec["digests"], name

@@ -10,7 +10,6 @@ from toroidal_duality import dualchecks
 from toroidal_duality.config import load_config
 from toroidal_duality.duality import DualityModule, duality_probes, dvec_add
 from toroidal_duality.dualchecks import (
-    eval_nc,
     gen_symbols,
     intertwining_items,
     omega_images,
@@ -24,7 +23,7 @@ from toroidal_duality.dualchecks import (
 from toroidal_duality.hecke import PolynomialModule, UnitModule, WindowBudget, hecke_probes
 from toroidal_duality.params import specialized_params
 from toroidal_duality.qtoroidal import CartanData
-from toroidal_duality.reports import run_relation_items
+from toroidal_duality.reports import eval_trie, nc_trie, run_relation_items
 from toroidal_duality.scalars import D, Q, sc_inv
 
 
@@ -147,7 +146,7 @@ def test_eval_nc_order(dm_unit):
     # words evaluate rightmost-first (left action)
     vec = dm_unit.basis_vector((), (2,))
     budget = WindowBudget()
-    ek = eval_nc(dm_unit, ((Fraction(1), (("e", 1), ("k", 1))),), vec, budget)
+    ek = eval_trie(dm_unit, nc_trie(((Fraction(1), (("e", 1), ("k", 1))),)), vec, budget)
     manual = dm_unit.km("e", 1, dm_unit.km("k", 1, dict(vec)))
     assert ek == manual
 
@@ -192,12 +191,24 @@ def test_omega_images_match_per_letter_reference(q, d):
             assert [(type(c), c, w) for c, w in got[sym]] == [(type(c), c, w) for c, w in want[sym]], (n, sym)
 
 
+def _apply_letter(dmod, letter, v, budget):
+    """One letter, called directly: a generator (kind, j) or (operator, *arguments)."""
+    name, *args = letter
+    if name in ("e", "f", "k", "kinv"):
+        return dmod.km(name, *args, v, budget)
+    if name == "mode":
+        kind, _, k = args
+        if kind == "k+" and k < 0 or kind == "k-" and k > 0:
+            return {}  # zero by definition
+    return getattr(dmod, name)(*args, v, budget)
+
+
 def _eval_word_by_word(dmod, expr, vec, budget):
     out = {}
     for c, word in expr:
         v = dict(vec)
-        for kind, j in reversed(word):
-            v = dmod.km(kind, j, v, budget)
+        for letter in reversed(word):
+            v = _apply_letter(dmod, letter, v, budget)
             if not v:
                 break
         dvec_add(out, v.items(), c)
@@ -214,7 +225,14 @@ def dm_edge():
     return dm, vecs
 
 
-letters = st.tuples(st.sampled_from(("e", "f", "k", "kinv")), st.integers(1, 5))
+# the whole alphabet at n = 4: generators at 1..5, modes of every kind at
+# vertices 0..4 (k+ / k- also outside their sign range), and the operators
+letters = st.one_of(
+    st.tuples(st.sampled_from(("e", "f", "k", "kinv")), st.integers(1, 5)),
+    st.tuples(st.just("mode"), st.sampled_from(("e", "f", "k+", "k-")), st.integers(0, 4), st.integers(-2, 2)),
+    st.tuples(st.just("braid"), st.integers(1, 4)),
+    st.sampled_from((("tau",), ("psi",), ("psi_inv",), ("t_omega1",), ("straighten",))),
+)
 words = st.lists(letters, max_size=4).map(tuple)
 coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
 
@@ -232,10 +250,14 @@ def nc_exprs(draw):
 @settings(max_examples=150, deadline=None)
 @example(expr=((Fraction(1), (("e", 1), ("e", 1))), (Fraction(2), (("e", 1),)), (Fraction(-1), ())), which=3)
 @example(expr=((Fraction(1), (("f", 2), ("k", 1))), (Fraction(1), (("f", 2), ("k", 1)))), which=0)
+@example(expr=((Fraction(1), (("mode", "e", 0, 1), ("mode", "k+", 2, -1))), (Fraction(3), (("psi_inv",), ("psi",)))),
+         which=1)
+@example(expr=((Fraction(1), (("t_omega1",), ("braid", 2))), (Fraction(-2), (("tau",), ("mode", "k-", 0, -1)))),
+         which=2)
 def test_trie_evaluation_matches_word_by_word(dm_edge, expr, which):
     dm, vecs = dm_edge
     b_trie, b_words = WindowBudget(), WindowBudget()
-    got = eval_nc(dm, expr, vecs[which], b_trie)
+    got = eval_trie(dm, nc_trie(expr), vecs[which], b_trie)
     want = _eval_word_by_word(dm, expr, vecs[which], b_words)
     assert got == want
     assert b_trie.ok() == b_words.ok()

@@ -1,10 +1,10 @@
-"""Parameter-block constraints for both run modes."""
+"""Parameter-block constraints."""
 
 from fractions import Fraction
 
 import pytest
 
-from toroidal_duality.params import HECKE, ParameterError, Params, specialized_params, symbolic_params
+from toroidal_duality.params import ParameterError, Params, specialized_params, symbolic_params
 from toroidal_duality.scalars import D, Q, sc_pow
 
 
@@ -35,12 +35,6 @@ def test_duality_mode_rejects_root_of_unity_q():
 def test_duality_mode_pins_x():
     with pytest.raises(ParameterError):
         Params(n=4, l=2, q=Fraction(2), d=Fraction(3), x=Fraction(1))
-
-
-def test_hecke_mode_frees_x_and_y():
-    p = Params(n=2, l=3, q=Fraction(2), d=Fraction(1), mode=HECKE,
-               x=Fraction(7), y=Fraction(3))
-    assert p.x == Fraction(7) and p.y == Fraction(3)
 
 
 def test_alpha_scale():

@@ -8,7 +8,7 @@ operators are called at, directly from each thunk.
 import pytest
 
 from toroidal_duality.config import load_config
-from toroidal_duality.dualchecks import intertwining_items
+from toroidal_duality.dualchecks import intertwining_items, psi_conjugation_items
 from toroidal_duality.duality import DualityModule, duality_probes
 from toroidal_duality.qtoroidal import current_relation_items
 
@@ -62,4 +62,11 @@ def test_intertwining_thunks_bind_their_vertices(monkeypatch, l1_module):
     seen = _top_level_vertices(
         monkeypatch, {"km": 1, "braid": 0, "tau": None, "t_omega1": None}
     )
+    _assert_each_thunk_visits_its_indices(items, seen)
+
+
+def test_psi_conjugation_thunks_bind_their_vertices(monkeypatch, l1_module):
+    dmod, probes = l1_module
+    items = psi_conjugation_items(dmod, 1, probes)
+    seen = _top_level_vertices(monkeypatch, {"mode": 1, "psi": None, "psi_inv": None})
     _assert_each_thunk_visits_its_indices(items, seen)
