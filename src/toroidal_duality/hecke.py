@@ -114,10 +114,9 @@ class WindowBudget:
 def merge_vec(acc, items, coeff=Fraction(1)):
     """acc += coeff * items in place, dropping every entry that cancels to zero."""
     unit = coeff == 1
-    negate = not unit and coeff == -1  # a residual's rhs: negation, not a product
     for key, c in items:
         if not unit:
-            c = -c if negate else sc_mul(coeff, c)
+            c = sc_mul(coeff, c)
         prev = acc.get(key)
         s = c if prev is None else prev + c
         if is_zero(s):

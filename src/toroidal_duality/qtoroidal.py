@@ -17,9 +17,10 @@ All checks run at trivial central charge; central extensions are refused.
 
 Every instance is stated as data for `reports.identity`: words in the mode
 letters ("mode", kind, i, k), with q-power coefficients, built when the
-item's thunk runs.  The one evaluator calls only `ops.mode`, and drops a
-k+ / k- letter outside its sign range, so the sweeps need nothing more of
-the module than its modes (and `weight`, `q` for the weight display).
+item's thunk runs.  A term with a k+ / k- letter outside its sign range is
+zero by definition and left out as it is built, so the sweeps need nothing
+more of the module than the modes `ops.mode` accepts (and `weight`, `q` for
+the weight display).
 """
 
 from __future__ import annotations
@@ -73,7 +74,12 @@ class CartanData:
         ]
 
 
-K_KIND = {+1: "k+", -1: "k-"}  # a Cartan mode letter out of its sign range is zero
+K_KIND = {+1: "k+", -1: "k-"}
+
+
+def _zero(letter):
+    """Whether a mode letter is zero by definition: k+ modes live at k >= 0 and k- modes at k <= 0."""
+    return letter[1] == "k+" and letter[3] < 0 or letter[1] == "k-" and letter[3] > 0
 
 
 def _swap(a, b):
@@ -84,12 +90,14 @@ def _swap(a, b):
 def _cleared_terms(left, right, coeffs, R, S):
     """
     LHS - RHS of the cleared template for currents (left, right) twisted by
-    (a, m), as a 4-term expression.  `left` and `right` are mode letters
-    without their mode, and `coeffs` is (d^m, -q^a, -q^a d^m).
+    (a, m), as an expression of 4 terms, less the two of a zero Cartan mode
+    `left`.  `left` and `right` are mode letters without their mode, and
+    `coeffs` is (d^m, -q^a, -q^a d^m).
     """
     dm, mqa, mqadm = coeffs
     gR1, gR, hS1, hS = left + (R + 1,), left + (R,), right + (S - 1,), right + (S,)
-    return ((dm, (gR1, hS1)), (mqa, (gR, hS)), (mqadm, (hS1, gR1)), (ONE, (hS, gR)))
+    terms = () if _zero(gR1) else ((dm, (gR1, hS1)), (mqadm, (hS1, gR1)))
+    return terms + (() if _zero(gR) else ((mqa, (gR, hS)), (ONE, (hS, gR))))
 
 
 def weight_display(ops, i, vec, budget=None):
@@ -143,7 +151,8 @@ def current_relation_items(ops, K, probes):
     def ef_exchange(vec, i, j, r, s):
         e, f = ("mode", "e", i, r), ("mode", "f", j, s)
         lhs = ((qmqinv, (e, f)), (-qmqinv, (f, e)))
-        rhs = ((ONE, (("mode", "k+", i, r + s),)), (MINUS_ONE, (("mode", "k-", i, r + s),))) if i == j else ()
+        kp, km = ("mode", "k+", i, r + s), ("mode", "k-", i, r + s)
+        rhs = tuple(t for t in ((ONE, (kp,)), (MINUS_ONE, (km,))) if not _zero(t[1][0])) if i == j else ()
         return (lhs, rhs),
 
     # (2.1.6)/(2.1.7): e-e and f-f exchange with theta twist

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hecke import WindowBudget, merge_vec
+from . import hecke  # the kernel by its module name, which perfbench/layers.py traces
 
 KM_KINDS = frozenset(("e", "f", "k", "kinv"))
 ONE, MINUS_ONE = Fraction(1), Fraction(-1)
@@ -51,9 +51,9 @@ def eval_trie(ops, trie, vec, budget, out=None):
     """
     Add the trie's expression applied to vec into `out` (a new vector if
     None) and return it.  Depth first, one operator call per node: each node
-    sees the vector its suffix gives word by word, a subtree below an empty
-    vector is skipped, as a word stops at one, and so is a Cartan mode
-    letter outside its sign range, which is zero by definition.
+    sees the vector its suffix gives word by word, and a subtree below an
+    empty vector is skipped, as a word stops at one.  Every letter goes
+    through its operator method, so each method's own argument checks hold.
     """
     if out is None:
         out = {}
@@ -61,14 +61,11 @@ def eval_trie(ops, trie, vec, budget, out=None):
     while stack:
         (children, ends), v = stack.pop()
         for c in ends:
-            merge_vec(out, v.items(), c)
+            hecke.merge_vec(out, v.items(), c)
         for letter, child in children.items():
             name = letter[0]
-            if name == "mode":
-                _, kind, i, k = letter
-                if kind == "k+" and k < 0 or kind == "k-" and k > 0:
-                    continue  # k+ modes live at k >= 0 and k- modes at k <= 0
-                w = ops.mode(kind, i, k, v, budget)
+            if name == "mode":  # the hot letter, called without the generic splat below
+                w = ops.mode(letter[1], letter[2], letter[3], v, budget)
             elif name in KM_KINDS:
                 w = ops.km(name, letter[1], v, budget)
             else:
@@ -92,7 +89,7 @@ def identity(sides, ops=None):
     """
 
     def check(vec, *args):
-        budget = WindowBudget()
+        budget = hecke.WindowBudget()
         note = ""
         for lhs, rhs in sides(vec, *args):
             res, trie = {}, None
@@ -101,7 +98,7 @@ def identity(sides, ops=None):
             elif lhs:
                 trie = nc_trie(lhs)
             if callable(rhs):
-                merge_vec(res, [(key, -c) for key, c in rhs(budget).items()])
+                hecke.merge_vec(res, [(key, -c) for key, c in rhs(budget).items()])
             elif rhs:
                 trie = nc_trie(rhs, trie, -1)
             if trie is not None:
