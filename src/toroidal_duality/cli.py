@@ -59,6 +59,14 @@ def collect_items(target, cfg: SweepConfig):
         level_items,
     )
 
+    keep, prefixes = cfg.relation_filter(), cfg.relation_prefixes()
+
+    def build(stems, builder, *args):
+        """builder(*args), skipped when none of its relation ids (each starting with one of `stems`) is kept."""
+        if prefixes and not any(s.startswith(prefixes) or p.startswith(s) for s in stems for p in prefixes):
+            return []
+        return builder(*args)
+
     hmod = cfg.build_hecke_module()
     manifest = {"module": hmod.descriptor(), "probes": {}}
     items = []
@@ -70,25 +78,24 @@ def collect_items(target, cfg: SweepConfig):
             + q_presentation_checks(hmod)
             + conjugation_lemma_checks(hmod)
         )
-        items += make_hecke_items(hmod, checks, hp)
+        items += make_hecke_items(hmod, [chk for chk in checks if keep(chk.relation)], hp)
     if target in ("toroidal", "duality", "all"):
         dmod = DualityModule(hmod)
         dp = duality_probes(dmod, cfg.probes, cfg.seed)
         manifest["probes"].update({pid: dvec_to_json(vec) for pid, vec in dp})
         if target in ("toroidal", "all"):
-            items += current_relation_items(dmod, cfg.modes, dp)
-            items += integrability_items(dmod, cfg.modes, dp)
-            items += central_charge_items(dmod, dp)
-            items += level_items(dmod, dp)
+            items += build(("2.1.",), current_relation_items, dmod, cfg.modes, dp)
+            items += build(("int.",), integrability_items, dmod, cfg.modes, dp)
+            items += build(("cc.",), central_charge_items, dmod, dp)
+            items += build(("level.",), level_items, dmod, dp)
         if target in ("duality", "all"):
             hp = hecke_probes(hmod, min(cfg.hecke_probes, 12), cfg.seed)
             manifest["probes"].update({pid: hvec_to_json(vec) for pid, vec in hp})
-            items += psi_conjugation_items(dmod, cfg.modes, dp)
-            items += intertwining_items(dmod, dp)
-            items += regression_items(dmod, cfg.modes, dp)
-            items += reconstruction_items(dmod, cfg.modes, hp)
-            items += psi_inverse_items(dmod, dp)
-    keep = cfg.relation_filter()
+            items += build(("psi.shift-", "psi.double-"), psi_conjugation_items, dmod, cfg.modes, dp)
+            items += build(("braid.", "rotation.", "translation."), intertwining_items, dmod, dp)
+            items += build(("reg.",), regression_items, dmod, cfg.modes, dp)
+            items += build(("recon.",), reconstruction_items, dmod, cfg.modes, hp)
+            items += build(("psi.inverse",), psi_inverse_items, dmod, dp)
     items = [entry for entry in items if keep(entry[0][0])]
     return items, manifest
 

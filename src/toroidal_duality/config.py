@@ -77,8 +77,11 @@ class SweepConfig:
     symbolic: bool = False
     out: str = ""
 
+    def relation_prefixes(self):
+        return tuple(p.strip() for p in self.relations.split(",") if p.strip())
+
     def relation_filter(self):
-        prefixes = tuple(p.strip() for p in self.relations.split(",") if p.strip())
+        prefixes = self.relation_prefixes()
         if not prefixes:
             return lambda rel: True
         return lambda rel: rel.startswith(prefixes)

@@ -9,9 +9,11 @@ tuple of (coeff, word) terms, or a closed-form function of the window
 budget.  Words act rightmost letter first; a letter is a Kac-Moody
 generator (kind, j) as printed, acting through `km`, or (operator,
 *arguments) for any other operator method, e.g. ("mode", kind, i, k) or
-("psi",).  `eval_trie` is the one evaluator of expressions.  The runner
-sorts the reports by key, so the emitted JSON stream is byte-identical
-across runs; per-check wall time stays out of the canonical JSON.
+("psi",).  Each ops object keeps one word memo per probe vector, a suffix
+trie filled as checks walk it: each word suffix is applied once per probe
+and shared by every check, and `eval_trie` walks it for the translation
+tables.  The runner sorts the reports by key, so the emitted JSON stream
+is byte-identical across runs; per-check wall time stays out of the JSON.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ ONE, MINUS_ONE = Fraction(1), Fraction(-1)
 UNIT = ((ONE, ()),)  # the empty word: the identity operator
 
 
-def nc_trie(expr, root=None, sign=1):
+def nc_trie(expr):
     """
-    Suffix trie of an expression, or `root` with sign * expr added to it:
-    words that end in the same letters share the nodes of that suffix.  A
-    node is (children by letter, coefficients of the words that end there).
+    Suffix trie of an expression: words that end in the same letters share
+    the nodes of that suffix.  A node is (children by letter, coefficients
+    of the words that end there).
     """
-    if root is None:
-        root = ({}, [])
+    root = ({}, [])
     for c, word in expr:
         node = root
         for sym in reversed(word):
@@ -43,66 +44,94 @@ def nc_trie(expr, root=None, sign=1):
             if child is None:
                 child = node[0][sym] = ({}, [])
             node = child
-        node[1].append(c if sign > 0 else -c)
+        node[1].append(c)
     return root
+
+
+def _child(ops, node, letter):
+    """
+    The memo node of `letter` applied to `node`, made on first use: the one
+    place an operator is applied.  A node is [vector, valid along its path,
+    children or None]; an empty result, where words stop, is its validity.
+    """
+    budget = hecke.WindowBudget()
+    v, name = node[0], letter[0]
+    if name == "mode":  # the hot letter, called without the generic splat below
+        w = ops.mode(letter[1], letter[2], letter[3], v, budget)
+    elif name in KM_KINDS:
+        w = ops.km(name, letter[1], v, budget)
+    else:
+        w = getattr(ops, name)(*letter[1:], v, budget)
+    valid = node[1] and budget.ok()
+    node[2] = kids = node[2] or {}
+    kids[letter] = child = [w, valid, None] if w else valid
+    return child
+
+
+def _walk(ops, node, word):
+    """The memo node of `word` applied from `node`, rightmost letter first, stopping at an empty vector."""
+    for letter in reversed(word):
+        child = node[2].get(letter) if node[2] else None
+        node = _child(ops, node, letter) if child is None else child
+        if node is True or node is False:
+            break
+    return node
+
+
+def _memo_root(ops, vec):
+    """The word memo of (ops, vec), freed with `ops`; holding vec keeps its id key its own."""
+    return vars(ops).setdefault("_word_memo", {}).setdefault(id(vec), [vec, True, None])
 
 
 def eval_trie(ops, trie, vec, budget, out=None):
     """
     Add the trie's expression applied to vec into `out` (a new vector if
-    None) and return it.  Depth first, one operator call per node: each node
-    sees the vector its suffix gives word by word, and a subtree below an
-    empty vector is skipped, as a word stops at one.  Every letter goes
-    through its operator method, so each method's own argument checks hold.
+    None) and return it.  Depth first through the word memo of (ops, vec):
+    each node sees the vector its suffix gives word by word, and a subtree
+    below an empty vector is skipped, as a word stops at one.
     """
     if out is None:
         out = {}
-    stack = [(trie, vec)]
+    stack = [(trie, _memo_root(ops, vec))]
     while stack:
-        (children, ends), v = stack.pop()
-        for c in ends:
-            hecke.merge_vec(out, v.items(), c)
-        for letter, child in children.items():
-            name = letter[0]
-            if name == "mode":  # the hot letter, called without the generic splat below
-                w = ops.mode(letter[1], letter[2], letter[3], v, budget)
-            elif name in KM_KINDS:
-                w = ops.km(name, letter[1], v, budget)
-            else:
-                w = getattr(ops, name)(*letter[1:], v, budget)
-            if w:
-                stack.append((child, w))
+        (children, ends), node = stack.pop()
+        if node.__class__ is list:
+            for c in ends:
+                hecke.merge_vec(out, node[0].items(), c)
+            stack += [(sub, _walk(ops, node, (letter,))) for letter, sub in children.items()]
+            node = node[1]
+        budget.observe(node)
     return out
 
 
 def identity(sides, ops=None):
     """
     The check lhs == rhs for every (lhs, rhs) pair that sides(vec, *args)
-    returns, as a function of (vec, *args).
+    returns, as a function of (vec, *args), against one fresh WindowBudget.
 
-    Expression sides act on vec through the operators of `ops`; callable
-    sides are called with the budget.  Every pair is evaluated against one
-    fresh WindowBudget, and the check returns (residual_zero, budget_valid,
-    note), the note naming the first nonzero residual.  Bind the arguments
-    with functools.partial to get the item's thunk; `sides` runs inside it,
-    so an item costs nothing to build.
+    Expression terms walk the word memo of (ops, vec), so a suffix that an
+    earlier check on the same probe used costs a dict lookup; callable sides
+    are called with the budget.  The check returns (residual_zero,
+    budget_valid, note), the note naming the first nonzero residual.  Bind
+    the arguments with functools.partial to get the item's thunk; `sides`
+    runs inside it, so an item costs nothing to build.
     """
 
     def check(vec, *args):
         budget = hecke.WindowBudget()
         note = ""
+        root = None if ops is None else _memo_root(ops, vec)
         for lhs, rhs in sides(vec, *args):
-            res, trie = {}, None
-            if callable(lhs):
-                res = dict(lhs(budget))
-            elif lhs:
-                trie = nc_trie(lhs)
+            res = dict(lhs(budget)) if callable(lhs) else {}
             if callable(rhs):
                 hecke.merge_vec(res, [(key, -c) for key, c in rhs(budget).items()])
-            elif rhs:
-                trie = nc_trie(rhs, trie, -1)
-            if trie is not None:
-                eval_trie(ops, trie, vec, budget, res)
+            for side, sign in ((lhs, 1), (rhs, -1)):
+                for c, word in () if callable(side) else side:
+                    node = _walk(ops, root, word)
+                    if node.__class__ is list:
+                        hecke.merge_vec(res, node[0].items(), c if sign > 0 else -c)
+                        node = node[1]
+                    budget.observe(node)
             if res and not note:
                 note = f"residual has {len(res)} term(s); lead key {min(res)}"
         return not note, budget.ok(), note

@@ -160,6 +160,37 @@ def test_relation_selection(tmp_path):
     assert out3.read_bytes() == out2.read_bytes()
 
 
+def test_relation_filter_skips_builders_it_cannot_keep(tmp_path, monkeypatch):
+    from toroidal_duality import qtoroidal
+
+    full = tmp_path / "full.jsonl"
+    main(["verify", "toroidal", "--preset", "l1", *FAST, "--out", str(full)])
+
+    def refuse(*args):
+        raise AssertionError("no 2.1.* relation is kept")
+
+    monkeypatch.setattr(qtoroidal, "current_relation_items", refuse)
+    out = tmp_path / "level.jsonl"
+    code = main(["verify", "toroidal", "--preset", "l1", *FAST, "--relations", "level", "--out", str(out)])
+    assert code == EXIT_PASS
+    # the stream is the unfiltered run's records of the kept relations, byte for byte
+    kept = [line for line in full.read_text().splitlines(keepends=True) if '"relation":"level.' in line]
+    assert kept and out.read_text() == "".join(kept)
+
+
+def test_relation_filter_keeps_every_builder_that_can_match():
+    # each relation id, and each stem cut from one, selects exactly the ids it starts with
+    from toroidal_duality.cli import collect_items
+
+    def ids(relations):
+        cfg = load_config(preset="l1", overrides={"probes": 1, "hecke_probes": 1, "relations": relations}, env={})
+        return sorted({meta[0] for meta, _ in collect_items("all", cfg)[0]})
+
+    every = ids("")
+    for want in sorted(set(every) | {rel[:cut] for rel in every for cut in (2, 4)}):
+        assert ids(want) == [rel for rel in every if rel.startswith(want)], want
+
+
 @pytest.mark.parametrize("target, flag, value", [
     ("toroidal", "--modes", "0"),
     ("duality", "--modes", "-1"),

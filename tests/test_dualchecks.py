@@ -23,7 +23,7 @@ from toroidal_duality.dualchecks import (
 from toroidal_duality.hecke import PolynomialModule, UnitModule, WindowBudget, hecke_probes
 from toroidal_duality.params import specialized_params
 from toroidal_duality.qtoroidal import CartanData
-from toroidal_duality.reports import eval_trie, nc_trie, run_relation_items
+from toroidal_duality.reports import ONE, eval_trie, identity, nc_trie, run_relation_items
 from toroidal_duality.scalars import D, Q, sc_inv
 
 
@@ -259,6 +259,40 @@ def test_trie_evaluation_matches_word_by_word(dm_edge, expr, which):
     want = _eval_word_by_word(dm, expr, vecs[which], b_words)
     assert got == want
     assert b_trie.ok() == b_words.ok()
+
+
+@st.composite
+def memo_runs(draw):
+    """(probe index, expression) pairs; later words extend earlier ones on the right, acting first."""
+    run = []
+    for _ in range(draw(st.integers(1, 4))):
+        expr = draw(nc_exprs())
+        if run:
+            earlier = draw(st.sampled_from(run))[1]
+            expr += tuple((c, draw(words) + w) for c, w in earlier)
+        run.append((draw(st.integers(0, 3)), expr))
+    return run
+
+
+E1, F2 = ("e", 1), ("f", 2)
+
+
+@given(run=memo_runs())
+@settings(max_examples=60, deadline=None)
+# e_1 leaves the window on probe 3, e_1 e_1 is empty there, and both are
+# reused as suffixes: their cached validity must carry over
+@example(run=[(3, ((ONE, (E1,)),)), (0, ((ONE, (E1,)),)), (3, ((ONE, (E1, E1)),)),
+              (3, ((Fraction(2), (F2, E1, E1)), (ONE, (F2, E1))))])
+def test_word_memo_matches_word_by_word(dm_edge, run):
+    # one ops object evaluates the whole run through `identity`, so later
+    # checks find words that earlier checks put in its memo
+    dm, vecs = dm_edge
+    ops, ref = (DualityModule(PolynomialModule(dm.params, window=2)) for _ in range(2))
+    for which, expr in run:
+        b_words = WindowBudget()
+        want = _eval_word_by_word(ref, expr, vecs[which], b_words)
+        check = identity(lambda vec: ((expr, lambda budget: want),), ops=ops)
+        assert check(vecs[which]) == (True, b_words.ok(), "")
 
 
 @pytest.mark.parametrize("letter", [("mode", "k+", 1, -1), ("mode", "k-", 2, 1)])

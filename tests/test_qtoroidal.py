@@ -175,6 +175,43 @@ def test_perturbed_operator_is_caught(dm):
     assert any(r.status == "fail" for r in reports)
 
 
+class _DoubledE10:
+    """A wrapper of `inner` with e_{1,0} scaled by 2, as in the test above."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.params, self.n, self.l = inner.params, inner.n, inner.l
+        self.q, self.d = inner.q, inner.d
+        self.weight = inner.weight
+
+    def mode(self, kind, i, k, vec, budget=None):
+        out = self.inner.mode(kind, i, k, vec, budget)
+        return {key: Fraction(2) * c for key, c in out.items()} if (kind, i, k) == ("e", 1, 0) else out
+
+
+def test_filled_memo_stays_with_its_operators(dm):
+    # the word memo belongs to the ops object, never to the probe: filling
+    # dm's memo first must not hide the wrapper's perturbed operator
+    probes = duality_probes(dm, 3, seed=1)
+    assert all(r.status == "pass" for r in run_relation_items(current_relation_items(dm, 1, probes)))
+    reports = run_relation_items(current_relation_items(_DoubledE10(dm), 1, probes))
+    assert any(r.status == "fail" for r in reports)
+
+
+def test_memo_survives_recycled_probe_ids(dm):
+    # probe dicts made and dropped in a loop would take each other's ids if
+    # the memo let them go; each check must see its own vector, as on a
+    # fresh module
+    contents = [vec for _, vec in duality_probes(dm, 4, seed=2)]
+    want = [[thunk() for _, thunk in integrability_items(DualityModule(dm.h), 1, [("p", vec)])]
+            for vec in contents]
+    assert len({tuple(sorted(vec.items())) for vec in contents}) == 4
+    for turn in range(24):
+        items = integrability_items(dm, 1, [("p", dict(contents[turn % 4]))])
+        assert [thunk() for _, thunk in items] == want[turn % 4]
+        del items
+
+
 def test_integrability_and_charge_and_level(dm):
     probes = duality_probes(dm, 5, seed=11)
     items = (
