@@ -5,6 +5,8 @@ a duality sweep with formal q and d, in two child processes with
 PYTHONHASHSEED=0 and PYTHONHASHSEED=1, and diff the canonical JSON streams
 and summaries.  Equal bytes show that no report depends on the iteration
 order of a set, which string hashing changes from one process to the next.
+The stream is the bytes `write_jsonl` writes, and each child first checks
+them against the reference encoding `dumps_canonical(r.to_json_obj())`.
 
 Usage:
     python scripts/determinism_harness.py
@@ -13,10 +15,11 @@ Usage:
 import os
 import subprocess
 import sys
+import tempfile
 
 from toroidal_duality.cli import run_verify
 from toroidal_duality.config import load_config
-from toroidal_duality.reports import dumps_canonical
+from toroidal_duality.reports import dumps_canonical, write_jsonl
 
 # (label, target, preset, overrides)
 SWEEPS = [
@@ -33,14 +36,21 @@ SWEEPS = [
 def blob(target, preset, overrides):
     cfg = load_config(preset=preset, overrides=overrides, env={})
     reports, summary, _ = run_verify(target, cfg)
-    stream = "\n".join(dumps_canonical(r.to_json_obj()) for r in reports)
-    return stream + "\n" + dumps_canonical(summary)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "stream.jsonl")
+        write_jsonl(path, reports)
+        with open(path, "rb") as fh:
+            stream = fh.read().decode("utf-8")
+    if stream != "".join(dumps_canonical(r.to_json_obj()) + "\n" for r in reports):
+        raise SystemExit(f"{target} --preset {preset}: write_jsonl differs from the reference encoding")
+    return stream + dumps_canonical(summary)
 
 
 def blob_in_child(label, hash_seed):
     env = {**os.environ, "PYTHONHASHSEED": str(hash_seed)}
+    # a child's error, such as a writer mismatch, goes to stderr and stops the harness
     done = subprocess.run([sys.executable, __file__, "--child", label], env=env,
-                          capture_output=True, text=True, check=True)
+                          stdout=subprocess.PIPE, text=True, check=True)
     return done.stdout
 
 

@@ -12,22 +12,27 @@ generator (kind, j) as printed, acting through `km`, or (operator,
 ("psi",).  Each ops object keeps one word memo per probe vector, a suffix
 trie filled as checks walk it: each word suffix is applied once per probe
 and shared by every check, and `eval_trie` walks it for the translation
-tables.  The runner sorts the reports by key, so the emitted JSON stream
-is byte-identical across runs; per-check wall time stays out of the JSON.
+tables.  The runner sorts the reports (NamedTuples) by key and `write_jsonl`
+fills one sorted-key line template, so the emitted JSON stream is
+byte-identical across runs; per-check wall time stays out of the JSON.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
+from typing import NamedTuple
 
 from . import hecke  # the kernel by its module name, which perfbench/layers.py traces
 
 KM_KINDS = frozenset(("e", "f", "k", "kinv"))
 ONE, MINUS_ONE = Fraction(1), Fraction(-1)
 UNIT = ((ONE, ()),)  # the empty word: the identity operator
+_BUDGET = hecke.WindowBudget()  # reset by `_child` per call; checks run serially and never reenter the memo
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode  # dumps_canonical's encoding of one value
 
 
 def nc_trie(expr):
@@ -54,15 +59,15 @@ def _child(ops, node, letter):
     place an operator is applied.  A node is [vector, valid along its path,
     children or None]; an empty result, where words stop, is its validity.
     """
-    budget = hecke.WindowBudget()
+    _BUDGET.valid = True
     v, name = node[0], letter[0]
     if name == "mode":  # the hot letter, called without the generic splat below
-        w = ops.mode(letter[1], letter[2], letter[3], v, budget)
+        w = ops.mode(letter[1], letter[2], letter[3], v, _BUDGET)
     elif name in KM_KINDS:
-        w = ops.km(name, letter[1], v, budget)
+        w = ops.km(name, letter[1], v, _BUDGET)
     else:
-        w = getattr(ops, name)(*letter[1:], v, budget)
-    valid = node[1] and budget.ok()
+        w = getattr(ops, name)(*letter[1:], v, _BUDGET)
+    valid = node[1] and _BUDGET.valid
     node[2] = kids = node[2] or {}
     kids[letter] = child = [w, valid, None] if w else valid
     return child
@@ -98,7 +103,10 @@ def eval_trie(ops, trie, vec, budget, out=None):
         if node.__class__ is list:
             for c in ends:
                 hecke.merge_vec(out, node[0].items(), c)
-            stack += [(sub, _walk(ops, node, (letter,))) for letter, sub in children.items()]
+            kids = node[2]
+            for letter, sub in children.items():
+                child = kids.get(letter) if kids else None
+                stack.append((sub, _child(ops, node, letter) if child is None else child))
             node = node[1]
         budget.observe(node)
     return out
@@ -122,16 +130,18 @@ def identity(sides, ops=None):
         note = ""
         root = None if ops is None else _memo_root(ops, vec)
         for lhs, rhs in sides(vec, *args):
-            res = dict(lhs(budget)) if callable(lhs) else {}
-            if callable(rhs):
+            lhs_closed, rhs_closed = callable(lhs), callable(rhs)
+            res = dict(lhs(budget)) if lhs_closed else {}
+            if rhs_closed:
                 hecke.merge_vec(res, [(key, -c) for key, c in rhs(budget).items()])
-            for side, sign in ((lhs, 1), (rhs, -1)):
-                for c, word in () if callable(side) else side:
-                    node = _walk(ops, root, word)
-                    if node.__class__ is list:
-                        hecke.merge_vec(res, node[0].items(), c if sign > 0 else -c)
-                        node = node[1]
-                    budget.observe(node)
+            if not (lhs_closed and rhs_closed):  # a pair of closed forms walks no word
+                for side, sign in ((lhs, 1), (rhs, -1)):
+                    for c, word in () if callable(side) else side:
+                        node = _walk(ops, root, word)
+                        if node.__class__ is list:
+                            hecke.merge_vec(res, node[0].items(), c if sign > 0 else -c)
+                            node = node[1]
+                        budget.observe(node)
             if res and not note:
                 note = f"residual has {len(res)} term(s); lead key {min(res)}"
         return not note, budget.ok(), note
@@ -139,8 +149,7 @@ def identity(sides, ops=None):
     return check
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     relation: str
     indices: tuple
     modes: tuple
@@ -156,9 +165,6 @@ class RelationReport:
         if not self.budget_valid:
             return "skip"
         return "pass" if self.residual_zero else "fail"
-
-    def sort_key(self):
-        return (self.relation, self.indices, self.modes, self.probe)
 
     def to_json_obj(self):
         obj = {
@@ -180,14 +186,14 @@ def run_relation_items(items, *, workers=1):
     # kept only because perfbench/sweep.py forwards workers=1 to this runner
     if workers != 1:
         raise ValueError(f"the check runner is serial; workers must be 1, got {workers!r}")
-    reports = []
+    clock, reports = time.perf_counter, []
     for (relation, indices, modes, probe), thunk in items:
-        t0 = time.perf_counter()
+        t0 = clock()
         zero, valid, note = thunk()
-        dt = time.perf_counter() - t0
+        dt = clock() - t0
         reports.append(RelationReport(relation, tuple(indices), tuple(modes), probe,
                                       bool(zero), bool(valid), dt, note))
-    reports.sort(key=RelationReport.sort_key)
+    reports.sort(key=itemgetter(0, 1, 2, 3))
     return reports
 
 
@@ -199,11 +205,7 @@ def summarize(reports, config_echo):
         slot[r.status] += 1
         key = {"pass": "passed", "fail": "failed", "skip": "skipped"}[r.status]
         totals[key] += 1
-    status = "pass"
-    if totals["skipped"]:
-        status = "warn"
-    if totals["failed"]:
-        status = "fail"
+    status = "fail" if totals["failed"] else "warn" if totals["skipped"] else "pass"
     worst = {
         rel: ("fail" if c["fail"] else ("skip" if c["skip"] else "pass"))
         for rel, c in sorted(per_relation.items())
@@ -223,20 +225,36 @@ def dumps_canonical(obj):
 
 
 def write_jsonl(path, reports):
+    """
+    Stream the lines dumps_canonical(r.to_json_obj()) from one sorted-key template, each
+    relation, probe, indices and modes value encoded once.  Tuples share a text only when
+    every element is an int, since (1,) == (True,); residual_zero and budget_valid are bools.
+    """
+    memo = {}
+    hit = memo.get
+    ints = {*map(type, chain.from_iterable(chain.from_iterable(map(itemgetter(1, 2), reports))))} <= {int}
+    hit_tuple = hit if ints else {}.get  # else a lookup that always misses
+
+    def encode(value):
+        memo[value] = text = _ENCODE(value)
+        return text
+
+    def lines():
+        for relation, indices, modes, probe, zero, valid, _, note in reports:
+            status = ("pass" if zero else "fail") if valid else "skip"
+            note = f'"note":{_ENCODE(note)},' if note and status != "pass" else ""
+            yield (f'{{"budget_valid":{"true" if valid else "false"},'
+                   f'"indices":{hit_tuple(indices) or encode(indices)},"modes":{hit_tuple(modes) or encode(modes)},'
+                   f'{note}"probe":{hit(probe) or encode(probe)},"relation":{hit(relation) or encode(relation)},'
+                   f'"residual_zero":{"true" if zero else "false"},"status":"{status}"}}\n')
+
     with open(path, "w", encoding="utf-8") as fh:
-        for r in reports:
-            fh.write(dumps_canonical(r.to_json_obj()))
-            fh.write("\n")
+        fh.writelines(lines())
 
 
 def read_jsonl(path):
-    out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+        return [json.loads(line) for line in map(str.strip, fh) if line]
 
 
 def render_table(objs):
