@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from . import hecke  # the kernel by its module name, which perfbench/layers.py traces
@@ -33,6 +34,7 @@ ONE, MINUS_ONE = Fraction(1), Fraction(-1)
 UNIT = ((ONE, ()),)  # the empty word: the identity operator
 _BUDGET = hecke.WindowBudget()  # reset by `_child` per call; checks run serially and never reenter the memo
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode  # dumps_canonical's encoding of one value
+_TOTAL_KEY = {"pass": "passed", "fail": "failed", "skip": "skipped"}  # summary totals key of a status
 
 
 def nc_trie(expr):
@@ -85,7 +87,14 @@ def _walk(ops, node, word):
 
 def _memo_root(ops, vec):
     """The word memo of (ops, vec), freed with `ops`; holding vec keeps its id key its own."""
-    return vars(ops).setdefault("_word_memo", {}).setdefault(id(vec), [vec, True, None])
+    attrs = vars(ops)
+    memo = attrs.get("_word_memo")
+    if memo is None:
+        memo = attrs["_word_memo"] = {}
+    root = memo.get(id(vec))
+    if root is None:
+        root = memo[id(vec)] = [vec, True, None]
+    return root
 
 
 def eval_trie(ops, trie, vec, budget, out=None):
@@ -200,11 +209,9 @@ def run_relation_items(items, *, workers=1):
 def summarize(reports, config_echo):
     totals = {"checked": len(reports), "passed": 0, "failed": 0, "skipped": 0}
     per_relation = {}
-    for r in reports:
-        slot = per_relation.setdefault(r.relation, {"pass": 0, "fail": 0, "skip": 0})
-        slot[r.status] += 1
-        key = {"pass": "passed", "fail": "failed", "skip": "skipped"}[r.status]
-        totals[key] += 1
+    for (relation, status), count in Counter(map(attrgetter("relation", "status"), reports)).items():
+        per_relation.setdefault(relation, {"pass": 0, "fail": 0, "skip": 0})[status] += count
+        totals[_TOTAL_KEY[status]] += count
     status = "fail" if totals["failed"] else "warn" if totals["skipped"] else "pass"
     worst = {
         rel: ("fail" if c["fail"] else ("skip" if c["skip"] else "pass"))

@@ -15,11 +15,15 @@ Laurent polynomial).  Aggressive demotion keeps specialized runs (q, d
 given as rationals) entirely inside Fraction arithmetic and makes
 structural equality a complete equality test.
 
-Canonical forms: no zero coefficients are stored, rationals are reduced
-by Fraction itself, and a LaurentFrac denominator is a non-unit
-polynomial with nonnegative exponents, integer coprime coefficients,
-positive leading coefficient under graded-lex order, and no common
-factor with the numerator (cleared by a multivariate polynomial gcd).
+Canonical forms: no zero coefficients are stored; a Laurent coefficient
+is an ``int`` when integral and a reduced ``Fraction`` only when it is
+not, so formal runs, whose coefficients are integers, multiply machine
+ints (a constant that demotes out of a Laurent is still a Fraction, and
+every division goes through Fraction, so no float arises); a LaurentFrac
+denominator is a non-unit polynomial with nonnegative exponents, integer
+coprime coefficients, positive leading coefficient under graded-lex
+order, and no common factor with the numerator (cleared by a
+multivariate polynomial gcd).
 """
 
 from __future__ import annotations
@@ -46,18 +50,42 @@ def _as_fraction(c):
     raise TypeError(f"not a rational coefficient: {c!r}")
 
 
+def _coef(c):
+    """The stored form of a rational coefficient: an int when integral, else a Fraction."""
+    if c.__class__ is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):  # bool
+        return int(c)
+    raise TypeError(f"not a rational coefficient: {c!r}")
+
+
+def _settle(terms):
+    """Demote the integral Fraction coefficients of a terms dict in place; return it."""
+    for exp, c in terms.items():
+        if c.__class__ is not int and c.denominator == 1:
+            terms[exp] = c.numerator
+    return terms
+
+
+def _narrowest(terms):
+    """A terms dict of stored, nonzero coefficients as a scalar: a constant demotes to a Fraction."""
+    if not terms:
+        return Fraction(0)
+    if len(terms) == 1 and _ZEXP in terms:
+        return _as_fraction(terms[_ZEXP])
+    return Laurent(terms)
+
+
 def make_laurent(terms):
     """Normalize a {exponent: coefficient} dict into a scalar."""
     clean = {}
     for exp, c in terms.items():
-        c = _as_fraction(c)
+        c = _coef(c)
         if c:
             clean[exp] = c
-    if not clean:
-        return Fraction(0)
-    if len(clean) == 1 and _ZEXP in clean:
-        return clean[_ZEXP]
-    return Laurent(clean)
+    return _narrowest(clean)
 
 
 class Laurent:
@@ -73,13 +101,13 @@ class Laurent:
     def var(name, power=1):
         i = SYMBOLS.index(name)
         exp = tuple(power if k == i else 0 for k in range(_NVARS))
-        return Laurent({exp: Fraction(1)})
+        return Laurent({exp: 1})
 
     def _lift(self, other):
         if isinstance(other, Laurent):
             return other
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _coef(other)
             return Laurent({_ZEXP: c}) if c else Laurent({})
         return None
 
@@ -90,13 +118,15 @@ class Laurent:
         if other is None:
             return NotImplemented
         terms = dict(self.terms)
-        for exp, c in other.terms.items():
+        for exp, c in other.terms.items():  # merge, demoting only the sums it makes
             s = terms.get(exp, 0) + c
-            if s:
+            if not s:
+                del terms[exp]
+            elif s.__class__ is int or s.denominator != 1:
                 terms[exp] = s
             else:
-                terms.pop(exp, None)
-        return make_laurent(terms)
+                terms[exp] = s.numerator
+        return _narrowest(terms)
 
     __radd__ = __add__
 
@@ -116,11 +146,12 @@ class Laurent:
             if len(self.terms) == 1:
                 return other._shift(self)
         elif isinstance(other, (int, Fraction)):
+            other = _coef(other)
             if other == 1:
                 return self
             if not other:
                 return Fraction(0)
-            return Laurent({e: c * other for e, c in self.terms.items()})
+            return Laurent(_settle({e: c * other for e, c in self.terms.items()}))
         elif isinstance(other, LaurentFrac):
             return other.__rmul__(self)
         else:
@@ -133,8 +164,8 @@ class Laurent:
                 if s:
                     terms[exp] = s
                 else:
-                    terms.pop(exp, None)
-        return make_laurent(terms)
+                    del terms[exp]
+        return _narrowest(_settle(terms))
 
     __rmul__ = __mul__
 
@@ -146,9 +177,7 @@ class Laurent:
             (e[0] + e2[0], e[1] + e2[1], e[2] + e2[2]): c if unit else c * c2
             for e, c in self.terms.items()
         }
-        if len(terms) == 1 and _ZEXP in terms:
-            return terms[_ZEXP]
-        return Laurent(terms)
+        return _narrowest(terms if unit else _settle(terms))
 
     def __pow__(self, n):
         if n < 0:
@@ -195,7 +224,7 @@ def _lift(x):
     """Force a nonzero scalar into raw Laurent shape (no demotion)."""
     if isinstance(x, Laurent):
         return x
-    return Laurent({_ZEXP: _as_fraction(x)})
+    return Laurent({_ZEXP: _coef(x)})
 
 
 def _monomial_content(lp):
@@ -237,7 +266,7 @@ def _exact_div(a, b):
         ea = max(ta)
         exp = tuple(x - y for x, y in zip(ea, eb))
         assert min(exp) >= 0, "inexact division"
-        m = make_laurent({exp: ta[ea] / tb[eb]})
+        m = make_laurent({exp: Fraction(ta[ea], tb[eb])})
         out = out + m
         a = a - m * b
     return out
@@ -255,7 +284,7 @@ def _primitive(p, k, rest):
     """p over its content, scaled to lex-leading coefficient 1."""
     p = _exact_div(p, _content(p, k, rest))
     t = _terms(p)
-    return p * (1 / t[max(t)])
+    return p * Fraction(1, t[max(t)])
 
 
 def _prem(a, b, k):
@@ -342,7 +371,7 @@ class LaurentFrac:
         scale = Fraction(lcm, g)
         if den.leading()[1] * scale < 0:
             scale = -scale
-        den = Laurent({e: c * scale for e, c in den.terms.items()})
+        den = Laurent({e: (c * scale).numerator for e, c in den.terms.items()})  # scale clears every denominator
         num = sc_mul(num, scale)
         if isinstance(num, Fraction) and not num:
             return num
@@ -352,7 +381,7 @@ class LaurentFrac:
         if isinstance(other, LaurentFrac):
             return other
         if isinstance(other, (int, Fraction, Laurent)):
-            return LaurentFrac(other, make_laurent({_ZEXP: Fraction(1)}))
+            return LaurentFrac(other, Fraction(1))
         return None
 
     def __add__(self, other):
@@ -444,7 +473,7 @@ def sc_inv(a):
             raise ZeroDivisionError("division by zero")
         if a.is_unit():
             (exp, c), = a.terms.items()
-            return make_laurent({tuple(-e for e in exp): 1 / c})
+            return make_laurent({tuple(-e for e in exp): Fraction(1, c)})
         return LaurentFrac.make(Fraction(1), a)
     if isinstance(a, LaurentFrac):
         return LaurentFrac.make(a.den, a.num)

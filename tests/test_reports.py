@@ -1,10 +1,10 @@
-"""The canonical line writer against the reference encoding of a report."""
+"""The canonical line writer and the summary against reference recounts of the reports."""
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toroidal_duality.reports import RelationReport, dumps_canonical, write_jsonl
+from toroidal_duality.reports import RelationReport, dumps_canonical, summarize, write_jsonl
 
 # quotes, backslashes, control characters and non-ASCII, among any characters
 TEXT = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7fé€\ud800\U0001d52e'),
@@ -36,3 +36,33 @@ def test_writer_matches_the_reference_encoding(path, reports):
     write_jsonl(path, reports)
     want = "".join(dumps_canonical(r.to_json_obj()) + "\n" for r in reports)
     assert path.read_bytes() == want.encode("utf-8")
+
+
+# pass, fail and skip records spread over several relations, in no order
+SUMMARY_REPORT = st.builds(RelationReport, st.sampled_from(["2.1.1", "2.1.2", "braid.e", "recon.t"]),
+                           st.just(()), st.just(()), st.sampled_from(["p000", "p001"]),
+                           st.booleans(), st.booleans())
+
+
+@given(st.lists(SUMMARY_REPORT, max_size=30))
+@settings(max_examples=50)
+@example(ALL_STATUSES)
+@example([])
+def test_summary_matches_a_naive_recount(reports):
+    echo = {"target": "toroidal", "seed": 11}
+    statuses = [r.status for r in reports]
+    relations = sorted({r.relation for r in reports})
+    per_relation = {rel: {s: sum(r.relation == rel and r.status == s for r in reports)
+                          for s in ("pass", "fail", "skip")} for rel in relations}
+    totals = {"checked": len(reports), "passed": statuses.count("pass"),
+              "failed": statuses.count("fail"), "skipped": statuses.count("skip")}
+    worst = {rel: "fail" if c["fail"] else "skip" if c["skip"] else "pass" for rel, c in per_relation.items()}
+    status = "fail" if "fail" in statuses else "warn" if "skip" in statuses else "pass"
+    summary = summarize(reports, echo)
+    assert summary["totals"] == totals
+    assert summary["per_relation"] == per_relation and list(summary["per_relation"]) == relations
+    assert summary["worst"] == worst and list(summary["worst"]) == relations
+    assert summary["status"] == status
+    assert dumps_canonical(summary) == dumps_canonical({
+        "schema": "sweep-summary@1", "config": echo, "totals": totals,
+        "per_relation": per_relation, "worst": worst, "status": status})

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toroidal_duality.scalars import (
@@ -213,3 +213,136 @@ def test_product_demotion():
     inv = make_laurent({(-2, 1, 0): Fraction(2, 3)})
     assert type(mono * inv) is Fraction and mono * inv == 1
     assert mono * make_laurent({(-2, 1, 0): Fraction(5)}) == Fraction(15, 2)
+
+
+# -- stored coefficient forms -----------------------------------------------
+
+# int and Fraction inputs mixed, integral Fractions such as 4/2 among them
+mixed_rationals = st.one_of(st.integers(-60, 60), rationals,
+                            st.builds(Fraction, st.integers(-6, 6).map(lambda k: 2 * k), st.just(2)))
+
+
+@st.composite
+def mixed_laurents(draw):
+    return make_laurent(draw(st.dictionaries(exponents, mixed_rationals, max_size=4)))
+
+
+@st.composite
+def q_polynomials(draw):
+    """A nonzero denominator in q alone, as in scalars(): the gcd with it stays quick."""
+    den = make_laurent({(0, 0, 0): draw(mixed_rationals), (1, 0, 0): draw(mixed_rationals)})
+    assume(not is_zero(den))
+    return den
+
+
+@st.composite
+def mixed_scalars(draw):
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(mixed_rationals)
+    if kind == 1:
+        return draw(mixed_laurents())
+    return LaurentFrac.make(draw(mixed_laurents()), draw(q_polynomials()))
+
+
+def _stored_coefficient(c):
+    """An int, or a Fraction that is not one: never a float, a bool or an integral Fraction."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def assert_stored_forms(x):
+    """Every coefficient of a Laurent, or of a LaurentFrac's num and den, is stored narrowest."""
+    if isinstance(x, LaurentFrac):
+        assert_stored_forms(x.num)
+        assert isinstance(x.den, Laurent)
+        assert_stored_forms(x.den)
+    elif isinstance(x, Laurent):
+        assert x.terms and all(_stored_coefficient(c) and c for c in x.terms.values()), x.terms
+    else:
+        assert type(x) in (int, Fraction), repr(x)
+
+
+def _kernel_result(x, *operands):
+    """assert_stored_forms, and a rational result of a formal operand comes back as a Fraction."""
+    assert_stored_forms(x)
+    if any(isinstance(a, (Laurent, LaurentFrac)) for a in operands) and not isinstance(x, (Laurent, LaurentFrac)):
+        assert type(x) is Fraction, repr(x)
+
+
+@given(mixed_scalars(), mixed_scalars(), q_polynomials(), st.integers(-2, 2))
+@example(make_laurent({(0, 0, 1): Fraction(1, 2), (1, 0, 0): 3}), sc_inv(Q * 2 + Fraction(2, 3)), Q * 3 - 1, -2)
+@settings(max_examples=150, deadline=None)
+def test_coefficients_stay_int_or_nonintegral_fraction(a, b, den, n):
+    for x in (a, b):
+        assert_stored_forms(x)
+        _kernel_result(scalar_from_json(scalar_to_json(x)), x)
+        _kernel_result(-x, x)
+        if not is_zero(x):
+            _kernel_result(sc_inv(x), x)
+            _kernel_result(sc_pow(x, n), x)
+        _kernel_result(sc_pow(x, abs(n)), x)
+    _kernel_result(a + a, a)  # halves add up to integers
+    _kernel_result(a + b, a, b)
+    _kernel_result(a - b, a, b)
+    _kernel_result(b - a, a, b)
+    _kernel_result(a * b, a, b)
+    _kernel_result(b * a, a, b)
+    # over a general b, make() meets the three-symbol gcd, which can run for minutes
+    _kernel_result(LaurentFrac.make(a, den), a, den)
+    _kernel_result(LaurentFrac.make(b, den), b, den)
+    _kernel_result(LaurentFrac.make(a, n or 2), a)  # an int denominator
+
+
+def test_stored_forms_of_named_values():
+    assert Q.terms == {(1, 0, 0): 1} and type(Q.terms[(1, 0, 0)]) is int
+    for x in (Q * Fraction(4, 2), Q * Fraction(1, 2) * 2, (Q + Fraction(1, 2)) + Fraction(1, 2),
+              make_laurent({(1, 0, 0): True, (0, 1, 0): Fraction(6, 3)}), sc_inv(Q * 2 + 2),
+              sc_inv(make_laurent({(1, 0, 0): Fraction(1, 3)}))):
+        assert_stored_forms(x)
+    assert type((Q + Fraction(1, 2)) - Q) is Fraction
+    assert type(Q * sc_inv(Q)) is Fraction
+    with pytest.raises(TypeError):
+        make_laurent({(1, 0, 0): 0.5})
+
+
+rational_points = st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(1, 4))
+
+
+@given(mixed_scalars(), mixed_scalars(), rational_points, rational_points, rational_points)
+@settings(max_examples=100, deadline=None)
+def test_specialization_commutes_with_mixed_sum_and_product(a, b, qv, dv, yv):
+    subs = {"q": qv, "d": dv, "y": yv}
+    try:
+        sa, sb = specialize(a, subs), specialize(b, subs)
+        s_sum, s_prod = specialize(a + b, subs), specialize(a * b, subs)
+    except ZeroDivisionError:  # a denominator vanishes at this point
+        assume(False)
+    assert s_sum == sa + sb and type(s_sum) is Fraction
+    assert s_prod == sa * sb and type(s_prod) is Fraction
+
+
+def test_formal_sweep_columns_hold_stored_forms(monkeypatch):
+    """Every operator column a formal sweep caches has its Laurent coefficients in stored form."""
+    from toroidal_duality import duality
+    from toroidal_duality.cli import run_verify
+    from toroidal_duality.config import load_config
+
+    made = []
+
+    class Recorded(duality.DualityModule):
+        def __init__(self, hmodule):
+            super().__init__(hmodule)
+            made.append(self)
+
+    monkeypatch.setattr(duality, "DualityModule", Recorded)
+    cfg = load_config(preset="poly", overrides={"symbolic": True, "probes": 1, "modes": 1}, env={})
+    _, summary, _ = run_verify("toroidal", cfg)
+    assert summary["status"] == "pass" and len(made) == 1
+    columns = made[0]._cache
+    assert columns
+    formal = 0
+    for items, _valid in columns.values():
+        for _key, c in items:
+            assert_stored_forms(c)
+            formal += isinstance(c, (Laurent, LaurentFrac))
+    assert formal  # the sweep did reach Laurent coefficients
