@@ -12,8 +12,8 @@ tensor product over H.
 
 Operator conventions:
 
-  * finite vertices i in 1..n act through the coproduct on the V factors;
-  * the affine node acts by the twisted formulas with the d^(-+1) scales;
+  * vertices j in 1..n+1 act through the coproduct on the V factors; the
+    affine vertex n+1 is the wrap n+1 <-> 1, decorated by Y_p^(-+1) d^(-+1);
   * Drinfeld modes at vertices 1..n come straight from the closed mode
     formulas (spectral scale alpha_i = q^(n+1-i) d^i, argument Y);
   * vertex 0 is psi-conjugation of vertex 1 with spectral rescale q d^-1.
@@ -40,27 +40,8 @@ DVec = dict[DKey, Scalar]
 
 # -- fundamental representation ----------------------------------------------
 
-def fund_e(i, r):
-    return r - 1 if r == i + 1 else None
-
-
-def fund_f(i, r):
-    return r + 1 if r == i else None
-
-
-def fund_k_exp(i, r):
-    return (1 if r == i else 0) - (1 if r == i + 1 else 0)
-
-
-def fund_etheta(r, n):
-    return 1 if r == n + 1 else None
-
-
-def fund_ftheta(r, n):
-    return n + 1 if r == 1 else None
-
-
 def fund_ktheta_exp(r, n):
+    """k_theta exponent on one slot holding r (k_0 acts by its inverse); dualchecks reads it."""
     return (1 if r == 1 else 0) - (1 if r == n + 1 else 0)
 
 
@@ -215,70 +196,44 @@ class DualityModule:
     # -- Kac-Moody actions ----------------------------------------------------
 
     def weight(self, i, jt):
-        """k_{i,0} exponent on a tuple, vertices 0..n."""
-        if i == 0:
-            return sum(1 for v in jt if v == self.n + 1) - sum(1 for v in jt if v == 1)
-        return sum(1 for v in jt if v == i) - sum(1 for v in jt if v == i + 1)
+        """k_{i,0} exponent on a tuple, vertices 0..n (vertex 0 counts n+1 in place of 0)."""
+        return jt.count(i or self.n + 1) - jt.count(i + 1)
 
-    def _finite_basis(self, kind, i, key, budget):
+    def _km_basis(self, kind, j, key, budget):
+        """
+        Vertex j in 1..n+1 through the coproduct, one slot p at a time, with
+        i = j % (n+1): e moves a slot holding i+1 to j, f a slot holding j to
+        i+1.  The affine vertex j = n+1 is that wrap, with the moved slot
+        picking up Y_p^-+1 and the term the scale d^-+1.
+        """
         hkey, jt = key
-        q = self.q
+        i = j % (self.n + 1)
         if kind in ("k", "kinv"):
             w = self.weight(i, jt)
-            return {key: sc_pow(q, w if kind == "k" else -w)}
+            return {key: sc_pow(self.q, w if kind == "k" else -w)}
+        e = kind == "e"
+        src, dst, sign = (i + 1, j, -1) if e else (j, i + 1, 1)
         raw = []
-        if kind == "e":
-            for p in range(1, self.l + 1):
-                if fund_e(i, jt[p - 1]) is None:
-                    continue
-                wexp = sum(fund_k_exp(i, jt[t]) for t in range(p, self.l))
-                j2 = jt[: p - 1] + (i,) + jt[p:]
-                raw.append(({hkey: sc_pow(q, wexp)}, j2, Fraction(1)))
-        elif kind == "f":
-            for p in range(1, self.l + 1):
-                if fund_f(i, jt[p - 1]) is None:
-                    continue
-                wexp = -sum(fund_k_exp(i, jt[t]) for t in range(p - 1))
-                j2 = jt[: p - 1] + (i + 1,) + jt[p:]
-                raw.append(({hkey: sc_pow(q, wexp)}, j2, Fraction(1)))
-        else:
-            raise ValueError(kind)
-        return self._hecke_then_straighten(raw, budget)
-
-    def _affine_basis(self, kind, key, budget):
-        hkey, jt = key
-        n, q, d = self.n, self.q, self.d
-        if kind in ("k", "kinv"):
-            w = -sum(fund_ktheta_exp(v, n) for v in jt)
-            return {key: sc_pow(q, w if kind == "k" else -w)}
-        raw = []
-        if kind == "e":
-            for p in range(1, self.l + 1):
-                if fund_ftheta(jt[p - 1], n) is None:
-                    continue
-                wexp = -sum(fund_ktheta_exp(jt[t], n) for t in range(p, self.l))
-                hv = apply_word(self.h, lt("Y", p, -1), {hkey: sc_pow(q, wexp)}, budget)
-                j2 = jt[: p - 1] + (n + 1,) + jt[p:]
-                raw.append((hv, j2, sc_inv(d)))
-        elif kind == "f":
-            for p in range(1, self.l + 1):
-                if fund_etheta(jt[p - 1], n) is None:
-                    continue
-                wexp = sum(fund_ktheta_exp(jt[t], n) for t in range(p - 1))
-                hv = apply_word(self.h, lt("Y", p), {hkey: sc_pow(q, wexp)}, budget)
-                j2 = jt[: p - 1] + (1,) + jt[p:]
-                raw.append((hv, j2, d))
-        else:
-            raise ValueError(kind)
+        for p in range(1, self.l + 1):
+            if jt[p - 1] != src:
+                continue
+            wexp = self.weight(i, jt[p:]) if e else -self.weight(i, jt[: p - 1])
+            hv = {hkey: sc_pow(self.q, wexp)}
+            j2 = jt[: p - 1] + (dst,) + jt[p:]
+            if i:
+                raw.append((hv, j2, Fraction(1)))
+            else:
+                hv = apply_word(self.h, lt("Y", p, sign), hv, budget)
+                raw.append((hv, j2, sc_inv(self.d) if e else self.d))
         return self._hecke_then_straighten(raw, budget)
 
     def km(self, kind, j, vec, budget=None):
         """Kac-Moody generator action, vertices j in 1..n+1; kinds e f k kinv."""
-        if j == self.n + 1:
-            return self._linear(("A", kind), lambda key, b: self._affine_basis(kind, key, b), vec, budget)
-        return self._linear(
-            ("F", kind, j), lambda key, b: self._finite_basis(kind, j, key, b), vec, budget
-        )
+        if not 1 <= j <= self.n + 1:
+            raise ValueError(f"km vertex {j} outside 1..{self.n + 1}")
+        if kind not in ("e", "f", "k", "kinv"):
+            raise ValueError(kind)
+        return self._linear(("K", kind, j), lambda key, b: self._km_basis(kind, j, key, b), vec, budget)
 
     # -- braid operators and the diagram rotation -----------------------------
 
@@ -386,30 +341,26 @@ class DualityModule:
         t = s + cip
         return r, s, t
 
-    def _emode_basis(self, i, k, key, budget):
+    def _efmode_basis(self, kind, i, k, key, budget):
+        """
+        e moves the first (i+1)-slot m = s+1 to i, f the last i-slot m = s to
+        i+1, with Y_m^-k and the T-chains from m across the rest of the moved
+        segment ]lo, hi].
+        """
         hkey, jt = key
         assert all(jt[p] <= jt[p + 1] for p in range(len(jt) - 1))
         r, s, t = self._segments(jt, i)
-        if t == s:
+        e = kind == "e"
+        lo, hi = (s, t) if e else (r, s)
+        if lo == hi:
             return {}
-        pref = sc_mul(sc_pow(self.q, 1 - t + s), sc_pow(self.params.alpha(i), -k))
-        words = [wmul(tij_word(kk, s + 1), lt("Y", s + 1, -k)) for kk in range(s + 1, t)]
-        expr = tuple([(Fraction(1), lt("Y", s + 1, -k))] + [(Fraction(1), w) for w in words])
+        m = s + 1 if e else s
+        pref = sc_mul(sc_pow(self.q, 1 - hi + lo), sc_pow(self.params.alpha(i), -k))
+        y = lt("Y", m, -k)
+        words = [wmul(tij_word(kk, m if e else m - 1), y) for kk in range(lo + 1, hi)]
+        expr = tuple([(Fraction(1), y)] + [(Fraction(1), w) for w in words])
         hv = apply_expr(self.h, expr, {hkey: pref}, budget)
-        j2 = jt[:s] + (i,) + jt[s + 1 :]
-        return self._hecke_then_straighten([(hv, j2, Fraction(1))], budget)
-
-    def _fmode_basis(self, i, k, key, budget):
-        hkey, jt = key
-        assert all(jt[p] <= jt[p + 1] for p in range(len(jt) - 1))
-        r, s, t = self._segments(jt, i)
-        if s == r:
-            return {}
-        pref = sc_mul(sc_pow(self.q, 1 - s + r), sc_pow(self.params.alpha(i), -k))
-        words = [wmul(tij_word(kk, s - 1), lt("Y", s, -k)) for kk in range(r + 1, s)]
-        expr = tuple([(Fraction(1), lt("Y", s, -k))] + [(Fraction(1), w) for w in words])
-        hv = apply_expr(self.h, expr, {hkey: pref}, budget)
-        j2 = jt[: s - 1] + (i + 1,) + jt[s:]
+        j2 = jt[: m - 1] + (i if e else i + 1,) + jt[m:]
         return self._hecke_then_straighten([(hv, j2, Fraction(1))], budget)
 
     def _kmode_basis(self, sign, i, k, key, budget):
@@ -472,14 +423,10 @@ class DualityModule:
                 return vec_scale(scale, v)
 
             return self._linear(("M0", kind, k), basis, vec, budget)
-        if kind == "e":
-            fn = lambda key, b: self._emode_basis(i, k, key, b)
-        elif kind == "f":
-            fn = lambda key, b: self._fmode_basis(i, k, key, b)
-        elif kind == "k+":
-            fn = lambda key, b: self._kmode_basis(+1, i, k, key, b)
+        if kind in ("e", "f"):
+            fn = lambda key, b: self._efmode_basis(kind, i, k, key, b)
         else:
-            fn = lambda key, b: self._kmode_basis(-1, i, k, key, b)
+            fn = lambda key, b: self._kmode_basis(1 if kind == "k+" else -1, i, k, key, b)
         return self._linear(("M", kind, i, k), fn, vec, budget)
 
     # -- probes ----------------------------------------------------------------

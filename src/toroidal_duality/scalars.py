@@ -372,7 +372,7 @@ class LaurentFrac:
         if den.leading()[1] * scale < 0:
             scale = -scale
         den = Laurent({e: (c * scale).numerator for e, c in den.terms.items()})  # scale clears every denominator
-        num = sc_mul(num, scale)
+        num = sc_mul(_narrowest(num.terms), scale)  # a constant numerator demotes to a Fraction
         if isinstance(num, Fraction) and not num:
             return num
         return LaurentFrac(num, den)

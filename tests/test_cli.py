@@ -315,3 +315,24 @@ def test_benchmark_workloads_match_recorded_digests(tmp_path, monkeypatch):
         got = {"stream": hashlib.sha256(out.read_bytes()).hexdigest(),
                "summary": hashlib.sha256(summary).hexdigest()}
         assert got == spec["digests"], name
+
+
+def test_benchmark_tracer_finds_every_patch_site(monkeypatch):
+    # perfbench/layers.py patches names by getattr at each of their import
+    # sites (apply_word, apply_expr, dvec_add, theta_expand in duality, ...);
+    # a dropped import or a renamed operator would fail every traced run
+    import importlib
+    from types import SimpleNamespace
+
+    from toroidal_duality import reports
+
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    run, layers = importlib.import_module("run"), importlib.import_module("layers")
+    pkg = SimpleNamespace(**{name: importlib.import_module(f"toroidal_duality.{name}")
+                             for name in run.MODULES})
+    tracer = layers.Tracer()
+    sites = [(owner, name, getattr(owner, name)) for owner, name, _ in tracer.patches(pkg)]
+    with tracer.installed(pkg):
+        assert reports.run_relation_items([], workers=1) == []
+        assert all(getattr(owner, name) is not fn for owner, name, fn in sites)
+    assert all(getattr(owner, name) is fn for owner, name, fn in sites)

@@ -1,5 +1,7 @@
 """Straightening, canonical form, and the operator suite of the tensor module."""
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -14,12 +16,13 @@ from toroidal_duality.duality import (
     DualityModule,
     duality_probes,
     dvec_add,
+    dvec_to_json,
     nondecreasing_tuples,
     t_on_tensor,
 )
-from toroidal_duality.hecke import PolynomialModule, UnitModule, apply_word, lt
+from toroidal_duality.hecke import PolynomialModule, UnitModule, WindowBudget, apply_word, lt
 from toroidal_duality.hecke import vec_scale as dvec_scale
-from toroidal_duality.params import specialized_params
+from toroidal_duality.params import specialized_params, symbolic_params
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +205,20 @@ def test_mode_checks_arguments_before_empty_shortcut(dm_poly):
         dm_poly.mode("k-", 0, 1, {})
 
 
+@pytest.mark.parametrize("dm_name", ["dm_unit", "dm_poly"])
+def test_km_rejects_vertices_outside_the_diagram(dm_name, request):
+    dm = request.getfixturevalue(dm_name)
+    hkey = () if dm.h.family == "l1" else (0,) * dm.l
+    vec = dm.basis_vector(hkey, (1,) * dm.l)
+    for j in (0, dm.n + 2, -1):
+        for kind in ("e", "f", "k", "kinv"):
+            for v in (vec, {}):
+                with pytest.raises(ValueError, match=f"km vertex {j} outside"):
+                    dm.km(kind, j, dict(v))
+    with pytest.raises(ValueError):
+        dm.km("g", 1, dict(vec))
+
+
 _GUARDS_UNDER_O = """
 from fractions import Fraction
 from toroidal_duality.duality import DualityModule
@@ -215,6 +232,7 @@ calls = [
     lambda: dm.mode("k+", 1, -1, {}),
     lambda: dm.mode("k-", 1, 1, {}),
     lambda: dm.braid(0, {}),
+    lambda: dm.km("e", 0, {}),
     lambda: current_relation_items(dm, 0, []),
 ]
 for call in calls:
@@ -234,7 +252,7 @@ def test_argument_guards_survive_optimize():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-O", "-c", _GUARDS_UNDER_O], env=env,
                          capture_output=True, text=True, check=True).stdout.split()
-    assert out == ["ValueError"] * 5 + ["False"]
+    assert out == ["ValueError"] * 6 + ["False"]
 
 
 def test_probe_coverage(dm_poly):
@@ -243,3 +261,49 @@ def test_probe_coverage(dm_poly):
     # every vertex sees a repeated segment among the constant tuples
     for i in range(1, dm_poly.n + 2):
         assert (i, i) in tuples
+
+
+_COLUMN_MODULES = {
+    "l1": lambda: DualityModule(
+        UnitModule(Fraction(5), Fraction(7), specialized_params(n=3, l=1, q=2, d=2))),
+    "poly": lambda: DualityModule(PolynomialModule(specialized_params(n=4, l=2, q=2, d=3), window=8)),
+    "n5l3": lambda: DualityModule(PolynomialModule(specialized_params(n=5, l=3, q=2, d=3), window=7)),
+    "formal": lambda: DualityModule(PolynomialModule(symbolic_params(n=4, l=2), window=8)),
+}
+
+
+def _operator_columns(dm, top):
+    """Every km and mode call on every straightened basis vector, as canonical lines."""
+    n, l = dm.n, dm.l
+    hkeys = [()] if dm.h.family == "l1" else [(0,) * l, (1,) + (0,) * (l - 1)]
+    calls = [("km", kind, j, None) for kind in ("e", "f", "k", "kinv") for j in range(1, n + 2)]
+    calls += [("mode", kind, i, k) for i in range(n + 1)
+              for kind, ks in (("e", range(-top, top + 1)), ("f", range(-top, top + 1)),
+                               ("k+", range(top + 1)), ("k-", range(-top, 1)))
+              for k in ks]
+    for hk in hkeys:
+        for jt in nondecreasing_tuples(n, l):
+            vec = dm.basis_vector(hk, jt)
+            if not vec:
+                continue
+            for op, kind, i, k in calls:
+                b = WindowBudget()
+                out = dm.km(kind, i, dict(vec), b) if op == "km" else dm.mode(kind, i, k, dict(vec), b)
+                yield json.dumps([list(hk), list(jt), op, kind, i, k, b.valid, dvec_to_json(out)])
+
+
+# sha256 of the km (vertices 1..n+1) and mode (vertices 0..n, |k| <= top)
+# columns of every straightened basis vector, budget validity included; the
+# formal columns hold LaurentFrac scalars such as 1/(1 + q^2), whose constant
+# numerator is written as the Fraction "1"
+@pytest.mark.parametrize("name, top, digest", [
+    ("l1", 2, "5560f0bd73239dd7e7db169245fa1c3a17f6611cc5c886589f2d65df970bcc31"),
+    ("poly", 2, "8ce5d4d416514a9e61d0a42975fbee72200611a4661b8632ac10ebfc4f6be81f"),
+    ("n5l3", 2, "9e6fffa7f3e9bde61921620d79ec7a2441f13d76f6dd37d83be1b00c151e3538"),
+    ("formal", 1, "556566a839d33bb838b4e7b05399daa40e81d3c95556ba5c4dbc651381640958"),
+], ids=["l1", "poly", "n5l3", "formal"])
+def test_operator_columns_match_pinned_digest(name, top, digest):
+    h = hashlib.sha256()
+    for line in _operator_columns(_COLUMN_MODULES[name](), top):
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == digest

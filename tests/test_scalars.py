@@ -258,6 +258,7 @@ def assert_stored_forms(x):
         assert_stored_forms(x.den)
     elif isinstance(x, Laurent):
         assert x.terms and all(_stored_coefficient(c) and c for c in x.terms.values()), x.terms
+        assert set(x.terms) != {(0, 0, 0)}, x.terms  # a constant is a Fraction
     else:
         assert type(x) in (int, Fraction), repr(x)
 
@@ -291,6 +292,14 @@ def test_coefficients_stay_int_or_nonintegral_fraction(a, b, den, n):
     _kernel_result(LaurentFrac.make(a, den), a, den)
     _kernel_result(LaurentFrac.make(b, den), b, den)
     _kernel_result(LaurentFrac.make(a, n or 2), a)  # an int denominator
+
+
+def test_constant_numerator_is_a_fraction():
+    x = sc_inv(Q + 1)
+    assert type(x.num) is Fraction and x.num == 1
+    assert scalar_to_json(x)["num"] == "1"
+    back = scalar_from_json(scalar_to_json(x))
+    assert back == x and type(back.num) is Fraction
 
 
 def test_stored_forms_of_named_values():
