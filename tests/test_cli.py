@@ -1,5 +1,6 @@
 """CLI contract: exit codes, config precedence, canonical report streams."""
 
+import gc
 import hashlib
 import json
 import os
@@ -100,6 +101,67 @@ def test_determinism_across_runs(tmp_path):
     sa = (tmp_path / "a.summary.json").read_bytes()
     sb = (tmp_path / "b.summary.json").read_bytes()
     assert sa == sb
+
+
+@pytest.fixture
+def collector_state():
+    """Puts the cyclic collector back as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("case,expected", [
+    ("pass", EXIT_PASS), ("fail", EXIT_FAIL), ("config", EXIT_CONFIG), ("raises", RuntimeError),
+])
+def test_main_restores_the_collector_state(tmp_path, monkeypatch, collector_state, case, expected, enabled):
+    import toroidal_duality.cli as cli
+
+    real_run_verify, seen = cli.run_verify, []
+
+    def run_verify(target, cfg):
+        # the nested pause must not switch the collector back on inside main
+        seen.append(gc.isenabled())
+        if case == "raises":
+            raise RuntimeError("planted sweep fault")
+        result = real_run_verify(target, cfg)
+        seen.append(gc.isenabled())
+        return result
+
+    monkeypatch.setattr(cli, "run_verify", run_verify)
+    argv = ["verify", "hecke", "--preset", "l1" if case == "config" else "poly", *FAST,
+            "--out", str(tmp_path / "r.jsonl")]
+    if case in ("fail", "config"):
+        argv.append("--negative-control")
+    gc.enable() if enabled else gc.disable()
+    if expected is RuntimeError:
+        with pytest.raises(RuntimeError, match="planted"):
+            main(argv)
+    else:
+        assert main(argv) == expected
+    assert gc.isenabled() == enabled
+    assert seen == {"pass": [False, False], "fail": [False, False], "config": [], "raises": [False]}[case]
+
+
+def test_sweep_cyclic_garbage_does_not_grow_with_the_check_count(tmp_path, collector_state):
+    # the safety argument for pausing the collector: reference counting frees
+    # everything a sweep drops, so the cyclic garbage a command leaves (its
+    # argparse parser) has a fixed size; compare two sizes, not a pinned count
+    gc.disable()
+    gc.collect()
+    found, checked = [], []
+    for probes in ("1", "4"):
+        out = tmp_path / f"p{probes}.jsonl"
+        assert main(["verify", "all", "--preset", "l1", "--probes", probes, "--seed", "11",
+                     "--out", str(out)]) == EXIT_PASS
+        found.append(gc.collect())
+        checked.append(json.loads((tmp_path / f"p{probes}.summary.json").read_text())["totals"]["checked"])
+    assert checked[1] > 3 * checked[0]
+    assert found[0] == found[1]
 
 
 def test_workers_flag_is_gone(capsys):
