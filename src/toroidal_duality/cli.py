@@ -20,7 +20,7 @@ import os
 import sys
 import time
 
-from .config import ConfigError, SweepConfig, load_config
+from .config import KEY_TYPES, PRESETS, ConfigError, SweepConfig, load_config
 from .reports import (
     dumps_canonical,
     read_jsonl,
@@ -136,19 +136,9 @@ def run_verify(target, cfg: SweepConfig):
 
 
 def _cmd_verify(args):
-    overrides = {
-        "n": args.n, "l": args.l, "q": args.q, "d": args.d,
-        "window": args.window, "modes": args.modes, "probes": args.probes,
-        "hecke_probes": args.hecke_probes, "seed": args.seed, "family": args.family,
-        "relations": args.relations,
-        "negative_control": True if args.negative_control else None,
-        "symbolic": True if args.symbolic else None,
-        "out": args.out,
-    }
+    overrides = {key: getattr(args, key, None) for key in KEY_TYPES}  # a and b have no flag
     try:
         cfg = load_config(path=args.config, preset=args.preset, overrides=overrides)
-        if cfg.negative_control and cfg.family != "polynomial":
-            raise ConfigError("negative control perturbs T_1 and needs the polynomial family")
         if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
             raise ConfigError(f"--out directory does not exist: {cfg.out!r}")
         reports, summary, wall = run_verify(args.target, cfg)
@@ -204,7 +194,7 @@ def build_parser():
     v = sub.add_parser("verify", help="run a relation suite")
     v.add_argument("target", choices=TARGETS)
     v.add_argument("--config", help="INI config document")
-    v.add_argument("--preset", choices=("l1", "poly"), help="named desk-scale preset")
+    v.add_argument("--preset", choices=sorted(PRESETS), help="named desk-scale preset")
     v.add_argument("--n", type=int)
     v.add_argument("--l", type=int)
     v.add_argument("--q")
@@ -217,8 +207,8 @@ def build_parser():
     v.add_argument("--seed", type=int)
     v.add_argument("--relations", help="comma-separated relation-id prefixes to keep")
     v.add_argument("--out", help="JSON-lines report path (summary written alongside)")
-    v.add_argument("--negative-control", action="store_true")
-    v.add_argument("--symbolic", action="store_true", help="keep q, d formal")
+    v.add_argument("--negative-control", action="store_true", default=None)
+    v.add_argument("--symbolic", action="store_true", default=None, help="keep q, d formal")
     v.set_defaults(func=_cmd_verify)
 
     r = sub.add_parser("report", help="render a report stream")

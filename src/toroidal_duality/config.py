@@ -1,7 +1,10 @@
 """
 Sweep configuration: defaults <- config file <- environment <- flags.
 
-The config document is an INI file with [params] and [sweep] sections, e.g.
+Every setting is a field of SweepConfig, and its default fixes its type.
+The config document is an INI file whose sections are [params], [sweep]
+and [output]; the names only group keys, and any key may sit in any of
+them. For example
 
     [params]
     n = 4
@@ -17,21 +20,24 @@ The config document is an INI file with [params] and [sweep] sections, e.g.
     seed = 11
 
 Environment overrides use the TOROIDAL_ prefix (TOROIDAL_N, TOROIDAL_Q,
-TOROIDAL_WINDOW, ...).  A TOROIDAL_ variable that names no key is a
-ConfigError, as are an unknown INI key and a file that does not parse.
-Duality-mode constraints (the x formula, l + 1 < n, y = c = 1, q away
-from roots of unity) are enforced when the blocks are materialized into
-Params.
+TOROIDAL_WINDOW, ...).  load_config is the one place that checks a
+setting.  Each of these is a ConfigError: a TOROIDAL_ variable that names
+no key, an unknown INI key or section, a [DEFAULT] section with keys, a
+file that does not parse, a boolean other than 1/0, yes/no, true/false or
+on/off (any case), a count below 1, and a negative control outside the
+polynomial family.  Duality-mode constraints (the x formula, l + 1 < n,
+y = c = 1, q away from roots of unity) are enforced when the blocks are
+materialized into Params.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .params import ParameterError, Params
+from .params import ParameterError, Params, specialized_params, symbolic_params
 
 PRESETS = {
     "l1": {
@@ -46,9 +52,6 @@ PRESETS = {
     },
 }
 
-_INT_KEYS = ("n", "l", "window", "modes", "probes", "hecke_probes", "seed")
-_STR_KEYS = ("q", "d", "a", "b", "family", "out", "relations")
-_BOOL_KEYS = ("negative_control", "symbolic")
 _COUNT_KEYS = ("modes", "probes", "hecke_probes")  # each must be at least 1
 
 ENV_PREFIX = "TOROIDAL_"
@@ -87,14 +90,10 @@ class SweepConfig:
         return lambda rel: rel.startswith(prefixes)
 
     def params(self) -> Params:
-        from .scalars import D, Q
-
         try:
             if self.symbolic:
-                return Params(n=self.n, l=self.l, q=Q, d=D)
-            return Params(
-                n=self.n, l=self.l, q=Fraction(self.q), d=Fraction(self.d)
-            )
+                return symbolic_params(self.n, self.l)
+            return specialized_params(self.n, self.l, self.q, self.d)
         except (ParameterError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"invalid parameters: {exc}") from exc
 
@@ -107,34 +106,28 @@ class SweepConfig:
                 return UnitModule(Fraction(self.a), Fraction(self.b), p)
             if self.family == "polynomial":
                 return PolynomialModule(p, self.window, corrupt_t1=self.negative_control)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(str(exc)) from exc
         raise ConfigError(f"unknown module family {self.family!r}")
 
     def echo(self):
-        return {
-            "n": self.n, "l": self.l, "q": self.q, "d": self.d,
-            "family": self.family, "window": self.window, "modes": self.modes,
-            "probes": self.probes, "hecke_probes": self.hecke_probes,
-            "seed": self.seed, "a": self.a, "b": self.b,
-            "relations": self.relations,
-            "negative_control": self.negative_control, "symbolic": self.symbolic,
-        }
+        """Every setting but the output path, for the summary."""
+        return {key: getattr(self, key) for key in KEY_TYPES if key != "out"}
+
+
+# every setting and the type of its default (bool, int or str)
+KEY_TYPES = {f.name: type(f.default) for f in fields(SweepConfig)}
 
 
 def _coerce(key, value):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _BOOL_KEYS:
-        if isinstance(value, bool):
-            return value
-        return str(value).lower() in ("1", "true", "yes", "on")
-    return str(value)
+    kind = KEY_TYPES[key]
+    if kind is bool and not isinstance(value, bool):
+        return configparser.ConfigParser.BOOLEAN_STATES[str(value).lower()]
+    return kind(value)
 
 
 def load_config(path=None, preset=None, overrides=None, env=None):
     """Merge defaults, optional preset, config file, environment, and flag overrides."""
-    known = _INT_KEYS + _STR_KEYS + _BOOL_KEYS
     merged = {}
     if preset:
         if preset not in PRESETS:
@@ -143,23 +136,21 @@ def load_config(path=None, preset=None, overrides=None, env=None):
     if path:
         parser = configparser.ConfigParser()
         try:
-            read = parser.read(path)
+            if not parser.read(path):
+                raise ConfigError(f"cannot read config file {path!r}")
+            if parser.defaults():
+                raise ConfigError(f"config section [{parser.default_section}] is not accepted")
+            for section in parser.sections():
+                if section not in ("params", "sweep", "output"):
+                    raise ConfigError(f"unknown config section [{section}]")
+                merged.update(parser.items(section))
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse config file {path!r}: {' '.join(str(exc).split())}") from exc
-        if not read:
-            raise ConfigError(f"cannot read config file {path!r}")
-        for section in parser.sections():
-            if section not in ("params", "sweep", "output"):
-                raise ConfigError(f"unknown config section [{section}]")
-            for key, value in parser.items(section):
-                if key not in known:
-                    raise ConfigError(f"unknown config key {key!r}")
-                merged[key] = value
     env = os.environ if env is None else env
     for env_key in sorted(env):
         if env_key.startswith(ENV_PREFIX):
             key = env_key[len(ENV_PREFIX):].lower()
-            if key not in known or env_key != ENV_PREFIX + key.upper():
+            if key not in KEY_TYPES or env_key != ENV_PREFIX + key.upper():
                 raise ConfigError(f"unknown environment variable {env_key}")
             merged[key] = env[env_key]
     if overrides:
@@ -168,16 +159,16 @@ def load_config(path=None, preset=None, overrides=None, env=None):
                 merged[key] = value
     clean = {}
     for key, value in merged.items():
-        if key not in known:
+        if key not in KEY_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         try:
             clean[key] = _coerce(key, value)
-        except ValueError as exc:
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
     for key in _COUNT_KEYS:
         if key in clean and clean[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {clean[key]}")
-    try:
-        return SweepConfig(**clean)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = SweepConfig(**clean)
+    if cfg.negative_control and cfg.family != "polynomial":
+        raise ConfigError("negative control perturbs T_1 and needs the polynomial family")
+    return cfg

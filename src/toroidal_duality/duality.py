@@ -434,14 +434,6 @@ class DualityModule:
     def basis_vector(self, hkey, jt, budget=None):
         return self.straighten({(hkey, jt): Fraction(1)}, budget)
 
-    def descriptor(self):
-        return {
-            "schema": "duality-module@1",
-            "n": self.n,
-            "l": self.l,
-            "hecke": self.h.descriptor(),
-        }
-
 
 def dvec_to_json(vec):
     """Serializable form: sorted (module key, tuple, scalar) triples."""

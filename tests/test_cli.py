@@ -1,5 +1,6 @@
 """CLI contract: exit codes, config precedence, canonical report streams."""
 
+import configparser
 import gc
 import hashlib
 import json
@@ -280,8 +281,8 @@ def test_unknown_environment_variable_is_config_error(monkeypatch, capsys):
         assert name in err and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("text", ["n = 4\n", "[params]\nn = 4\ngarbage line\n"],
-                         ids=["no-section-header", "line-without-equals"])
+@pytest.mark.parametrize("text", ["n = 4\n", "[params]\nn = 4\ngarbage line\n", "[sweep]\nrelations = 2%\n"],
+                         ids=["no-section-header", "line-without-equals", "bad-interpolation"])
 def test_malformed_config_file_is_config_error(tmp_path, capsys, text):
     cfgfile = tmp_path / "sweep.ini"
     cfgfile.write_text(text)
@@ -301,6 +302,97 @@ def test_count_keys_checked_from_environment_and_file(tmp_path):
     cfgfile.write_text("[sweep]\nhecke_probes = 0\n")
     with pytest.raises(ConfigError, match="hecke_probes"):
         load_config(path=str(cfgfile), env={})
+
+
+@pytest.mark.parametrize("key", ["negative_control", "symbolic"])
+@pytest.mark.parametrize("source", ["env", "ini"])
+def test_bad_boolean_is_config_error(tmp_path, monkeypatch, capsys, key, source):
+    for name in [k for k in os.environ if k.startswith("TOROIDAL_")]:
+        monkeypatch.delenv(name)
+    argv = ["verify", "hecke", "--preset", "poly", *FAST]
+    if source == "env":
+        monkeypatch.setenv("TOROIDAL_" + key.upper(), "ture")
+        kwargs = {}
+    else:
+        cfgfile = tmp_path / "sweep.ini"
+        cfgfile.write_text(f"[sweep]\n{key} = ture\n")
+        kwargs = {"path": str(cfgfile)}
+        argv += ["--config", str(cfgfile)]
+    with pytest.raises(ConfigError, match=key):
+        load_config(preset="poly", **kwargs)
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and "ture" in err and len(err.strip().splitlines()) == 1
+
+
+def test_boolean_spellings_follow_configparser():
+    for text, state in configparser.ConfigParser.BOOLEAN_STATES.items():
+        for spelled in (text, text.upper(), text.capitalize()):
+            cfg = load_config(preset="poly", env={"TOROIDAL_SYMBOLIC": spelled,
+                                                  "TOROIDAL_NEGATIVE_CONTROL": spelled})
+            assert cfg.symbolic is state and cfg.negative_control is state, spelled
+
+
+@pytest.mark.parametrize("text", ["[DEFAULT]\nbogus = 3\n", "[DEFAULT]\nprobes = 0\n",
+                                  "[DEFAULT]\nseed = 3\n[sweep]\nprobes = 2\n"],
+                         ids=["unknown-key", "bad-count", "beside-a-section"])
+def test_default_section_is_config_error(tmp_path, capsys, text):
+    cfgfile = tmp_path / "sweep.ini"
+    cfgfile.write_text(text)
+    with pytest.raises(ConfigError, match="DEFAULT"):
+        load_config(path=str(cfgfile), env={})
+    code = main(["verify", "toroidal", "--preset", "l1", "--config", str(cfgfile)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[DEFAULT]" in err and len(err.strip().splitlines()) == 1
+
+
+def test_empty_default_section_is_accepted(tmp_path):
+    cfgfile = tmp_path / "sweep.ini"
+    cfgfile.write_text("[DEFAULT]\n[sweep]\nprobes = 2\n")
+    assert load_config(path=str(cfgfile), env={}).probes == 2
+
+
+def test_negative_control_outside_the_polynomial_family_fails_to_load():
+    # the check sits in load_config, so scripts calling run_verify get it too
+    from toroidal_duality.cli import run_verify
+
+    with pytest.raises(ConfigError, match="polynomial"):
+        run_verify("hecke", load_config(preset="l1", overrides={"negative_control": True}, env={}))
+    with pytest.raises(ConfigError, match="polynomial"):
+        load_config(preset="poly", env={"TOROIDAL_NEGATIVE_CONTROL": "yes", "TOROIDAL_FAMILY": "l1"})
+    assert load_config(preset="poly", overrides={"negative_control": True}, env={}).negative_control
+
+
+
+@pytest.mark.parametrize("value", ["0/0", "1/0"])
+def test_zero_denominator_module_scalar_is_config_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("TOROIDAL_A", value)
+    with pytest.raises(ConfigError, match="Fraction"):
+        load_config(preset="l1").build_hecke_module()
+    assert main(["verify", "hecke", "--preset", "l1", "--hecke-probes", "1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+def test_readme_flags_are_the_verify_options():
+    # the "Flags:" list of README.md, the verify subparser and SweepConfig name the same settings
+    import argparse
+    import re
+
+    from toroidal_duality.cli import build_parser
+    from toroidal_duality.config import KEY_TYPES
+
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        documented = re.search(r"^Flags: `([^`]*)`", fh.read(), re.MULTILINE).group(1).split()
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = [a for a in sub.choices["verify"]._actions
+               if a.option_strings and a.dest not in ("help", "config", "preset")]
+    flags = [flag for action in options for flag in action.option_strings]
+    assert sorted(documented) == sorted(flags)
+    assert len(documented) == len(set(documented))
+    # _cmd_verify reads each setting as the flag attribute of the same name
+    assert {action.dest for action in options} == set(KEY_TYPES) - {"a", "b"}
 
 
 # sha256 of the canonical stream and summary of
