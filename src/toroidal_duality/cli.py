@@ -61,7 +61,7 @@ def collect_items(target, cfg: SweepConfig):
         level_items,
     )
 
-    keep, prefixes = cfg.relation_filter(), cfg.relation_prefixes()
+    prefixes = cfg.relation_prefixes()
 
     def build(stems, builder, *args):
         """builder(*args), skipped when none of its relation ids (each starting with one of `stems`) is kept."""
@@ -80,7 +80,9 @@ def collect_items(target, cfg: SweepConfig):
             + q_presentation_checks(hmod)
             + conjugation_lemma_checks(hmod)
         )
-        items += make_hecke_items(hmod, [chk for chk in checks if keep(chk.relation)], hp)
+        if prefixes:
+            checks = [chk for chk in checks if chk.relation.startswith(prefixes)]
+        items += make_hecke_items(hmod, checks, hp)
     if target in ("toroidal", "duality", "all"):
         dmod = DualityModule(hmod)
         dp = duality_probes(dmod, cfg.probes, cfg.seed)
@@ -98,7 +100,8 @@ def collect_items(target, cfg: SweepConfig):
             items += build(("reg.",), regression_items, dmod, cfg.modes, dp)
             items += build(("recon.",), reconstruction_items, dmod, cfg.modes, hp)
             items += build(("psi.inverse",), psi_inverse_items, dmod, dp)
-    items = [entry for entry in items if keep(entry[0][0])]
+    if prefixes:
+        items = [entry for entry in items if entry[0][0].startswith(prefixes)]
     return items, manifest
 
 

@@ -83,12 +83,6 @@ class SweepConfig:
     def relation_prefixes(self):
         return tuple(p.strip() for p in self.relations.split(",") if p.strip())
 
-    def relation_filter(self):
-        prefixes = self.relation_prefixes()
-        if not prefixes:
-            return lambda rel: True
-        return lambda rel: rel.startswith(prefixes)
-
     def params(self) -> Params:
         try:
             if self.symbolic:

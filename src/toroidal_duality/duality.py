@@ -100,6 +100,7 @@ class DualityModule:
         self.d = p.d
         self._qinv = sc_inv(p.q)
         self._cache = {}
+        self._mode_columns = {}  # (kind, i, k) -> (cache tag, basis function)
         self._sym_cache = {}
         self._theta_cache = {}
         self._qfact_inv = self._build_qfact_inv(self.l + 1)
@@ -118,7 +119,12 @@ class DualityModule:
 
     # -- generic cached linear extension ------------------------------------
 
-    def _linear(self, tag, fn, vec, budget=None):
+    def _linear(self, tag, basis, vec, budget=None):
+        """
+        The column operator `tag` = (label, *args) on vec: the image of a basis
+        key is basis(self, *args, key, budget), made once per (tag, key).
+        The basis is a plain function, so nothing stored holds `self`.
+        """
         if budget is None:
             budget = WindowBudget()
         out = {}
@@ -126,7 +132,7 @@ class DualityModule:
             entry = self._cache.get((tag, key))
             if entry is None:
                 b = WindowBudget()
-                res = fn(key, b)
+                res = basis(self, *tag[1:], key, b)
                 entry = (tuple(sorted(res.items())), b.valid)
                 self._cache[(tag, key)] = entry
             items, valid = entry
@@ -184,7 +190,7 @@ class DualityModule:
         return out
 
     def straighten(self, vec, budget=None):
-        return self._linear(("S",), self._straighten_basis, vec, budget)
+        return self._linear(("S",), DualityModule._straighten_basis, vec, budget)
 
     def _hecke_then_straighten(self, raw_terms, budget):
         """raw_terms: list of (module vector expr applied already, tuple, coeff)."""
@@ -233,7 +239,7 @@ class DualityModule:
             raise ValueError(f"km vertex {j} outside 1..{self.n + 1}")
         if kind not in ("e", "f", "k", "kinv"):
             raise ValueError(kind)
-        return self._linear(("K", kind, j), lambda key, b: self._km_basis(kind, j, key, b), vec, budget)
+        return self._linear(("K", kind, j), DualityModule._km_basis, vec, budget)
 
     # -- braid operators and the diagram rotation -----------------------------
 
@@ -278,15 +284,17 @@ class DualityModule:
         """Lusztig's integrable braid operator at a finite vertex i in 1..n."""
         if not 1 <= i <= self.n:
             raise ValueError(f"braid vertex {i} outside 1..{self.n}")
-        return self._linear(("B", i), lambda key, b: self._braid_basis(i, key, b), vec, budget)
+        return self._linear(("B", i), DualityModule._braid_basis, vec, budget)
 
-    def _rotate_basis(self, letter, exp, carrier, step, key, budget):
+    def _rotate_basis(self, letter, exp, step, key, budget):
         """
         Every slot entry v moves to (v - 1 + step) % (n + 1) + 1; each slot p
-        holding `carrier` first picks up the module letter (letter, p, exp).
+        holding the entry that wraps (n + 1 for step 1, 1 for step -1) first
+        picks up the module letter (letter, p, exp).
         """
         hkey, jt = key
         n = self.n
+        carrier = n + 1 if step > 0 else 1
         word = tuple((letter, p, exp) for p in range(1, self.l + 1) if jt[p - 1] == carrier)
         hv = apply_word(self.h, word, {hkey: Fraction(1)}, budget)
         j2 = tuple((v - 1 + step) % (n + 1) + 1 for v in jt)
@@ -294,32 +302,25 @@ class DualityModule:
 
     def tau(self, vec, budget=None):
         """Diagram rotation on the module: slot entries advance, wrap picks up Y's."""
-        return self._linear(
-            ("TAU",), lambda key, b: self._rotate_basis("Y", 1, self.n + 1, 1, key, b), vec, budget
-        )
+        return self._linear(("TAU", "Y", 1, 1), DualityModule._rotate_basis, vec, budget)
+
+    def _t_omega1_basis(self, key, budget):
+        v = {key: Fraction(1)}
+        for i in range(1, self.n + 1):
+            v = self.braid(i, v, budget)
+        return self.tau(v, budget)
 
     def t_omega1(self, vec, budget=None):
         """The translation operator tau'' o t''_n o ... o t''_1."""
-
-        def basis(key, b):
-            v = {key: Fraction(1)}
-            for i in range(1, self.n + 1):
-                v = self.braid(i, v, b)
-            return self.tau(v, b)
-
-        return self._linear(("TW1",), basis, vec, budget)
+        return self._linear(("TW1",), DualityModule._t_omega1_basis, vec, budget)
 
     # -- the psi twist ---------------------------------------------------------
 
     def psi(self, vec, budget=None):
-        return self._linear(
-            ("P",), lambda key, b: self._rotate_basis("X", -1, self.n + 1, 1, key, b), vec, budget
-        )
+        return self._linear(("P", "X", -1, 1), DualityModule._rotate_basis, vec, budget)
 
     def psi_inv(self, vec, budget=None):
-        return self._linear(
-            ("Pi",), lambda key, b: self._rotate_basis("X", 1, 1, -1, key, b), vec, budget
-        )
+        return self._linear(("Pi", "X", 1, -1), DualityModule._rotate_basis, vec, budget)
 
     # -- Drinfeld modes --------------------------------------------------------
 
@@ -363,9 +364,10 @@ class DualityModule:
         j2 = jt[: m - 1] + (i if e else i + 1,) + jt[m:]
         return self._hecke_then_straighten([(hv, j2, Fraction(1))], budget)
 
-    def _kmode_basis(self, sign, i, k, key, budget):
+    def _kmode_basis(self, kind, i, k, key, budget):
         hkey, jt = key
         n, q, d = self.n, self.q, self.d
+        sign = 1 if kind == "k+" else -1
         absk = abs(k)
         direction = AT_INFINITY if sign > 0 else AT_ZERO
         cpl = self._theta_coeffs(1, direction, absk)
@@ -402,6 +404,15 @@ class DualityModule:
         k = 0 modes are k_{i,0} and its inverse).  Vertex 0 is computed by
         psi-conjugation with the spectral rescale (q d^-1)^-k.
         """
+        column = self._mode_columns.get((kind, i, k))
+        if column is None:  # invalid arguments raise here, and are never stored
+            column = self._mode_columns[kind, i, k] = self._mode_column(kind, i, k)
+        if not vec:
+            return {}
+        return self._linear(*column, vec, budget)
+
+    def _mode_column(self, kind, i, k):
+        """The `_linear` cache tag and basis function of mode (kind, i, k), once its arguments are checked."""
         if not 0 <= i <= self.n:
             raise ValueError(f"mode vertex {i} outside 0..{self.n}")
         if kind == "k+":
@@ -412,22 +423,17 @@ class DualityModule:
                 raise ValueError(f"k- mode needs k <= 0, got {k}")
         elif kind not in ("e", "f"):
             raise ValueError(kind)
-        if not vec:
-            return {}
         if i == 0:
-            def basis(key, b):
-                v = self.psi({key: Fraction(1)}, b)
-                v = self.mode(kind, 1, k, v, b)
-                v = self.psi_inv(v, b)
-                scale = sc_pow(sc_mul(self.q, sc_inv(self.d)), -k)
-                return vec_scale(scale, v)
-
-            return self._linear(("M0", kind, k), basis, vec, budget)
+            return ("M0", kind, k), DualityModule._mode0_basis
         if kind in ("e", "f"):
-            fn = lambda key, b: self._efmode_basis(kind, i, k, key, b)
-        else:
-            fn = lambda key, b: self._kmode_basis(1 if kind == "k+" else -1, i, k, key, b)
-        return self._linear(("M", kind, i, k), fn, vec, budget)
+            return ("M", kind, i, k), DualityModule._efmode_basis
+        return ("M", kind, i, k), DualityModule._kmode_basis
+
+    def _mode0_basis(self, kind, k, key, budget):
+        v = self.psi({key: Fraction(1)}, budget)
+        v = self.mode(kind, 1, k, v, budget)
+        v = self.psi_inv(v, budget)
+        return vec_scale(sc_pow(sc_mul(self.q, sc_inv(self.d)), -k), v)
 
     # -- probes ----------------------------------------------------------------
 

@@ -36,10 +36,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 from .params import Params
 from .scalars import (
     Scalar,
+    bare_fraction,
     is_unit,
     is_zero,
     sc_inv,
@@ -112,12 +114,51 @@ class WindowBudget:
 # -- the sparse-vector kernel: vectors are {key: scalar} with no zero entries --
 
 def merge_vec(acc, items, coeff=Fraction(1)):
-    """acc += coeff * items in place, dropping every entry that cancels to zero."""
-    unit = coeff == 1
+    """
+    acc += coeff * items in place, dropping every entry that cancels to zero.
+
+    When coeff, the item and the entry it lands on are all Fractions, the
+    work is done on their integer numerators and denominators: the product
+    by cross-cancelling gcds, the sum with one gcd (equal denominators add
+    their numerators).  The reduced result, denominator positive, goes into
+    a `bare_fraction()`, skipping Fraction.__new__ and the stdlib operators;
+    it equals what those operators give, in value, hash and str.  Any other
+    scalar kind, or a mix with one, takes the generic operators.
+    """
+    frac = coeff.__class__ is Fraction
+    if frac:
+        an, ad = coeff._numerator, coeff._denominator
+        unit = an == 1 and ad == 1
+    else:
+        unit = coeff == 1
+    get = acc.get
     for key, c in items:
+        prev = get(key)
+        if frac and c.__class__ is Fraction and (prev is None or prev.__class__ is Fraction):
+            n, d = c._numerator, c._denominator
+            if not unit:  # both reduced: cross-cancel, and the product is reduced
+                g1, g2 = gcd(an, d), gcd(n, ad)
+                n, d = (an // g1) * (n // g2), (ad // g2) * (d // g1)
+            if prev is not None:
+                pn, pd = prev._numerator, prev._denominator
+                if pd == d:
+                    n += pn
+                else:
+                    n, d = pn * d + n * pd, pd * d
+                if n:
+                    g = gcd(n, d)
+                    if g != 1:
+                        n, d = n // g, d // g
+            if not n:
+                acc.pop(key, None)
+            elif unit and prev is None:
+                acc[key] = c
+            else:
+                s = acc[key] = bare_fraction()
+                s._numerator, s._denominator = n, d
+            continue
         if not unit:
             c = sc_mul(coeff, c)
-        prev = acc.get(key)
         s = c if prev is None else prev + c
         if is_zero(s):
             acc.pop(key, None)

@@ -28,6 +28,7 @@ from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from . import hecke  # the kernel by its module name, which perfbench/layers.py traces
+from .scalars import sc_neg
 
 KM_KINDS = frozenset(("e", "f", "k", "kinv"))
 ONE, MINUS_ONE = Fraction(1), Fraction(-1)
@@ -142,13 +143,13 @@ def identity(sides, ops=None):
             lhs_closed, rhs_closed = callable(lhs), callable(rhs)
             res = dict(lhs(budget)) if lhs_closed else {}
             if rhs_closed:
-                hecke.merge_vec(res, [(key, -c) for key, c in rhs(budget).items()])
+                hecke.merge_vec(res, rhs(budget).items(), MINUS_ONE)
             if not (lhs_closed and rhs_closed):  # a pair of closed forms walks no word
-                for side, sign in ((lhs, 1), (rhs, -1)):
+                for side, negate in ((lhs, False), (rhs, True)):
                     for c, word in () if callable(side) else side:
                         node = _walk(ops, root, word)
                         if node.__class__ is list:
-                            hecke.merge_vec(res, node[0].items(), c if sign > 0 else -c)
+                            hecke.merge_vec(res, node[0].items(), sc_neg(c) if negate else c)
                             node = node[1]
                         budget.observe(node)
             if res and not note:

@@ -24,11 +24,19 @@ denominator is a non-unit polynomial with nonnegative exponents, integer
 coprime coefficients, positive leading coefficient under graded-lex
 order, and no common factor with the numerator (cleared by a
 multivariate polynomial gcd).
+
+A rational scalar is always a reduced ``Fraction`` with a positive
+denominator, also where the Fraction fast paths make it: ``sc_mul``,
+``sc_neg`` and ``hecke.merge_vec`` compute on the integer numerators and
+denominators when every operand is a Fraction, take the same gcds as the
+stdlib operators, and fill a ``bare_fraction()`` with the reduced pair.
+Values, hashes and printed forms are those of ``Fraction(n, d)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 SYMBOLS = ("q", "d", "y")
@@ -36,6 +44,10 @@ _NVARS = len(SYMBOLS)
 _ZEXP = (0, 0, 0)
 
 Exponent = tuple[int, int, int]
+
+# A Fraction whose two slots, `_numerator` and `_denominator`, the caller sets
+# to a reduced pair with a positive denominator (see the docstring above).
+bare_fraction = partial(object.__new__, Fraction)
 
 
 def _grlex_key(exp):
@@ -448,7 +460,21 @@ YSYM = Laurent.var("y")
 
 
 def sc_mul(a, b):
+    if a.__class__ is Fraction and b.__class__ is Fraction:
+        an, ad, bn, bd = a._numerator, a._denominator, b._numerator, b._denominator
+        g1, g2 = gcd(an, bd), gcd(bn, ad)
+        out = bare_fraction()
+        out._numerator, out._denominator = (an // g1) * (bn // g2), (ad // g2) * (bd // g1)
+        return out
     return a * b
+
+
+def sc_neg(a):
+    if a.__class__ is Fraction:
+        out = bare_fraction()
+        out._numerator, out._denominator = -a._numerator, a._denominator
+        return out
+    return -a
 
 
 def is_zero(a):

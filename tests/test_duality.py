@@ -1,11 +1,13 @@
 """Straightening, canonical form, and the operator suite of the tensor module."""
 
+import gc
 import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -203,6 +205,30 @@ def test_mode_checks_arguments_before_empty_shortcut(dm_poly):
         dm_poly.mode("k+", 0, -1, {})
     with pytest.raises(ValueError):
         dm_poly.mode("k-", 0, 1, {})
+
+
+def test_mode_columns_are_built_once_and_bad_arguments_raise_every_call():
+    dm = DualityModule(PolynomialModule(specialized_params(n=4, l=2, q=2, d=3), window=8))
+    vec = dm.basis_vector((0, 0), (1, 2))
+    for _ in range(2):  # a rejected column is never stored, so the next call checks it again
+        for args in (("g", 1, 0), ("e", dm.n + 1, 0), ("k+", 1, -1), ("k-", 0, 1)):
+            with pytest.raises(ValueError):
+                dm.mode(*args, vec)
+    first = {i: dm.mode("e", i, 2, vec) for i in (0, 1)}
+    columns = dict(dm._mode_columns)
+    assert set(columns) == {("e", 0, 2), ("e", 1, 2)}
+    assert {i: dm.mode("e", i, 2, vec) for i in (0, 1)} == first
+    assert all(dm._mode_columns[key] is column for key, column in columns.items())
+    # no stored column refers back to the module, so reference counting alone frees it
+    ref = weakref.ref(dm)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del dm
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("dm_name", ["dm_unit", "dm_poly"])
