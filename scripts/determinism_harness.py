@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """
 Byte-level determinism harness: run each preset sweep, and a toroidal and
-a duality sweep with formal q and d, in two child processes with
+two duality sweeps with formal q and d, in two child processes with
 PYTHONHASHSEED=0 and PYTHONHASHSEED=1, and diff the canonical JSON streams
 and summaries.  Equal bytes show that no report depends on the iteration
 order of a set, which string hashing changes from one process to the next.
@@ -30,6 +30,8 @@ SWEEPS = [
     ("duality-l1", "duality", "l1", {}),
     ("duality-poly", "duality", "poly", {}),
     ("duality-poly-symbolic", "duality", "poly", {"symbolic": True, "probes": 2, "modes": 1}),
+    # the 16th probe is the first at module key (1, 0), where the symmetrizer makes LaurentFrac quotients
+    ("duality-poly-symbolic-k10", "duality", "poly", {"symbolic": True, "probes": 16, "modes": 1}),
 ]
 
 
@@ -63,7 +65,7 @@ def main():
     bad = 0
     for label, *_ in SWEEPS:
         ok = blob_in_child(label, 0) == blob_in_child(label, 1)
-        print(f"{label:<22} PYTHONHASHSEED 0 vs 1: "
+        print(f"{label:<26} PYTHONHASHSEED 0 vs 1: "
               f"{'byte-identical' if ok else 'MISMATCH'}")
         bad += 0 if ok else 1
     return 1 if bad else 0

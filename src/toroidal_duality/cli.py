@@ -102,6 +102,8 @@ def collect_items(target, cfg: SweepConfig):
             items += build(("psi.inverse",), psi_inverse_items, dmod, dp)
     if prefixes:
         items = [entry for entry in items if entry[0][0].startswith(prefixes)]
+        if not items:  # a sweep of nothing would report a vacuous pass
+            raise ConfigError(f"--relations {cfg.relations!r} keeps no relation of target {target!r}")
     return items, manifest
 
 
@@ -144,16 +146,22 @@ def _cmd_verify(args):
         cfg = load_config(path=args.config, preset=args.preset, overrides=overrides)
         if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
             raise ConfigError(f"--out directory does not exist: {cfg.out!r}")
+        if cfg.out and os.path.isdir(cfg.out):
+            raise ConfigError(f"--out is a directory, not a file path: {cfg.out!r}")
         reports, summary, wall = run_verify(args.target, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if cfg.out:
-        write_jsonl(cfg.out, reports)
         spath = cfg.out[:-6] + ".summary.json" if cfg.out.endswith(".jsonl") else cfg.out + ".summary.json"
-        with open(spath, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(summary))
-            fh.write("\n")
+        try:
+            write_jsonl(cfg.out, reports)
+            with open(spath, "w", encoding="utf-8") as fh:
+                fh.write(dumps_canonical(summary))
+                fh.write("\n")
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     totals = summary["totals"]
     print(
         f"{args.target}: {totals['checked']} checks  "

@@ -20,10 +20,14 @@ is an ``int`` when integral and a reduced ``Fraction`` only when it is
 not, so formal runs, whose coefficients are integers, multiply machine
 ints (a constant that demotes out of a Laurent is still a Fraction, and
 every division goes through Fraction, so no float arises); a LaurentFrac
-denominator is a non-unit polynomial with nonnegative exponents, integer
-coprime coefficients, positive leading coefficient under graded-lex
-order, and no common factor with the numerator (cleared by a
-multivariate polynomial gcd).
+denominator is a non-unit polynomial in q alone with nonnegative
+exponents, integer coprime coefficients, positive leading coefficient and
+no common factor with the numerator.  Every non-unit the workbench
+divides by (the q-integers of the symmetrizers and the braid operators)
+is a polynomial in q, and d, y enter only as units; so a quotient takes
+as its denominator only a unit times a polynomial in q, and the common
+factor is cleared by a Euclidean gcd over Q[q] with each group of
+numerator terms that share their d and y exponents.
 
 A rational scalar is always a reduced ``Fraction`` with a positive
 denominator, also where the Fraction fast paths make it: ``sc_mul``,
@@ -232,98 +236,29 @@ class Laurent:
         return " + ".join(bits) if bits else "0"
 
 
-def _lift(x):
-    """Force a nonzero scalar into raw Laurent shape (no demotion)."""
-    if isinstance(x, Laurent):
-        return x
-    return Laurent({_ZEXP: _coef(x)})
+def _qlist(row):
+    """A {q exponent: coefficient} dict as (its lowest exponent, the coefficients from there up)."""
+    lo = min(row)
+    coefs = [0] * (max(row) - lo + 1)
+    for k, c in row.items():
+        coefs[k - lo] = c
+    return lo, coefs
 
 
-def _monomial_content(lp):
-    """Split off the unit monomial so remaining exponents are >= 0 with a zero minimum."""
-    mins = tuple(min(e[k] for e in lp.terms) for k in range(_NVARS))
-    if mins == _ZEXP:
-        return _ZEXP, lp
-    shifted = {
-        (e[0] - mins[0], e[1] - mins[1], e[2] - mins[2]): c
-        for e, c in lp.terms.items()
-    }
-    return mins, Laurent(shifted)
-
-
-def _vars_used(lp):
-    return tuple(k for k in range(_NVARS) if any(e[k] for e in lp.terms))
-
-
-def _terms(p):
-    return p.terms if isinstance(p, Laurent) else ({_ZEXP: p} if p else {})
-
-
-def _collect(p, syms):
-    """p grouped by its exponents in `syms`: {those exponents: coefficient free of syms}."""
-    groups = {}
-    for e, c in _terms(p).items():
-        key = tuple(e[k] for k in syms)
-        groups.setdefault(key, {})[tuple(0 if k in syms else x for k, x in enumerate(e))] = c
-    return {key: make_laurent(t) for key, t in groups.items()}
-
-
-def _exact_div(a, b):
-    """a / b for polynomials with b dividing a: long division on lex-leading terms."""
-    tb = _terms(b)
-    eb = max(tb)
-    out = Fraction(0)
-    while a:
-        ta = _terms(a)
-        ea = max(ta)
-        exp = tuple(x - y for x, y in zip(ea, eb))
-        assert min(exp) >= 0, "inexact division"
-        m = make_laurent({exp: Fraction(ta[ea], tb[eb])})
-        out = out + m
-        a = a - m * b
-    return out
-
-
-def _content(p, k, rest):
-    """gcd in Q[rest] of the coefficients of p as a polynomial in symbol k."""
-    g = Fraction(0)
-    for c in _collect(p, (k,)).values():
-        g = _gcd(g, c, rest)
-    return g
-
-
-def _primitive(p, k, rest):
-    """p over its content, scaled to lex-leading coefficient 1."""
-    p = _exact_div(p, _content(p, k, rest))
-    t = _terms(p)
-    return p * Fraction(1, t[max(t)])
-
-
-def _prem(a, b, k):
-    """Pseudo-remainder of a by b as polynomials in symbol k."""
-    (db,), lead_b = max(_collect(b, (k,)).items())
-    while a:
-        (da,), lead_a = max(_collect(a, (k,)).items())
-        if da < db:
-            break
-        shift = make_laurent({tuple(da - db if j == k else 0 for j in range(_NVARS)): Fraction(1)})
-        a = a * lead_b - lead_a * shift * b
-    return a
-
-
-def _gcd(a, b, syms):
-    """A gcd of polynomials a, b in Q[syms], by primitive remainder sequences."""
-    if not a or not b:
-        return a or b
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
-        return Fraction(1)
-    k, rest = syms[0], syms[1:]
-    c = _gcd(_content(a, k, rest), _content(b, k, rest), rest)
-    a, b = _primitive(a, k, rest), _primitive(b, k, rest)
-    while b:
-        r = _prem(a, b, k)
-        a, b = b, (_primitive(r, k, rest) if r else Fraction(0))
-    return c * a
+def _qdivmod(a, b):
+    """Quotient and remainder over Q of coefficient lists in q, lowest power first, b's last entry nonzero."""
+    a = list(a)
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    lead = b[-1]
+    for i in range(len(quo) - 1, -1, -1):
+        c = quo[i] = a[i + len(b) - 1] if lead == 1 else Fraction(a[i + len(b) - 1], lead)  # ints stay ints
+        if c:
+            for j, bj in enumerate(b):
+                a[i + j] -= c * bj
+    rem = a[:len(b) - 1]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
 
 
 class LaurentFrac:
@@ -338,7 +273,11 @@ class LaurentFrac:
 
     @staticmethod
     def make(num, den):
-        """Build num/den in canonical form, demoting where possible."""
+        """
+        Build num/den in canonical form, demoting where possible.  A non-unit
+        denominator must be a unit times a polynomial in q (the q-integers of
+        the symmetrizers and braid operators); any other raises ValueError.
+        """
         if isinstance(den, (int, Fraction)):
             return sc_mul(num, sc_inv(_as_fraction(den)))
         if isinstance(num, LaurentFrac) or isinstance(den, LaurentFrac):
@@ -349,45 +288,46 @@ class LaurentFrac:
             return Fraction(0)
         if den.is_unit():
             return num * sc_inv(den)
+        dy = {e[1:] for e in den.terms}
+        if len(dy) != 1:
+            raise ValueError(f"a quotient divides only by a unit times a polynomial in q, not by {den!r}")
+        (ed, ey), = dy
 
-        num = _lift(num)
-        mono, den = _monomial_content(den)
-        num = _lift(num * make_laurent({tuple(-m for m in mono): Fraction(1)}))
+        # split the unit q^low d^ed y^ey off den and num; num becomes one row in q per (d, y) exponent
+        low, dcoefs = _qlist({e[0]: c for e, c in den.terms.items()})
+        rows = {}
+        for e, c in (num.terms if isinstance(num, Laurent) else {_ZEXP: num}).items():
+            rows.setdefault((e[1] - ed, e[2] - ey), {})[e[0] - low] = c
+        rows = {key: _qlist(row) for key, row in rows.items()}
 
-        # a common factor lies in the denominator's symbols, so it divides
-        # each coefficient of the numerator over the other symbols
-        nmono, nshift = _monomial_content(num)
-        dvars = _vars_used(den)
-        others = tuple(k for k in range(_NVARS) if k not in dvars)
-        g = den
-        for c in _collect(nshift, others).values():
-            g = _gcd(g, c, dvars)
-            if isinstance(g, Fraction):
+        # a common factor is a polynomial in q, so it divides every row; Euclid over Q[q]
+        g = dcoefs
+        for _, coefs in rows.values():
+            if len(g) == 1:
                 break
-        if not isinstance(g, Fraction):
-            den = _exact_div(den, g)
-            num = sc_mul(_exact_div(nshift, g), make_laurent({nmono: Fraction(1)}))
-            if isinstance(den, Fraction) or den.is_unit():
-                return sc_mul(num, sc_inv(den))
-            num = _lift(num)
+            r = _qdivmod(coefs, g)[1]  # mostly g divides the row, and this one division shows it
+            while r:
+                g, r = r, _qdivmod(g, r)[1]
+        if len(g) > 1:
+            dcoefs = _qdivmod(dcoefs, g)[0]
+            rows = {key: (lo, _qdivmod(coefs, g)[0]) for key, (lo, coefs) in rows.items()}
 
-        # denominator normalization: integer coprime coefficients, positive grlex lead
-        denoms = [c.denominator for c in den.terms.values()]
-        numers = [c.numerator for c in den.terms.values()]
+        # denominator normalization: integer coprime coefficients, positive lead
         lcm = 1
-        for v in denoms:
-            lcm = lcm * v // gcd(lcm, v)
         g = 0
-        for v in numers:
-            g = gcd(g, v)
-        scale = Fraction(lcm, g)
-        if den.leading()[1] * scale < 0:
+        for c in dcoefs:
+            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+            g = gcd(g, c.numerator)
+        scale = _coef(Fraction(lcm, g))  # an int scale keeps int coefficients ints
+        if dcoefs[-1] * scale < 0:
             scale = -scale
-        den = Laurent({e: (c * scale).numerator for e, c in den.terms.items()})  # scale clears every denominator
-        num = sc_mul(_narrowest(num.terms), scale)  # a constant numerator demotes to a Fraction
-        if isinstance(num, Fraction) and not num:
+        num = make_laurent({
+            (lo + i, key[0], key[1]): c * scale
+            for key, (lo, coefs) in rows.items() for i, c in enumerate(coefs)
+        })  # a constant numerator demotes to a Fraction
+        if len(dcoefs) == 1:  # the whole denominator cancelled; scale is 1/its constant
             return num
-        return LaurentFrac(num, den)
+        return LaurentFrac(num, Laurent({(i, 0, 0): (c * scale).numerator for i, c in enumerate(dcoefs) if c}))
 
     def _lift(self, other):
         if isinstance(other, LaurentFrac):
@@ -460,7 +400,9 @@ YSYM = Laurent.var("y")
 
 
 def sc_mul(a, b):
-    if a.__class__ is Fraction and b.__class__ is Fraction:
+    if a.__class__ is Fraction:
+        if b.__class__ is not Fraction:
+            return b * a  # the formal operand's own __mul__, not Fraction.__mul__'s fallback first
         an, ad, bn, bd = a._numerator, a._denominator, b._numerator, b._denominator
         g1, g2 = gcd(an, bd), gcd(bn, ad)
         out = bare_fraction()

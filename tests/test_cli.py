@@ -92,6 +92,19 @@ def test_out_directory_must_exist_before_the_sweep(tmp_path, capsys, monkeypatch
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "--out directory does not exist" in err and len(err.strip().splitlines()) == 1
+    # an existing directory is no file path either
+    code = main(["verify", "hecke", "--preset", "poly", "--hecke-probes", "1", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--out is a directory" in err and len(err.strip().splitlines()) == 1
+
+    # a summary that cannot be written after the sweep is one line and exit 2, not a traceback
+    monkeypatch.undo()
+    (tmp_path / "y.summary.json").mkdir()
+    code = main(["verify", "toroidal", "--preset", "l1", *FAST, "--relations", "level", "--out", str(tmp_path / "y.jsonl")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot write report" in err and "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 def test_determinism_across_runs(tmp_path):
@@ -252,6 +265,20 @@ def test_relation_filter_keeps_every_builder_that_can_match():
     every = ids("")
     for want in sorted(set(every) | {rel[:cut] for rel in every for cut in (2, 4)}):
         assert ids(want) == [rel for rel in every if rel.startswith(want)], want
+
+
+@pytest.mark.parametrize("target, relations", [
+    ("hecke", "nosuch"),
+    ("hecke", "2.1."),      # a toroidal relation: the Hecke target has none
+    ("duality", "level"),
+    ("all", " , nosuch"),
+])
+def test_relations_that_keep_nothing_are_config_errors(target, relations, tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    code = main(["verify", target, "--preset", "l1", *FAST, "--relations", relations, "--out", str(out)])
+    assert code == EXIT_CONFIG and not out.exists()
+    err = capsys.readouterr().err
+    assert "keeps no relation" in err and repr(target) in err and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("target, flag, value", [

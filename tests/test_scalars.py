@@ -1,6 +1,8 @@
 """Exact-kernel properties: ring axioms, canonical forms, specialization, serialization."""
 
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -50,6 +52,15 @@ def scalars(draw):
     return LaurentFrac.make(num, den)
 
 
+def invertible(x):
+    """What sc_inv takes: a nonzero rational, or a unit times a polynomial in q (of a quotient, its numerator)."""
+    if isinstance(x, LaurentFrac):
+        return invertible(x.num)
+    if isinstance(x, Laurent):
+        return len({e[1:] for e in x.terms}) == 1
+    return not is_zero(x)
+
+
 @given(scalars(), scalars(), scalars())
 @settings(max_examples=120, deadline=None)
 def test_ring_axioms(a, b, c):
@@ -69,7 +80,7 @@ def test_add_then_subtract_is_exact(a, b):
 @given(scalars(), scalars())
 @settings(max_examples=80, deadline=None)
 def test_multiply_by_unit_inverse_is_exact(a, b):
-    if is_zero(b):
+    if not invertible(b):
         return
     assert a * b * sc_inv(b) == a
 
@@ -125,10 +136,11 @@ def test_fraction_canonical_form():
 
 
 def test_multivariate_common_factor_is_cleared():
-    common = Q * D + YSYM + 1
-    assert LaurentFrac.make(common * (Q - YSYM), common * (D + Q)) == LaurentFrac.make(Q - YSYM, D + Q)
-    assert LaurentFrac.make(common * (Q + 1), common) == Q + 1
-    assert sc_inv(Q + D) * (Q + D) == Fraction(1)
+    # the common factor is a polynomial in q; the numerators use q, d and y
+    common = Q * Q - Q * 2 + 3
+    assert LaurentFrac.make(common * (Q * D - YSYM), common * (Q + 5)) == LaurentFrac.make(Q * D - YSYM, Q + 5)
+    assert LaurentFrac.make(common * (Q * D + YSYM + 1), common) == Q * D + YSYM + 1
+    assert sc_inv(Q + 2) * (Q + 2) == Fraction(1)
 
 
 def test_mixed_variant_promotion_chain():
@@ -165,7 +177,7 @@ def test_serialization_shapes():
     assert scalar_to_json(Fraction(5)) == "5"
     obj = scalar_to_json(Q + 1)
     assert obj == {"laurent": [[[0, 0, 0], "1"], [[1, 0, 0], "1"]]}
-    assert "num" in scalar_to_json(sc_inv(Q + YSYM))
+    assert "num" in scalar_to_json(YSYM * sc_inv(Q + 1))
 
 
 def _double_loop_product(a, b):
@@ -229,7 +241,7 @@ def mixed_laurents(draw):
 
 @st.composite
 def q_polynomials(draw):
-    """A nonzero denominator in q alone, as in scalars(): the gcd with it stays quick."""
+    """A nonzero denominator in q alone, as in scalars(): make() divides by no other non-unit."""
     den = make_laurent({(0, 0, 0): draw(mixed_rationals), (1, 0, 0): draw(mixed_rationals)})
     assume(not is_zero(den))
     return den
@@ -278,7 +290,7 @@ def test_coefficients_stay_int_or_nonintegral_fraction(a, b, den, n):
         assert_stored_forms(x)
         _kernel_result(scalar_from_json(scalar_to_json(x)), x)
         _kernel_result(-x, x)
-        if not is_zero(x):
+        if invertible(x):
             _kernel_result(sc_inv(x), x)
             _kernel_result(sc_pow(x, n), x)
         _kernel_result(sc_pow(x, abs(n)), x)
@@ -288,7 +300,7 @@ def test_coefficients_stay_int_or_nonintegral_fraction(a, b, den, n):
     _kernel_result(b - a, a, b)
     _kernel_result(a * b, a, b)
     _kernel_result(b * a, a, b)
-    # over a general b, make() meets the three-symbol gcd, which can run for minutes
+    # make() divides only by a unit times a polynomial in q, so b is not a divisor here
     _kernel_result(LaurentFrac.make(a, den), a, den)
     _kernel_result(LaurentFrac.make(b, den), b, den)
     _kernel_result(LaurentFrac.make(a, n or 2), a)  # an int denominator
@@ -355,3 +367,63 @@ def test_formal_sweep_columns_hold_stored_forms(monkeypatch):
             assert_stored_forms(c)
             formal += isinstance(c, (Laurent, LaurentFrac))
     assert formal  # the sweep did reach Laurent coefficients
+
+
+nonzero_mixed = mixed_rationals.filter(bool)
+
+
+@st.composite
+def q_factors(draw, min_terms):
+    """A polynomial in q with nonnegative exponents and `min_terms` or more terms."""
+    return make_laurent(draw(st.dictionaries(st.integers(0, 3), nonzero_mixed, min_size=min_terms, max_size=4)
+                             .map(lambda t: {(k, 0, 0): c for k, c in t.items()})))
+
+
+def _num_den(r):
+    return (r.num, r.den) if isinstance(r, LaurentFrac) else (r, Fraction(1))
+
+
+@given(mixed_laurents(), q_factors(1), q_factors(2), rational_points, rational_points, rational_points)
+@example(Q * D - YSYM, Q + 5, Q * Q - Q * 2 + 3, Fraction(1), Fraction(2), Fraction(3))
+@example(make_laurent({(-2, 1, 0): 4, (0, 0, -1): Fraction(2, 3)}), Q * 6 + 4, Q * Q + 1,
+         Fraction(1), Fraction(1), Fraction(1))
+@settings(max_examples=150, deadline=None)
+def test_quotient_by_a_q_polynomial_is_reduced_and_canonical(num, den, common, qv, dv, yv):
+    assume(not is_zero(num))
+    r = LaurentFrac.make(num, den)
+    assert LaurentFrac.make(common * num, common * den) == r
+    rn, rd = _num_den(r)
+    assert rn * den == num * rd
+    assert_stored_forms(r)
+    if isinstance(r, LaurentFrac):  # the canonical denominator
+        assert all(e[1:] == (0, 0) for e in rd.terms) and min(e[0] for e in rd.terms) == 0
+        assert not rd.is_unit()
+        coeffs = list(rd.terms.values())
+        assert all(type(c) is int for c in coeffs) and gcd(*coeffs) == 1
+        assert rd.terms[max(rd.terms)] > 0  # the lead, at the highest power of q
+    subs = {"q": qv, "d": dv, "y": yv}
+    try:
+        want = specialize(num, subs) / specialize(den, subs)
+    except ZeroDivisionError:
+        return
+    assert specialize(r, subs) == want
+
+
+def test_quotient_by_a_non_q_polynomial_raises_at_once():
+    # (32q^-1 d^2 y - 16q d^-1 y + 480q^-2 d - 272q^-2 y)/(47q - 24) over (42q^3 d^-2 y^-1 - 15d^-1 y)/(3q - 5):
+    # a multivariate gcd spent minutes on this quotient
+    a = LaurentFrac.make(make_laurent({(-1, 2, 1): 32, (1, -1, 1): -16, (-2, 1, 0): 480, (-2, 0, 1): -272}), Q * 47 - 24)
+    b = LaurentFrac.make(make_laurent({(3, -2, -1): 42, (0, -1, 1): -15}), Q * 3 - 5)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="polynomial in q"):
+        LaurentFrac.make(a, b)
+    assert time.perf_counter() - t0 < 1
+    for den in (D + 1, D * D - D * 3, YSYM + 2, Q + D, Q * YSYM + 1):
+        with pytest.raises(ValueError, match="polynomial in q"):
+            LaurentFrac.make(Q + 1, den)
+        with pytest.raises(ValueError, match="polynomial in q"):
+            sc_inv(den)
+        with pytest.raises(ValueError, match="polynomial in q"):
+            sc_inv(LaurentFrac.make(den, Q * Q + 1))  # a quotient whose numerator uses d or y
+    # a unit times a polynomial in q divides, the unit as a Laurent monomial
+    assert LaurentFrac.make(D, D * YSYM * (Q + 1)) == sc_inv(YSYM * (Q + 1))
