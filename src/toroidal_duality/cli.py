@@ -19,6 +19,7 @@ import gc
 import os
 import sys
 import time
+from itertools import chain
 
 from .config import KEY_TYPES, PRESETS, ConfigError, SweepConfig, load_config
 from .reports import (
@@ -38,7 +39,12 @@ TARGETS = ("hecke", "toroidal", "duality", "all")
 
 
 def collect_items(target, cfg: SweepConfig):
-    """Check items for a target plus the manifest describing module and probes."""
+    """
+    The check items of a target, as one iterator, plus the manifest
+    describing module and probes.  Every builder is called here, so a bad
+    argument raises at once; each item is made only as the runner takes it,
+    and dropped once its report exists, so no sweep holds all its items.
+    """
     from .duality import DualityModule, duality_probes, dvec_to_json, hvec_to_json
     from .dualchecks import (
         intertwining_items,
@@ -62,16 +68,15 @@ def collect_items(target, cfg: SweepConfig):
     )
 
     prefixes = cfg.relation_prefixes()
+    parts = []  # one lazy iterable of items per builder, in sweep order
 
     def build(stems, builder, *args):
-        """builder(*args), skipped when none of its relation ids (each starting with one of `stems`) is kept."""
-        if prefixes and not any(s.startswith(prefixes) or p.startswith(s) for s in stems for p in prefixes):
-            return []
-        return builder(*args)
+        """Add builder(*args) to the sweep unless none of its relation ids (each starting with one of `stems`) is kept."""
+        if not prefixes or any(s.startswith(prefixes) or p.startswith(s) for s in stems for p in prefixes):
+            parts.append(builder(*args))
 
     hmod = cfg.build_hecke_module()
     manifest = {"module": hmod.descriptor(), "probes": {}}
-    items = []
     if target in ("hecke", "all"):
         hp = hecke_probes(hmod, cfg.hecke_probes, cfg.seed)
         manifest["probes"].update({pid: hvec_to_json(vec) for pid, vec in hp})
@@ -82,28 +87,31 @@ def collect_items(target, cfg: SweepConfig):
         )
         if prefixes:
             checks = [chk for chk in checks if chk.relation.startswith(prefixes)]
-        items += make_hecke_items(hmod, checks, hp)
+        parts.append(make_hecke_items(hmod, checks, hp))
     if target in ("toroidal", "duality", "all"):
         dmod = DualityModule(hmod)
         dp = duality_probes(dmod, cfg.probes, cfg.seed)
         manifest["probes"].update({pid: dvec_to_json(vec) for pid, vec in dp})
         if target in ("toroidal", "all"):
-            items += build(("2.1.",), current_relation_items, dmod, cfg.modes, dp)
-            items += build(("int.",), integrability_items, dmod, cfg.modes, dp)
-            items += build(("cc.",), central_charge_items, dmod, dp)
-            items += build(("level.",), level_items, dmod, dp)
+            build(("2.1.",), current_relation_items, dmod, cfg.modes, dp)
+            build(("int.",), integrability_items, dmod, cfg.modes, dp)
+            build(("cc.",), central_charge_items, dmod, dp)
+            build(("level.",), level_items, dmod, dp)
         if target in ("duality", "all"):
             hp = hecke_probes(hmod, min(cfg.hecke_probes, 12), cfg.seed)
             manifest["probes"].update({pid: hvec_to_json(vec) for pid, vec in hp})
-            items += build(("psi.shift-", "psi.double-"), psi_conjugation_items, dmod, cfg.modes, dp)
-            items += build(("braid.", "rotation.", "translation."), intertwining_items, dmod, dp)
-            items += build(("reg.",), regression_items, dmod, cfg.modes, dp)
-            items += build(("recon.",), reconstruction_items, dmod, cfg.modes, hp)
-            items += build(("psi.inverse",), psi_inverse_items, dmod, dp)
+            build(("psi.shift-", "psi.double-"), psi_conjugation_items, dmod, cfg.modes, dp)
+            build(("braid.", "rotation.", "translation."), intertwining_items, dmod, dp)
+            build(("reg.",), regression_items, dmod, cfg.modes, dp)
+            build(("recon.",), reconstruction_items, dmod, cfg.modes, hp)
+            build(("psi.inverse",), psi_inverse_items, dmod, dp)
+    items = chain.from_iterable(parts)
     if prefixes:
-        items = [entry for entry in items if entry[0][0].startswith(prefixes)]
-        if not items:  # a sweep of nothing would report a vacuous pass
+        items = (entry for entry in items if entry[0][0].startswith(prefixes))
+        first = next(items, None)
+        if first is None:  # a sweep of nothing would report a vacuous pass
             raise ConfigError(f"--relations {cfg.relations!r} keeps no relation of target {target!r}")
+        items = chain((first,), items)
     return items, manifest
 
 
@@ -115,9 +123,9 @@ def collector_paused():
     leave it off until the outermost ends.
 
     Reference counting still frees what a sweep drops; the collector would
-    only traverse the sweep's live memo nodes, items and reports again and
-    again.  The only cyclic garbage a command leaves is its argparse
-    parser, whose size does not grow with the sweep.
+    only traverse the sweep's live memo nodes and reports again and again.
+    The only cyclic garbage a command leaves is its argparse parser, whose
+    size does not grow with the sweep.
     """
     was_enabled = gc.isenabled()
     gc.disable()

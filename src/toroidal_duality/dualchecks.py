@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
 from .duality import dvec_add, fund_ktheta_exp
 from .hecke import RelCheck, apply_expr, apply_word, lt, make_hecke_items, tij_word, vec_scale, wmul
@@ -54,16 +55,16 @@ def psi_conjugation_items(dmod, K, probes):
         lhs = ((ONE, (PSI_INV, PSI_INV, ("mode", kind, 1, k), PSI, PSI)),)
         return (lhs, ((sc_pow(scale1, -2 * k), (("mode", kind, n, k),)),)),
 
-    items = []
-    for pid, vec in probes:
-        for i in range(n + 1):
+    def items():
+        for pid, vec in probes:
+            for i in range(n + 1):
+                for kind in KINDS:
+                    for k in _mode_range(kind, K):
+                        yield (f"psi.shift-{kind}", (i,), (k,), pid), partial(shift, vec, i, kind, k)
             for kind in KINDS:
                 for k in _mode_range(kind, K):
-                    items.append(((f"psi.shift-{kind}", (i,), (k,), pid), partial(shift, vec, i, kind, k)))
-        for kind in KINDS:
-            for k in _mode_range(kind, K):
-                items.append(((f"psi.double-{kind}", (1, n), (k,), pid), partial(double, vec, kind, k)))
-    return items
+                    yield (f"psi.double-{kind}", (1, n), (k,), pid), partial(double, vec, kind, k)
+    return items()
 
 
 # -- braid-automorphism images as noncommutative expressions ------------------
@@ -199,15 +200,15 @@ def intertwining_items(dmod, probes):
     def translation(vec, sym):
         return (((ONE, (T_OMEGA1, sym)),), partial(eval_trie, dmod, omega_tries[sym], vec)),
 
-    items = []
-    for pid, vec in probes:
-        for sym in gens:
-            label = f"{sym[0]}{sym[1]}|{pid}"
-            for i in range(1, n + 1):
-                items.append((("braid.intertwine", (i,) + sym[1:], (), label), partial(braid, vec, i, sym)))
-            items.append((("rotation.intertwine", sym[1:], (), label), partial(rotation, vec, sym)))
-            items.append((("translation.intertwine", sym[1:], (), label), partial(translation, vec, sym)))
-    return items
+    def items():
+        for pid, vec in probes:
+            for sym in gens:
+                label = f"{sym[0]}{sym[1]}|{pid}"
+                for i in range(1, n + 1):
+                    yield ("braid.intertwine", (i,) + sym[1:], (), label), partial(braid, vec, i, sym)
+                yield ("rotation.intertwine", sym[1:], (), label), partial(rotation, vec, sym)
+                yield ("translation.intertwine", sym[1:], (), label), partial(translation, vec, sym)
+    return items()
 
 
 # -- closed-form regressions ---------------------------------------------------
@@ -223,34 +224,26 @@ def _expect_l1_braid(dmod, i, j):
 def regression_items(dmod, K, probes):
     """The printed desk-scale formulas, each against the operator pipeline."""
     n, l, q, d = dmod.n, dmod.l, dmod.q, dmod.d
-    items = []
 
-    if l == 1:
-        def slot_rhs(hkey, i, j, b):
-            sij, coeff = _expect_l1_braid(dmod, i, j)
-            return vec_scale(coeff, dmod.basis_vector(hkey, (sij,), b))
+    # the l = 1 slot formulas
+    def slot_rhs(hkey, i, j, b):
+        sij, coeff = _expect_l1_braid(dmod, i, j)
+        return vec_scale(coeff, dmod.basis_vector(hkey, (sij,), b))
 
-        def sign_rhs(hkey, j, b):
-            if j != 1:
-                return vec_scale(Fraction(-1), dmod.basis_vector(hkey, (j,), b))
-            hv = apply_word(dmod.h, lt("Y", 1), {hkey: sc_pow(q, n)}, b)
-            return dmod.straighten({(hk, (1,)): c for hk, c in hv.items()}, b)
+    def sign_rhs(hkey, j, b):
+        if j != 1:
+            return vec_scale(Fraction(-1), dmod.basis_vector(hkey, (j,), b))
+        hv = apply_word(dmod.h, lt("Y", 1), {hkey: sc_pow(q, n)}, b)
+        return dmod.straighten({(hk, (1,)): c for hk, c in hv.items()}, b)
 
-        # both act on the unstraightened slot vector, straightened first
-        @partial(identity, ops=dmod)
-        def braid_slot(vec, hkey, i, j):
-            return (((ONE, (("braid", i), STRAIGHTEN)),), partial(slot_rhs, hkey, i, j)),
+    # both act on the unstraightened slot vector, straightened first
+    @partial(identity, ops=dmod)
+    def braid_slot(vec, hkey, i, j):
+        return (((ONE, (("braid", i), STRAIGHTEN)),), partial(slot_rhs, hkey, i, j)),
 
-        @partial(identity, ops=dmod)
-        def translation_sign(vec, hkey, j):
-            return (((ONE, (T_OMEGA1, STRAIGHTEN)),), partial(sign_rhs, hkey, j)),
-
-        for hkey in dmod.h.basis_keys():
-            for j in range(1, n + 2):
-                slot = {(hkey, (j,)): ONE}
-                for i in range(1, n + 1):
-                    items.append((("reg.braid-slot", (i, j), (), "basis"), partial(braid_slot, slot, hkey, i, j)))
-                items.append((("reg.translation-sign", (j,), (), "basis"), partial(translation_sign, slot, hkey, j)))
+    @partial(identity, ops=dmod)
+    def translation_sign(vec, hkey, j):
+        return (((ONE, (T_OMEGA1, STRAIGHTEN)),), partial(sign_rhs, hkey, j)),
 
     # translation-operator product formula on every nondecreasing probe term
     def product_rhs(vec, b):
@@ -360,32 +353,37 @@ def regression_items(dmod, K, probes):
         lhs = ((ONE, (("mode", {"e": "e", "f": "f", "k": "k+"}[kind], 0, 0),)),)
         return (lhs, partial(wrap_zero_rhs, kind, vec)),
 
-    for pid, vec in probes:
-        items.append((("reg.translation-product", (), (), pid), partial(translation_product, vec)))
-        for h in range(-K, K + 1):
-            items.append((("reg.first-vertex-mode", (1,), (h,), pid), partial(first_mode, vec, h)))
-        for i in range(1, n + 1):
-            items.append((("reg.cartan-weight", (i,), (0,), pid), partial(cartan_weight, vec, i)))
-            items.append((("reg.cartan-mode1", (i,), (1,), pid), partial(cartan_mode1, vec, i)))
-        items.append((("reg.charge-one", (1, 2), (0, 1), pid), partial(charge_one, vec)))
-        for kind in ("e", "f", "k"):
-            items.append(((f"reg.wrap-{kind}0", (0,), (0,), pid), partial(wrap_zero, vec, kind)))
+    # wrap-vertex action on the standard tuple lands on q^(1-l) m Q (x) w, for l <= n
+    def standard_e0_rhs(hkey, b):
+        hv = apply_word(dmod.h, lt("Q"), {hkey: sc_pow(q, 1 - l)}, b)
+        w = tuple(range(2, l + 1)) + (n + 1,)
+        return dmod.straighten({(hk, w): c for hk, c in hv.items()}, b)
 
-    # wrap-vertex action on the standard tuple lands on q^(1-l) m Q (x) w
-    if l <= n:
-        def standard_e0_rhs(hkey, b):
-            hv = apply_word(dmod.h, lt("Q"), {hkey: sc_pow(q, 1 - l)}, b)
-            w = tuple(range(2, l + 1)) + (n + 1,)
-            return dmod.straighten({(hk, w): c for hk, c in hv.items()}, b)
+    @partial(identity, ops=dmod)
+    def standard_e0(vec, hkey):
+        return (((ONE, (("mode", "e", 0, 0), STRAIGHTEN)),), partial(standard_e0_rhs, hkey)),
 
-        @partial(identity, ops=dmod)
-        def standard_e0(vec, hkey):
-            return (((ONE, (("mode", "e", 0, 0), STRAIGHTEN)),), partial(standard_e0_rhs, hkey)),
-
-        for hkey in _module_probe_keys(dmod):
+    def items():
+        for hkey in dmod.h.basis_keys() if l == 1 else ():
+            for j in range(1, n + 2):
+                slot = {(hkey, (j,)): ONE}
+                for i in range(1, n + 1):
+                    yield ("reg.braid-slot", (i, j), (), "basis"), partial(braid_slot, slot, hkey, i, j)
+                yield ("reg.translation-sign", (j,), (), "basis"), partial(translation_sign, slot, hkey, j)
+        for pid, vec in probes:
+            yield ("reg.translation-product", (), (), pid), partial(translation_product, vec)
+            for h in range(-K, K + 1):
+                yield ("reg.first-vertex-mode", (1,), (h,), pid), partial(first_mode, vec, h)
+            for i in range(1, n + 1):
+                yield ("reg.cartan-weight", (i,), (0,), pid), partial(cartan_weight, vec, i)
+                yield ("reg.cartan-mode1", (i,), (1,), pid), partial(cartan_mode1, vec, i)
+            yield ("reg.charge-one", (1, 2), (0, 1), pid), partial(charge_one, vec)
+            for kind in ("e", "f", "k"):
+                yield (f"reg.wrap-{kind}0", (0,), (0,), pid), partial(wrap_zero, vec, kind)
+        for hkey in _module_probe_keys(dmod) if l <= n else ():
             standard = {(hkey, tuple(range(1, l + 1))): ONE}
-            items.append((("reg.standard-e0", (0,), (0,), f"m{hkey}"), partial(standard_e0, standard, hkey)))
-    return items
+            yield ("reg.standard-e0", (0,), (0,), f"m{hkey}"), partial(standard_e0, standard, hkey)
+    return items()
 
 
 def _module_probe_keys(dmod):
@@ -435,14 +433,15 @@ def reconstruction_items(dmod, K, hprobes):
     shifts = [RelCheck("recon.y-wrap", (), ((ONE, wmul(qw, lt("Y", l), qinv)),), ((dmod.params.x, lt("Y", 1)),))]
     if l >= 2:
         shifts.append(RelCheck("recon.y-shift", (), ((ONE, wmul(qw, lt("Y", 1), qinv)),), ((ONE, lt("Y", 2)),)))
-    items = make_hecke_items(dmod.h, shifts, hprobes)
-    for pid, hvec in hprobes:
-        if l >= 2:
-            for modes, e, c in theta_cases:
-                items.append((("recon.theta-conj", (2, 1), modes, pid), partial(theta_conj, hvec, e, c)))
-        if n > l + 1:
-            items.append((("recon.wrap-display", (0, n), (), pid), partial(wrap_display, hvec)))
-    return items
+
+    def items():
+        for pid, hvec in hprobes:
+            if l >= 2:
+                for modes, e, c in theta_cases:
+                    yield ("recon.theta-conj", (2, 1), modes, pid), partial(theta_conj, hvec, e, c)
+            if n > l + 1:
+                yield ("recon.wrap-display", (0, n), (), pid), partial(wrap_display, hvec)
+    return chain(make_hecke_items(dmod.h, shifts, hprobes), items())
 
 
 def psi_inverse_items(dmod, probes):
@@ -452,4 +451,4 @@ def psi_inverse_items(dmod, probes):
     def inverse(vec):
         return (((ONE, (PSI_INV, PSI)),), UNIT), (((ONE, (PSI, PSI_INV)),), UNIT)
 
-    return [(("psi.inverse", (), (), pid), partial(inverse, vec)) for pid, vec in probes]
+    return ((("psi.inverse", (), (), pid), partial(inverse, vec)) for pid, vec in probes)

@@ -622,15 +622,15 @@ def hecke_probes(module, count, seed):
 
 
 def make_hecke_items(module, checks, probes):
-    """(meta, thunk) pairs for the generic relation runner."""
+    """(meta, thunk) pairs for the generic relation runner, made as they are consumed."""
     from .reports import identity  # reports imports this module
 
     def sides(vec, chk):
         return (partial(apply_expr, module, chk.lhs, vec), partial(apply_expr, module, chk.rhs, vec)),
 
     check = identity(sides)
-    return [
+    return (
         ((chk.relation, chk.indices, (), pid), partial(check, vec, chk))
         for chk in checks
         for pid, vec in probes
-    ]
+    )

@@ -106,7 +106,10 @@ def weight_display(ops, i, vec, budget=None):
 
 
 def current_relation_items(ops, K, probes):
-    """(meta, thunk) pairs for relations 2.1.1 - 2.1.9 at mode window K."""
+    """
+    (meta, thunk) pairs for relations 2.1.1 - 2.1.9 at mode window K, made
+    as they are consumed; the arguments are checked at the call.
+    """
     if ops.params.c != Fraction(1):
         raise ValueError("relation sweeps are defined at trivial central charge only")
     if K < 1:
@@ -117,7 +120,6 @@ def current_relation_items(ops, K, probes):
     qmqinv = q - sc_inv(q)
     minus_qqinv = -(q + sc_inv(q))
     twists = {}
-    items = []
 
     def twist(a, m):
         """(d^m, -q^a, -q^a d^m), computed once per twist (a, m)."""
@@ -125,9 +127,6 @@ def current_relation_items(ops, K, probes):
             dm, qa = sc_pow(d, m), sc_pow(q, a)
             twists[a, m] = (dm, -qa, -sc_mul(qa, dm))
         return twists[a, m]
-
-    def emit(rel, ij, modes, pid, thunk):
-        items.append(((rel, ij, modes, pid), thunk))
 
     # (2.1.1) at the zero modes: k_{i,0}^+ and k_{i,0}^- are inverse
     @partial(identity, ops=ops)
@@ -174,62 +173,63 @@ def current_relation_items(ops, K, probes):
     kminus_range = list(range(-K, 1))
     e_range = list(range(-K, K + 1))
 
-    for pid, vec in probes:
-        for i in range(n + 1):
-            emit("2.1.1-unit", (i, i), (0, 0), pid, partial(unit, vec, i))
+    def items():
+        for pid, vec in probes:
+            for i in range(n + 1):
+                yield ("2.1.1-unit", (i, i), (0, 0), pid), partial(unit, vec, i)
 
-        for i in range(n + 1):
-            for j in range(n + 1):
-                for rel, s1, s2, range1, range2 in (
-                    ("2.1.1", +1, +1, kplus_range, kplus_range),
-                    ("2.1.1", -1, -1, kminus_range, kminus_range),
-                    ("2.1.2", +1, -1, kplus_range, kminus_range),
-                    ("2.1.2", -1, +1, kminus_range, kplus_range),
-                ):
-                    for ka in range1:
-                        for kb in range2:
-                            emit(rel, (i, j), (s1, ka, s2, kb), pid,
-                                 partial(comm, vec, i, j, s1, ka, s2, kb))
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    for rel, s1, s2, range1, range2 in (
+                        ("2.1.1", +1, +1, kplus_range, kplus_range),
+                        ("2.1.1", -1, -1, kminus_range, kminus_range),
+                        ("2.1.2", +1, -1, kplus_range, kminus_range),
+                        ("2.1.2", -1, +1, kminus_range, kplus_range),
+                    ):
+                        for ka in range1:
+                            for kb in range2:
+                                yield ((rel, (i, j), (s1, ka, s2, kb), pid),
+                                       partial(comm, vec, i, j, s1, ka, s2, kb))
 
-                a = cartan.a(i, j)
-                m = cartan.m(i, j)
-                for rel, sign, other_kind, aa in (
-                    ("2.1.3", +1, "e", a),
-                    ("2.1.3", -1, "e", a),
-                    ("2.1.4", +1, "f", -a),
-                    ("2.1.4", -1, "f", -a),
-                ):
-                    # modes R and R+1 must stay inside the window or be
-                    # definitionally zero for the given sign
-                    Rs = [-1] + kplus_range[:-1] if sign > 0 else kminus_range
-                    Rs = sorted(set(Rs))
-                    coeffs = twist(aa, m)
-                    for R in Rs:
-                        for S in range(-K + 1, K + 1):
-                            emit(rel, (i, j), (sign, R, S), pid,
-                                 partial(cartan_exchange, vec, i, j, sign, other_kind, coeffs, R, S))
+                    a = cartan.a(i, j)
+                    m = cartan.m(i, j)
+                    for rel, sign, other_kind, aa in (
+                        ("2.1.3", +1, "e", a),
+                        ("2.1.3", -1, "e", a),
+                        ("2.1.4", +1, "f", -a),
+                        ("2.1.4", -1, "f", -a),
+                    ):
+                        # modes R and R+1 must stay inside the window or be
+                        # definitionally zero for the given sign
+                        Rs = [-1] + kplus_range[:-1] if sign > 0 else kminus_range
+                        Rs = sorted(set(Rs))
+                        coeffs = twist(aa, m)
+                        for R in Rs:
+                            for S in range(-K + 1, K + 1):
+                                yield ((rel, (i, j), (sign, R, S), pid),
+                                       partial(cartan_exchange, vec, i, j, sign, other_kind, coeffs, R, S))
 
-                for r in e_range:
-                    for s in e_range:
-                        emit("2.1.5", (i, j), (r, s), pid, partial(ef_exchange, vec, i, j, r, s))
+                    for r in e_range:
+                        for s in e_range:
+                            yield ("2.1.5", (i, j), (r, s), pid), partial(ef_exchange, vec, i, j, r, s)
 
-                for rel, kind, aa in (("2.1.6", "e", a), ("2.1.7", "f", -a)):
-                    coeffs = twist(aa, m)
-                    for r in range(-K + 1, K + 1):
-                        for s in range(-K + 1, K + 1):
-                            emit(rel, (i, j), (r, s), pid,
-                                 partial(like_exchange, vec, i, j, kind, coeffs, r, s))
+                    for rel, kind, aa in (("2.1.6", "e", a), ("2.1.7", "f", -a)):
+                        coeffs = twist(aa, m)
+                        for r in range(-K + 1, K + 1):
+                            for s in range(-K + 1, K + 1):
+                                yield ((rel, (i, j), (r, s), pid),
+                                       partial(like_exchange, vec, i, j, kind, coeffs, r, s))
 
-        for i, j in cartan.adjacent_pairs():
-            for rel, kind in (("2.1.8", "e"), ("2.1.9", "f")):
-                for k1 in e_range:
-                    for k2 in e_range:
-                        if k2 < k1:
-                            continue  # the z1 <-> z2 symmetrization makes (k1,k2) ~ (k2,k1)
-                        for kk in e_range:
-                            emit(rel, (i, j), (k1, k2, kk), pid,
-                                 partial(serre, vec, i, j, kind, k1, k2, kk))
-    return items
+            for i, j in cartan.adjacent_pairs():
+                for rel, kind in (("2.1.8", "e"), ("2.1.9", "f")):
+                    for k1 in e_range:
+                        for k2 in e_range:
+                            if k2 < k1:
+                                continue  # the z1 <-> z2 symmetrization makes (k1,k2) ~ (k2,k1)
+                            for kk in e_range:
+                                yield ((rel, (i, j), (k1, k2, kk), pid),
+                                       partial(serre, vec, i, j, kind, k1, k2, kk))
+    return items()
 
 
 def integrability_items(ops, K, probes):
@@ -244,15 +244,15 @@ def integrability_items(ops, K, probes):
     def nilpotent(vec, i, kind, k):
         return (((ONE, (("mode", kind, i, k),) * (l + 1)),), ()),
 
-    items = []
-    for pid, vec in probes:
-        for i in range(n + 1):
-            items.append((("int.weight", (i,), (0,), pid), partial(weight, vec, i)))
-        for i in range(n + 1):
-            for kind in ("e", "f"):
-                for k in range(-K, K + 1):
-                    items.append((("int.nilpotent", (i,), (k,), pid), partial(nilpotent, vec, i, kind, k)))
-    return items
+    def items():
+        for pid, vec in probes:
+            for i in range(n + 1):
+                yield ("int.weight", (i,), (0,), pid), partial(weight, vec, i)
+            for i in range(n + 1):
+                for kind in ("e", "f"):  # e and f share a key; the runner's stable sort keeps e first
+                    for k in range(-K, K + 1):
+                        yield ("int.nilpotent", (i,), (k,), pid), partial(nilpotent, vec, i, kind, k)
+    return items()
 
 
 def central_charge_items(ops, probes):
@@ -267,13 +267,13 @@ def central_charge_items(ops, probes):
     def mixed(vec, i, j):
         return _swap(("mode", "k+", i, 1), ("mode", "k-", j, -1)),
 
-    items = []
-    for pid, vec in probes:
-        items.append((("cc.k-product", (), (), pid), partial(product, vec)))
-        for i in range(n + 1):
-            for j in range(n + 1):
-                items.append((("cc.kpm-comm", (i, j), (1, -1), pid), partial(mixed, vec, i, j)))
-    return items
+    def items():
+        for pid, vec in probes:
+            yield ("cc.k-product", (), (), pid), partial(product, vec)
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    yield ("cc.kpm-comm", (i, j), (1, -1), pid), partial(mixed, vec, i, j)
+    return items()
 
 
 def level_weight_set(n, l):
@@ -290,14 +290,13 @@ def level_weight_set(n, l):
 def level_items(ops, probes):
     """Necessary level-l condition: observed finite weights lie in the V^(x)l weight set."""
     allowed = level_weight_set(ops.n, ops.l)
-    items = []
-    for pid, vec in probes:
-        def level_thunk(vec=vec):
-            seen = {
-                tuple(ops.weight(i, jt) for i in range(1, ops.n + 1))
-                for (_, jt) in vec.keys()
-            }
-            bad = seen - allowed
-            return (not bad), True, "" if not bad else f"foreign weights {sorted(bad)[:3]}"
-        items.append((("level.weights", (), (), pid), level_thunk))
-    return items
+
+    def level_thunk(vec):
+        seen = {
+            tuple(ops.weight(i, jt) for i in range(1, ops.n + 1))
+            for (_, jt) in vec.keys()
+        }
+        bad = seen - allowed
+        return (not bad), True, "" if not bad else f"foreign weights {sorted(bad)[:3]}"
+
+    return ((("level.weights", (), (), pid), partial(level_thunk, vec)) for pid, vec in probes)

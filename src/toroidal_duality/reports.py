@@ -3,10 +3,12 @@ Relation reports, the one way to state a check, and the deterministic
 check runner.
 
 A check item is ((relation, indices, modes, probe), thunk) where the thunk
-returns (residual_zero, budget_valid, note).  `identity` builds the thunk
-of every identity check lhs == rhs, each side either an expression, a
-tuple of (coeff, word) terms, or a closed-form function of the window
-budget.  Words act rightmost letter first; a letter is a Kac-Moody
+returns (residual_zero, budget_valid, note).  Item builders return lazy
+iterables: each item is made as the runner takes it and dropped once its
+report exists, so a sweep never holds all its items.  `identity` builds
+the thunk of every identity check lhs == rhs, each side either an
+expression, a tuple of (coeff, word) terms, or a closed-form function of
+the window budget.  Words act rightmost letter first; a letter is a Kac-Moody
 generator (kind, j) as printed, acting through `km`, or (operator,
 *arguments) for any other operator method, e.g. ("mode", kind, i, k) or
 ("psi",).  Each ops object keeps one word memo per probe vector, a suffix
@@ -132,7 +134,8 @@ def identity(sides, ops=None):
     are called with the budget.  The check returns (residual_zero,
     budget_valid, note), the note naming the first nonzero residual.  Bind
     the arguments with functools.partial to get the item's thunk; `sides`
-    runs inside it, so an item costs nothing to build.
+    runs inside it, so an item is only a key and a partial, made as the
+    runner takes it.
     """
 
     def check(vec, *args):
@@ -192,7 +195,11 @@ class RelationReport(NamedTuple):
 
 
 def run_relation_items(items, *, workers=1):
-    """Execute check items and return reports sorted by (relation, indices, modes, probe)."""
+    """
+    Execute check items, taking each from the iterable only when it runs,
+    and return reports sorted by (relation, indices, modes, probe).  The
+    sort is stable: reports under one key keep the order of their items.
+    """
     # kept only because perfbench/sweep.py forwards workers=1 to this runner
     if workers != 1:
         raise ValueError(f"the check runner is serial; workers must be 1, got {workers!r}")

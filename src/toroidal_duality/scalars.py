@@ -340,6 +340,8 @@ class LaurentFrac:
         o = self._lift(other)
         if o is None:
             return NotImplemented
+        if self.den == o.den:  # most sums: no square of the denominator for `make` to divide back out
+            return LaurentFrac.make(self.num + o.num, self.den)
         return LaurentFrac.make(
             self.num * o.den + o.num * self.den,
             sc_mul(self.den, o.den),

@@ -178,6 +178,82 @@ def test_sweep_cyclic_garbage_does_not_grow_with_the_check_count(tmp_path, colle
     assert found[0] == found[1]
 
 
+def _verify_config(argv):
+    """(target, config) of a `verify` command line, as the command loads them."""
+    from toroidal_duality.cli import build_parser
+    from toroidal_duality.config import KEY_TYPES
+
+    args = build_parser().parse_args(argv)
+    overrides = {key: getattr(args, key, None) for key in KEY_TYPES}
+    return args.target, load_config(path=args.config, preset=args.preset, overrides=overrides, env={})
+
+
+def _benchmark_workloads():
+    """The perfbench workloads recorded in perfbench/baseline.json (read only)."""
+    baseline = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "baseline.json")
+    with open(baseline, encoding="utf-8") as fh:
+        return json.load(fh)["workloads"]
+
+
+# the pinned sweeps, with their repeated keys: `all` at both presets holds every
+# acceptance sweep's items but the negative control's
+TIED_KEYS = {
+    "all --preset poly": 200,
+    "all --preset l1": 224,
+    "hecke --preset poly --negative-control --hecke-probes 10": 0,
+    "toroidal-poly-k3": 35,
+    "toroidal-poly-formal": 25,
+    "hecke-l3": 0,
+    "duality-l3": 0,
+}
+
+
+@pytest.mark.parametrize("sweep, tied", TIED_KEYS.items(), ids=list(TIED_KEYS))
+def test_only_nilpotent_pairs_share_a_key_and_keep_their_emission_order(sweep, tied):
+    # int.nilpotent states its e and f checks at (i, k) under one key, since the
+    # kind is not in it; the stream cannot tell the two records apart, so the
+    # runner's stable sort must keep them as emitted: e, then f
+    from toroidal_duality.cli import collect_items
+
+    workloads = _benchmark_workloads()
+    argv = workloads[sweep]["argv"] if sweep in workloads else ["verify", *sweep.split()]
+    items = list(collect_items(*_verify_config(argv))[0])
+    emitted = {}
+    for n, (meta, thunk) in enumerate(items):
+        emitted.setdefault(meta, []).append(n)
+    repeated = {meta: at for meta, at in emitted.items() if len(at) > 1}
+    assert len(repeated) == tied
+    for meta, at in repeated.items():
+        assert meta[0] == "int.nilpotent" and len(at) == 2, meta
+        assert [items[n][1].args[2] for n in at] == ["e", "f"], meta  # partial(nilpotent, vec, i, kind, k)
+    # each report's note names the item it came from
+    reports = run_relation_items((meta, lambda n=n: (True, True, n)) for n, (meta, _) in enumerate(items))
+    ran = {}
+    for r in reports:
+        ran.setdefault(r[:4], []).append(r.note)
+    assert ran == emitted
+
+
+def test_items_stream_into_the_runner():
+    # no sweep holds all its items: at K = 3 (11,052 checks) building every
+    # item before the first check traced a 9.1 MB peak, streaming them 5.5 MB
+    import tracemalloc
+
+    from toroidal_duality.cli import collect_items, run_verify
+
+    cfg = load_config(preset="poly", overrides={"modes": 3, "probes": 1}, env={})
+    items, _ = collect_items("toroidal", cfg)
+    assert iter(items) is items  # an iterator, not a list
+    tracemalloc.start()
+    try:
+        reports, summary, _ = run_verify("toroidal", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["totals"]["passed"] == len(reports) == 11052
+    assert peak < 7_000_000, f"{peak / 1e6:.2f} MB"
+
+
 def test_workers_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "toroidal", "--preset", "l1", "--workers", "3"])
@@ -485,9 +561,7 @@ def test_benchmark_workloads_match_recorded_digests(tmp_path, monkeypatch):
     # and summary sha256 recorded in perfbench/baseline.json (read only)
     for key in [k for k in os.environ if k.startswith("TOROIDAL_")]:
         monkeypatch.delenv(key)
-    baseline = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "baseline.json")
-    with open(baseline, encoding="utf-8") as fh:
-        workloads = json.load(fh)["workloads"]
+    workloads = _benchmark_workloads()
     assert len(workloads) == 4
     for name, spec in sorted(workloads.items()):
         out = tmp_path / f"{name}.jsonl"

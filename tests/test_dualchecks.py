@@ -137,7 +137,7 @@ def test_symbolic_duality_residuals_are_exact_zero():
         assert valid and zero, (meta, note)
     # the braid-based regressions force q-factorial quotients through the
     # fraction kernel; they must vanish identically as well
-    for meta, thunk in regression_items(dm, 1, probes) + psi_conjugation_items(dm, 1, probes):
+    for meta, thunk in list(regression_items(dm, 1, probes)) + list(psi_conjugation_items(dm, 1, probes)):
         zero, valid, note = thunk()
         assert valid and zero, (meta, note)
 

@@ -215,9 +215,9 @@ def test_memo_survives_recycled_probe_ids(dm):
 def test_integrability_and_charge_and_level(dm):
     probes = duality_probes(dm, 5, seed=11)
     items = (
-        integrability_items(dm, 2, probes)
-        + central_charge_items(dm, probes)
-        + level_items(dm, probes)
+        list(integrability_items(dm, 2, probes))
+        + list(central_charge_items(dm, probes))
+        + list(level_items(dm, probes))
     )
     reports = run_relation_items(items)
     assert all(r.status == "pass" for r in reports)

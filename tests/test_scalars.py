@@ -409,6 +409,25 @@ def test_quotient_by_a_q_polynomial_is_reduced_and_canonical(num, den, common, q
     assert specialize(r, subs) == want
 
 
+@given(mixed_laurents(), mixed_laurents(), q_factors(2), q_factors(1))
+@example(Q, Fraction(1), (Q + 1) * (Q * Q + 1), Fraction(1))  # the sum cancels the factor q + 1
+@example(Q * D - YSYM, YSYM - Q * D, Q * Q + 1, Q + 2)  # the sum is zero
+@example(Q * D, Q * Q * 2 - D, Q * 3 - 1, Q - 4)
+@settings(max_examples=150, deadline=None)
+def test_sum_over_an_equal_denominator_matches_the_general_formula(m1, m2, den, other):
+    a, b = LaurentFrac.make(m1, den), LaurentFrac.make(m2, den)
+    assume(isinstance(a, LaurentFrac) and isinstance(b, LaurentFrac) and a.den == b.den)
+    general = LaurentFrac.make(a.num * b.den + b.num * a.den, a.den * b.den)
+    got = a + b
+    assert got == general and type(got) is type(general)
+    assert scalar_to_json(got) == scalar_to_json(general)
+    assert_stored_forms(got)
+    # a sum with a different denominator still takes the general formula
+    c = LaurentFrac.make(m2, other * den)
+    if isinstance(c, LaurentFrac) and c.den != a.den:
+        assert a + c == LaurentFrac.make(a.num * c.den + c.num * a.den, a.den * c.den)
+
+
 def test_quotient_by_a_non_q_polynomial_raises_at_once():
     # (32q^-1 d^2 y - 16q d^-1 y + 480q^-2 d - 272q^-2 y)/(47q - 24) over (42q^3 d^-2 y^-1 - 15d^-1 y)/(3q - 5):
     # a multivariate gcd spent minutes on this quotient

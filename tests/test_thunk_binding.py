@@ -54,14 +54,14 @@ def _assert_each_thunk_visits_its_indices(items, seen, dmod):
 
 def test_current_relation_thunks_bind_their_vertices(monkeypatch, l1_module):
     dmod, probes = l1_module
-    items = current_relation_items(dmod, 1, probes)
+    items = list(current_relation_items(dmod, 1, probes))
     seen = _top_level_vertices(monkeypatch, {"mode": 1})
     _assert_each_thunk_visits_its_indices(items, seen, dmod)
 
 
 def test_intertwining_thunks_bind_their_vertices(monkeypatch, l1_module):
     dmod, probes = l1_module
-    items = intertwining_items(dmod, probes)
+    items = list(intertwining_items(dmod, probes))
     seen = _top_level_vertices(
         monkeypatch, {"km": 1, "braid": 0, "tau": None, "t_omega1": None}
     )
@@ -70,7 +70,7 @@ def test_intertwining_thunks_bind_their_vertices(monkeypatch, l1_module):
 
 def test_psi_conjugation_thunks_bind_their_vertices(monkeypatch, l1_module):
     dmod, probes = l1_module
-    items = psi_conjugation_items(dmod, 1, probes)
+    items = list(psi_conjugation_items(dmod, 1, probes))
     seen = _top_level_vertices(monkeypatch, {"mode": 1, "psi": None, "psi_inv": None})
     _assert_each_thunk_visits_its_indices(items, seen, dmod)
 
