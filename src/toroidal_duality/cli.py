@@ -77,6 +77,7 @@ def collect_items(target, cfg: SweepConfig):
 
     hmod = cfg.build_hecke_module()
     manifest = {"module": hmod.descriptor(), "probes": {}}
+    hp = None
     if target in ("hecke", "all"):
         hp = hecke_probes(hmod, cfg.hecke_probes, cfg.seed)
         manifest["probes"].update({pid: hvec_to_json(vec) for pid, vec in hp})
@@ -98,7 +99,9 @@ def collect_items(target, cfg: SweepConfig):
             build(("cc.",), central_charge_items, dmod, dp)
             build(("level.",), level_items, dmod, dp)
         if target in ("duality", "all"):
-            hp = hecke_probes(hmod, min(cfg.hecke_probes, 12), cfg.seed)
+            # at most 12 Hecke probes; `all` takes them from the Hecke suites' list,
+            # since the last two probes of a list depend on its length
+            hp = hecke_probes(hmod, min(cfg.hecke_probes, 12), cfg.seed) if hp is None else hp[:12]
             manifest["probes"].update({pid: hvec_to_json(vec) for pid, vec in hp})
             build(("psi.shift-", "psi.double-"), psi_conjugation_items, dmod, cfg.modes, dp)
             build(("braid.", "rotation.", "translation."), intertwining_items, dmod, dp)

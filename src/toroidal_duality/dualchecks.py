@@ -9,8 +9,10 @@ under the braid-group automorphisms.  Those images are composed
 symbolically as noncommutative polynomials in the generator symbols (the
 diagram has no edges of weight below -1, so no divided powers survive in
 the tables), which are words over the same alphabet.  The translation
-images are built into suffix tries once per sweep and shared by every
-probe, so words that end in the same letters share their operator calls.
+images are built once per call as expressions that act after t_omega1 and
+shared by every probe; each of their terms walks the word memo as every
+other check's terms do, so words that end in the same letters share their
+operator calls.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import chain
 from .duality import dvec_add, fund_ktheta_exp
 from .hecke import RelCheck, apply_expr, apply_word, lt, make_hecke_items, tij_word, vec_scale, wmul
 from .qtoroidal import CartanData, weight_display
-from .reports import MINUS_ONE, ONE, UNIT, eval_trie, identity, nc_trie
+from .reports import MINUS_ONE, ONE, UNIT, identity
 from .scalars import sc_inv, sc_mul, sc_pow
 
 PSI, PSI_INV, TAU, T_OMEGA1, STRAIGHTEN = ("psi",), ("psi_inv",), ("tau",), ("t_omega1",), ("straighten",)
@@ -182,8 +184,9 @@ def intertwining_items(dmod, probes):
     n, q = dmod.n, dmod.q
     gens = gen_symbols(n)
     # built per call, so every sweep pays for its tables as a command-line run does;
-    # each table is the image's trie below the t_omega1 it acts after
-    omega_tries = {sym: ({T_OMEGA1: nc_trie(expr)}, []) for sym, expr in omega_images(n, q, dmod.d).items()}
+    # each table is the image as an expression that acts after t_omega1
+    omega_exprs = {sym: tuple((c, w + (T_OMEGA1,)) for c, w in image)
+                   for sym, image in omega_images(n, q, dmod.d).items()}
 
     @partial(identity, ops=dmod)
     def braid(vec, i, sym):
@@ -198,7 +201,7 @@ def intertwining_items(dmod, probes):
 
     @partial(identity, ops=dmod)
     def translation(vec, sym):
-        return (((ONE, (T_OMEGA1, sym)),), partial(eval_trie, dmod, omega_tries[sym], vec)),
+        return (((ONE, (T_OMEGA1, sym)),), omega_exprs[sym]),
 
     def items():
         for pid, vec in probes:
@@ -364,7 +367,7 @@ def regression_items(dmod, K, probes):
         return (((ONE, (("mode", "e", 0, 0), STRAIGHTEN)),), partial(standard_e0_rhs, hkey)),
 
     def items():
-        for hkey in dmod.h.basis_keys() if l == 1 else ():
+        for hkey in _module_probe_keys(dmod) if l == 1 else ():
             for j in range(1, n + 2):
                 slot = {(hkey, (j,)): ONE}
                 for i in range(1, n + 1):
@@ -424,7 +427,7 @@ def reconstruction_items(dmod, K, hprobes):
     theta_cases = []
     scale = sc_mul(sc_pow(q, n), sc_mul(d, d))
     for direction, sgn in ((AT_INFINITY, +1), (AT_ZERO, -1)):
-        coeffs = theta_expand(1, direction, K, q).coeffs
+        coeffs = theta_expand(1, direction, K, q)
         for r in range(K + 1):
             e = -r if sgn > 0 else r
             theta_cases.append(((sgn, r), e, sc_mul(coeffs[r], sc_pow(scale, e))))

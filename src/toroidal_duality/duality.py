@@ -328,7 +328,7 @@ class DualityModule:
         key = (m, direction, order)
         hit = self._theta_cache.get(key)
         if hit is None:
-            hit = theta_expand(m, direction, order, self.q).coeffs
+            hit = theta_expand(m, direction, order, self.q)
             self._theta_cache[key] = hit
         return hit
 

@@ -166,12 +166,6 @@ def merge_vec(acc, items, coeff=Fraction(1)):
             acc[key] = s
 
 
-def vec_sub(u, v):
-    out = dict(u)
-    merge_vec(out, [(k, -c) for k, c in v.items()])
-    return out
-
-
 def vec_scale(c, v):
     out = {}
     merge_vec(out, v.items(), c)
@@ -210,9 +204,6 @@ class UnitModule:
                 raise ValueError(f"Y index {idx} out of range for l = 1")
             return ((key, sc_pow(self.b, exp)),), True
         raise ValueError(f"letter {letter} undefined for l = 1")
-
-    def basis_keys(self):
-        return [()]
 
     def descriptor(self):
         return {
@@ -353,9 +344,6 @@ class PolynomialModule:
 
     def observe_vec(self, budget, vec):
         budget.observe(all(self._inside(k) for k in vec))
-
-    def basis_keys(self):
-        return [(0,) * self.l]
 
     def descriptor(self):
         p = self.params

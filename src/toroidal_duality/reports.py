@@ -13,10 +13,10 @@ generator (kind, j) as printed, acting through `km`, or (operator,
 *arguments) for any other operator method, e.g. ("mode", kind, i, k) or
 ("psi",).  Each ops object keeps one word memo per probe vector, a suffix
 trie filled as checks walk it: each word suffix is applied once per probe
-and shared by every check, and `eval_trie` walks it for the translation
-tables.  The runner sorts the reports (NamedTuples) by key and `write_jsonl`
-fills one sorted-key line template, so the emitted JSON stream is
-byte-identical across runs; per-check wall time stays out of the JSON.
+and shared by every check, and `_walk` is the one walker of every term.
+The runner sorts the reports (NamedTuples) by key and `write_jsonl` fills
+one sorted-key line template, so the emitted JSON stream is byte-identical
+across runs; per-check wall time stays out of the JSON.
 """
 
 from __future__ import annotations
@@ -38,24 +38,6 @@ UNIT = ((ONE, ()),)  # the empty word: the identity operator
 _BUDGET = hecke.WindowBudget()  # reset by `_child` per call; checks run serially and never reenter the memo
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode  # dumps_canonical's encoding of one value
 _TOTAL_KEY = {"pass": "passed", "fail": "failed", "skip": "skipped"}  # summary totals key of a status
-
-
-def nc_trie(expr):
-    """
-    Suffix trie of an expression: words that end in the same letters share
-    the nodes of that suffix.  A node is (children by letter, coefficients
-    of the words that end there).
-    """
-    root = ({}, [])
-    for c, word in expr:
-        node = root
-        for sym in reversed(word):
-            child = node[0].get(sym)
-            if child is None:
-                child = node[0][sym] = ({}, [])
-            node = child
-        node[1].append(c)
-    return root
 
 
 def _child(ops, node, letter):
@@ -98,30 +80,6 @@ def _memo_root(ops, vec):
     if root is None:
         root = memo[id(vec)] = [vec, True, None]
     return root
-
-
-def eval_trie(ops, trie, vec, budget, out=None):
-    """
-    Add the trie's expression applied to vec into `out` (a new vector if
-    None) and return it.  Depth first through the word memo of (ops, vec):
-    each node sees the vector its suffix gives word by word, and a subtree
-    below an empty vector is skipped, as a word stops at one.
-    """
-    if out is None:
-        out = {}
-    stack = [(trie, _memo_root(ops, vec))]
-    while stack:
-        (children, ends), node = stack.pop()
-        if node.__class__ is list:
-            for c in ends:
-                hecke.merge_vec(out, node[0].items(), c)
-            kids = node[2]
-            for letter, sub in children.items():
-                child = kids.get(letter) if kids else None
-                stack.append((sub, _child(ops, node, letter) if child is None else child))
-            node = node[1]
-        budget.observe(node)
-    return out
 
 
 def identity(sides, ops=None):

@@ -219,10 +219,6 @@ class Laurent:
     def is_unit(self):
         return len(self.terms) == 1
 
-    def leading(self):
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
-
     def __repr__(self):
         bits = []
         for exp in sorted(self.terms, key=_grlex_key, reverse=True):

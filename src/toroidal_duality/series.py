@@ -11,26 +11,12 @@ serve as its own oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Scalar, is_unit, is_zero, sc_inv, sc_mul, sc_pow
+from .scalars import is_unit, sc_inv, sc_mul, sc_pow
 
 AT_INFINITY = "at-infinity"
 AT_ZERO = "at-zero"
-
-
-@dataclass(frozen=True)
-class SeriesExpansion:
-    """Truncated expansion; coeffs[r] multiplies z^-r (at-infinity) or z^r (at-zero)."""
-
-    direction: str
-    coeffs: tuple[Scalar, ...]
-    order: int
-
-    def __post_init__(self):
-        assert self.direction in (AT_INFINITY, AT_ZERO)
-        assert len(self.coeffs) == self.order + 1
 
 
 def divide_series(num, den, direction, order):
@@ -68,15 +54,15 @@ def divide_series(num, den, direction, order):
 
 def theta_expand(m, direction, order, q):
     """
-    Expansion of (q^m z - 1)/(z - q^m) at infinity or zero, to `order`.
+    Expansion of (q^m z - 1)/(z - q^m) at infinity or zero, to `order`: the
+    tuple whose entry r multiplies z^-r (at-infinity) or z^r (at-zero).
 
-    `q` may be the formal symbol or a specialized rational.
+    `q` may be the formal symbol or a specialized rational; it is a unit, so
+    no coefficient of the numerator or denominator is zero.
     """
+    assert direction in (AT_INFINITY, AT_ZERO)
     assert order >= 0
     qm = sc_pow(q, m)
     num = {1: qm, 0: Fraction(-1)}
     den = {1: Fraction(1), 0: sc_mul(Fraction(-1), qm)}
-    num = {e: c for e, c in num.items() if not is_zero(c)}
-    den = {e: c for e, c in den.items() if not is_zero(c)}
-    coeffs = divide_series(num, den, direction, order)
-    return SeriesExpansion(direction, tuple(coeffs), order)
+    return tuple(divide_series(num, den, direction, order))

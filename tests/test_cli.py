@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -544,6 +545,24 @@ def test_summary_manifest(tmp_path):
     assert summary["module"]["family"] == "polynomial"
     assert summary["module"]["xi"] == "32/243"
     assert "h000" in summary["probes"]
+
+
+def test_every_manifest_probe_id_names_the_vector_its_records_were_checked_on():
+    # `all` runs the Hecke suites on 50 Hecke probes and the reconstruction
+    # suite on at most 12; the last two probes of a list are combinations
+    # that depend on its length, so both suites must draw from one list
+    from toroidal_duality.cli import collect_items
+    from toroidal_duality.duality import dvec_to_json, hvec_to_json
+
+    items, manifest = collect_items("all", load_config(preset="poly", env={}))
+    checked = Counter()
+    for (relation, _, _, pid), thunk in items:
+        if pid in manifest["probes"]:
+            vec = thunk.args[0]  # every builder binds the probe vector first
+            assert (hvec_to_json(vec) if pid.startswith("h") else dvec_to_json(vec)) == manifest["probes"][pid], \
+                (relation, pid)
+            checked[relation.split(".")[0]] += 1
+    assert {"defining", "qpres", "segment", "recon", "psi", "reg"} <= checked.keys()
 
 
 def test_config_summary_echo(tmp_path):

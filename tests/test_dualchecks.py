@@ -23,7 +23,7 @@ from toroidal_duality.dualchecks import (
 from toroidal_duality.hecke import PolynomialModule, UnitModule, WindowBudget, hecke_probes
 from toroidal_duality.params import specialized_params
 from toroidal_duality.qtoroidal import CartanData
-from toroidal_duality.reports import ONE, eval_trie, identity, nc_trie, run_relation_items
+from toroidal_duality.reports import ONE, identity, run_relation_items
 from toroidal_duality.scalars import D, Q, sc_inv
 
 
@@ -145,10 +145,10 @@ def test_symbolic_duality_residuals_are_exact_zero():
 def test_eval_nc_order(dm_unit):
     # words evaluate rightmost-first (left action)
     vec = dm_unit.basis_vector((), (2,))
-    budget = WindowBudget()
-    ek = eval_trie(dm_unit, nc_trie(((Fraction(1), (("e", 1), ("k", 1))),)), vec, budget)
     manual = dm_unit.km("e", 1, dm_unit.km("k", 1, dict(vec)))
-    assert ek == manual
+    assert manual and manual != dm_unit.km("k", 1, dm_unit.km("e", 1, dict(vec)))
+    check = identity(lambda v: ((((ONE, (("e", 1), ("k", 1))),), lambda budget: manual),), ops=dm_unit)
+    assert check(vec) == (True, True, "")
 
 
 # -- the translation tables against their first, per-letter construction -------
@@ -244,23 +244,6 @@ def nc_exprs(draw):
     return tuple(terms)
 
 
-@given(expr=nc_exprs(), which=st.integers(0, 3))
-@settings(max_examples=150, deadline=None)
-@example(expr=((Fraction(1), (("e", 1), ("e", 1))), (Fraction(2), (("e", 1),)), (Fraction(-1), ())), which=3)
-@example(expr=((Fraction(1), (("f", 2), ("k", 1))), (Fraction(1), (("f", 2), ("k", 1)))), which=0)
-@example(expr=((Fraction(1), (("mode", "e", 0, 1), ("mode", "k+", 2, 1))), (Fraction(3), (("psi_inv",), ("psi",)))),
-         which=1)
-@example(expr=((Fraction(1), (("t_omega1",), ("braid", 2))), (Fraction(-2), (("tau",), ("mode", "k-", 0, -1)))),
-         which=2)
-def test_trie_evaluation_matches_word_by_word(dm_edge, expr, which):
-    dm, vecs = dm_edge
-    b_trie, b_words = WindowBudget(), WindowBudget()
-    got = eval_trie(dm, nc_trie(expr), vecs[which], b_trie)
-    want = _eval_word_by_word(dm, expr, vecs[which], b_words)
-    assert got == want
-    assert b_trie.ok() == b_words.ok()
-
-
 @st.composite
 def memo_runs(draw):
     """(probe index, expression) pairs; later words extend earlier ones on the right, acting first."""
@@ -283,6 +266,12 @@ E1, F2 = ("e", 1), ("f", 2)
 # reused as suffixes: their cached validity must carry over
 @example(run=[(3, ((ONE, (E1,)),)), (0, ((ONE, (E1,)),)), (3, ((ONE, (E1, E1)),)),
               (3, ((Fraction(2), (F2, E1, E1)), (ONE, (F2, E1))))])
+# single expressions: a word and its own suffix, a repeated word, modes with
+# the psi pair, and the translation and rotation operators
+@example(run=[(3, ((ONE, (E1, E1)), (Fraction(2), (E1,)), (Fraction(-1), ())))])
+@example(run=[(0, ((ONE, (F2, ("k", 1))), (ONE, (F2, ("k", 1)))))])
+@example(run=[(1, ((ONE, (("mode", "e", 0, 1), ("mode", "k+", 2, 1))), (Fraction(3), (("psi_inv",), ("psi",)))))])
+@example(run=[(2, ((ONE, (("t_omega1",), ("braid", 2))), (Fraction(-2), (("tau",), ("mode", "k-", 0, -1)))))])
 def test_word_memo_matches_word_by_word(dm_edge, run):
     # one ops object evaluates the whole run through `identity`, so later
     # checks find words that earlier checks put in its memo
@@ -300,8 +289,9 @@ def test_trie_keeps_the_mode_range_check(dm_edge, letter):
     # a Cartan mode outside its sign range is an error of the check's statement,
     # not a zero term: the builders leave such terms out themselves
     dm, vecs = dm_edge
+    check = identity(lambda vec: ((((ONE, (letter,)),), lambda budget: {}),), ops=dm)
     with pytest.raises(ValueError, match="mode needs"):
-        eval_trie(dm, nc_trie(((Fraction(1), (letter,)),)), vecs[0], WindowBudget())
+        check(vecs[0])
 
 
 def test_edge_probe_leaves_window_and_words_empty_out(dm_edge):
@@ -331,8 +321,6 @@ def _translation_failures(dm, probes):
 def test_translation_catches_planted_table_faults(poly_two_probes, monkeypatch):
     dm, probes = poly_two_probes
     assert _translation_failures(dm, probes) == 0
-    # f_1's first term is a composed word that acts on these probes
-    target = omega_images(dm.n, dm.q, dm.d)[("f", 1)]
 
     with monkeypatch.context() as m:
         m.setattr(dualchecks, "wrap_exponent", lambda kind, j, n: 0)
@@ -348,20 +336,12 @@ def test_translation_catches_planted_table_faults(poly_two_probes, monkeypatch):
         m.setattr(dualchecks, "omega_images", flip_one_sign)
         assert _translation_failures(dm, probes) > 0
 
-    nc_trie = dualchecks.nc_trie
-    dropped = []
-
-    def drop_one_end(expr):
-        # the trie node of f_1's first word loses its end coefficient
-        trie = nc_trie(expr)
-        if expr == target:
-            node = trie
-            for sym in reversed(target[0][1]):
-                node = node[0][sym]
-            dropped.append(node[1].pop())
-        return trie
+    def drop_one_term(n, q, d):
+        # f_1's first term is a composed word that acts on these probes
+        images = omega_images(n, q, d)
+        images[("f", 1)] = images[("f", 1)][1:]
+        return images
 
     with monkeypatch.context() as m:
-        m.setattr(dualchecks, "nc_trie", drop_one_end)
+        m.setattr(dualchecks, "omega_images", drop_one_term)
         assert _translation_failures(dm, probes) > 0
-    assert dropped == [target[0][0]]
