@@ -9,16 +9,17 @@ under the braid-group automorphisms.  Those images are composed
 symbolically as noncommutative polynomials in the generator symbols (the
 diagram has no edges of weight below -1, so no divided powers survive in
 the tables), which are words over the same alphabet.  The translation
-images are built once per call as expressions that act after t_omega1 and
-shared by every probe; each of their terms walks the word memo as every
-other check's terms do, so words that end in the same letters share their
-operator calls.
+images are built once per call: the letter images t'_n ... t'_i(x) are
+composed level by level, tau' rotates each final word once, and each image
+acts after t_omega1, shared by every probe.  Their terms walk the word memo
+as every other check's terms do, so words that end in the same letters
+share their operator calls.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 
 from .duality import dvec_add, fund_ktheta_exp
@@ -119,20 +120,18 @@ def tprime_symbol(i, sym, cartan, q):
     raise ValueError(sym)
 
 
-def tprime_expr(i, expr, cartan, q):
-    """Extend the vertex-i automorphism multiplicatively over an NC expression."""
-    images = {}
-    merged = {}
+def substitute(expr, images):
+    """An NC expression with every letter replaced by its image, expanded, merged by word and sorted."""
+    terms = []
     for coeff, word in expr:
-        terms = [((), coeff)]
-        for sym in word:
-            image = images.get(sym)
-            if image is None:
-                image = images[sym] = tprime_symbol(i, sym, cartan, q)
+        part = [((), coeff)]
+        for y in word:
             # most coefficients are 1: those products are skipped
-            terms = [(w1 + w2, c1 if c2 == 1 else c2 if c1 == 1 else sc_mul(c1, c2))
-                     for w1, c1 in terms for c2, w2 in image]
-        dvec_add(merged, terms)
+            part = [(w1 + w2, c1 if c2 == 1 else c2 if c1 == 1 else sc_mul(c1, c2))
+                    for w1, c1 in part for c2, w2 in images[y]]
+        terms += part
+    merged = {}
+    dvec_add(merged, terms)
     return tuple((c, w) for w, c in sorted(merged.items()))
 
 
@@ -149,29 +148,29 @@ def wrap_exponent(kind, j, n):
     return 0
 
 
-def tauprime_expr(expr, n, d):
-    """The rotation on an NC expression: each word is scaled once by d to its net wrap exponent."""
-    weight = {(kind, j): wrap_exponent(kind, j, n) for kind in ("e", "f") for j in (n, n + 1)}
-    rot = {j: j % (n + 1) + 1 for j in range(1, n + 2)}
-    out = []
-    for c, w in expr:
-        e = sum(weight.get(sym, 0) for sym in w)
-        if e:
-            c = sc_mul(c, sc_pow(d, e))
-        out.append((c, tuple((kind, rot[j]) for kind, j in w)))
-    return tuple(out)
-
-
 def omega_images(n, q, d):
-    """Image of every generator symbol under tau' t'_n ... t'_1, as NC expressions."""
+    """
+    Image of every generator symbol under tau' t'_n ... t'_1, as NC expressions.
+
+    Level by level, i = n down to 1, each letter's image t'_n ... t'_i(x) (e, f,
+    k and kinv at every vertex) substitutes the level i + 1 images into t'_i(x).
+    tau' then takes each sorted word once: one rotation and one power of d.
+    """
     cartan = CartanData(n)
-    images = {}
-    for sym in gen_symbols(n):
-        expr = ((Fraction(1), (sym,)),)
-        for i in range(1, n + 1):
-            expr = tprime_expr(i, expr, cartan, q)
-        images[sym] = tauprime_expr(expr, n, d)
-    return images
+    level = {(kind, j): ((Fraction(1), ((kind, j),)),) for j in range(1, n + 2) for kind in ("e", "f", "k", "kinv")}
+    for i in range(n, 0, -1):
+        # t'_i fixes the letters at the vertices not joined to i
+        level = {x: substitute(tprime_symbol(i, x, cartan, q), level) if _affine_a(cartan, i, x[1]) else image
+                 for x, image in level.items()}
+    rot = {(kind, j): (kind, j % (n + 1) + 1) for kind, j in level}
+    weight = {x: wrap_exponent(*x, n) for x in level}
+    dpow = cache(partial(sc_pow, d))
+
+    def rotate(c, w):
+        e = sum(map(weight.__getitem__, w))
+        return sc_mul(c, dpow(e)) if e else c, tuple(map(rot.__getitem__, w))
+
+    return {sym: tuple(rotate(c, w) for c, w in level[sym]) for sym in gen_symbols(n)}
 
 
 def gen_symbols(n):

@@ -1,6 +1,7 @@
 """Conjugation, intertwining, and closed-form regression suites."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,7 @@ from toroidal_duality.dualchecks import (
     psi_inverse_items,
     reconstruction_items,
     regression_items,
-    tprime_expr,
+    substitute,
     tprime_symbol,
 )
 from toroidal_duality.hecke import PolynomialModule, UnitModule, WindowBudget, hecke_probes
@@ -63,11 +64,24 @@ def test_tprime_tables():
 
 
 def test_tprime_multiplicative():
+    # the image of a product is the expanded product of the images, merged by word:
+    # the repeated input word merges, and the two e_3 e_4 terms cancel
     cartan = CartanData(3)
-    expr = ((Fraction(1), (("e", 2), ("k", 3))),)
-    out = tprime_expr(2, expr, cartan, Q)
-    # image of a product is the product of images, expanded
-    assert all(len(word) >= 2 for _, word in out)
+    images = {x: tprime_symbol(2, x, cartan, Q) for x in (("e", 2), ("e", 3), ("e", 4), ("k", 3))}
+    expr = ((Fraction(2), (("e", 3), ("e", 2), ("k", 3))), (Q, (("e", 2), ("k", 3))),
+            (Fraction(-1), (("e", 3), ("e", 2), ("k", 3))), (Fraction(3), (("e", 3), ("e", 4))),
+            (Fraction(-3), (("e", 3), ("e", 4))))
+    want = {}
+    for coeff, word in expr:
+        for factors in product(*(images[x] for x in word)):
+            w, c = (), coeff
+            for c2, w2 in factors:
+                w, c = w + w2, c * c2
+            want[w] = want[w] + c if w in want else c
+    want = tuple((c, w) for w, c in sorted(want.items()) if c)
+    got = substitute(expr, images)
+    assert [(type(c), c, w) for c, w in got] == [(type(c), c, w) for c, w in want]
+    assert len(got) == 3 and not any(("e", 4) in w for _, w in got)
 
 
 def test_psi_conjugation(dm_unit, dm_poly):
@@ -180,15 +194,26 @@ def _omega_reference(n, q, d):
     return out
 
 
+def _assert_omega_images_match_reference(n, q, d):
+    got, want = omega_images(n, q, d), _omega_reference(n, q, d)
+    assert got.keys() == want.keys()
+    for sym in want:
+        # equal values of equal scalar kinds, term by term and in order
+        assert [(type(c), c, w) for c, w in got[sym]] == [(type(c), c, w) for c, w in want[sym]], (n, sym)
+    return sum(map(len, got.values()))
+
+
 @pytest.mark.parametrize("q, d", [(Fraction(2), Fraction(3)), (Fraction(-5, 7), Fraction(11, 3)), (Q, D)],
                          ids=["specialized", "specialized-negative", "formal"])
 def test_omega_images_match_per_letter_reference(q, d):
     for n in range(2, 7):
-        got, want = omega_images(n, q, d), _omega_reference(n, q, d)
-        assert got.keys() == want.keys()
-        for sym in want:
-            # equal values of equal scalar kinds, term by term and in order
-            assert [(type(c), c, w) for c, w in got[sym]] == [(type(c), c, w) for c, w in want[sym]], (n, sym)
+        _assert_omega_images_match_reference(n, q, d)
+
+
+def test_omega_images_match_per_letter_reference_at_n7():
+    # the largest table where the level-by-level composition and the
+    # per-generator reference differ most in how they reach each word
+    assert _assert_omega_images_match_reference(7, Fraction(2), Fraction(3)) == 11568
 
 
 def _apply_letter(dmod, letter, v, budget):
@@ -316,6 +341,23 @@ def _translation_failures(dm, probes):
     items = [entry for entry in intertwining_items(dm, probes) if entry[0][0] == "translation.intertwine"]
     assert items
     return sum(r.status == "fail" for r in run_relation_items(items))
+
+
+def test_intertwining_items_build_the_tables_once_at_the_call(dm_poly, monkeypatch):
+    calls = []
+
+    def counted(n, q, d):
+        calls.append(n)
+        return omega_images(n, q, d)
+
+    monkeypatch.setattr(dualchecks, "omega_images", counted)
+    for count in (1, 3):
+        calls.clear()
+        items = intertwining_items(dm_poly, duality_probes(dm_poly, count, seed=3))
+        assert calls == [dm_poly.n]  # at the call, before any item is taken
+        reports = assert_all_pass(items)
+        assert calls == [dm_poly.n]
+        assert sum(r.relation == "translation.intertwine" for r in reports) == 3 * (dm_poly.n + 1) * count
 
 
 def test_translation_catches_planted_table_faults(poly_two_probes, monkeypatch):
