@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """
-Byte-level determinism harness: run each preset sweep, and a toroidal and
-two duality sweeps with formal q and d, in two child processes with
+Byte-level determinism harness: run each preset sweep, a toroidal and
+two duality sweeps with formal q and d, and a duality sweep at n = 7, whose
+translation tables are the largest, in two child processes with
 PYTHONHASHSEED=0 and PYTHONHASHSEED=1, and diff the canonical JSON streams
 and summaries.  Equal bytes show that no report depends on the iteration
 order of a set, which string hashing changes from one process to the next.
@@ -32,6 +33,7 @@ SWEEPS = [
     ("duality-poly-symbolic", "duality", "poly", {"symbolic": True, "probes": 2, "modes": 1}),
     # the 16th probe is the first at module key (1, 0), where the symmetrizer makes LaurentFrac quotients
     ("duality-poly-symbolic-k10", "duality", "poly", {"symbolic": True, "probes": 16, "modes": 1}),
+    ("duality-n7", "duality", "poly", {"n": 7, "probes": 1}),
 ]
 
 

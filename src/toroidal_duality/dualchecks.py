@@ -9,17 +9,17 @@ under the braid-group automorphisms.  Those images are composed
 symbolically as noncommutative polynomials in the generator symbols (the
 diagram has no edges of weight below -1, so no divided powers survive in
 the tables), which are words over the same alphabet.  The translation
-images are built once per call: the letter images t'_n ... t'_i(x) are
-composed level by level, tau' rotates each final word once, and each image
-acts after t_omega1, shared by every probe.  Their terms walk the word memo
-as every other check's terms do, so words that end in the same letters
-share their operator calls.
+images are built once per call: from the letter images of tau', the
+letter images tau' t'_n ... t'_i(x) are composed level by level, and each
+image acts after t_omega1, shared by every probe.  Their terms walk the
+word memo as every other check's terms do, so words that end in the same
+letters share their operator calls.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from itertools import chain
 
 from .duality import dvec_add, fund_ktheta_exp
@@ -130,8 +130,10 @@ def substitute(expr, images):
             part = [(w1 + w2, c1 if c2 == 1 else c2 if c1 == 1 else sc_mul(c1, c2))
                     for w1, c1 in part for c2, w2 in images[y]]
         terms += part
-    merged = {}
-    dvec_add(merged, terms)
+    merged = dict(terms)
+    if len(merged) < len(terms):  # a word came up twice
+        merged = {}
+        dvec_add(merged, terms)
     return tuple((c, w) for w, c in sorted(merged.items()))
 
 
@@ -152,25 +154,19 @@ def omega_images(n, q, d):
     """
     Image of every generator symbol under tau' t'_n ... t'_1, as NC expressions.
 
-    Level by level, i = n down to 1, each letter's image t'_n ... t'_i(x) (e, f,
-    k and kinv at every vertex) substitutes the level i + 1 images into t'_i(x).
-    tau' then takes each sorted word once: one rotation and one power of d.
+    tau' acts last and letter by letter, so the table starts from its letter
+    images: each letter rotated, times its power of d.  Level by level,
+    i = n down to 1, each letter's image tau' t'_n ... t'_i(x) (e, f, k and
+    kinv at every vertex) substitutes the level i + 1 images into t'_i(x).
     """
     cartan = CartanData(n)
-    level = {(kind, j): ((Fraction(1), ((kind, j),)),) for j in range(1, n + 2) for kind in ("e", "f", "k", "kinv")}
+    level = {(kind, j): ((sc_pow(d, wrap_exponent(kind, j, n)), ((kind, j % (n + 1) + 1),)),)
+             for j in range(1, n + 2) for kind in ("e", "f", "k", "kinv")}
     for i in range(n, 0, -1):
         # t'_i fixes the letters at the vertices not joined to i
         level = {x: substitute(tprime_symbol(i, x, cartan, q), level) if _affine_a(cartan, i, x[1]) else image
                  for x, image in level.items()}
-    rot = {(kind, j): (kind, j % (n + 1) + 1) for kind, j in level}
-    weight = {x: wrap_exponent(*x, n) for x in level}
-    dpow = cache(partial(sc_pow, d))
-
-    def rotate(c, w):
-        e = sum(map(weight.__getitem__, w))
-        return sc_mul(c, dpow(e)) if e else c, tuple(map(rot.__getitem__, w))
-
-    return {sym: tuple(rotate(c, w) for c, w in level[sym]) for sym in gen_symbols(n)}
+    return {sym: level[sym] for sym in gen_symbols(n)}
 
 
 def gen_symbols(n):
@@ -183,9 +179,10 @@ def intertwining_items(dmod, probes):
     n, q = dmod.n, dmod.q
     gens = gen_symbols(n)
     # built per call, so every sweep pays for its tables as a command-line run does;
-    # each table is the image as an expression that acts after t_omega1
-    omega_exprs = {sym: tuple((c, w + (T_OMEGA1,)) for c, w in image)
-                   for sym, image in omega_images(n, q, dmod.d).items()}
+    # each table is the image as an expression that acts after t_omega1, popped from
+    # the images as it is built, so no image is held twice
+    images = omega_images(n, q, dmod.d)
+    omega_exprs = {sym: tuple((c, w + (T_OMEGA1,)) for c, w in images.pop(sym)) for sym in gens}
 
     @partial(identity, ops=dmod)
     def braid(vec, i, sym):

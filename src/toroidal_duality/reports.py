@@ -168,6 +168,7 @@ def run_relation_items(items, *, workers=1):
         dt = clock() - t0
         reports.append(RelationReport(relation, tuple(indices), tuple(modes), probe,
                                       bool(zero), bool(valid), dt, note))
+    thunk = None  # the last item holds the module and its word memos: free them before the sort
     reports.sort(key=itemgetter(0, 1, 2, 3))
     return reports
 

@@ -255,6 +255,37 @@ def test_items_stream_into_the_runner():
     assert peak < 7_000_000, f"{peak / 1e6:.2f} MB"
 
 
+@pytest.mark.parametrize("target", ["toroidal", "duality", "all"])
+def test_runner_frees_the_module_before_the_sort(target, monkeypatch):
+    # the last item's thunk holds the module and every word memo it built
+    import weakref
+    from operator import itemgetter
+
+    from toroidal_duality import duality, reports
+    from toroidal_duality.cli import run_verify
+
+    modules, alive_at_sort = [], []
+    init = duality.DualityModule.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        modules.append(weakref.ref(self))
+
+    def tracked_itemgetter(*keys):
+        alive_at_sort.append([ref() is not None for ref in modules])
+        return itemgetter(*keys)
+
+    monkeypatch.setattr(duality.DualityModule, "__init__", tracked_init)
+    monkeypatch.setattr(reports, "itemgetter", tracked_itemgetter)
+    cfg = load_config(preset="poly", overrides={"probes": 1, "modes": 1}, env={})
+    assert run_verify(target, cfg)[1]["status"] == "pass"
+    assert alive_at_sort == [[False]]
+
+
+def test_runner_takes_an_empty_stream():
+    assert run_relation_items(iter(())) == []
+
+
 def test_workers_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "toroidal", "--preset", "l1", "--workers", "3"])

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -63,9 +64,22 @@ def test_tprime_tables():
     assert tprime_symbol(2, ("k", 4), cartan, Q) == ((Fraction(1), (("k", 4),)),)
 
 
-def test_tprime_multiplicative():
+def _counting_merges(monkeypatch):
+    """Patch the merge that `substitute` falls back to; returns the list of its calls."""
+    merges = []
+
+    def counted(vec, terms, *args):
+        merges.append(len(terms))
+        return dvec_add(vec, terms, *args)
+
+    monkeypatch.setattr(dualchecks, "dvec_add", counted)
+    return merges
+
+
+def test_tprime_multiplicative(monkeypatch):
     # the image of a product is the expanded product of the images, merged by word:
     # the repeated input word merges, and the two e_3 e_4 terms cancel
+    merges = _counting_merges(monkeypatch)
     cartan = CartanData(3)
     images = {x: tprime_symbol(2, x, cartan, Q) for x in (("e", 2), ("e", 3), ("e", 4), ("k", 3))}
     expr = ((Fraction(2), (("e", 3), ("e", 2), ("k", 3))), (Q, (("e", 2), ("k", 3))),
@@ -82,6 +96,7 @@ def test_tprime_multiplicative():
     got = substitute(expr, images)
     assert [(type(c), c, w) for c, w in got] == [(type(c), c, w) for c, w in want]
     assert len(got) == 3 and not any(("e", 4) in w for _, w in got)
+    assert len(merges) == 1  # the repeated word and the cancelling pair take the merge
 
 
 def test_psi_conjugation(dm_unit, dm_poly):
@@ -194,26 +209,43 @@ def _omega_reference(n, q, d):
     return out
 
 
-def _assert_omega_images_match_reference(n, q, d):
-    got, want = omega_images(n, q, d), _omega_reference(n, q, d)
+def _assert_omega_images_match_reference(n, q, d, monkeypatch):
+    with monkeypatch.context() as m:
+        merges = _counting_merges(m)
+        got = omega_images(n, q, d)
+    assert merges == [], n  # no word comes up twice at any level
+    want = _omega_reference(n, q, d)
     assert got.keys() == want.keys()
     for sym in want:
-        # equal values of equal scalar kinds, term by term and in order
-        assert [(type(c), c, w) for c, w in got[sym]] == [(type(c), c, w) for c, w in want[sym]], (n, sym)
+        words = [w for _, w in got[sym]]
+        assert all(a < b for a, b in zip(words, words[1:])), (n, sym)
+        # equal values of equal scalar kinds, term by term, in the order of the rotated words
+        want_terms = sorted(want[sym], key=itemgetter(1))
+        assert [(type(c), c, w) for c, w in got[sym]] == [(type(c), c, w) for c, w in want_terms], (n, sym)
     return sum(map(len, got.values()))
 
 
 @pytest.mark.parametrize("q, d", [(Fraction(2), Fraction(3)), (Fraction(-5, 7), Fraction(11, 3)), (Q, D)],
                          ids=["specialized", "specialized-negative", "formal"])
-def test_omega_images_match_per_letter_reference(q, d):
+def test_omega_images_match_per_letter_reference(q, d, monkeypatch):
     for n in range(2, 7):
-        _assert_omega_images_match_reference(n, q, d)
+        _assert_omega_images_match_reference(n, q, d, monkeypatch)
 
 
-def test_omega_images_match_per_letter_reference_at_n7():
+def test_omega_images_match_per_letter_reference_at_n7(monkeypatch):
     # the largest table where the level-by-level composition and the
     # per-generator reference differ most in how they reach each word
-    assert _assert_omega_images_match_reference(7, Fraction(2), Fraction(3)) == 11568
+    assert _assert_omega_images_match_reference(7, Fraction(2), Fraction(3), monkeypatch) == 11568
+
+
+def test_omega_images_at_n8_are_sorted_and_never_merge(monkeypatch):
+    merges = _counting_merges(monkeypatch)
+    images = omega_images(8, Fraction(2), Fraction(3))
+    assert merges == []
+    assert sum(map(len, images.values())) == 44977
+    for sym, image in images.items():
+        words = [w for _, w in image]
+        assert all(a < b for a, b in zip(words, words[1:])), sym
 
 
 def _apply_letter(dmod, letter, v, budget):
