@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """
-Byte-level determinism harness: run each preset sweep, a toroidal and
-two duality sweeps with formal q and d, and a duality sweep at n = 7, whose
-translation tables are the largest, in two child processes with
-PYTHONHASHSEED=0 and PYTHONHASHSEED=1, and diff the canonical JSON streams
-and summaries.  Equal bytes show that no report depends on the iteration
-order of a set, which string hashing changes from one process to the next.
+Byte-level determinism harness: run each preset sweep, a Hecke sweep at
+l = 3, a toroidal and two duality sweeps with formal q and d, and a
+duality sweep at n = 7, whose translation tables are the largest, in two
+child processes with PYTHONHASHSEED=0 and PYTHONHASHSEED=1, and diff the
+canonical JSON streams and summaries.  Equal bytes show that no report
+depends on the iteration order of a set, which string hashing changes from
+one process to the next.
 The stream is the bytes `write_jsonl` writes, and each child first checks
 them against the reference encoding `dumps_canonical(r.to_json_obj())`.
 
@@ -25,6 +26,7 @@ from toroidal_duality.reports import dumps_canonical, write_jsonl
 # (label, target, preset, overrides)
 SWEEPS = [
     ("hecke-poly", "hecke", "poly", {}),
+    ("hecke-l3", "hecke", "poly", {"n": 5, "l": 3, "window": 7, "hecke_probes": 7}),
     ("toroidal-l1", "toroidal", "l1", {}),
     ("toroidal-poly", "toroidal", "poly", {}),
     ("toroidal-poly-symbolic", "toroidal", "poly", {"symbolic": True, "probes": 1, "modes": 1}),

@@ -81,14 +81,8 @@ def collect_items(target, cfg: SweepConfig):
     if target in ("hecke", "all"):
         hp = hecke_probes(hmod, cfg.hecke_probes, cfg.seed)
         manifest["probes"].update({pid: hvec_to_json(vec) for pid, vec in hp})
-        checks = (
-            defining_relation_checks(hmod)
-            + q_presentation_checks(hmod)
-            + conjugation_lemma_checks(hmod)
-        )
-        if prefixes:
-            checks = [chk for chk in checks if chk.relation.startswith(prefixes)]
-        parts.append(make_hecke_items(hmod, checks, hp))
+        checks = defining_relation_checks(hmod) + q_presentation_checks(hmod) + conjugation_lemma_checks(hmod)
+        build(("defining.", "qpres.", "segment."), make_hecke_items, hmod, checks, hp)
     if target in ("toroidal", "duality", "all"):
         dmod = DualityModule(hmod)
         dp = duality_probes(dmod, cfg.probes, cfg.seed)

@@ -409,12 +409,12 @@ def reconstruction_items(dmod, K, hprobes):
         hv = apply_word(dmod.h, word, vec_scale(c, hvec), b)
         return dmod.straighten({(hk, slots): cc for hk, cc in hv.items()}, b)
 
-    @identity
+    @partial(identity, ops=dmod.h)
     def theta_conj(hvec, e, c):
         return (partial(placed, wmul(lt("Y", 2, e), qw), c, hvec, w_first),
                 partial(placed, wmul(qw, lt("Y", 1, e)), c, hvec, w_first)),
 
-    @identity
+    @partial(identity, ops=dmod.h)
     def wrap_display(hvec):
         return (partial(placed, wmul(qw, lt("Y", l)), sc_pow(d, n + 1), hvec, w_second),
                 partial(placed, wmul(lt("Y", 1), qw), sc_pow(q, n + 1), hvec, w_second)),

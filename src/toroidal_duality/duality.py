@@ -407,8 +407,6 @@ class DualityModule:
         column = self._mode_columns.get((kind, i, k))
         if column is None:  # invalid arguments raise here, and are never stored
             column = self._mode_columns[kind, i, k] = self._mode_column(kind, i, k)
-        if not vec:
-            return {}
         return self._linear(*column, vec, budget)
 
     def _mode_column(self, kind, i, k):

@@ -5,7 +5,8 @@ suites that certify them.
 
 Words act on the right: apply_word evaluates letters left to right, so a
 relation like T.X1.T = q^2 X2 is checked by applying T, then X1, then T to
-each probe.
+each probe.  apply_letter is the one loop that applies a letter to a
+vector, for words, for the Y and Q programs and for the checks' word memo.
 
 Two families are provided.
 
@@ -106,9 +107,6 @@ class WindowBudget:
     def observe(self, valid):
         if not valid:
             self.valid = False
-
-    def ok(self):
-        return self.valid
 
 
 # -- the sparse-vector kernel: vectors are {key: scalar} with no zero entries --
@@ -325,12 +323,7 @@ class PolynomialModule:
             vec = {key: coeff}
             budget = WindowBudget()
             for atom in prog:
-                out = {}
-                for k, c in vec.items():
-                    items, valid = self.letter_cached(atom, k)
-                    budget.observe(valid)
-                    merge_vec(out, items, c)
-                vec = out
+                vec = apply_letter(self, atom, vec, budget)
             entry = (tuple(sorted(vec.items())), budget.valid)
         else:
             raw = self._atomic_items(letter, key)
@@ -362,18 +355,23 @@ class PolynomialModule:
         }
 
 
+def apply_letter(module, letter, vec, budget):
+    """One letter's action on a vector: each key's image comes from the module's letter cache."""
+    out = {}
+    for key, c in vec.items():
+        items, valid = module.letter_cached(letter, key)
+        budget.observe(valid)
+        merge_vec(out, items, c)
+    return out
+
+
 def apply_word(module, word, vec, budget=None):
     """Right action of a word on a finitely supported vector."""
     if budget is None:
         budget = WindowBudget()
     module.observe_vec(budget, vec)
     for letter in word:
-        out = {}
-        for key, c in vec.items():
-            items, valid = module.letter_cached(letter, key)
-            budget.observe(valid)
-            merge_vec(out, items, c)
-        vec = out
+        vec = apply_letter(module, letter, vec, budget)
     return vec
 
 
@@ -610,15 +608,21 @@ def hecke_probes(module, count, seed):
 
 
 def make_hecke_items(module, checks, probes):
-    """(meta, thunk) pairs for the generic relation runner, made as they are consumed."""
+    """
+    (meta, thunk) pairs for the generic relation runner, made as they are
+    consumed.  The word memo of `reports.identity` applies the rightmost
+    letter first, so each right-module word is reversed once; the memo
+    trusts its probe, so a probe outside the window raises ValueError here.
+    """
     from .reports import identity  # reports imports this module
 
-    def sides(vec, chk):
-        return (partial(apply_expr, module, chk.lhs, vec), partial(apply_expr, module, chk.rhs, vec)),
-
-    check = identity(sides)
-    return (
-        ((chk.relation, chk.indices, (), pid), partial(check, vec, chk))
-        for chk in checks
-        for pid, vec in probes
-    )
+    for pid, vec in probes:
+        budget = WindowBudget()
+        module.observe_vec(budget, vec)
+        if not budget.valid:
+            raise ValueError(f"probe {pid} leaves the window {module.window}")
+    check = identity(lambda vec, lhs, rhs: ((lhs, rhs),), module)
+    stated = [(chk, tuple((c, w[::-1]) for c, w in chk.lhs), tuple((c, w[::-1]) for c, w in chk.rhs))
+              for chk in checks]
+    return (((chk.relation, chk.indices, (), pid), partial(check, vec, lhs, rhs))
+            for chk, lhs, rhs in stated for pid, vec in probes)

@@ -9,11 +9,12 @@ report exists, so a sweep never holds all its items.  `identity` builds
 the thunk of every identity check lhs == rhs, each side either an
 expression, a tuple of (coeff, word) terms, or a closed-form function of
 the window budget.  Words act rightmost letter first; a letter is a Kac-Moody
-generator (kind, j) as printed, acting through `km`, or (operator,
-*arguments) for any other operator method, e.g. ("mode", kind, i, k) or
-("psi",).  Each ops object keeps one word memo per probe vector, a suffix
-trie filled as checks walk it: each word suffix is applied once per probe
-and shared by every check, and `_walk` is the one walker of every term.
+generator (kind, j) as printed, acting through `km`, a Hecke letter (kind,
+index, exponent), kind T X Y Q or W, acting through `hecke.apply_letter`,
+or (operator, *arguments) for any other operator method, e.g. ("mode",
+kind, i, k) or ("psi",).  Each ops object keeps one word memo per probe
+vector, a suffix trie filled as checks walk it: each word suffix is applied
+once per probe and shared by every check; `_walk` walks every term.
 The runner sorts the reports (NamedTuples) by key and `write_jsonl` fills
 one sorted-key line template, so the emitted JSON stream is byte-identical
 across runs; per-check wall time stays out of the JSON.
@@ -33,6 +34,7 @@ from . import hecke  # the kernel by its module name, which perfbench/layers.py 
 from .scalars import sc_neg
 
 KM_KINDS = frozenset(("e", "f", "k", "kinv"))
+HECKE_KINDS = frozenset("TXYQW")
 ONE, MINUS_ONE = Fraction(1), Fraction(-1)
 UNIT = ((ONE, ()),)  # the empty word: the identity operator
 _BUDGET = hecke.WindowBudget()  # reset by `_child` per call; checks run serially and never reenter the memo
@@ -52,6 +54,8 @@ def _child(ops, node, letter):
         w = ops.mode(letter[1], letter[2], letter[3], v, _BUDGET)
     elif name in KM_KINDS:
         w = ops.km(name, letter[1], v, _BUDGET)
+    elif name in HECKE_KINDS:
+        w = hecke.apply_letter(ops, letter, v, _BUDGET)
     else:
         w = getattr(ops, name)(*letter[1:], v, _BUDGET)
     valid = node[1] and _BUDGET.valid
@@ -82,7 +86,7 @@ def _memo_root(ops, vec):
     return root
 
 
-def identity(sides, ops=None):
+def identity(sides, ops):
     """
     The check lhs == rhs for every (lhs, rhs) pair that sides(vec, *args)
     returns, as a function of (vec, *args), against one fresh WindowBudget.
@@ -99,23 +103,22 @@ def identity(sides, ops=None):
     def check(vec, *args):
         budget = hecke.WindowBudget()
         note = ""
-        root = None if ops is None else _memo_root(ops, vec)
+        root = _memo_root(ops, vec)
         for lhs, rhs in sides(vec, *args):
-            lhs_closed, rhs_closed = callable(lhs), callable(rhs)
-            res = dict(lhs(budget)) if lhs_closed else {}
-            if rhs_closed:
-                hecke.merge_vec(res, rhs(budget).items(), MINUS_ONE)
-            if not (lhs_closed and rhs_closed):  # a pair of closed forms walks no word
-                for side, negate in ((lhs, False), (rhs, True)):
-                    for c, word in () if callable(side) else side:
-                        node = _walk(ops, root, word)
-                        if node.__class__ is list:
-                            hecke.merge_vec(res, node[0].items(), sc_neg(c) if negate else c)
-                            node = node[1]
-                        budget.observe(node)
+            res = {}
+            for side, negate in ((lhs, False), (rhs, True)):
+                if callable(side):
+                    hecke.merge_vec(res, side(budget).items(), MINUS_ONE if negate else ONE)
+                    continue
+                for c, word in side:
+                    node = _walk(ops, root, word)
+                    if node.__class__ is list:
+                        hecke.merge_vec(res, node[0].items(), sc_neg(c) if negate else c)
+                        node = node[1]
+                    budget.observe(node)
             if res and not note:
                 note = f"residual has {len(res)} term(s); lead key {min(res)}"
-        return not note, budget.ok(), note
+        return not note, budget.valid, note
 
     return check
 

@@ -338,7 +338,7 @@ def test_word_memo_matches_word_by_word(dm_edge, run):
         b_words = WindowBudget()
         want = _eval_word_by_word(ref, expr, vecs[which], b_words)
         check = identity(lambda vec: ((expr, lambda budget: want),), ops=ops)
-        assert check(vecs[which]) == (True, b_words.ok(), "")
+        assert check(vecs[which]) == (True, b_words.valid, "")
 
 
 @pytest.mark.parametrize("letter", [("mode", "k+", 1, -1), ("mode", "k-", 2, 1)])
@@ -355,7 +355,7 @@ def test_edge_probe_leaves_window_and_words_empty_out(dm_edge):
     # the property above sees invalid budgets and words that stop early
     dm, vecs = dm_edge
     budget = WindowBudget()
-    assert dm.km("e", 1, dict(vecs[3]), budget) and not budget.ok()
+    assert dm.km("e", 1, dict(vecs[3]), budget) and not budget.valid
     assert not dm.km("e", 1, dm.km("e", 1, dict(vecs[0])))
 
 

@@ -61,7 +61,7 @@ def test_empty_word_keeps_vector_and_budget(module):
     vec = {(): Fraction(3)}
     budget = WindowBudget()
     assert apply_word(module, (), vec, budget) == vec
-    assert budget.ok()
+    assert budget.valid
 
 
 def test_q_letter_is_x(module):

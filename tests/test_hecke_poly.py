@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toroidal_duality.hecke import (
     PolynomialModule,
+    RelCheck,
     WindowBudget,
     apply_expr,
     apply_word,
@@ -15,6 +18,7 @@ from toroidal_duality.hecke import (
     hecke_probes,
     lt,
     make_hecke_items,
+    merge_vec,
     p_word,
     q_presentation_checks,
     tij_word,
@@ -23,6 +27,7 @@ from toroidal_duality.hecke import (
     x0_word,
 )
 from toroidal_duality.params import specialized_params, symbolic_params
+from toroidal_duality.reports import identity
 from toroidal_duality.scalars import sc_pow
 
 
@@ -84,7 +89,7 @@ def test_txt_relation_on_random_interior_monomials(module):
         budget = WindowBudget()
         lhs = apply_word(module, word, vec, budget)
         rhs = {k: q2 * c for k, c in apply_word(module, lt("X", 2), vec).items()}
-        assert budget.ok()
+        assert budget.valid
         assert lhs == rhs
 
 
@@ -135,7 +140,7 @@ def test_unit_twist_degenerates_to_pure_shift():
 def test_window_escape_is_flagged_not_raised(module):
     budget = WindowBudget()
     out = apply_word(module, lt("X", 1), {(8, 0): Fraction(1)}, budget)
-    assert out == {} and not budget.ok()
+    assert out == {} and not budget.valid
 
 
 def test_window_independence_on_trusted_region():
@@ -148,7 +153,7 @@ def test_window_independence_on_trusted_region():
         b1, b2 = WindowBudget(), WindowBudget()
         r1 = apply_word(small, word, {mu: Fraction(1)}, b1)
         r2 = apply_word(big, word, {mu: Fraction(1)}, b2)
-        assert b1.ok() and b2.ok()
+        assert b1.valid and b2.valid
         assert r1 == r2
 
 
@@ -211,3 +216,85 @@ def test_descriptor_records_construction(module):
     assert d["window"] == 8
     assert d["xi"] == "32/243"
     assert d["corrupt_t1"] is False
+
+
+def test_probe_outside_the_window_is_refused_at_the_call(module):
+    # the word memo trusts its probe, so a probe outside the window raises
+    # before any item is made, instead of passing on clipped vectors
+    inside, outside = ("h000", {(0, 0): Fraction(1)}), ("h001", {(-9, 0): Fraction(1)})
+    checks = conjugation_lemma_checks(module)
+    with pytest.raises(ValueError, match="h001 leaves the window 8"):
+        make_hecke_items(module, checks, [inside, outside])
+    assert run_suite(module, checks, [inside]) == []
+
+
+def test_memo_shares_words_between_hecke_thunks(monkeypatch, module):
+    # a second thunk on the same probe with the same words applies no letter
+    mod = PolynomialModule(module.params, window=8)
+    checks = [c for c in q_presentation_checks(mod) if c.relation == "qpres.q-wrap-y"]
+    probes = hecke_probes(mod, 1, seed=0)
+    first, second = (thunk for _ in range(2) for _, thunk in make_hecke_items(mod, checks, probes))
+    calls = []
+    real = PolynomialModule.letter_cached
+
+    def counting(self, letter, key):
+        calls.append(letter)
+        return real(self, letter, key)
+
+    monkeypatch.setattr(PolynomialModule, "letter_cached", counting)
+    result = first()
+    assert calls and result == (True, True, "")
+    calls.clear()
+    assert second() == result and not calls
+
+
+# every letter at l = 2, Y and Q with exponents up to 2 in size
+hecke_letters = st.one_of(
+    st.tuples(st.just("T"), st.just(1), st.sampled_from((1, -1))),
+    st.tuples(st.just("X"), st.integers(1, 2), st.sampled_from((1, -1))),
+    st.tuples(st.just("Y"), st.integers(1, 2), st.sampled_from((1, -1, 2, -2))),
+    st.tuples(st.just("Q"), st.just(0), st.sampled_from((1, -1, 2, -2))),
+    st.tuples(st.just("W"), st.just(0), st.sampled_from((1, -1))),
+)
+hecke_words = st.lists(hecke_letters, max_size=4).map(tuple)
+hecke_exprs = st.lists(st.tuples(st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3)),
+                                 hecke_words), max_size=4).map(tuple)
+
+
+@st.composite
+def hecke_runs(draw):
+    """(probe index, lhs, rhs) in right-module order; later words extend earlier ones, which act first."""
+    run = []
+    for _ in range(draw(st.integers(1, 4))):
+        lhs, rhs = draw(hecke_exprs), draw(hecke_exprs)
+        if run:
+            lhs += tuple((c, w + draw(hecke_words)) for c, w in draw(st.sampled_from(run))[1])
+        run.append((draw(st.integers(0, 3)), lhs, rhs))
+    return run
+
+
+@given(window=st.integers(2, 3), run=hecke_runs())
+@settings(max_examples=60, deadline=None)
+# Y^2 and Q^-2 leave the window from the edge probe, and a later word extends Y^2
+@example(window=2, run=[(1, ((Fraction(1), (("Y", 2, 2),)),), ((Fraction(1), (("Q", 0, -2),)),)),
+                        (1, ((Fraction(2), (("Y", 2, 2), ("W", 0, 1))),), ((Fraction(-1), ()),))])
+def test_hecke_word_memo_matches_apply_expr(window, run):
+    # one module walks the memo for the whole run, so later checks find words
+    # that earlier ones put there; a second module evaluates word by word
+    params = specialized_params(n=4, l=2, q=2, d=3)
+    ops, ref = (PolynomialModule(params, window) for _ in range(2))
+    w = window
+    probes = [{(0, 0): Fraction(1)}, {(w, -w): Fraction(1)},
+              {(w, 0): Fraction(1), (-1, 1): Fraction(2)}, {(1, w): Fraction(-1), (0, -w): Fraction(3)}]
+    for which, lhs, rhs in run:
+        vec = probes[which]
+        budget = WindowBudget()
+        want = apply_expr(ref, lhs, vec, budget)
+        merge_vec(want, apply_expr(ref, rhs, vec, budget).items(), Fraction(-1))
+        # the exact residual: the memo walks rightmost letter first
+        walked = tuple((c, word[::-1]) for c, word in lhs) + tuple((-c, word[::-1]) for c, word in rhs)
+        assert identity(lambda v: ((walked, lambda b: want),), ops)(vec) == (True, budget.valid, "")
+        # the item make_hecke_items states from the right-module words
+        (_, thunk), = make_hecke_items(ops, [RelCheck("r", (), lhs, rhs)], [("p", vec)])
+        note = f"residual has {len(want)} term(s); lead key {min(want)}" if want else ""
+        assert thunk() == (not want, budget.valid, note)
