@@ -261,7 +261,7 @@ class PolynomialModule:
             return [(k2, Fraction(1))]
         if kind == "T":
             assert 1 <= idx <= self.l - 1 and exp in (1, -1)
-            lead = self._tlead1 if (idx == 1 and self.corrupt_t1) else self._q2
+            lead = self._tlead1 if idx == 1 else self._q2
             items = self._dl_items(key, idx, lead)
             if exp == 1:
                 return items
@@ -610,8 +610,9 @@ def hecke_probes(module, count, seed):
 def make_hecke_items(module, checks, probes):
     """
     (meta, thunk) pairs for the generic relation runner, made as they are
-    consumed.  The word memo of `reports.identity` applies the rightmost
-    letter first, so each right-module word is reversed once; the memo
+    consumed, every check of one probe before the next probe: the word memo
+    of `reports.identity` holds one probe's words at a time.  It applies the
+    rightmost letter first, so each right-module word is reversed once; it
     trusts its probe, so a probe outside the window raises ValueError here.
     """
     from .reports import identity  # reports imports this module
@@ -625,4 +626,4 @@ def make_hecke_items(module, checks, probes):
     stated = [(chk, tuple((c, w[::-1]) for c, w in chk.lhs), tuple((c, w[::-1]) for c, w in chk.rhs))
               for chk in checks]
     return (((chk.relation, chk.indices, (), pid), partial(check, vec, lhs, rhs))
-            for chk, lhs, rhs in stated for pid, vec in probes)
+            for pid, vec in probes for chk, lhs, rhs in stated)

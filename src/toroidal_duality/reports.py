@@ -12,9 +12,11 @@ the window budget.  Words act rightmost letter first; a letter is a Kac-Moody
 generator (kind, j) as printed, acting through `km`, a Hecke letter (kind,
 index, exponent), kind T X Y Q or W, acting through `hecke.apply_letter`,
 or (operator, *arguments) for any other operator method, e.g. ("mode",
-kind, i, k) or ("psi",).  Each ops object keeps one word memo per probe
-vector, a suffix trie filled as checks walk it: each word suffix is applied
-once per probe and shared by every check; `_walk` walks every term.
+kind, i, k) or ("psi",).  Each ops object keeps the word memo of the probe
+vector its last check ran on, a suffix trie filled as checks walk it: each
+word suffix is applied once and shared by every check on that probe, and a
+check on another probe starts a new memo, so builders emit their items probe
+by probe; `_walk` walks every term.
 The runner sorts the reports (NamedTuples) by key and `write_jsonl` fills
 one sorted-key line template, so the emitted JSON stream is byte-identical
 across runs; per-check wall time stays out of the JSON.
@@ -74,36 +76,27 @@ def _walk(ops, node, word):
     return node
 
 
-def _memo_root(ops, vec):
-    """The word memo of (ops, vec), freed with `ops`; holding vec keeps its id key its own."""
-    attrs = vars(ops)
-    memo = attrs.get("_word_memo")
-    if memo is None:
-        memo = attrs["_word_memo"] = {}
-    root = memo.get(id(vec))
-    if root is None:
-        root = memo[id(vec)] = [vec, True, None]
-    return root
-
-
 def identity(sides, ops):
     """
     The check lhs == rhs for every (lhs, rhs) pair that sides(vec, *args)
     returns, as a function of (vec, *args), against one fresh WindowBudget.
 
-    Expression terms walk the word memo of (ops, vec), so a suffix that an
-    earlier check on the same probe used costs a dict lookup; callable sides
-    are called with the budget.  The check returns (residual_zero,
-    budget_valid, note), the note naming the first nonzero residual.  Bind
-    the arguments with functools.partial to get the item's thunk; `sides`
-    runs inside it, so an item is only a key and a partial, made as the
-    runner takes it.
+    Expression terms walk the word memo that ops holds for vec, so a suffix
+    that an earlier check on the same probe used costs a dict lookup; a check
+    on another vec replaces the memo, freeing the last probe's words.
+    Callable sides are called with the budget.  The check returns
+    (residual_zero, budget_valid, note), the note naming the first nonzero
+    residual.  Bind the arguments with functools.partial to get the item's
+    thunk; `sides` runs inside it, so an item is only a key and a partial,
+    made as the runner takes it.
     """
 
     def check(vec, *args):
         budget = hecke.WindowBudget()
         note = ""
-        root = _memo_root(ops, vec)
+        root = getattr(ops, "_word_memo", None)
+        if root is None or root[0] is not vec:  # a new probe: drop the last one's words
+            root = ops._word_memo = [vec, True, None]
         for lhs, rhs in sides(vec, *args):
             res = {}
             for side, negate in ((lhs, False), (rhs, True)):
@@ -171,7 +164,7 @@ def run_relation_items(items, *, workers=1):
         dt = clock() - t0
         reports.append(RelationReport(relation, tuple(indices), tuple(modes), probe,
                                       bool(zero), bool(valid), dt, note))
-    thunk = None  # the last item holds the module and its word memos: free them before the sort
+    thunk = None  # the last item holds the module and its word memo: free them before the sort
     reports.sort(key=itemgetter(0, 1, 2, 3))
     return reports
 

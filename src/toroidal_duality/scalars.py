@@ -448,10 +448,7 @@ def sc_inv(a):
 
 def sc_pow(a, n):
     if isinstance(a, (int, Fraction)):
-        a = _as_fraction(a)
-        if n < 0 and not a:
-            raise ZeroDivisionError("division by zero")
-        return a ** n
+        return _as_fraction(a) ** n
     return a ** n
 
 

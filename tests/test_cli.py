@@ -282,6 +282,25 @@ def test_runner_frees_the_module_before_the_sort(target, monkeypatch):
     assert alive_at_sort == [[False]]
 
 
+def test_sweep_holds_one_probe_memo_at_a_time():
+    # each operator object keeps only the current probe's words: on the 30
+    # poly probes this traced a 3.4 MB peak, against 8.5 MB with a memo kept
+    # for every probe until the module is freed
+    import tracemalloc
+
+    from toroidal_duality.cli import run_verify
+
+    cfg = load_config(preset="poly", overrides={"probes": 30}, env={})
+    tracemalloc.start()
+    try:
+        reports, summary, _ = run_verify("duality", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["totals"]["passed"] == len(reports) == 6261
+    assert peak < 5_000_000, f"{peak / 1e6:.2f} MB"
+
+
 def test_runner_takes_an_empty_stream():
     assert run_relation_items(iter(())) == []
 

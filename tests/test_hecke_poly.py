@@ -228,6 +228,16 @@ def test_probe_outside_the_window_is_refused_at_the_call(module):
     assert run_suite(module, checks, [inside]) == []
 
 
+def test_hecke_items_run_probe_by_probe(module):
+    # the word memo holds one probe's words, so every check of a probe runs
+    # before the first check of the next probe
+    checks = defining_relation_checks(module)
+    probes = hecke_probes(module, 3, seed=0)
+    assert len(checks) > 1 and len(probes) == 3
+    order = [(meta[3], meta[:2]) for meta, _ in make_hecke_items(module, checks, probes)]
+    assert order == [(pid, (chk.relation, chk.indices)) for pid, _ in probes for chk in checks]
+
+
 def test_memo_shares_words_between_hecke_thunks(monkeypatch, module):
     # a second thunk on the same probe with the same words applies no letter
     mod = PolynomialModule(module.params, window=8)

@@ -157,6 +157,8 @@ def test_division_by_zero():
         sc_inv(Fraction(0))
     with pytest.raises(ZeroDivisionError):
         sc_inv(make_laurent({}))
+    with pytest.raises(ZeroDivisionError):
+        sc_pow(Fraction(0), -1)
 
 
 def test_units():
