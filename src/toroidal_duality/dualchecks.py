@@ -8,19 +8,22 @@ letters).  The intertwining checks need images of Kac-Moody generators
 under the braid-group automorphisms.  Those images are composed
 symbolically as noncommutative polynomials in the generator symbols (the
 diagram has no edges of weight below -1, so no divided powers survive in
-the tables), which are words over the same alphabet.  The translation
-images are built once per call: from the letter images of tau', the
-letter images tau' t'_n ... t'_i(x) are composed level by level, and each
-image acts after t_omega1, shared by every probe.  Their terms walk the
-word memo as every other check's terms do, so words that end in the same
-letters share their operator calls.
+the tables), which are words over the same alphabet.  Every coefficient
+of these images is +-q^a d^b, so they are composed as (sign, a, b) and
+made scalars once, at the end.  The translation images are built once per
+call: from the letter images of tau', the letter images
+tau' t'_n ... t'_i(x) are composed level by level, and each image acts
+after t_omega1, shared by every probe.  Their terms walk the word memo as
+every other check's terms do, so words that end in the same letters share
+their operator calls.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from itertools import chain
+from functools import cache, partial
+from itertools import chain, islice
+from operator import eq, itemgetter
 
 from .duality import dvec_add, fund_ktheta_exp
 from .hecke import RelCheck, apply_expr, apply_word, lt, make_hecke_items, tij_word, vec_scale, wmul
@@ -30,6 +33,7 @@ from .scalars import sc_inv, sc_mul, sc_pow
 
 PSI, PSI_INV, TAU, T_OMEGA1, STRAIGHTEN = ("psi",), ("psi_inv",), ("tau",), ("t_omega1",), ("straighten",)
 KINDS = ("e", "f", "k+", "k-")
+_WORD = itemgetter(1)  # the word of a term (coeff, word)
 
 
 def _mode_range(kind, K):
@@ -86,8 +90,15 @@ def _si(i, j, n):
     return j
 
 
-def tprime_symbol(i, sym, cartan, q):
-    """Image of one generator symbol under the vertex-i automorphism; an NC expression."""
+# coefficients of the tables, (sign, q exponent, d exponent): +1 and -1
+PLUS, MINUS = (1, 0, 0), (-1, 0, 0)
+
+
+def tprime_symbol(i, sym, cartan):
+    """
+    Image of one generator symbol under the vertex-i automorphism: an NC
+    expression whose coefficients are (sign, q exponent, d exponent).
+    """
     kind, j = sym
     a = _affine_a(cartan, i, j)
     if kind in ("k", "kinv"):
@@ -95,46 +106,59 @@ def tprime_symbol(i, sym, cartan, q):
         # k_j |-> k_j k_i^{-a_ij} (the printed index swap is its epsilon-basis shorthand)
         inv = {"k": "kinv", "kinv": "k"}
         if a == 2:
-            return ((Fraction(1), ((inv[kind], i),)),)
+            return ((PLUS, ((inv[kind], i),)),)
         if a == 0:
-            return ((Fraction(1), (sym,)),)
-        return ((Fraction(1), (sym, (kind, i))),)
+            return ((PLUS, (sym,)),)
+        return ((PLUS, (sym, (kind, i))),)
     if kind == "e":
         if j == i:
-            return ((Fraction(-1), (("f", i), ("k", i))),)
+            return ((MINUS, (("f", i), ("k", i))),)
         if a == 0:
-            return ((Fraction(1), (sym,)),)
-        return (
-            (Fraction(-1), (("e", i), ("e", j))),
-            (sc_inv(q), (("e", j), ("e", i))),
-        )
+            return ((PLUS, (sym,)),)
+        return ((MINUS, (("e", i), ("e", j))), ((1, -1, 0), (("e", j), ("e", i))))
     if kind == "f":
         if j == i:
-            return ((Fraction(-1), (("kinv", i), ("e", i))),)
+            return ((MINUS, (("kinv", i), ("e", i))),)
         if a == 0:
-            return ((Fraction(1), (sym,)),)
-        return (
-            (Fraction(-1), (("f", j), ("f", i))),
-            (q, (("f", i), ("f", j))),
-        )
+            return ((PLUS, (sym,)),)
+        return ((MINUS, (("f", j), ("f", i))), ((1, 1, 0), (("f", i), ("f", j))))
     raise ValueError(sym)
 
 
 def substitute(expr, images):
-    """An NC expression with every letter replaced by its image, expanded, merged by word and sorted."""
+    """
+    An NC expression with every letter replaced by its image, expanded; a
+    product of coefficients (sign, q exponent, d exponent) adds exponents.
+    The terms are neither merged nor sorted (see `scalar_terms`).
+    """
     terms = []
     for coeff, word in expr:
-        part = [((), coeff)]
+        part = [(coeff, ())]
         for y in word:
-            # most coefficients are 1: those products are skipped
-            part = [(w1 + w2, c1 if c2 == 1 else c2 if c1 == 1 else sc_mul(c1, c2))
-                    for w1, c1 in part for c2, w2 in images[y]]
+            part = [((s1 * s2, a1 + a2, b1 + b2), w1 + w2)
+                    for (s1, a1, b1), w1 in part for (s2, a2, b2), w2 in images[y]]
         terms += part
-    merged = dict(terms)
-    if len(merged) < len(terms):  # a word came up twice
-        merged = {}
-        dvec_add(merged, terms)
-    return tuple((c, w) for w, c in sorted(merged.items()))
+    return terms
+
+
+def coefficient_scalars(q, d):
+    """A function from a coefficient (sign, a, b) to its scalar sign * q^a * d^b, made once per coefficient."""
+    return cache(lambda coeff: sc_mul(sc_mul(Fraction(coeff[0]), sc_pow(q, coeff[1])), sc_pow(d, coeff[2])))
+
+
+def scalar_terms(terms, scalar, tail):
+    """
+    The expression of `terms` sorted by word, each coefficient made a scalar
+    by `scalar` and each word followed by `tail`; words merge only where one
+    comes up twice.
+    """
+    terms = sorted(terms, key=_WORD)
+    words = list(map(_WORD, terms))
+    if any(map(eq, words, islice(words, 1, None))):
+        merged = {}  # filled in word order, which the merge keeps
+        dvec_add(merged, [(w, scalar(coeff)) for coeff, w in terms])
+        return tuple([(c, w + tail) for w, c in merged.items()])
+    return tuple([(scalar(coeff), w + tail) for coeff, w in terms])
 
 
 def wrap_exponent(kind, j, n):
@@ -152,21 +176,25 @@ def wrap_exponent(kind, j, n):
 
 def omega_images(n, q, d):
     """
-    Image of every generator symbol under tau' t'_n ... t'_1, as NC expressions.
+    Image of every generator symbol under tau' t'_n ... t'_1, as NC
+    expressions whose words end in the T_OMEGA1 they act after.
 
     tau' acts last and letter by letter, so the table starts from its letter
     images: each letter rotated, times its power of d.  Level by level,
     i = n down to 1, each letter's image tau' t'_n ... t'_i(x) (e, f, k and
     kinv at every vertex) substitutes the level i + 1 images into t'_i(x).
+    Coefficients stay (sign, q exponent, d exponent) until the last pass,
+    which makes each distinct one a scalar once.
     """
     cartan = CartanData(n)
-    level = {(kind, j): ((sc_pow(d, wrap_exponent(kind, j, n)), ((kind, j % (n + 1) + 1),)),)
+    level = {(kind, j): [((1, 0, wrap_exponent(kind, j, n)), ((kind, j % (n + 1) + 1),))]
              for j in range(1, n + 2) for kind in ("e", "f", "k", "kinv")}
     for i in range(n, 0, -1):
         # t'_i fixes the letters at the vertices not joined to i
-        level = {x: substitute(tprime_symbol(i, x, cartan, q), level) if _affine_a(cartan, i, x[1]) else image
+        level = {x: substitute(tprime_symbol(i, x, cartan), level) if _affine_a(cartan, i, x[1]) else image
                  for x, image in level.items()}
-    return {sym: level[sym] for sym in gen_symbols(n)}
+    scalar = coefficient_scalars(q, d)
+    return {sym: scalar_terms(level[sym], scalar, (T_OMEGA1,)) for sym in gen_symbols(n)}
 
 
 def gen_symbols(n):
@@ -176,18 +204,17 @@ def gen_symbols(n):
 def intertwining_items(dmod, probes):
     """(3.2.1) for the finite braid operators, (3.2.2) for the rotation, (3.2.3) combined."""
     cartan = CartanData(dmod.n)
-    n, q = dmod.n, dmod.q
+    n = dmod.n
     gens = gen_symbols(n)
-    # built per call, so every sweep pays for its tables as a command-line run does;
-    # each table is the image as an expression that acts after t_omega1, popped from
-    # the images as it is built, so no image is held twice
-    images = omega_images(n, q, dmod.d)
-    omega_exprs = {sym: tuple((c, w + (T_OMEGA1,)) for c, w in images.pop(sym)) for sym in gens}
+    # built per call, so every sweep pays for its tables as a command-line run does
+    omega_exprs = omega_images(n, dmod.q, dmod.d)
+    scalar = coefficient_scalars(dmod.q, dmod.d)
+    braid_exprs = {(i, sym): scalar_terms(tprime_symbol(i, sym, cartan), scalar, (("braid", i),))
+                   for i in range(1, n + 1) for sym in gens}
 
     @partial(identity, ops=dmod)
     def braid(vec, i, sym):
-        b = ("braid", i)
-        return (((ONE, (b, sym)),), tuple((c, w + (b,)) for c, w in tprime_symbol(i, sym, cartan, q))),
+        return (((ONE, (("braid", i), sym)),), braid_exprs[i, sym]),
 
     @partial(identity, ops=dmod)
     def rotation(vec, sym):

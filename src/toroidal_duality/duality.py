@@ -99,7 +99,7 @@ class DualityModule:
         self.q = p.q
         self.d = p.d
         self._qinv = sc_inv(p.q)
-        self._cache = {}
+        self._cache = {}  # column tag -> {basis key: (image items, window valid)}
         self._mode_columns = {}  # (kind, i, k) -> (cache tag, basis function)
         self._sym_cache = {}
         self._theta_cache = {}
@@ -127,14 +127,16 @@ class DualityModule:
         """
         if budget is None:
             budget = WindowBudget()
+        columns = self._cache.get(tag)
+        if columns is None:
+            columns = self._cache[tag] = {}
         out = {}
         for key, coeff in vec.items():
-            entry = self._cache.get((tag, key))
+            entry = columns.get(key)
             if entry is None:
                 b = WindowBudget()
                 res = basis(self, *tag[1:], key, b)
-                entry = (tuple(sorted(res.items())), b.valid)
-                self._cache[(tag, key)] = entry
+                entry = columns[key] = (tuple(sorted(res.items())), b.valid)
             items, valid = entry
             budget.observe(valid)
             if items:

@@ -162,24 +162,24 @@ def current_relation_items(ops, K, probes):
     # (2.1.8)/(2.1.9): cubic Serre relations, symmetrized over z1 <-> z2
     @partial(identity, ops=ops)
     def serre(vec, i, j, kind, k1, k2, kk):
-        c = ("mode", kind, j, kk)
-        terms = ()
-        for m1, m2 in ((k1, k2),) if k1 == k2 else ((k1, k2), (k2, k1)):
-            a, b = ("mode", kind, i, m1), ("mode", kind, i, m2)
-            terms += ((ONE, (a, b, c)), (minus_qqinv, (a, c, b)), (ONE, (c, a, b)))
-        return (terms, ()),
+        a, b, c = ("mode", kind, i, k1), ("mode", kind, i, k2), ("mode", kind, j, kk)
+        if k1 == k2:
+            return (((ONE, (a, a, c)), (minus_qqinv, (a, c, a)), (ONE, (c, a, a))), ()),
+        return (((ONE, (a, b, c)), (minus_qqinv, (a, c, b)), (ONE, (c, a, b)),
+                 (ONE, (b, a, c)), (minus_qqinv, (b, c, a)), (ONE, (c, b, a))), ()),
 
     kplus_range = list(range(0, K + 1))
     kminus_range = list(range(-K, 1))
     e_range = list(range(-K, K + 1))
+    pairs = [[(i, j) for j in range(n + 1)] for i in range(n + 1)]  # each (i, j) key tuple, shared by its items
 
     def items():
         for pid, vec in probes:
             for i in range(n + 1):
-                yield ("2.1.1-unit", (i, i), (0, 0), pid), partial(unit, vec, i)
+                yield ("2.1.1-unit", pairs[i][i], (0, 0), pid), partial(unit, vec, i)
 
             for i in range(n + 1):
-                for j in range(n + 1):
+                for j, ij in enumerate(pairs[i]):
                     for rel, s1, s2, range1, range2 in (
                         ("2.1.1", +1, +1, kplus_range, kplus_range),
                         ("2.1.1", -1, -1, kminus_range, kminus_range),
@@ -188,7 +188,7 @@ def current_relation_items(ops, K, probes):
                     ):
                         for ka in range1:
                             for kb in range2:
-                                yield ((rel, (i, j), (s1, ka, s2, kb), pid),
+                                yield ((rel, ij, (s1, ka, s2, kb), pid),
                                        partial(comm, vec, i, j, s1, ka, s2, kb))
 
                     a = cartan.a(i, j)
@@ -206,28 +206,29 @@ def current_relation_items(ops, K, probes):
                         coeffs = twist(aa, m)
                         for R in Rs:
                             for S in range(-K + 1, K + 1):
-                                yield ((rel, (i, j), (sign, R, S), pid),
+                                yield ((rel, ij, (sign, R, S), pid),
                                        partial(cartan_exchange, vec, i, j, sign, other_kind, coeffs, R, S))
 
                     for r in e_range:
                         for s in e_range:
-                            yield ("2.1.5", (i, j), (r, s), pid), partial(ef_exchange, vec, i, j, r, s)
+                            yield ("2.1.5", ij, (r, s), pid), partial(ef_exchange, vec, i, j, r, s)
 
                     for rel, kind, aa in (("2.1.6", "e", a), ("2.1.7", "f", -a)):
                         coeffs = twist(aa, m)
                         for r in range(-K + 1, K + 1):
                             for s in range(-K + 1, K + 1):
-                                yield ((rel, (i, j), (r, s), pid),
+                                yield ((rel, ij, (r, s), pid),
                                        partial(like_exchange, vec, i, j, kind, coeffs, r, s))
 
             for i, j in cartan.adjacent_pairs():
+                ij = pairs[i][j]
                 for rel, kind in (("2.1.8", "e"), ("2.1.9", "f")):
                     for k1 in e_range:
                         for k2 in e_range:
                             if k2 < k1:
                                 continue  # the z1 <-> z2 symmetrization makes (k1,k2) ~ (k2,k1)
                             for kk in e_range:
-                                yield ((rel, (i, j), (k1, k2, kk), pid),
+                                yield ((rel, ij, (k1, k2, kk), pid),
                                        partial(serre, vec, i, j, kind, k1, k2, kk))
     return items()
 

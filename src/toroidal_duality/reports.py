@@ -16,10 +16,11 @@ kind, i, k) or ("psi",).  Each ops object keeps the word memo of the probe
 vector its last check ran on, a suffix trie filled as checks walk it: each
 word suffix is applied once and shared by every check on that probe, and a
 check on another probe starts a new memo, so builders emit their items probe
-by probe; `_walk` walks every term.
+by probe; the check's own loop walks every term, and `_child` makes each node.
 The runner sorts the reports (NamedTuples) by key and `write_jsonl` fills
 one sorted-key line template, so the emitted JSON stream is byte-identical
-across runs; per-check wall time stays out of the JSON.
+across runs; per-check wall time stays out of the JSON.  `summarize` counts
+the reports' (relation, residual_zero, budget_valid) triples.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ ONE, MINUS_ONE = Fraction(1), Fraction(-1)
 UNIT = ((ONE, ()),)  # the empty word: the identity operator
 _BUDGET = hecke.WindowBudget()  # reset by `_child` per call; checks run serially and never reenter the memo
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode  # dumps_canonical's encoding of one value
+_STATUS_FIELDS = attrgetter("relation", "residual_zero", "budget_valid")  # what `summarize` counts
 _TOTAL_KEY = {"pass": "passed", "fail": "failed", "skip": "skipped"}  # summary totals key of a status
 
 
@@ -66,34 +68,24 @@ def _child(ops, node, letter):
     return child
 
 
-def _walk(ops, node, word):
-    """The memo node of `word` applied from `node`, rightmost letter first, stopping at an empty vector."""
-    for letter in reversed(word):
-        child = node[2].get(letter) if node[2] else None
-        node = _child(ops, node, letter) if child is None else child
-        if node is True or node is False:
-            break
-    return node
-
-
 def identity(sides, ops):
     """
     The check lhs == rhs for every (lhs, rhs) pair that sides(vec, *args)
-    returns, as a function of (vec, *args), against one fresh WindowBudget.
+    returns, as a function of (vec, *args).
 
-    Expression terms walk the word memo that ops holds for vec, so a suffix
+    Each expression term walks its word through the memo that ops holds for
+    vec, rightmost letter first, stopping at an empty vector, so a suffix
     that an earlier check on the same probe used costs a dict lookup; a check
     on another vec replaces the memo, freeing the last probe's words.
-    Callable sides are called with the budget.  The check returns
-    (residual_zero, budget_valid, note), the note naming the first nonzero
-    residual.  Bind the arguments with functools.partial to get the item's
-    thunk; `sides` runs inside it, so an item is only a key and a partial,
-    made as the runner takes it.
+    Callable sides share one WindowBudget, made only when a check has one.
+    The check returns (residual_zero, budget_valid, note), the note naming
+    the first nonzero residual.  Bind the arguments with functools.partial
+    to get the item's thunk; `sides` runs inside it, so an item is only a
+    key and a partial, made as the runner takes it.
     """
 
     def check(vec, *args):
-        budget = hecke.WindowBudget()
-        note = ""
+        budget, valid, note = None, True, ""
         root = getattr(ops, "_word_memo", None)
         if root is None or root[0] is not vec:  # a new probe: drop the last one's words
             root = ops._word_memo = [vec, True, None]
@@ -101,19 +93,32 @@ def identity(sides, ops):
             res = {}
             for side, negate in ((lhs, False), (rhs, True)):
                 if callable(side):
+                    budget = budget or hecke.WindowBudget()
                     hecke.merge_vec(res, side(budget).items(), MINUS_ONE if negate else ONE)
                     continue
                 for c, word in side:
-                    node = _walk(ops, root, word)
+                    node = root
+                    for letter in reversed(word):
+                        kids = node[2]
+                        child = kids.get(letter) if kids else None
+                        node = _child(ops, node, letter) if child is None else child
+                        if node.__class__ is not list:  # an empty vector: the word stops here
+                            break
                     if node.__class__ is list:
                         hecke.merge_vec(res, node[0].items(), sc_neg(c) if negate else c)
                         node = node[1]
-                    budget.observe(node)
+                    if not node:  # the window broke along the word
+                        valid = False
             if res and not note:
                 note = f"residual has {len(res)} term(s); lead key {min(res)}"
-        return not note, budget.valid, note
+        return not note, valid and (budget is None or budget.valid), note
 
     return check
+
+
+def _status(residual_zero, budget_valid):
+    # a budget-invalid probe is never a pass
+    return ("pass" if residual_zero else "fail") if budget_valid else "skip"
 
 
 class RelationReport(NamedTuple):
@@ -128,10 +133,7 @@ class RelationReport(NamedTuple):
 
     @property
     def status(self):
-        # a budget-invalid probe is never a pass
-        if not self.budget_valid:
-            return "skip"
-        return "pass" if self.residual_zero else "fail"
+        return _status(self.residual_zero, self.budget_valid)
 
     def to_json_obj(self):
         obj = {
@@ -157,13 +159,14 @@ def run_relation_items(items, *, workers=1):
     # kept only because perfbench/sweep.py forwards workers=1 to this runner
     if workers != 1:
         raise ValueError(f"the check runner is serial; workers must be 1, got {workers!r}")
-    clock, reports = time.perf_counter, []
+    clock, reports, new = time.perf_counter, [], tuple.__new__
+    append = reports.append
     for (relation, indices, modes, probe), thunk in items:
         t0 = clock()
         zero, valid, note = thunk()
         dt = clock() - t0
-        reports.append(RelationReport(relation, tuple(indices), tuple(modes), probe,
-                                      bool(zero), bool(valid), dt, note))
+        append(new(RelationReport, (relation, tuple(indices), tuple(modes), probe,
+                                    bool(zero), bool(valid), dt, note)))
     thunk = None  # the last item holds the module and its word memo: free them before the sort
     reports.sort(key=itemgetter(0, 1, 2, 3))
     return reports
@@ -172,7 +175,8 @@ def run_relation_items(items, *, workers=1):
 def summarize(reports, config_echo):
     totals = {"checked": len(reports), "passed": 0, "failed": 0, "skipped": 0}
     per_relation = {}
-    for (relation, status), count in Counter(map(attrgetter("relation", "status"), reports)).items():
+    for (relation, zero, valid), count in Counter(map(_STATUS_FIELDS, reports)).items():
+        status = _status(zero, valid)
         per_relation.setdefault(relation, {"pass": 0, "fail": 0, "skip": 0})[status] += count
         totals[_TOTAL_KEY[status]] += count
     status = "fail" if totals["failed"] else "warn" if totals["skipped"] else "pass"
@@ -211,7 +215,7 @@ def write_jsonl(path, reports):
 
     def lines():
         for relation, indices, modes, probe, zero, valid, _, note in reports:
-            status = ("pass" if zero else "fail") if valid else "skip"
+            status = ("pass" if zero else "fail") if valid else "skip"  # `_status`, inlined per line
             note = f'"note":{_ENCODE(note)},' if note and status != "pass" else ""
             yield (f'{{"budget_valid":{"true" if valid else "false"},'
                    f'"indices":{hit_tuple(indices) or encode(indices)},"modes":{hit_tuple(modes) or encode(modes)},'

@@ -12,6 +12,7 @@ from toroidal_duality import dualchecks
 from toroidal_duality.config import load_config
 from toroidal_duality.duality import DualityModule, duality_probes, dvec_add
 from toroidal_duality.dualchecks import (
+    coefficient_scalars,
     gen_symbols,
     intertwining_items,
     omega_images,
@@ -19,6 +20,7 @@ from toroidal_duality.dualchecks import (
     psi_inverse_items,
     reconstruction_items,
     regression_items,
+    scalar_terms,
     substitute,
     tprime_symbol,
 )
@@ -50,22 +52,22 @@ def assert_all_pass(items):
 
 def test_tprime_tables():
     cartan = CartanData(3)
-    assert tprime_symbol(1, ("e", 1), cartan, Q) == ((Fraction(-1), (("f", 1), ("k", 1))),)
-    assert tprime_symbol(1, ("e", 3), cartan, Q) == ((Fraction(1), (("e", 3),)),)
-    img = tprime_symbol(1, ("e", 2), cartan, Q)
-    assert (Fraction(-1), (("e", 1), ("e", 2))) in img
-    assert (sc_inv(Q), (("e", 2), ("e", 1))) in img
+    assert tprime_symbol(1, ("e", 1), cartan) == (((-1, 0, 0), (("f", 1), ("k", 1))),)
+    assert tprime_symbol(1, ("e", 3), cartan) == (((1, 0, 0), (("e", 3),)),)
+    img = tprime_symbol(1, ("e", 2), cartan)
+    assert ((-1, 0, 0), (("e", 1), ("e", 2))) in img
+    assert ((1, -1, 0), (("e", 2), ("e", 1))) in img  # q^-1
     # the wrap vertex n+1 = 4 is adjacent to 1 on the cyclic diagram
-    img = tprime_symbol(1, ("e", 4), cartan, Q)
+    img = tprime_symbol(1, ("e", 4), cartan)
     assert len(img) == 2
     # Cartan images follow the weight-lattice reflection
-    assert tprime_symbol(1, ("k", 1), cartan, Q) == ((Fraction(1), (("kinv", 1),)),)
-    assert tprime_symbol(1, ("k", 2), cartan, Q) == ((Fraction(1), (("k", 2), ("k", 1))),)
-    assert tprime_symbol(2, ("k", 4), cartan, Q) == ((Fraction(1), (("k", 4),)),)
+    assert tprime_symbol(1, ("k", 1), cartan) == (((1, 0, 0), (("kinv", 1),)),)
+    assert tprime_symbol(1, ("k", 2), cartan) == (((1, 0, 0), (("k", 2), ("k", 1))),)
+    assert tprime_symbol(2, ("k", 4), cartan) == (((1, 0, 0), (("k", 4),)),)
 
 
 def _counting_merges(monkeypatch):
-    """Patch the merge that `substitute` falls back to; returns the list of its calls."""
+    """Patch the merge that `scalar_terms` falls back to; returns the list of its calls."""
     merges = []
 
     def counted(vec, terms, *args):
@@ -76,24 +78,30 @@ def _counting_merges(monkeypatch):
     return merges
 
 
+def _tprime_value(coeff, q, d):
+    """The scalar of a table coefficient (sign, q exponent, d exponent), by the stdlib operators."""
+    sign, a, b = coeff
+    return Fraction(sign) * (q ** a if a >= 0 else sc_inv(q) ** -a) * (d ** b if b >= 0 else sc_inv(d) ** -b)
+
+
 def test_tprime_multiplicative(monkeypatch):
     # the image of a product is the expanded product of the images, merged by word:
     # the repeated input word merges, and the two e_3 e_4 terms cancel
     merges = _counting_merges(monkeypatch)
     cartan = CartanData(3)
-    images = {x: tprime_symbol(2, x, cartan, Q) for x in (("e", 2), ("e", 3), ("e", 4), ("k", 3))}
-    expr = ((Fraction(2), (("e", 3), ("e", 2), ("k", 3))), (Q, (("e", 2), ("k", 3))),
-            (Fraction(-1), (("e", 3), ("e", 2), ("k", 3))), (Fraction(3), (("e", 3), ("e", 4))),
-            (Fraction(-3), (("e", 3), ("e", 4))))
+    images = {x: tprime_symbol(2, x, cartan) for x in (("e", 2), ("e", 3), ("e", 4), ("k", 3))}
+    expr = (((1, 0, 1), (("e", 3), ("e", 2), ("k", 3))), ((1, 1, 0), (("e", 2), ("k", 3))),
+            ((-1, 0, 0), (("e", 3), ("e", 2), ("k", 3))), ((1, 1, -1), (("e", 3), ("e", 4))),
+            ((-1, 1, -1), (("e", 3), ("e", 4))))
     want = {}
     for coeff, word in expr:
         for factors in product(*(images[x] for x in word)):
-            w, c = (), coeff
+            w, c = (), _tprime_value(coeff, Q, D)
             for c2, w2 in factors:
-                w, c = w + w2, c * c2
+                w, c = w + w2, c * _tprime_value(c2, Q, D)
             want[w] = want[w] + c if w in want else c
     want = tuple((c, w) for w, c in sorted(want.items()) if c)
-    got = substitute(expr, images)
+    got = scalar_terms(substitute(expr, images), coefficient_scalars(Q, D), ())
     assert [(type(c), c, w) for c, w in got] == [(type(c), c, w) for c, w in want]
     assert len(got) == 3 and not any(("e", 4) in w for _, w in got)
     assert len(merges) == 1  # the repeated word and the cancelling pair take the merge
@@ -186,6 +194,8 @@ def test_eval_nc_order(dm_unit):
 def _omega_reference(n, q, d):
     """Every letter's image multiplied in and every wrap letter scaled on its own."""
     cartan = CartanData(n)
+    # the four coefficients of t'_i: 1, -1, q^-1 and q
+    value = {(1, 0, 0): Fraction(1), (-1, 0, 0): Fraction(-1), (1, -1, 0): sc_inv(q), (1, 1, 0): q}
     scale = {("e", n): d, ("e", n + 1): sc_inv(d), ("f", n): sc_inv(d), ("f", n + 1): d}
     out = {}
     for sym in gen_symbols(n):
@@ -195,8 +205,8 @@ def _omega_reference(n, q, d):
             for coeff, word in expr:
                 terms = [((), coeff)]
                 for letter in word:
-                    terms = [(w1 + w2, c1 * c2) for w1, c1 in terms
-                             for c2, w2 in tprime_symbol(i, letter, cartan, q)]
+                    terms = [(w1 + w2, c1 * value[c2]) for w1, c1 in terms
+                             for c2, w2 in tprime_symbol(i, letter, cartan)]
                 for w, c in terms:
                     merged[w] = merged[w] + c if w in merged else c
             expr = [(c, w) for w, c in sorted(merged.items()) if c]
@@ -219,9 +229,10 @@ def _assert_omega_images_match_reference(n, q, d, monkeypatch):
     for sym in want:
         words = [w for _, w in got[sym]]
         assert all(a < b for a, b in zip(words, words[1:])), (n, sym)
+        assert all(w[-1] == ("t_omega1",) for w in words), (n, sym)  # each image acts after t_omega1
         # equal values of equal scalar kinds, term by term, in the order of the rotated words
         want_terms = sorted(want[sym], key=itemgetter(1))
-        assert [(type(c), c, w) for c, w in got[sym]] == [(type(c), c, w) for c, w in want_terms], (n, sym)
+        assert [(type(c), c, w[:-1]) for c, w in got[sym]] == [(type(c), c, w) for c, w in want_terms], (n, sym)
     return sum(map(len, got.values()))
 
 

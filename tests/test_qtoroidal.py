@@ -39,6 +39,19 @@ def test_cartan_entries():
             assert c.m(i, j) == -c.m(j, i)
 
 
+def test_items_of_one_vertex_pair_share_their_indices(dm):
+    # one (i, j) key tuple per vertex pair, however many items and relations use it
+    probes = duality_probes(dm, 1, seed=3)
+    keys = [meta for meta, _ in current_relation_items(dm, 1, probes)]
+    by_pair = {}
+    for relation, indices, modes, probe in keys:
+        by_pair.setdefault(indices, set()).add(id(indices))
+    assert len(by_pair) == (dm.n + 1) ** 2
+    assert all(len(objects) == 1 for objects in by_pair.values())
+    relations = {pair: {relation for relation, indices, _, _ in keys if indices == pair} for pair in ((1, 1), (1, 2))}
+    assert {"2.1.1-unit", "2.1.1", "2.1.5"} <= relations[1, 1] and {"2.1.5", "2.1.8"} <= relations[1, 2]
+
+
 def test_cartan_guards():
     with pytest.raises(ValueError):
         CartanData(1)

@@ -1,10 +1,12 @@
-"""The canonical line writer and the summary against reference recounts of the reports."""
+"""The canonical line writer and the summary against reference recounts of the reports, and a check's window flag."""
+
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toroidal_duality.reports import RelationReport, dumps_canonical, summarize, write_jsonl
+from toroidal_duality.reports import ONE, RelationReport, dumps_canonical, identity, summarize, write_jsonl
 
 # quotes, backslashes, control characters and non-ASCII, among any characters
 TEXT = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7fé€\ud800\U0001d52e'),
@@ -66,3 +68,49 @@ def test_summary_matches_a_naive_recount(reports):
     assert dumps_canonical(summary) == dumps_canonical({
         "schema": "sweep-summary@1", "config": echo, "totals": totals,
         "per_relation": per_relation, "worst": worst, "status": status})
+
+
+@given(st.lists(REPORT, max_size=30))
+@settings(max_examples=50)
+@example(ALL_STATUSES)
+def test_summary_tallies_each_report_status(reports):
+    tally = Counter((r.relation, r.status) for r in reports)
+    summary = summarize(reports, {})
+    got = {(rel, status): count for rel, counts in summary["per_relation"].items()
+           for status, count in counts.items() if count}
+    assert got == tally
+    statuses = Counter(r.status for r in reports)
+    assert summary["totals"] == {"checked": len(reports), "passed": statuses["pass"],
+                                 "failed": statuses["fail"], "skipped": statuses["skip"]}
+
+
+class _Stub:
+    """Letters ("keep",) and ("leave", nonempty): the identity, and a step out of the window."""
+
+    def keep(self, vec, budget):
+        return dict(vec)
+
+    def leave(self, nonempty, vec, budget):
+        budget.valid = False
+        return dict(vec) if nonempty else {}
+
+
+VEC = {"v": ONE}
+KEEP = ((ONE, (("keep",),)),)
+
+
+def _invalid_by_closed_form(budget):
+    budget.valid = False
+    return VEC
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    (KEEP, _invalid_by_closed_form),  # a closed-form side marks its budget invalid
+    (((ONE, (("keep",), ("leave", False))),), ()),  # the walk stops at a False leaf
+    (((ONE, (("keep",), ("leave", True))),), KEEP),  # a non-empty node carries False
+], ids=["closed-form", "empty-leaf", "nonempty-node"])
+def test_a_check_outside_the_window_is_not_budget_valid(lhs, rhs):
+    check = identity(lambda vec: ((lhs, rhs),), ops=_Stub())
+    assert check(VEC) == (True, False, "")
+    assert check(VEC) == (True, False, "")  # again from the filled memo
+    assert identity(lambda vec: ((KEEP, KEEP),), ops=_Stub())(VEC) == (True, True, "")

@@ -362,12 +362,13 @@ def test_formal_sweep_columns_hold_stored_forms(monkeypatch):
     _, summary, _ = run_verify("toroidal", cfg)
     assert summary["status"] == "pass" and len(made) == 1
     columns = made[0]._cache
-    assert columns
+    assert columns and all(columns.values())
     formal = 0
-    for items, _valid in columns.values():
-        for _key, c in items:
-            assert_stored_forms(c)
-            formal += isinstance(c, (Laurent, LaurentFrac))
+    for column in columns.values():
+        for items, _valid in column.values():
+            for _key, c in items:
+                assert_stored_forms(c)
+                formal += isinstance(c, (Laurent, LaurentFrac))
     assert formal  # the sweep did reach Laurent coefficients
 
 
