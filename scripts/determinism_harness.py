@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """
 Byte-level determinism harness: run each preset sweep, a Hecke sweep at
-l = 3, a toroidal and two duality sweeps with formal q and d, and a
-duality sweep at n = 7, whose translation tables are the largest, in two
-child processes with PYTHONHASHSEED=0 and PYTHONHASHSEED=1, and diff the
-canonical JSON streams and summaries.  Equal bytes show that no report
-depends on the iteration order of a set, which string hashing changes from
-one process to the next.
+l = 3, a toroidal sweep and three duality sweeps with formal q and d (one
+at l = 3), and a duality sweep at n = 7, whose translation tables are the
+largest, in two child processes with PYTHONHASHSEED=0 and
+PYTHONHASHSEED=1, and diff the canonical JSON streams and summaries.
+Equal bytes show that no report depends on the iteration order of a set,
+which string hashing changes from one process to the next.
 The stream is the bytes `write_jsonl` writes, and each child first checks
 them against the reference encoding `dumps_canonical(r.to_json_obj())`.
 
@@ -35,6 +35,8 @@ SWEEPS = [
     ("duality-poly-symbolic", "duality", "poly", {"symbolic": True, "probes": 2, "modes": 1}),
     # the 16th probe is the first at module key (1, 0), where the symmetrizer makes LaurentFrac quotients
     ("duality-poly-symbolic-k10", "duality", "poly", {"symbolic": True, "probes": 16, "modes": 1}),
+    ("duality-l3-symbolic", "duality", "poly", {"n": 5, "l": 3, "symbolic": True, "probes": 1, "modes": 2,
+                                                "hecke_probes": 3}),
     ("duality-n7", "duality", "poly", {"n": 7, "probes": 1}),
 ]
 

@@ -10,18 +10,19 @@ symbolically as noncommutative polynomials in the generator symbols (the
 diagram has no edges of weight below -1, so no divided powers survive in
 the tables), which are words over the same alphabet.  Every coefficient
 of these images is +-q^a d^b, so they are composed as (sign, a, b) and
-made scalars once, at the end.  The translation images are built once per
-call: from the letter images of tau', the letter images
-tau' t'_n ... t'_i(x) are composed level by level, and each image acts
-after t_omega1, shared by every probe.  Their terms walk the word memo as
-every other check's terms do, so words that end in the same letters share
-their operator calls.
+made scalars at the end, each its sign times an entry of the module's
+monomial table `qd`; every q^a d^b a check states (the psi rescales, the
+rotation's wrap, the closed forms) is read from that table too.  The
+translation images are built once per call: from the letter images of
+tau', the letter images tau' t'_n ... t'_i(x) are composed level by
+level, and each image acts after t_omega1, shared by every probe.  Their
+terms walk the word memo as every other check's terms do, so words that
+end in the same letters share their operator calls.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from itertools import chain, islice
 from operator import eq, itemgetter
 
@@ -29,7 +30,7 @@ from .duality import dvec_add, fund_ktheta_exp
 from .hecke import RelCheck, apply_expr, apply_word, lt, make_hecke_items, tij_word, vec_scale, wmul
 from .qtoroidal import CartanData, weight_display
 from .reports import MINUS_ONE, ONE, UNIT, identity
-from .scalars import sc_inv, sc_mul, sc_pow
+from .scalars import sc_mul, sc_neg
 
 PSI, PSI_INV, TAU, T_OMEGA1, STRAIGHTEN = ("psi",), ("psi_inv",), ("tau",), ("t_omega1",), ("straighten",)
 KINDS = ("e", "f", "k+", "k-")
@@ -49,18 +50,17 @@ def _mode_range(kind, K):
 
 def psi_conjugation_items(dmod, K, probes):
     """Modewise psi^-1 g_{i,k} psi = (q^-1 d)^-k g_{i-1,k}, plus the double twist."""
-    n = dmod.n
-    scale1 = sc_mul(sc_inv(dmod.q), dmod.d)
+    n, qd = dmod.n, dmod.qd
 
     @partial(identity, ops=dmod)
     def shift(vec, i, kind, k):
         lhs = ((ONE, (PSI_INV, ("mode", kind, i, k), PSI)),)
-        return (lhs, ((sc_pow(scale1, -k), (("mode", kind, (i - 1) % (n + 1), k),)),)),
+        return (lhs, ((qd(k, -k), (("mode", kind, (i - 1) % (n + 1), k),)),)),
 
     @partial(identity, ops=dmod)
     def double(vec, kind, k):
         lhs = ((ONE, (PSI_INV, PSI_INV, ("mode", kind, 1, k), PSI, PSI)),)
-        return (lhs, ((sc_pow(scale1, -2 * k), (("mode", kind, n, k),)),)),
+        return (lhs, ((qd(2 * k, -2 * k), (("mode", kind, n, k),)),)),
 
     def items():
         for pid, vec in probes:
@@ -141,9 +141,9 @@ def substitute(expr, images):
     return terms
 
 
-def coefficient_scalars(q, d):
-    """A function from a coefficient (sign, a, b) to its scalar sign * q^a * d^b, made once per coefficient."""
-    return cache(lambda coeff: sc_mul(sc_mul(Fraction(coeff[0]), sc_pow(q, coeff[1])), sc_pow(d, coeff[2])))
+def coefficient_scalars(qd):
+    """A function from a coefficient (sign, a, b) to its scalar sign * q^a * d^b, read off the monomial table `qd`."""
+    return lambda coeff: qd(coeff[1], coeff[2]) if coeff[0] > 0 else sc_neg(qd(coeff[1], coeff[2]))
 
 
 def scalar_terms(terms, scalar, tail):
@@ -174,7 +174,7 @@ def wrap_exponent(kind, j, n):
     return 0
 
 
-def omega_images(n, q, d):
+def omega_images(n, qd):
     """
     Image of every generator symbol under tau' t'_n ... t'_1, as NC
     expressions whose words end in the T_OMEGA1 they act after.
@@ -193,7 +193,7 @@ def omega_images(n, q, d):
         # t'_i fixes the letters at the vertices not joined to i
         level = {x: substitute(tprime_symbol(i, x, cartan), level) if _affine_a(cartan, i, x[1]) else image
                  for x, image in level.items()}
-    scalar = coefficient_scalars(q, d)
+    scalar = coefficient_scalars(qd)
     return {sym: scalar_terms(level[sym], scalar, (T_OMEGA1,)) for sym in gen_symbols(n)}
 
 
@@ -207,8 +207,8 @@ def intertwining_items(dmod, probes):
     n = dmod.n
     gens = gen_symbols(n)
     # built per call, so every sweep pays for its tables as a command-line run does
-    omega_exprs = omega_images(n, dmod.q, dmod.d)
-    scalar = coefficient_scalars(dmod.q, dmod.d)
+    omega_exprs = omega_images(n, dmod.qd)
+    scalar = coefficient_scalars(dmod.qd)
     braid_exprs = {(i, sym): scalar_terms(tprime_symbol(i, sym, cartan), scalar, (("braid", i),))
                    for i in range(1, n + 1) for sym in gens}
 
@@ -219,7 +219,7 @@ def intertwining_items(dmod, probes):
     @partial(identity, ops=dmod)
     def rotation(vec, sym):
         kind, j = sym
-        rhs = ((sc_pow(dmod.d, wrap_exponent(kind, j, n)), ((kind, j % (n + 1) + 1), TAU)),)
+        rhs = ((dmod.qd(0, wrap_exponent(kind, j, n)), ((kind, j % (n + 1) + 1), TAU)),)
         return (((ONE, (TAU, sym)),), rhs),
 
     @partial(identity, ops=dmod)
@@ -241,15 +241,13 @@ def intertwining_items(dmod, probes):
 
 
 def _expect_l1_braid(dmod, i, j):
-    sij = _si(i, j, dmod.n)
-    sign = Fraction(-1) if j == i + 1 else Fraction(1)
-    qpow = dmod.q if j == i else Fraction(1)
-    return sij, sc_mul(sign, qpow)
+    qpow = dmod.qd(1 if j == i else 0, 0)
+    return _si(i, j, dmod.n), sc_neg(qpow) if j == i + 1 else qpow
 
 
 def regression_items(dmod, K, probes):
     """The printed desk-scale formulas, each against the operator pipeline."""
-    n, l, q, d = dmod.n, dmod.l, dmod.q, dmod.d
+    n, l, q, qd = dmod.n, dmod.l, dmod.q, dmod.qd
 
     # the l = 1 slot formulas
     def slot_rhs(hkey, i, j, b):
@@ -258,8 +256,8 @@ def regression_items(dmod, K, probes):
 
     def sign_rhs(hkey, j, b):
         if j != 1:
-            return vec_scale(Fraction(-1), dmod.basis_vector(hkey, (j,), b))
-        hv = apply_word(dmod.h, lt("Y", 1), {hkey: sc_pow(q, n)}, b)
+            return vec_scale(MINUS_ONE, dmod.basis_vector(hkey, (j,), b))
+        hv = apply_word(dmod.h, lt("Y", 1), {hkey: qd(n, 0)}, b)
         return dmod.straighten({(hk, (1,)): c for hk, c in hv.items()}, b)
 
     # both act on the unstraightened slot vector, straightened first
@@ -278,8 +276,8 @@ def regression_items(dmod, K, probes):
             s = sum(1 for v in jt if v == 1)
             word = tuple(("Y", p, 1) for p in range(1, s + 1))
             hv = apply_word(dmod.h, word, {hkey: c}, b)
-            sign = Fraction(-1) if (l + s) % 2 else Fraction(1)
-            dvec_add(want, [((hk, jt), cc) for hk, cc in hv.items()], sc_mul(sign, sc_pow(q, n * s)))
+            qpow = qd(n * s, 0)
+            dvec_add(want, [((hk, jt), cc) for hk, cc in hv.items()], sc_neg(qpow) if (l + s) % 2 else qpow)
         return dmod.straighten(want, b)
 
     # the independently written closed form for the first-vertex e modes
@@ -290,11 +288,11 @@ def regression_items(dmod, K, probes):
             t = s + sum(1 for v in jt if v == 2)
             if t == s:
                 continue
-            pref = sc_mul(sc_pow(d, -h), sc_pow(q, 1 - t + s - h * n))
+            pref = qd(1 - t + s - h * n, -h)
             expr = tuple(
-                [(Fraction(1), lt("Y", s + 1, -h))]
+                [(ONE, lt("Y", s + 1, -h))]
                 + [
-                    (Fraction(1), wmul(tij_word(kk, s + 1), lt("Y", s + 1, -h)))
+                    (ONE, wmul(tij_word(kk, s + 1), lt("Y", s + 1, -h)))
                     for kk in range(s + 1, t)
                 ]
             )
@@ -309,16 +307,13 @@ def regression_items(dmod, K, probes):
         for (hkey, jt), c in vec.items():
             a = sum(1 for v in jt if v == i)
             b = sum(1 for v in jt if v == i + 1)
-            base = sc_mul(
-                sc_pow(q, i - n + a - b),
-                sc_mul(Fraction(1) - sc_pow(q, -2), sc_pow(d, -i)),
-            )
+            base = sc_mul(qd(i - n + a - b, -i), ONE - qd(-2, 0))
             hv = {}
             for p, v in enumerate(jt, 1):
                 if v == i:
-                    start = sc_inv(q)
+                    start = qd(-1, 0)
                 elif v == i + 1:
-                    start = sc_mul(Fraction(-1), q)
+                    start = sc_neg(q)
                 else:
                     continue
                 dvec_add(hv, apply_word(dmod.h, lt("Y", p, -1), {hkey: start}, budget).items())
@@ -331,16 +326,16 @@ def regression_items(dmod, K, probes):
         for (hkey, jt), c in vec.items():
             if kind == "k":
                 w = -sum(fund_ktheta_exp(v, n) for v in jt)
-                dvec_add(want, [((hkey, jt), sc_mul(c, sc_pow(q, w)))])
+                dvec_add(want, [((hkey, jt), sc_mul(c, qd(w, 0)))])
                 continue
             for p, v in enumerate(jt, 1):
                 if kind == "e" and v == 1:
                     wexp = -sum(fund_ktheta_exp(jt[t], n) for t in range(p, l))
-                    hv = apply_word(dmod.h, lt("X", p), {hkey: sc_pow(q, wexp)}, b)
+                    hv = apply_word(dmod.h, lt("X", p), {hkey: qd(wexp, 0)}, b)
                     j2 = jt[: p - 1] + (n + 1,) + jt[p:]
                 elif kind == "f" and v == n + 1:
                     wexp = sum(fund_ktheta_exp(jt[t], n) for t in range(p - 1))
-                    hv = apply_word(dmod.h, lt("X", p, -1), {hkey: sc_pow(q, wexp)}, b)
+                    hv = apply_word(dmod.h, lt("X", p, -1), {hkey: qd(wexp, 0)}, b)
                     j2 = jt[: p - 1] + (1,) + jt[p:]
                 else:
                     continue
@@ -365,8 +360,8 @@ def regression_items(dmod, K, probes):
 
     # consequence of the Cartan-current exchange at trivial central charge:
     # e_1 k_{2,1} - q k_{2,1} e_1 = (q - q^-1) d^-1 e_{1,1} k_2
-    charge_coeff = sc_mul(q - sc_inv(q), sc_inv(d))
-    minus_q = sc_mul(MINUS_ONE, q)
+    charge_coeff = sc_mul(q - qd(-1, 0), qd(0, -1))
+    minus_q = sc_neg(q)
 
     @partial(identity, ops=dmod)
     def charge_one(vec):
@@ -381,7 +376,7 @@ def regression_items(dmod, K, probes):
 
     # wrap-vertex action on the standard tuple lands on q^(1-l) m Q (x) w, for l <= n
     def standard_e0_rhs(hkey, b):
-        hv = apply_word(dmod.h, lt("Q"), {hkey: sc_pow(q, 1 - l)}, b)
+        hv = apply_word(dmod.h, lt("Q"), {hkey: qd(1 - l, 0)}, b)
         w = tuple(range(2, l + 1)) + (n + 1,)
         return dmod.straighten({(hk, w): c for hk, c in hv.items()}, b)
 
@@ -426,7 +421,7 @@ def reconstruction_items(dmod, K, hprobes):
     """(4.2.1) on the module side plus the two displays from its proof."""
     from .series import AT_INFINITY, AT_ZERO, theta_expand
 
-    n, l, q, d = dmod.n, dmod.l, dmod.q, dmod.d
+    n, l, qd = dmod.n, dmod.l, dmod.qd
     qw, qinv = lt("Q"), lt("Q", 0, -1)
     w_first = tuple(range(2, l + 1)) + (n + 1,)
     w_second = tuple(range(3, l + 2)) + (n + 1,)
@@ -443,17 +438,16 @@ def reconstruction_items(dmod, K, hprobes):
 
     @partial(identity, ops=dmod.h)
     def wrap_display(hvec):
-        return (partial(placed, wmul(qw, lt("Y", l)), sc_pow(d, n + 1), hvec, w_second),
-                partial(placed, wmul(lt("Y", 1), qw), sc_pow(q, n + 1), hvec, w_second)),
+        return (partial(placed, wmul(qw, lt("Y", l)), qd(0, n + 1), hvec, w_second),
+                partial(placed, wmul(lt("Y", 1), qw), qd(n + 1, 0), hvec, w_second)),
 
-    # (sgn, r), the Y exponent and the scaled theta coefficient of each theta conjugation
+    # (sgn, r), the Y exponent and the theta coefficient scaled by (q^n d^2)^e of each theta conjugation
     theta_cases = []
-    scale = sc_mul(sc_pow(q, n), sc_mul(d, d))
     for direction, sgn in ((AT_INFINITY, +1), (AT_ZERO, -1)):
-        coeffs = theta_expand(1, direction, K, q)
+        coeffs = theta_expand(1, direction, K, dmod.q)
         for r in range(K + 1):
             e = -r if sgn > 0 else r
-            theta_cases.append(((sgn, r), e, sc_mul(coeffs[r], sc_pow(scale, e))))
+            theta_cases.append(((sgn, r), e, sc_mul(coeffs[r], qd(n * e, 2 * e))))
 
     # the Y-shift and Y-wrap are Hecke words, checked as the Hecke suites are
     shifts = [RelCheck("recon.y-wrap", (), ((ONE, wmul(qw, lt("Y", l), qinv)),), ((dmod.params.x, lt("Y", 1)),))]

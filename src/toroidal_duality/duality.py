@@ -18,6 +18,10 @@ Operator conventions:
     formulas (spectral scale alpha_i = q^(n+1-i) d^i, argument Y);
   * vertex 0 is psi-conjugation of vertex 1 with spectral rescale q d^-1.
 
+So every scalar a column multiplies in is +-q^a d^b (or a q-integer built
+from them): the module's monomial table `qd` makes each q^a d^b once, and
+the duality checks read the same table.
+
 Currents are indexed so that e_i(z) = sum_k e_{i,k} z^-k; a "k+" mode k
 means the z^-k coefficient with k >= 0, a "k-" mode k means k <= 0.
 """
@@ -30,7 +34,7 @@ from fractions import Fraction
 from .hecke import WindowBudget, apply_expr, apply_word, lt, tij_word, vec_scale, wmul
 from .hecke import merge_vec as dvec_add  # perfbench/layers.py traces the kernel by this name
 from .params import Params
-from .scalars import Scalar, sc_inv, sc_mul, sc_pow
+from .scalars import MINUS_ONE, ONE, Scalar, monomials, sc_inv, sc_mul
 from .series import AT_INFINITY, AT_ZERO, theta_expand
 
 JTuple = tuple[int, ...]
@@ -98,7 +102,7 @@ class DualityModule:
         self.l = p.l
         self.q = p.q
         self.d = p.d
-        self._qinv = sc_inv(p.q)
+        self.qd = monomials(p.q, p.d)  # (a, b) -> q^a d^b, every power of q and d the columns take
         self._cache = {}  # column tag -> {basis key: (image items, window valid)}
         self._mode_columns = {}  # (kind, i, k) -> (cache tag, basis function)
         self._sym_cache = {}
@@ -106,13 +110,12 @@ class DualityModule:
         self._qfact_inv = self._build_qfact_inv(self.l + 1)
 
     def _build_qfact_inv(self, top):
-        q = self.q
-        out = [Fraction(1)]
-        fact = Fraction(1)
+        out = [ONE]
+        fact = ONE
         for m in range(1, top + 1):
             qm = Fraction(0)
             for t in range(m):
-                qm = qm + sc_pow(q, m - 1 - 2 * t)
+                qm = qm + self.qd(m - 1 - 2 * t, 0)
             fact = sc_mul(fact, qm)
             out.append(sc_inv(fact))
         return out
@@ -150,9 +153,8 @@ class DualityModule:
         hit = self._sym_cache.get(blocks)
         if hit is not None:
             return hit
-        q2 = sc_mul(self.q, self.q)
         block_words = []
-        poincare = Fraction(1)
+        poincare = ONE
         for start, size in blocks:
             words = [
                 tuple(("T", start - 1 + g, 1) for g in w)
@@ -161,7 +163,7 @@ class DualityModule:
             block_words.append(words)
             psum = Fraction(0)
             for w in words:
-                psum = psum + sc_pow(q2, len(w))
+                psum = psum + self.qd(2 * len(w), 0)
             poincare = sc_mul(poincare, psum)
         norm = sc_inv(poincare)
         expr = tuple(
@@ -172,7 +174,7 @@ class DualityModule:
 
     def _straighten_basis(self, key, budget):
         hkey, jt = key
-        pending = [({hkey: Fraction(1)}, jt)]
+        pending = [({hkey: ONE}, jt)]
         by_tuple = {}
         while pending:
             hv, j = pending.pop()
@@ -181,7 +183,7 @@ class DualityModule:
                 dvec_add(by_tuple.setdefault(j, {}), hv.items())
             else:
                 j2 = j[: p - 1] + (j[p], j[p - 1]) + j[p + 1 :]
-                hv2 = apply_expr(self.h, ((self._qinv, lt("T", p)),), hv, budget)
+                hv2 = apply_expr(self.h, ((self.qd(-1, 0), lt("T", p)),), hv, budget)
                 pending.append((hv2, j2))
         out = {}
         for j, hv in by_tuple.items():
@@ -218,7 +220,7 @@ class DualityModule:
         i = j % (self.n + 1)
         if kind in ("k", "kinv"):
             w = self.weight(i, jt)
-            return {key: sc_pow(self.q, w if kind == "k" else -w)}
+            return {key: self.qd(w if kind == "k" else -w, 0)}
         e = kind == "e"
         src, dst, sign = (i + 1, j, -1) if e else (j, i + 1, 1)
         raw = []
@@ -226,13 +228,13 @@ class DualityModule:
             if jt[p - 1] != src:
                 continue
             wexp = self.weight(i, jt[p:]) if e else -self.weight(i, jt[: p - 1])
-            hv = {hkey: sc_pow(self.q, wexp)}
+            hv = {hkey: self.qd(wexp, 0)}
             j2 = jt[: p - 1] + (dst,) + jt[p:]
             if i:
-                raw.append((hv, j2, Fraction(1)))
+                raw.append((hv, j2, ONE))
             else:
                 hv = apply_word(self.h, lt("Y", p, sign), hv, budget)
-                raw.append((hv, j2, sc_inv(self.d) if e else self.d))
+                raw.append((hv, j2, self.qd(0, sign)))
         return self._hecke_then_straighten(raw, budget)
 
     def km(self, kind, j, vec, budget=None):
@@ -247,7 +249,7 @@ class DualityModule:
 
     def _braid_basis(self, i, key, budget):
         k = self.weight(i, key[1])
-        vec = {key: Fraction(1)}
+        vec = {key: ONE}
         out = {}
         for t in range(self.l + 1):
             et = vec
@@ -268,11 +270,11 @@ class DualityModule:
                     mid = self.km("e", i, mid, budget)
                 if not mid:
                     continue
-                sign = Fraction(-1) if (s + k) % 2 else Fraction(1)
+                sign = MINUS_ONE if (s + k) % 2 else ONE
                 coeff = sc_mul(
                     sign,
                     sc_mul(
-                        sc_pow(self.q, s - r * t),
+                        self.qd(s - r * t, 0),
                         sc_mul(
                             self._qfact_inv[r],
                             sc_mul(self._qfact_inv[s], self._qfact_inv[t]),
@@ -298,16 +300,16 @@ class DualityModule:
         n = self.n
         carrier = n + 1 if step > 0 else 1
         word = tuple((letter, p, exp) for p in range(1, self.l + 1) if jt[p - 1] == carrier)
-        hv = apply_word(self.h, word, {hkey: Fraction(1)}, budget)
+        hv = apply_word(self.h, word, {hkey: ONE}, budget)
         j2 = tuple((v - 1 + step) % (n + 1) + 1 for v in jt)
-        return self._hecke_then_straighten([(hv, j2, Fraction(1))], budget)
+        return self._hecke_then_straighten([(hv, j2, ONE)], budget)
 
     def tau(self, vec, budget=None):
         """Diagram rotation on the module: slot entries advance, wrap picks up Y's."""
         return self._linear(("TAU", "Y", 1, 1), DualityModule._rotate_basis, vec, budget)
 
     def _t_omega1_basis(self, key, budget):
-        v = {key: Fraction(1)}
+        v = {key: ONE}
         for i in range(1, self.n + 1):
             v = self.braid(i, v, budget)
         return self.tau(v, budget)
@@ -358,17 +360,18 @@ class DualityModule:
         if lo == hi:
             return {}
         m = s + 1 if e else s
-        pref = sc_mul(sc_pow(self.q, 1 - hi + lo), sc_pow(self.params.alpha(i), -k))
+        # q^(1-hi+lo) times the spectral scale alpha_i^-k = (q^(n+1-i) d^i)^-k
+        pref = self.qd(1 - hi + lo - k * (self.n + 1 - i), -k * i)
         y = lt("Y", m, -k)
         words = [wmul(tij_word(kk, m if e else m - 1), y) for kk in range(lo + 1, hi)]
-        expr = tuple([(Fraction(1), y)] + [(Fraction(1), w) for w in words])
+        expr = tuple([(ONE, y)] + [(ONE, w) for w in words])
         hv = apply_expr(self.h, expr, {hkey: pref}, budget)
         j2 = jt[: m - 1] + (i if e else i + 1,) + jt[m:]
-        return self._hecke_then_straighten([(hv, j2, Fraction(1))], budget)
+        return self._hecke_then_straighten([(hv, j2, ONE)], budget)
 
     def _kmode_basis(self, kind, i, k, key, budget):
         hkey, jt = key
-        n, q, d = self.n, self.q, self.d
+        n, qd = self.n, self.qd
         sign = 1 if kind == "k+" else -1
         absk = abs(k)
         direction = AT_INFINITY if sign > 0 else AT_ZERO
@@ -381,14 +384,13 @@ class DualityModule:
         for carrier, coefs, qexp in ((i, cpl, n + 2 - i), (i + 1, cmi, n - i)):
             slots = [p for p in range(1, self.l + 1) if jt[p - 1] == carrier]
             if slots:
-                scale = sc_mul(sc_pow(q, qexp), sc_pow(d, i))
-                pows = [sc_pow(scale, e * r) for r in range(absk + 1)]
+                pows = [qd(qexp * e * r, i * e * r) for r in range(absk + 1)]
                 factors += [(p, coefs, pows) for p in slots]
         if absk > 0 and not factors:
             return {}
         out_hv = {}
         for comp in _compositions(absk, len(factors)):
-            coeff = Fraction(1)
+            coeff = ONE
             word = ()
             for (p, coefs, pows), rp in zip(factors, comp):
                 coeff = sc_mul(coeff, coefs[rp])
@@ -396,7 +398,7 @@ class DualityModule:
                     coeff = sc_mul(coeff, pows[rp])
                     word = wmul(word, lt("Y", p, e * rp))
             dvec_add(out_hv, apply_word(self.h, word, {hkey: coeff}, budget).items())
-        return self._hecke_then_straighten([(out_hv, jt, Fraction(1))], budget)
+        return self._hecke_then_straighten([(out_hv, jt, ONE)], budget)
 
     def mode(self, kind, i, k, vec, budget=None):
         """
@@ -430,15 +432,15 @@ class DualityModule:
         return ("M", kind, i, k), DualityModule._kmode_basis
 
     def _mode0_basis(self, kind, k, key, budget):
-        v = self.psi({key: Fraction(1)}, budget)
+        v = self.psi({key: ONE}, budget)
         v = self.mode(kind, 1, k, v, budget)
         v = self.psi_inv(v, budget)
-        return vec_scale(sc_pow(sc_mul(self.q, sc_inv(self.d)), -k), v)
+        return vec_scale(self.qd(-k, k), v)
 
     # -- probes ----------------------------------------------------------------
 
     def basis_vector(self, hkey, jt, budget=None):
-        return self.straighten({(hkey, jt): Fraction(1)}, budget)
+        return self.straighten({(hkey, jt): ONE}, budget)
 
 
 def dvec_to_json(vec):

@@ -59,10 +59,6 @@ class Params:
     def derived_x(self):
         return sc_mul(sc_pow(self.q, self.n + 1), sc_pow(self.d, -(self.n + 1)))
 
-    def alpha(self, i):
-        """Spectral scale q^(n+1-i) d^i of the vertex-i currents."""
-        return sc_mul(sc_pow(self.q, self.n + 1 - i), sc_pow(self.d, i))
-
 
 def symbolic_params(n, l):
     """Formal q, d parameter block."""

@@ -19,8 +19,9 @@ Every instance is stated as data for `reports.identity`: words in the mode
 letters ("mode", kind, i, k), with q-power coefficients, built when the
 item's thunk runs.  A term with a k+ / k- letter outside its sign range is
 zero by definition and left out as it is built, so the sweeps need nothing
-more of the module than the modes `ops.mode` accepts (and `weight`, `q` for
-the weight display).
+more of the module than the modes `ops.mode` accepts, `q`, and `weight`
+and the monomial table `qd`, (a, b) -> q^a d^b, for the coefficients and
+the weight display.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import partial
 
 from .duality import dvec_add, nondecreasing_tuples  # noqa: F401 (perfbench/layers.py traces dvec_add by this name)
 from .reports import MINUS_ONE, ONE, UNIT, identity
-from .scalars import sc_inv, sc_mul, sc_pow
+from .scalars import sc_mul, sc_neg
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def _cleared_terms(left, right, coeffs, R, S):
 
 def weight_display(ops, i, vec, budget=None):
     """k_{i,0} in closed form: every term scaled by q to its weight at vertex i (no budget used)."""
-    return {key: sc_mul(c, sc_pow(ops.q, ops.weight(i, key[1]))) for key, c in vec.items()}
+    return {key: sc_mul(c, ops.qd(ops.weight(i, key[1]), 0)) for key, c in vec.items()}
 
 
 def current_relation_items(ops, K, probes):
@@ -115,18 +116,9 @@ def current_relation_items(ops, K, probes):
     if K < 1:
         raise ValueError(f"mode window K must be at least 1, got {K}")
     cartan = CartanData(ops.n)
-    n = ops.n
-    q, d = ops.q, ops.d
-    qmqinv = q - sc_inv(q)
-    minus_qqinv = -(q + sc_inv(q))
-    twists = {}
-
-    def twist(a, m):
-        """(d^m, -q^a, -q^a d^m), computed once per twist (a, m)."""
-        if (a, m) not in twists:
-            dm, qa = sc_pow(d, m), sc_pow(q, a)
-            twists[a, m] = (dm, -qa, -sc_mul(qa, dm))
-        return twists[a, m]
+    n, q, qd = ops.n, ops.q, ops.qd
+    qmqinv = q - qd(-1, 0)
+    minus_qqinv = -(q + qd(-1, 0))
 
     # (2.1.1) at the zero modes: k_{i,0}^+ and k_{i,0}^- are inverse
     @partial(identity, ops=ops)
@@ -193,6 +185,8 @@ def current_relation_items(ops, K, probes):
 
                     a = cartan.a(i, j)
                     m = cartan.m(i, j)
+                    # (d^m, -q^aa, -q^aa d^m) of this pair's two twists (aa, m)
+                    twist = {aa: (qd(0, m), sc_neg(qd(aa, 0)), sc_neg(qd(aa, m))) for aa in (a, -a)}
                     for rel, sign, other_kind, aa in (
                         ("2.1.3", +1, "e", a),
                         ("2.1.3", -1, "e", a),
@@ -203,7 +197,7 @@ def current_relation_items(ops, K, probes):
                         # definitionally zero for the given sign
                         Rs = [-1] + kplus_range[:-1] if sign > 0 else kminus_range
                         Rs = sorted(set(Rs))
-                        coeffs = twist(aa, m)
+                        coeffs = twist[aa]
                         for R in Rs:
                             for S in range(-K + 1, K + 1):
                                 yield ((rel, ij, (sign, R, S), pid),
@@ -214,7 +208,7 @@ def current_relation_items(ops, K, probes):
                             yield ("2.1.5", ij, (r, s), pid), partial(ef_exchange, vec, i, j, r, s)
 
                     for rel, kind, aa in (("2.1.6", "e", a), ("2.1.7", "f", -a)):
-                        coeffs = twist(aa, m)
+                        coeffs = twist[aa]
                         for r in range(-K + 1, K + 1):
                             for s in range(-K + 1, K + 1):
                                 yield ((rel, ij, (r, s), pid),

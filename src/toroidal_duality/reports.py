@@ -28,17 +28,15 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from fractions import Fraction
 from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from . import hecke  # the kernel by its module name, which perfbench/layers.py traces
-from .scalars import sc_neg
+from .scalars import MINUS_ONE, ONE, sc_neg
 
 KM_KINDS = frozenset(("e", "f", "k", "kinv"))
 HECKE_KINDS = frozenset("TXYQW")
-ONE, MINUS_ONE = Fraction(1), Fraction(-1)
 UNIT = ((ONE, ()),)  # the empty word: the identity operator
 _BUDGET = hecke.WindowBudget()  # reset by `_child` per call; checks run serially and never reenter the memo
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode  # dumps_canonical's encoding of one value

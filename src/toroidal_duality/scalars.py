@@ -40,7 +40,7 @@ Values, hashes and printed forms are those of ``Fraction(n, d)``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import gcd
 
 SYMBOLS = ("q", "d", "y")
@@ -395,6 +395,7 @@ Scalar = Fraction | Laurent | LaurentFrac
 Q = Laurent.var("q")
 D = Laurent.var("d")
 YSYM = Laurent.var("y")
+ONE, MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 def sc_mul(a, b):
@@ -450,6 +451,15 @@ def sc_pow(a, n):
     if isinstance(a, (int, Fraction)):
         return _as_fraction(a) ** n
     return a ** n
+
+
+def monomials(q, d):
+    """
+    The monomial table of one parameter pair: a cached function (a, b) ->
+    q^a d^b, each entry made once by `sc_pow` and `sc_mul`.  It closes over
+    q and d only, so a module that holds it makes no reference cycle.
+    """
+    return cache(lambda a, b: sc_mul(sc_pow(q, a), sc_pow(d, b)))
 
 
 def specialize(a, subs):

@@ -588,6 +588,26 @@ def test_symbolic_duality_sweep_golden_digests(tmp_path, monkeypatch):
     assert hashlib.sha256(summary).hexdigest() == SYMBOLIC_DUALITY_SUMMARY_SHA256
 
 
+# the same for `verify duality --n 5 --l 3 --window 8 --family polynomial
+# --symbolic --probes 1 --modes 2 --hecke-probes 3` (289 checks): at l = 3
+# a k-mode column has up to three carrier slots, and every q^a d^b of the
+# columns and of the closed-form sides is formal.
+SYMBOLIC_DUALITY_L3_STREAM_SHA256 = "50343c06d85f6bc930406b105831bf598687dfeef5a6d5b9a1e5aaac58c0e55b"
+SYMBOLIC_DUALITY_L3_SUMMARY_SHA256 = "39ad1a3d6e6795a4264903f6b4d6689ee8d78dfd98ab306e9440e11c03603173"
+
+
+def test_symbolic_duality_l3_sweep_golden_digests(tmp_path, monkeypatch):
+    for key in [k for k in os.environ if k.startswith("TOROIDAL_")]:
+        monkeypatch.delenv(key)
+    out = tmp_path / "symdual3.jsonl"
+    code = main(["verify", "duality", "--n", "5", "--l", "3", "--window", "8", "--family", "polynomial",
+                 "--symbolic", "--probes", "1", "--modes", "2", "--hecke-probes", "3", "--out", str(out)])
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SYMBOLIC_DUALITY_L3_STREAM_SHA256
+    summary = (tmp_path / "symdual3.summary.json").read_bytes()
+    assert hashlib.sha256(summary).hexdigest() == SYMBOLIC_DUALITY_L3_SUMMARY_SHA256
+
+
 def test_summary_manifest(tmp_path):
     out = tmp_path / "r.jsonl"
     main(["verify", "hecke", "--preset", "poly", *FAST, "--out", str(out)])

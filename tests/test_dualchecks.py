@@ -28,7 +28,7 @@ from toroidal_duality.hecke import PolynomialModule, UnitModule, WindowBudget, h
 from toroidal_duality.params import specialized_params
 from toroidal_duality.qtoroidal import CartanData
 from toroidal_duality.reports import ONE, identity, run_relation_items
-from toroidal_duality.scalars import D, Q, sc_inv
+from toroidal_duality.scalars import D, Q, monomials, sc_inv
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +101,7 @@ def test_tprime_multiplicative(monkeypatch):
                 w, c = w + w2, c * _tprime_value(c2, Q, D)
             want[w] = want[w] + c if w in want else c
     want = tuple((c, w) for w, c in sorted(want.items()) if c)
-    got = scalar_terms(substitute(expr, images), coefficient_scalars(Q, D), ())
+    got = scalar_terms(substitute(expr, images), coefficient_scalars(monomials(Q, D)), ())
     assert [(type(c), c, w) for c, w in got] == [(type(c), c, w) for c, w in want]
     assert len(got) == 3 and not any(("e", 4) in w for _, w in got)
     assert len(merges) == 1  # the repeated word and the cancelling pair take the merge
@@ -222,7 +222,7 @@ def _omega_reference(n, q, d):
 def _assert_omega_images_match_reference(n, q, d, monkeypatch):
     with monkeypatch.context() as m:
         merges = _counting_merges(m)
-        got = omega_images(n, q, d)
+        got = omega_images(n, monomials(q, d))
     assert merges == [], n  # no word comes up twice at any level
     want = _omega_reference(n, q, d)
     assert got.keys() == want.keys()
@@ -251,7 +251,7 @@ def test_omega_images_match_per_letter_reference_at_n7(monkeypatch):
 
 def test_omega_images_at_n8_are_sorted_and_never_merge(monkeypatch):
     merges = _counting_merges(monkeypatch)
-    images = omega_images(8, Fraction(2), Fraction(3))
+    images = omega_images(8, monomials(Fraction(2), Fraction(3)))
     assert merges == []
     assert sum(map(len, images.values())) == 44977
     for sym, image in images.items():
@@ -389,9 +389,9 @@ def _translation_failures(dm, probes):
 def test_intertwining_items_build_the_tables_once_at_the_call(dm_poly, monkeypatch):
     calls = []
 
-    def counted(n, q, d):
+    def counted(n, qd):
         calls.append(n)
-        return omega_images(n, q, d)
+        return omega_images(n, qd)
 
     monkeypatch.setattr(dualchecks, "omega_images", counted)
     for count in (1, 3):
@@ -411,8 +411,8 @@ def test_translation_catches_planted_table_faults(poly_two_probes, monkeypatch):
         m.setattr(dualchecks, "wrap_exponent", lambda kind, j, n: 0)
         assert _translation_failures(dm, probes) > 0
 
-    def flip_one_sign(n, q, d):
-        images = omega_images(n, q, d)
+    def flip_one_sign(n, qd):
+        images = omega_images(n, qd)
         (c, w), *rest = images[("f", 1)]
         images[("f", 1)] = ((-c, w), *rest)
         return images
@@ -421,9 +421,9 @@ def test_translation_catches_planted_table_faults(poly_two_probes, monkeypatch):
         m.setattr(dualchecks, "omega_images", flip_one_sign)
         assert _translation_failures(dm, probes) > 0
 
-    def drop_one_term(n, q, d):
+    def drop_one_term(n, qd):
         # f_1's first term is a composed word that acts on these probes
-        images = omega_images(n, q, d)
+        images = omega_images(n, qd)
         images[("f", 1)] = images[("f", 1)][1:]
         return images
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import weakref
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,29 @@ def test_mode_columns_are_built_once_and_bad_arguments_raise_every_call():
     assert {i: dm.mode("e", i, 2, vec) for i in (0, 1)} == first
     assert all(dm._mode_columns[key] is column for key, column in columns.items())
     # no stored column refers back to the module, so reference counting alone frees it
+    ref = weakref.ref(dm)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del dm
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_monomial_table_leaves_the_module_free_of_cycles():
+    # dm.qd closes over q and d only: a module whose columns and checks have
+    # filled its table is still freed by reference counting alone
+    from toroidal_duality.dualchecks import intertwining_items, psi_conjugation_items, regression_items
+    from toroidal_duality.reports import run_relation_items
+
+    dm = DualityModule(PolynomialModule(specialized_params(n=4, l=2, q=2, d=3), window=8))
+    probes = duality_probes(dm, 2, seed=3)
+    items = chain(psi_conjugation_items(dm, 1, probes), intertwining_items(dm, probes), regression_items(dm, 1, probes))
+    assert all(r.status == "pass" for r in run_relation_items(items))
+    assert dm.qd.cache_info().currsize > 10
+    del items, probes
     ref = weakref.ref(dm)
     was_enabled = gc.isenabled()
     gc.disable()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from toroidal_duality.params import ParameterError, Params, specialized_params, symbolic_params
-from toroidal_duality.scalars import D, Q, sc_pow
+from toroidal_duality.scalars import D, Q, monomials, sc_pow
 
 
 def test_derived_twist():
@@ -38,6 +38,8 @@ def test_duality_mode_pins_x():
 
 
 def test_alpha_scale():
+    # the spectral scale alpha_i = q^(n+1-i) d^i is the table entry (n+1-i, i)
     p = specialized_params(n=4, l=2, q=2, d=3)
-    assert p.alpha(1) == Fraction(2 ** 4 * 3)
-    assert p.alpha(4) == Fraction(2 * 3 ** 4)
+    qd = monomials(p.q, p.d)
+    assert qd(4, 1) == Fraction(2 ** 4 * 3)
+    assert qd(1, 4) == Fraction(2 * 3 ** 4)

@@ -173,7 +173,7 @@ def test_perturbed_operator_is_caught(dm):
         def __init__(self, inner):
             self.inner = inner
             self.params, self.n, self.l = inner.params, inner.n, inner.l
-            self.q, self.d = inner.q, inner.d
+            self.q, self.d, self.qd = inner.q, inner.d, inner.qd
             self.weight = inner.weight
 
         def mode(self, kind, i, k, vec, budget=None):
@@ -193,7 +193,7 @@ class _DoubledE10:
     def __init__(self, inner):
         self.inner = inner
         self.params, self.n, self.l = inner.params, inner.n, inner.l
-        self.q, self.d = inner.q, inner.d
+        self.q, self.d, self.qd = inner.q, inner.d, inner.qd
         self.weight = inner.weight
 
     def mode(self, kind, i, k, vec, budget=None):

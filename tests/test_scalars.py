@@ -20,9 +20,11 @@ from toroidal_duality.scalars import (
     scalar_from_json,
     scalar_to_json,
     sc_inv,
+    sc_mul,
     sc_pow,
     specialize,
 )
+from toroidal_duality.scalars import monomials as monomial_table
 
 rationals = st.builds(
     Fraction, st.integers(-60, 60), st.integers(1, 12)
@@ -449,3 +451,25 @@ def test_quotient_by_a_non_q_polynomial_raises_at_once():
             sc_inv(LaurentFrac.make(den, Q * Q + 1))  # a quotient whose numerator uses d or y
     # a unit times a polynomial in q divides, the unit as a Laurent monomial
     assert LaurentFrac.make(D, D * YSYM * (Q + 1)) == sc_inv(YSYM * (Q + 1))
+
+
+# Fraction units that are not roots of unity, as `Params` takes them
+unit_rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)).filter(lambda x: x not in (0, 1, -1))
+table_exponents = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
+
+
+@given(st.one_of(st.tuples(unit_rationals, unit_rationals), st.just((Q, D))),
+       st.lists(table_exponents, min_size=1, max_size=16))
+@settings(max_examples=120, deadline=None)
+def test_monomial_table_entries_are_the_powers(qd_pair, exps):
+    q, d = qd_pair
+    table = monomial_table(q, d)
+    one = table(0, 0)
+    assert one == Fraction(1) and type(one) is Fraction
+    for a, b in exps:
+        want = sc_mul(sc_pow(q, a), sc_pow(d, b))
+        got = table(a, b)
+        assert got == want and type(got) is type(want)
+        # independently: the stdlib powers, or the formal monomial q^a d^b
+        assert got == (q ** a * d ** b if q is not Q else make_laurent({(a, b, 0): 1}))
+        assert table(a, b) is got  # each entry is made once
