@@ -4,32 +4,31 @@ module: everything that pins the operator implementation against an
 independently written formula rather than against an algebra relation.
 
 Every check is stated as data for `reports.identity` (see there for the
-letters).  The intertwining checks need images of Kac-Moody generators
-under the braid-group automorphisms.  Those images are composed
-symbolically as noncommutative polynomials in the generator symbols (the
-diagram has no edges of weight below -1, so no divided powers survive in
-the tables), which are words over the same alphabet.  Every coefficient
-of these images is +-q^a d^b, so they are composed as (sign, a, b) and
-made scalars at the end, each its sign times an entry of the module's
-monomial table `qd`; every q^a d^b a check states (the psi rescales, the
-rotation's wrap, the closed forms) is read from that table too.  The
-translation images are built once per call: from the letter images of
-tau', the letter images tau' t'_n ... t'_i(x) are composed level by
-level, and each image acts after t_omega1, shared by every probe.  Their
-terms walk the word memo as every other check's terms do, so words that
-end in the same letters share their operator calls.
+letters): its residual lhs - rhs, whose words list their letters in acting
+order.  The intertwining checks need images of Kac-Moody generators under
+the braid-group automorphisms, composed symbolically as noncommutative
+polynomials in the generator symbols (the diagram has no edges of weight
+below -1, so no divided powers survive in the tables): words over the same
+alphabet, in acting order too.  Their coefficients are all +-q^a d^b, so
+they are composed as (sign, a, b); the tables are the negated right sides,
+so the last pass makes each distinct coefficient, sign flipped, a scalar
+once from the module's monomial table `qd`, which every q^a d^b a check
+states is read from.  The translation images are built once per call: from
+the letter images of tau', the letter images tau' t'_n ... t'_i(x) are
+composed level by level, and each image acts after t_omega1, shared by
+every probe; words that begin with the same letters share the memo's nodes.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, islice
-from operator import eq, itemgetter
+from itertools import chain
+from operator import itemgetter
 
 from .duality import dvec_add, fund_ktheta_exp
 from .hecke import RelCheck, apply_expr, apply_word, lt, make_hecke_items, tij_word, vec_scale, wmul
 from .qtoroidal import CartanData, weight_display
-from .reports import MINUS_ONE, ONE, UNIT, identity
+from .reports import MINUS_ONE, MINUS_UNIT, ONE, identity
 from .scalars import sc_mul, sc_neg
 
 PSI, PSI_INV, TAU, T_OMEGA1, STRAIGHTEN = ("psi",), ("psi_inv",), ("tau",), ("t_omega1",), ("straighten",)
@@ -51,16 +50,15 @@ def _mode_range(kind, K):
 def psi_conjugation_items(dmod, K, probes):
     """Modewise psi^-1 g_{i,k} psi = (q^-1 d)^-k g_{i-1,k}, plus the double twist."""
     n, qd = dmod.n, dmod.qd
+    minus = {k: sc_neg(qd(k, -k)) for k in range(-2 * K, 2 * K + 1)}  # -(q^-1 d)^-k, each made once
 
     @partial(identity, ops=dmod)
     def shift(vec, i, kind, k):
-        lhs = ((ONE, (PSI_INV, ("mode", kind, i, k), PSI)),)
-        return (lhs, ((qd(k, -k), (("mode", kind, (i - 1) % (n + 1), k),)),)),
+        return ((ONE, (PSI, ("mode", kind, i, k), PSI_INV)), (minus[k], (("mode", kind, (i - 1) % (n + 1), k),))),
 
     @partial(identity, ops=dmod)
     def double(vec, kind, k):
-        lhs = ((ONE, (PSI_INV, PSI_INV, ("mode", kind, 1, k), PSI, PSI)),)
-        return (lhs, ((qd(2 * k, -2 * k), (("mode", kind, n, k),)),)),
+        return ((ONE, (PSI, PSI, ("mode", kind, 1, k), PSI_INV, PSI_INV)), (minus[2 * k], (("mode", kind, n, k),))),
 
     def items():
         for pid, vec in probes:
@@ -97,7 +95,8 @@ PLUS, MINUS = (1, 0, 0), (-1, 0, 0)
 def tprime_symbol(i, sym, cartan):
     """
     Image of one generator symbol under the vertex-i automorphism: an NC
-    expression whose coefficients are (sign, q exponent, d exponent).
+    expression whose coefficients are (sign, q exponent, d exponent) and
+    whose words list their letters in acting order.
     """
     kind, j = sym
     a = _affine_a(cartan, i, j)
@@ -109,19 +108,19 @@ def tprime_symbol(i, sym, cartan):
             return ((PLUS, ((inv[kind], i),)),)
         if a == 0:
             return ((PLUS, (sym,)),)
-        return ((PLUS, (sym, (kind, i))),)
+        return ((PLUS, ((kind, i), sym)),)
     if kind == "e":
         if j == i:
-            return ((MINUS, (("f", i), ("k", i))),)
+            return ((MINUS, (("k", i), ("f", i))),)
         if a == 0:
             return ((PLUS, (sym,)),)
-        return ((MINUS, (("e", i), ("e", j))), ((1, -1, 0), (("e", j), ("e", i))))
+        return ((MINUS, (("e", j), ("e", i))), ((1, -1, 0), (("e", i), ("e", j))))
     if kind == "f":
         if j == i:
-            return ((MINUS, (("kinv", i), ("e", i))),)
+            return ((MINUS, (("e", i), ("kinv", i))),)
         if a == 0:
             return ((PLUS, (sym,)),)
-        return ((MINUS, (("f", j), ("f", i))), ((1, 1, 0), (("f", i), ("f", j))))
+        return ((MINUS, (("f", i), ("f", j))), ((1, 1, 0), (("f", j), ("f", i))))
     raise ValueError(sym)
 
 
@@ -141,24 +140,29 @@ def substitute(expr, images):
     return terms
 
 
-def coefficient_scalars(qd):
-    """A function from a coefficient (sign, a, b) to its scalar sign * q^a * d^b, read off the monomial table `qd`."""
-    return lambda coeff: qd(coeff[1], coeff[2]) if coeff[0] > 0 else sc_neg(qd(coeff[1], coeff[2]))
+class CoefficientScalars(dict):
+    """The scalar sign * s * q^a d^b of each coefficient (s, a, b), made from the table `qd` on first lookup."""
+
+    def __init__(self, qd, sign=1):
+        self.qd, self.sign = qd, sign
+
+    def __missing__(self, coeff):
+        s, a, b = coeff
+        c = self[coeff] = self.qd(a, b) if s == self.sign else sc_neg(self.qd(a, b))
+        return c
 
 
-def scalar_terms(terms, scalar, tail):
+def scalar_terms(terms, scalars, first):
     """
-    The expression of `terms` sorted by word, each coefficient made a scalar
-    by `scalar` and each word followed by `tail`; words merge only where one
-    comes up twice.
+    The expression of `terms` in their order, each coefficient made a scalar
+    by the mapping `scalars` and each word led by the letters `first`; words
+    merge, at their first place, only where one comes up twice.
     """
-    terms = sorted(terms, key=_WORD)
-    words = list(map(_WORD, terms))
-    if any(map(eq, words, islice(words, 1, None))):
-        merged = {}  # filled in word order, which the merge keeps
-        dvec_add(merged, [(w, scalar(coeff)) for coeff, w in terms])
-        return tuple([(c, w + tail) for w, c in merged.items()])
-    return tuple([(scalar(coeff), w + tail) for coeff, w in terms])
+    if len(set(map(_WORD, terms))) < len(terms):
+        merged = {}  # filled in term order, which the merge keeps
+        dvec_add(merged, [(w, scalars[coeff]) for coeff, w in terms])
+        return tuple([(c, first + w) for w, c in merged.items()])
+    return tuple([(scalars[coeff], first + w) for coeff, w in terms])
 
 
 def wrap_exponent(kind, j, n):
@@ -176,15 +180,17 @@ def wrap_exponent(kind, j, n):
 
 def omega_images(n, qd):
     """
-    Image of every generator symbol under tau' t'_n ... t'_1, as NC
-    expressions whose words end in the T_OMEGA1 they act after.
+    Image of every generator symbol under tau' t'_n ... t'_1, negated: the
+    right side of each translation check's residual, as NC expressions in
+    acting order whose words begin with the T_OMEGA1 they act after.
 
     tau' acts last and letter by letter, so the table starts from its letter
     images: each letter rotated, times its power of d.  Level by level,
     i = n down to 1, each letter's image tau' t'_n ... t'_i(x) (e, f, k and
     kinv at every vertex) substitutes the level i + 1 images into t'_i(x).
     Coefficients stay (sign, q exponent, d exponent) until the last pass,
-    which makes each distinct one a scalar once.
+    which makes each distinct one a scalar, with its sign flipped, once.
+    The terms keep the order the substitutions make them in.
     """
     cartan = CartanData(n)
     level = {(kind, j): [((1, 0, wrap_exponent(kind, j, n)), ((kind, j % (n + 1) + 1),))]
@@ -193,8 +199,8 @@ def omega_images(n, qd):
         # t'_i fixes the letters at the vertices not joined to i
         level = {x: substitute(tprime_symbol(i, x, cartan), level) if _affine_a(cartan, i, x[1]) else image
                  for x, image in level.items()}
-    scalar = coefficient_scalars(qd)
-    return {sym: scalar_terms(level[sym], scalar, (T_OMEGA1,)) for sym in gen_symbols(n)}
+    scalars = CoefficientScalars(qd, -1)
+    return {sym: scalar_terms(level[sym], scalars, (T_OMEGA1,)) for sym in gen_symbols(n)}
 
 
 def gen_symbols(n):
@@ -206,34 +212,27 @@ def intertwining_items(dmod, probes):
     cartan = CartanData(dmod.n)
     n = dmod.n
     gens = gen_symbols(n)
-    # built per call, so every sweep pays for its tables as a command-line run does
-    omega_exprs = omega_images(n, dmod.qd)
-    scalar = coefficient_scalars(dmod.qd)
-    braid_exprs = {(i, sym): scalar_terms(tprime_symbol(i, sym, cartan), scalar, (("braid", i),))
-                   for i in range(1, n + 1) for sym in gens}
-
-    @partial(identity, ops=dmod)
-    def braid(vec, i, sym):
-        return (((ONE, (("braid", i), sym)),), braid_exprs[i, sym]),
-
-    @partial(identity, ops=dmod)
-    def rotation(vec, sym):
+    # built per call, so every sweep pays for its tables as a command-line run does;
+    # each check's whole residual is a table entry, the lhs term leading the negated right side
+    minus = CoefficientScalars(dmod.qd, -1)
+    exprs = {("braid", i, sym): ((ONE, (sym, ("braid", i))),)
+             + scalar_terms(tprime_symbol(i, sym, cartan), minus, (("braid", i),))
+             for i in range(1, n + 1) for sym in gens}
+    for sym, image in omega_images(n, dmod.qd).items():
+        exprs["translation", sym] = ((ONE, (sym, T_OMEGA1)),) + image
         kind, j = sym
-        rhs = ((dmod.qd(0, wrap_exponent(kind, j, n)), ((kind, j % (n + 1) + 1), TAU)),)
-        return (((ONE, (TAU, sym)),), rhs),
-
-    @partial(identity, ops=dmod)
-    def translation(vec, sym):
-        return (((ONE, (T_OMEGA1, sym)),), omega_exprs[sym]),
+        exprs["rotation", sym] = ((ONE, (sym, TAU)),
+                                  (minus[1, 0, wrap_exponent(kind, j, n)], (TAU, (kind, j % (n + 1) + 1))))
+    stated = identity(lambda vec, expr: (expr,), dmod)
 
     def items():
         for pid, vec in probes:
             for sym in gens:
                 label = f"{sym[0]}{sym[1]}|{pid}"
                 for i in range(1, n + 1):
-                    yield ("braid.intertwine", (i,) + sym[1:], (), label), partial(braid, vec, i, sym)
-                yield ("rotation.intertwine", sym[1:], (), label), partial(rotation, vec, sym)
-                yield ("translation.intertwine", sym[1:], (), label), partial(translation, vec, sym)
+                    yield ("braid.intertwine", (i, sym[1]), (), label), partial(stated, vec, exprs["braid", i, sym])
+                yield ("rotation.intertwine", sym[1:], (), label), partial(stated, vec, exprs["rotation", sym])
+                yield ("translation.intertwine", sym[1:], (), label), partial(stated, vec, exprs["translation", sym])
     return items()
 
 
@@ -263,11 +262,11 @@ def regression_items(dmod, K, probes):
     # both act on the unstraightened slot vector, straightened first
     @partial(identity, ops=dmod)
     def braid_slot(vec, hkey, i, j):
-        return (((ONE, (("braid", i), STRAIGHTEN)),), partial(slot_rhs, hkey, i, j)),
+        return ((ONE, (STRAIGHTEN, ("braid", i))), (MINUS_ONE, partial(slot_rhs, hkey, i, j))),
 
     @partial(identity, ops=dmod)
     def translation_sign(vec, hkey, j):
-        return (((ONE, (T_OMEGA1, STRAIGHTEN)),), partial(sign_rhs, hkey, j)),
+        return ((ONE, (STRAIGHTEN, T_OMEGA1)), (MINUS_ONE, partial(sign_rhs, hkey, j))),
 
     # translation-operator product formula on every nondecreasing probe term
     def product_rhs(vec, b):
@@ -344,35 +343,31 @@ def regression_items(dmod, K, probes):
 
     @partial(identity, ops=dmod)
     def translation_product(vec):
-        return (((ONE, (T_OMEGA1,)),), partial(product_rhs, vec)),
+        return ((ONE, (T_OMEGA1,)), (MINUS_ONE, partial(product_rhs, vec))),
 
     @partial(identity, ops=dmod)
     def first_mode(vec, h):
-        return (((ONE, (("mode", "e", 1, h),)),), partial(first_mode_rhs, h, vec)),
+        return ((ONE, (("mode", "e", 1, h),)), (MINUS_ONE, partial(first_mode_rhs, h, vec))),
 
     @partial(identity, ops=dmod)
     def cartan_weight(vec, i):
-        return (((ONE, (("k", i),)),), partial(weight_display, dmod, i, vec)),
+        return ((ONE, (("k", i),)), (MINUS_ONE, partial(weight_display, dmod, i, vec))),
 
     @partial(identity, ops=dmod)
     def cartan_mode1(vec, i):
-        return (((ONE, (("mode", "k+", i, 1),)),), partial(cartan_mode1_rhs, i, vec)),
+        return ((ONE, (("mode", "k+", i, 1),)), (MINUS_ONE, partial(cartan_mode1_rhs, i, vec))),
 
     # consequence of the Cartan-current exchange at trivial central charge:
     # e_1 k_{2,1} - q k_{2,1} e_1 = (q - q^-1) d^-1 e_{1,1} k_2
-    charge_coeff = sc_mul(q - qd(-1, 0), qd(0, -1))
-    minus_q = sc_neg(q)
-
-    @partial(identity, ops=dmod)
-    def charge_one(vec):
-        e10, k21 = ("mode", "e", 1, 0), ("mode", "k+", 2, 1)
-        lhs = ((ONE, (e10, k21)), (minus_q, (k21, e10)))
-        return (lhs, ((charge_coeff, (("mode", "e", 1, 1), ("mode", "k+", 2, 0))),)),
+    e10, k21 = ("mode", "e", 1, 0), ("mode", "k+", 2, 1)
+    charge = ((ONE, (k21, e10)), (sc_neg(q), (e10, k21)),
+              (sc_neg(sc_mul(q - qd(-1, 0), qd(0, -1))), (("mode", "k+", 2, 0), ("mode", "e", 1, 1))))
+    charge_one = identity(lambda vec: (charge,), dmod)
 
     @partial(identity, ops=dmod)
     def wrap_zero(vec, kind):
-        lhs = ((ONE, (("mode", {"e": "e", "f": "f", "k": "k+"}[kind], 0, 0),)),)
-        return (lhs, partial(wrap_zero_rhs, kind, vec)),
+        mode = ("mode", {"e": "e", "f": "f", "k": "k+"}[kind], 0, 0)
+        return ((ONE, (mode,)), (MINUS_ONE, partial(wrap_zero_rhs, kind, vec))),
 
     # wrap-vertex action on the standard tuple lands on q^(1-l) m Q (x) w, for l <= n
     def standard_e0_rhs(hkey, b):
@@ -382,7 +377,7 @@ def regression_items(dmod, K, probes):
 
     @partial(identity, ops=dmod)
     def standard_e0(vec, hkey):
-        return (((ONE, (("mode", "e", 0, 0), STRAIGHTEN)),), partial(standard_e0_rhs, hkey)),
+        return ((ONE, (STRAIGHTEN, ("mode", "e", 0, 0))), (MINUS_ONE, partial(standard_e0_rhs, hkey))),
 
     def items():
         for hkey in _module_probe_keys(dmod) if l == 1 else ():
@@ -433,13 +428,13 @@ def reconstruction_items(dmod, K, hprobes):
 
     @partial(identity, ops=dmod.h)
     def theta_conj(hvec, e, c):
-        return (partial(placed, wmul(lt("Y", 2, e), qw), c, hvec, w_first),
-                partial(placed, wmul(qw, lt("Y", 1, e)), c, hvec, w_first)),
+        return ((ONE, partial(placed, wmul(lt("Y", 2, e), qw), c, hvec, w_first)),
+                (MINUS_ONE, partial(placed, wmul(qw, lt("Y", 1, e)), c, hvec, w_first))),
 
     @partial(identity, ops=dmod.h)
     def wrap_display(hvec):
-        return (partial(placed, wmul(qw, lt("Y", l)), qd(0, n + 1), hvec, w_second),
-                partial(placed, wmul(lt("Y", 1), qw), qd(n + 1, 0), hvec, w_second)),
+        return ((ONE, partial(placed, wmul(qw, lt("Y", l)), qd(0, n + 1), hvec, w_second)),
+                (MINUS_ONE, partial(placed, wmul(lt("Y", 1), qw), qd(n + 1, 0), hvec, w_second))),
 
     # (sgn, r), the Y exponent and the theta coefficient scaled by (q^n d^2)^e of each theta conjugation
     theta_cases = []
@@ -467,8 +462,6 @@ def reconstruction_items(dmod, K, hprobes):
 def psi_inverse_items(dmod, probes):
     """psi o psi_inv and psi_inv o psi are the identity."""
 
-    @partial(identity, ops=dmod)
-    def inverse(vec):
-        return (((ONE, (PSI_INV, PSI)),), UNIT), (((ONE, (PSI, PSI_INV)),), UNIT)
+    inverse = identity(lambda vec: (((ONE, (PSI, PSI_INV)), MINUS_UNIT), ((ONE, (PSI_INV, PSI)), MINUS_UNIT)), dmod)
 
     return ((("psi.inverse", (), (), pid), partial(inverse, vec)) for pid, vec in probes)

@@ -611,8 +611,9 @@ def make_hecke_items(module, checks, probes):
     """
     (meta, thunk) pairs for the generic relation runner, made as they are
     consumed, every check of one probe before the next probe: the word memo
-    of `reports.identity` holds one probe's words at a time.  It applies the
-    rightmost letter first, so each right-module word is reversed once; it
+    of `reports.identity` holds one probe's words at a time.  Right-module
+    words list their letters in acting order, so each check is the
+    expression lhs - rhs, its right side negated once per call; the memo
     trusts its probe, so a probe outside the window raises ValueError here.
     """
     from .reports import identity  # reports imports this module
@@ -622,8 +623,7 @@ def make_hecke_items(module, checks, probes):
         module.observe_vec(budget, vec)
         if not budget.valid:
             raise ValueError(f"probe {pid} leaves the window {module.window}")
-    check = identity(lambda vec, lhs, rhs: ((lhs, rhs),), module)
-    stated = [(chk, tuple((c, w[::-1]) for c, w in chk.lhs), tuple((c, w[::-1]) for c, w in chk.rhs))
-              for chk in checks]
-    return (((chk.relation, chk.indices, (), pid), partial(check, vec, lhs, rhs))
-            for pid, vec in probes for chk, lhs, rhs in stated)
+    check = identity(lambda vec, expr: (expr,), module)
+    stated = [(chk, chk.lhs + tuple([(-c, w) for c, w in chk.rhs])) for chk in checks]
+    return (((chk.relation, chk.indices, (), pid), partial(check, vec, expr))
+            for pid, vec in probes for chk, expr in stated)

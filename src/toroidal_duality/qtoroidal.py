@@ -15,8 +15,9 @@ coefficient of z^-R w^-S,
 which at the zero modes specializes to the familiar q-commutator form.
 All checks run at trivial central charge; central extensions are refused.
 
-Every instance is stated as data for `reports.identity`: words in the mode
-letters ("mode", kind, i, k), with q-power coefficients, built when the
+Every instance is stated as data for `reports.identity`: its residual
+lhs - rhs as signed terms, each a q-power coefficient and a word of mode
+letters ("mode", kind, i, k) listed in the order they act, built when the
 item's thunk runs.  A term with a k+ / k- letter outside its sign range is
 zero by definition and left out as it is built, so the sweeps need nothing
 more of the module than the modes `ops.mode` accepts, `q`, and `weight`
@@ -31,7 +32,7 @@ from fractions import Fraction
 from functools import partial
 
 from .duality import dvec_add, nondecreasing_tuples  # noqa: F401 (perfbench/layers.py traces dvec_add by this name)
-from .reports import MINUS_ONE, ONE, UNIT, identity
+from .reports import MINUS_ONE, MINUS_UNIT, ONE, identity
 from .scalars import sc_mul, sc_neg
 
 
@@ -84,8 +85,8 @@ def _zero(letter):
 
 
 def _swap(a, b):
-    """The pair (a b, b a): letters a and b commute."""
-    return ((ONE, (a, b)),), ((ONE, (b, a)),)
+    """The expression a b - b a: letters a and b commute."""
+    return (ONE, (b, a)), (MINUS_ONE, (a, b))
 
 
 def _cleared_terms(left, right, coeffs, R, S):
@@ -97,8 +98,8 @@ def _cleared_terms(left, right, coeffs, R, S):
     """
     dm, mqa, mqadm = coeffs
     gR1, gR, hS1, hS = left + (R + 1,), left + (R,), right + (S - 1,), right + (S,)
-    terms = () if _zero(gR1) else ((dm, (gR1, hS1)), (mqadm, (hS1, gR1)))
-    return terms + (() if _zero(gR) else ((mqa, (gR, hS)), (ONE, (hS, gR))))
+    terms = () if _zero(gR1) else ((dm, (hS1, gR1)), (mqadm, (gR1, hS1)))
+    return terms + (() if _zero(gR) else ((mqa, (hS, gR)), (ONE, (gR, hS))))
 
 
 def weight_display(ops, i, vec, budget=None):
@@ -117,14 +118,14 @@ def current_relation_items(ops, K, probes):
         raise ValueError(f"mode window K must be at least 1, got {K}")
     cartan = CartanData(ops.n)
     n, q, qd = ops.n, ops.q, ops.qd
-    qmqinv = q - qd(-1, 0)
+    qmqinv, minus_qmqinv = q - qd(-1, 0), qd(-1, 0) - q
     minus_qqinv = -(q + qd(-1, 0))
 
     # (2.1.1) at the zero modes: k_{i,0}^+ and k_{i,0}^- are inverse
     @partial(identity, ops=ops)
     def unit(vec, i):
         kp, km = ("mode", "k+", i, 0), ("mode", "k-", i, 0)
-        return (((ONE, (kp, km)),), UNIT), (((ONE, (km, kp)),), UNIT)
+        return ((ONE, (km, kp)), MINUS_UNIT), ((ONE, (kp, km)), MINUS_UNIT)
 
     # (2.1.1): like-sign Cartan currents commute; (2.1.2) degenerates at c = 1
     # to mixed-sign commutation
@@ -135,30 +136,31 @@ def current_relation_items(ops, K, probes):
     # (2.1.3)/(2.1.4): Cartan current against e / f currents
     @partial(identity, ops=ops)
     def cartan_exchange(vec, i, j, sign, other_kind, coeffs, R, S):
-        return (_cleared_terms(("mode", K_KIND[sign], i), ("mode", other_kind, j), coeffs, R, S), ()),
+        return _cleared_terms(("mode", K_KIND[sign], i), ("mode", other_kind, j), coeffs, R, S),
 
     # (2.1.5): exchange of e and f closes on the Cartan modes
     @partial(identity, ops=ops)
     def ef_exchange(vec, i, j, r, s):
         e, f = ("mode", "e", i, r), ("mode", "f", j, s)
-        lhs = ((qmqinv, (e, f)), (-qmqinv, (f, e)))
+        terms = (qmqinv, (f, e)), (minus_qmqinv, (e, f))
+        if i != j:
+            return terms,
         kp, km = ("mode", "k+", i, r + s), ("mode", "k-", i, r + s)
-        rhs = tuple(t for t in ((ONE, (kp,)), (MINUS_ONE, (km,))) if not _zero(t[1][0])) if i == j else ()
-        return (lhs, rhs),
+        return terms + tuple(t for t in ((MINUS_ONE, (kp,)), (ONE, (km,))) if not _zero(t[1][0])),
 
     # (2.1.6)/(2.1.7): e-e and f-f exchange with theta twist
     @partial(identity, ops=ops)
     def like_exchange(vec, i, j, kind, coeffs, r, s):
-        return (_cleared_terms(("mode", kind, i), ("mode", kind, j), coeffs, r - 1, s), ()),
+        return _cleared_terms(("mode", kind, i), ("mode", kind, j), coeffs, r - 1, s),
 
     # (2.1.8)/(2.1.9): cubic Serre relations, symmetrized over z1 <-> z2
     @partial(identity, ops=ops)
     def serre(vec, i, j, kind, k1, k2, kk):
         a, b, c = ("mode", kind, i, k1), ("mode", kind, i, k2), ("mode", kind, j, kk)
         if k1 == k2:
-            return (((ONE, (a, a, c)), (minus_qqinv, (a, c, a)), (ONE, (c, a, a))), ()),
-        return (((ONE, (a, b, c)), (minus_qqinv, (a, c, b)), (ONE, (c, a, b)),
-                 (ONE, (b, a, c)), (minus_qqinv, (b, c, a)), (ONE, (c, b, a))), ()),
+            return ((ONE, (c, a, a)), (minus_qqinv, (a, c, a)), (ONE, (a, a, c))),
+        return ((ONE, (c, b, a)), (minus_qqinv, (b, c, a)), (ONE, (b, a, c)),
+                (ONE, (c, a, b)), (minus_qqinv, (a, c, b)), (ONE, (a, b, c))),
 
     kplus_range = list(range(0, K + 1))
     kminus_range = list(range(-K, 1))
@@ -233,11 +235,11 @@ def integrability_items(ops, K, probes):
 
     @partial(identity, ops=ops)
     def weight(vec, i):
-        return (((ONE, (("mode", "k+", i, 0),)),), partial(weight_display, ops, i, vec)),
+        return ((ONE, (("mode", "k+", i, 0),)), (MINUS_ONE, partial(weight_display, ops, i, vec))),
 
     @partial(identity, ops=ops)
     def nilpotent(vec, i, kind, k):
-        return (((ONE, (("mode", kind, i, k),) * (l + 1)),), ()),
+        return ((ONE, (("mode", kind, i, k),) * (l + 1)),),
 
     def items():
         for pid, vec in probes:
@@ -256,7 +258,7 @@ def central_charge_items(ops, probes):
 
     @partial(identity, ops=ops)
     def product(vec):
-        return (((ONE, tuple(("mode", "k+", i, 0) for i in range(n + 1))),), UNIT),
+        return ((ONE, tuple(("mode", "k+", i, 0) for i in range(n, -1, -1))), MINUS_UNIT),
 
     @partial(identity, ops=ops)
     def mixed(vec, i, j):

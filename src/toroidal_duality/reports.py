@@ -6,17 +6,18 @@ A check item is ((relation, indices, modes, probe), thunk) where the thunk
 returns (residual_zero, budget_valid, note).  Item builders return lazy
 iterables: each item is made as the runner takes it and dropped once its
 report exists, so a sweep never holds all its items.  `identity` builds
-the thunk of every identity check lhs == rhs, each side either an
-expression, a tuple of (coeff, word) terms, or a closed-form function of
-the window budget.  Words act rightmost letter first; a letter is a Kac-Moody
-generator (kind, j) as printed, acting through `km`, a Hecke letter (kind,
-index, exponent), kind T X Y Q or W, acting through `hecke.apply_letter`,
-or (operator, *arguments) for any other operator method, e.g. ("mode",
-kind, i, k) or ("psi",).  Each ops object keeps the word memo of the probe
-vector its last check ran on, a suffix trie filled as checks walk it: each
-word suffix is applied once and shared by every check on that probe, and a
-check on another probe starts a new memo, so builders emit their items probe
-by probe; the check's own loop walks every term, and `_child` makes each node.
+the thunk of every identity check, stated as expressions: each one residual
+lhs - rhs, a tuple of signed (coeff, word) terms, a closed-form display
+entering as a term whose word is a function of the window budget.  A word
+lists its letters in the order they act; a letter is a Kac-Moody generator
+(kind, j) as printed, acting through `km`, a Hecke letter (kind, index,
+exponent), kind T X Y Q or W, acting through `hecke.apply_letter`, or
+(operator, *arguments) for any other operator method, e.g. ("mode", kind,
+i, k) or ("psi",).  Each ops object keeps the word memo of the probe vector
+its last check ran on, a prefix trie filled as checks walk it: each word
+prefix is applied once and shared by every check on that probe, and a check
+on another probe starts a new memo, so builders emit their items probe by
+probe; the check's own loop walks every term, and `_child` makes each node.
 The runner sorts the reports (NamedTuples) by key and `write_jsonl` fills
 one sorted-key line template, so the emitted JSON stream is byte-identical
 across runs; per-check wall time stays out of the JSON.  `summarize` counts
@@ -33,11 +34,11 @@ from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from . import hecke  # the kernel by its module name, which perfbench/layers.py traces
-from .scalars import MINUS_ONE, ONE, sc_neg
+from .scalars import MINUS_ONE, ONE
 
 KM_KINDS = frozenset(("e", "f", "k", "kinv"))
 HECKE_KINDS = frozenset("TXYQW")
-UNIT = ((ONE, ()),)  # the empty word: the identity operator
+MINUS_UNIT = (MINUS_ONE, ())  # the term -1: the empty word, the identity operator, subtracted
 _BUDGET = hecke.WindowBudget()  # reset by `_child` per call; checks run serially and never reenter the memo
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode  # dumps_canonical's encoding of one value
 _STATUS_FIELDS = attrgetter("relation", "residual_zero", "budget_valid")  # what `summarize` counts
@@ -68,18 +69,19 @@ def _child(ops, node, letter):
 
 def identity(sides, ops):
     """
-    The check lhs == rhs for every (lhs, rhs) pair that sides(vec, *args)
-    returns, as a function of (vec, *args).
+    The check that every expression sides(vec, *args) returns is zero, as a
+    function of (vec, *args).
 
-    Each expression term walks its word through the memo that ops holds for
-    vec, rightmost letter first, stopping at an empty vector, so a suffix
+    Each term whose word is a tuple walks it through the memo that ops holds
+    for vec, first letter first, stopping at an empty vector, so a prefix
     that an earlier check on the same probe used costs a dict lookup; a check
-    on another vec replaces the memo, freeing the last probe's words.
-    Callable sides share one WindowBudget, made only when a check has one.
-    The check returns (residual_zero, budget_valid, note), the note naming
-    the first nonzero residual.  Bind the arguments with functools.partial
-    to get the item's thunk; `sides` runs inside it, so an item is only a
-    key and a partial, made as the runner takes it.
+    on another vec replaces the memo, freeing the last probe's words.  Any
+    other word is a closed form of the window budget; the closed forms of a
+    check share one WindowBudget, made only when a check has one.  The check
+    returns (residual_zero, budget_valid, note), the note naming the first
+    nonzero residual.  Bind the arguments with functools.partial to get the
+    item's thunk; `sides` runs inside it, so an item is only a key and a
+    partial, made as the runner takes it.
     """
 
     def check(vec, *args):
@@ -87,25 +89,25 @@ def identity(sides, ops):
         root = getattr(ops, "_word_memo", None)
         if root is None or root[0] is not vec:  # a new probe: drop the last one's words
             root = ops._word_memo = [vec, True, None]
-        for lhs, rhs in sides(vec, *args):
+        for expr in sides(vec, *args):
             res = {}
-            for side, negate in ((lhs, False), (rhs, True)):
-                if callable(side):
+            for c, word in expr:
+                if word.__class__ is not tuple:  # a closed form
                     budget = budget or hecke.WindowBudget()
-                    hecke.merge_vec(res, side(budget).items(), MINUS_ONE if negate else ONE)
+                    hecke.merge_vec(res, word(budget).items(), c)
                     continue
-                for c, word in side:
-                    node = root
-                    for letter in reversed(word):
-                        kids = node[2]
-                        child = kids.get(letter) if kids else None
-                        node = _child(ops, node, letter) if child is None else child
-                        if node.__class__ is not list:  # an empty vector: the word stops here
-                            break
-                    if node.__class__ is list:
-                        hecke.merge_vec(res, node[0].items(), sc_neg(c) if negate else c)
-                        node = node[1]
-                    if not node:  # the window broke along the word
+                node = root
+                for letter in word:
+                    kids = node[2]
+                    child = kids.get(letter) if kids else None
+                    node = _child(ops, node, letter) if child is None else child
+                    if node.__class__ is not list:  # an empty vector: the word stops here
+                        if not node:  # the window broke along the word
+                            valid = False
+                        break
+                else:
+                    hecke.merge_vec(res, node[0].items(), c)
+                    if not node[1]:
                         valid = False
             if res and not note:
                 note = f"residual has {len(res)} term(s); lead key {min(res)}"

@@ -1,8 +1,12 @@
 """Conjugation, intertwining, and closed-form regression suites."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from functools import partial
 from itertools import product
-from operator import itemgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +16,7 @@ from toroidal_duality import dualchecks
 from toroidal_duality.config import load_config
 from toroidal_duality.duality import DualityModule, duality_probes, dvec_add
 from toroidal_duality.dualchecks import (
-    coefficient_scalars,
+    CoefficientScalars,
     gen_symbols,
     intertwining_items,
     omega_images,
@@ -27,7 +31,7 @@ from toroidal_duality.dualchecks import (
 from toroidal_duality.hecke import PolynomialModule, UnitModule, WindowBudget, hecke_probes
 from toroidal_duality.params import specialized_params
 from toroidal_duality.qtoroidal import CartanData
-from toroidal_duality.reports import ONE, identity, run_relation_items
+from toroidal_duality.reports import MINUS_ONE, ONE, identity, run_relation_items
 from toroidal_duality.scalars import D, Q, monomials, sc_inv
 
 
@@ -51,18 +55,19 @@ def assert_all_pass(items):
 
 
 def test_tprime_tables():
+    # words in acting order: -f_1 k_1 acts by k_1 first
     cartan = CartanData(3)
-    assert tprime_symbol(1, ("e", 1), cartan) == (((-1, 0, 0), (("f", 1), ("k", 1))),)
+    assert tprime_symbol(1, ("e", 1), cartan) == (((-1, 0, 0), (("k", 1), ("f", 1))),)
     assert tprime_symbol(1, ("e", 3), cartan) == (((1, 0, 0), (("e", 3),)),)
     img = tprime_symbol(1, ("e", 2), cartan)
-    assert ((-1, 0, 0), (("e", 1), ("e", 2))) in img
-    assert ((1, -1, 0), (("e", 2), ("e", 1))) in img  # q^-1
+    assert ((-1, 0, 0), (("e", 2), ("e", 1))) in img  # -e_1 e_2
+    assert ((1, -1, 0), (("e", 1), ("e", 2))) in img  # q^-1 e_2 e_1
     # the wrap vertex n+1 = 4 is adjacent to 1 on the cyclic diagram
     img = tprime_symbol(1, ("e", 4), cartan)
     assert len(img) == 2
     # Cartan images follow the weight-lattice reflection
     assert tprime_symbol(1, ("k", 1), cartan) == (((1, 0, 0), (("kinv", 1),)),)
-    assert tprime_symbol(1, ("k", 2), cartan) == (((1, 0, 0), (("k", 2), ("k", 1))),)
+    assert tprime_symbol(1, ("k", 2), cartan) == (((1, 0, 0), (("k", 1), ("k", 2))),)
     assert tprime_symbol(2, ("k", 4), cartan) == (((1, 0, 0), (("k", 4),)),)
 
 
@@ -100,9 +105,9 @@ def test_tprime_multiplicative(monkeypatch):
             for c2, w2 in factors:
                 w, c = w + w2, c * _tprime_value(c2, Q, D)
             want[w] = want[w] + c if w in want else c
-    want = tuple((c, w) for w, c in sorted(want.items()) if c)
-    got = scalar_terms(substitute(expr, images), coefficient_scalars(monomials(Q, D)), ())
-    assert [(type(c), c, w) for c, w in got] == [(type(c), c, w) for c, w in want]
+    want = [(w, type(c), c) for w, c in want.items() if c]
+    got = scalar_terms(substitute(expr, images), CoefficientScalars(monomials(Q, D)), ())
+    assert sorted((w, type(c), c) for c, w in got) == sorted(want)  # equal terms, as multisets
     assert len(got) == 3 and not any(("e", 4) in w for _, w in got)
     assert len(merges) == 1  # the repeated word and the cancelling pair take the merge
 
@@ -180,11 +185,11 @@ def test_symbolic_duality_residuals_are_exact_zero():
 
 
 def test_eval_nc_order(dm_unit):
-    # words evaluate rightmost-first (left action)
+    # words list their letters in acting order: the first letter is applied first
     vec = dm_unit.basis_vector((), (2,))
     manual = dm_unit.km("e", 1, dm_unit.km("k", 1, dict(vec)))
     assert manual and manual != dm_unit.km("k", 1, dm_unit.km("e", 1, dict(vec)))
-    check = identity(lambda v: ((((ONE, (("e", 1), ("k", 1))),), lambda budget: manual),), ops=dm_unit)
+    check = identity(lambda v: (((ONE, (("k", 1), ("e", 1))), (MINUS_ONE, lambda budget: manual)),), ops=dm_unit)
     assert check(vec) == (True, True, "")
 
 
@@ -228,11 +233,11 @@ def _assert_omega_images_match_reference(n, q, d, monkeypatch):
     assert got.keys() == want.keys()
     for sym in want:
         words = [w for _, w in got[sym]]
-        assert all(a < b for a, b in zip(words, words[1:])), (n, sym)
-        assert all(w[-1] == ("t_omega1",) for w in words), (n, sym)  # each image acts after t_omega1
-        # equal values of equal scalar kinds, term by term, in the order of the rotated words
-        want_terms = sorted(want[sym], key=itemgetter(1))
-        assert [(type(c), c, w[:-1]) for c, w in got[sym]] == [(type(c), c, w) for c, w in want_terms], (n, sym)
+        assert len(set(words)) == len(words), (n, sym)
+        assert all(w[0] == ("t_omega1",) for w in words), (n, sym)  # each image acts after t_omega1
+        # the negated image: equal values of equal scalar kinds, as multisets
+        want_terms = sorted((w, type(c), -c) for c, w in want[sym])
+        assert sorted((w[1:], type(c), c) for c, w in got[sym]) == want_terms, (n, sym)
     return sum(map(len, got.values()))
 
 
@@ -249,14 +254,30 @@ def test_omega_images_match_per_letter_reference_at_n7(monkeypatch):
     assert _assert_omega_images_match_reference(7, Fraction(2), Fraction(3), monkeypatch) == 11568
 
 
-def test_omega_images_at_n8_are_sorted_and_never_merge(monkeypatch):
+_TABLE_DIGEST = """
+import hashlib, sys
+from fractions import Fraction
+from toroidal_duality.dualchecks import omega_images
+from toroidal_duality.scalars import monomials
+images = omega_images(int(sys.argv[1]), monomials(Fraction(2), Fraction(3)))
+print(hashlib.sha256(repr(sorted(images.items())).encode()).hexdigest())
+"""
+
+
+def test_omega_images_at_n8_never_merge_and_keep_one_order(monkeypatch):
     merges = _counting_merges(monkeypatch)
     images = omega_images(8, monomials(Fraction(2), Fraction(3)))
     assert merges == []
     assert sum(map(len, images.values())) == 44977
     for sym, image in images.items():
         words = [w for _, w in image]
-        assert all(a < b for a, b in zip(words, words[1:])), sym
+        assert len(set(words)) == len(words), sym
+    # no sort fixes the order of the terms, so it must not depend on string hashing
+    src = str(Path(dualchecks.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    digests = {subprocess.run([sys.executable, "-c", _TABLE_DIGEST, "8"], env={**env, "PYTHONHASHSEED": seed},
+                              capture_output=True, text=True, check=True).stdout for seed in ("0", "1")}
+    assert len(digests) == 1, digests
 
 
 def _apply_letter(dmod, letter, v, budget):
@@ -271,7 +292,7 @@ def _eval_word_by_word(dmod, expr, vec, budget):
     out = {}
     for c, word in expr:
         v = dict(vec)
-        for letter in reversed(word):
+        for letter in word:
             v = _apply_letter(dmod, letter, v, budget)
             if not v:
                 break
@@ -305,22 +326,22 @@ coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
 
 @st.composite
 def nc_exprs(draw):
-    """NC expressions whose words often end in each other's letters, suffixes included."""
+    """NC expressions whose words often begin with each other's letters, prefixes included."""
     terms = draw(st.lists(st.tuples(coeffs, words), max_size=6))
     cuts = draw(st.lists(st.integers(0, 4), max_size=len(terms)))
-    terms += [(c, w[cut:]) for (c, w), cut in zip(terms, cuts)]
+    terms += [(c, w[:cut]) for (c, w), cut in zip(terms, cuts)]
     return tuple(terms)
 
 
 @st.composite
 def memo_runs(draw):
-    """(probe index, expression) pairs; later words extend earlier ones on the right, acting first."""
+    """(probe index, expression) pairs; later words extend earlier ones, which act first."""
     run = []
     for _ in range(draw(st.integers(1, 4))):
         expr = draw(nc_exprs())
         if run:
             earlier = draw(st.sampled_from(run))[1]
-            expr += tuple((c, draw(words) + w) for c, w in earlier)
+            expr += tuple((c, w + draw(words)) for c, w in earlier)
         run.append((draw(st.integers(0, 3)), expr))
     return run
 
@@ -331,15 +352,15 @@ E1, F2 = ("e", 1), ("f", 2)
 @given(run=memo_runs())
 @settings(max_examples=60, deadline=None)
 # e_1 leaves the window on probe 3, e_1 e_1 is empty there, and both are
-# reused as suffixes: their cached validity must carry over
+# reused as prefixes: their cached validity must carry over
 @example(run=[(3, ((ONE, (E1,)),)), (0, ((ONE, (E1,)),)), (3, ((ONE, (E1, E1)),)),
-              (3, ((Fraction(2), (F2, E1, E1)), (ONE, (F2, E1))))])
-# single expressions: a word and its own suffix, a repeated word, modes with
+              (3, ((Fraction(2), (E1, E1, F2)), (ONE, (E1, F2))))])
+# single expressions: a word and its own prefix, a repeated word, modes with
 # the psi pair, and the translation and rotation operators
 @example(run=[(3, ((ONE, (E1, E1)), (Fraction(2), (E1,)), (Fraction(-1), ())))])
-@example(run=[(0, ((ONE, (F2, ("k", 1))), (ONE, (F2, ("k", 1)))))])
-@example(run=[(1, ((ONE, (("mode", "e", 0, 1), ("mode", "k+", 2, 1))), (Fraction(3), (("psi_inv",), ("psi",)))))])
-@example(run=[(2, ((ONE, (("t_omega1",), ("braid", 2))), (Fraction(-2), (("tau",), ("mode", "k-", 0, -1)))))])
+@example(run=[(0, ((ONE, (("k", 1), F2)), (ONE, (("k", 1), F2))))])
+@example(run=[(1, ((ONE, (("mode", "k+", 2, 1), ("mode", "e", 0, 1))), (Fraction(3), (("psi",), ("psi_inv",)))))])
+@example(run=[(2, ((ONE, (("braid", 2), ("t_omega1",))), (Fraction(-2), (("mode", "k-", 0, -1), ("tau",)))))])
 def test_word_memo_matches_word_by_word(dm_edge, run):
     # one ops object evaluates the whole run through `identity`, so later
     # checks find words that earlier checks put in its memo
@@ -348,8 +369,90 @@ def test_word_memo_matches_word_by_word(dm_edge, run):
     for which, expr in run:
         b_words = WindowBudget()
         want = _eval_word_by_word(ref, expr, vecs[which], b_words)
-        check = identity(lambda vec: ((expr, lambda budget: want),), ops=ops)
+        check = identity(lambda vec: (expr + ((MINUS_ONE, lambda budget: want),),), ops=ops)
         assert check(vecs[which]) == (True, b_words.valid, "")
+
+
+def test_words_act_first_letter_first(dm_poly):
+    # e_{1,0} f_{1,0} and f_{1,0} e_{1,0} differ on this probe, so only the word
+    # that lists f first states the product e_{1,0} f_{1,0}
+    (_, p0), (_, p1) = duality_probes(dm_poly, 2, seed=3)
+    vec = {**p0, **p1}
+    e, f = ("mode", "e", 1, 0), ("mode", "f", 1, 0)
+    ef = dm_poly.mode("e", 1, 0, dm_poly.mode("f", 1, 0, dict(vec)))
+    fe = dm_poly.mode("f", 1, 0, dm_poly.mode("e", 1, 0, dict(vec)))
+    assert ef and fe and ef != fe
+    check = identity(lambda v, word: (((ONE, word), (MINUS_ONE, lambda budget: ef)),), ops=dm_poly)
+    assert check(vec, (f, e)) == (True, True, "")
+    zero, valid, note = check(vec, (e, f))
+    assert not zero and valid and note
+
+
+# signed statements over the mode, Kac-Moody and psi letters at n = 4
+statement_letters = st.one_of(
+    st.tuples(st.sampled_from(("e", "f", "k", "kinv")), st.integers(1, 5)),
+    st.tuples(st.just("mode"), st.sampled_from(("e", "f")), st.integers(0, 4), st.integers(-2, 2)),
+    st.tuples(st.just("mode"), st.just("k+"), st.integers(0, 4), st.integers(0, 2)),
+    st.tuples(st.just("mode"), st.just("k-"), st.integers(0, 4), st.integers(-2, 0)),
+    st.sampled_from((("psi",), ("psi_inv",))),
+)
+
+
+@st.composite
+def statements(draw):
+    """
+    (probe index, expressions of signed terms); a term stated as ("closed", word)
+    becomes a closed form that evaluates its word, and often cancels the word's own term.
+    """
+    exprs = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = []
+        for c, word in draw(st.lists(st.tuples(coeffs, st.lists(statement_letters, max_size=3).map(tuple)),
+                                     min_size=1, max_size=4)):
+            form = draw(st.sampled_from(("word", "closed", "cancelled")))
+            if form != "closed":
+                terms.append((c, word))
+            if form != "word":
+                terms.append((-c if form == "cancelled" else c, ("closed", word)))
+        exprs.append(tuple(terms))
+    return draw(st.integers(0, 3)), exprs
+
+
+def _word_value(dmod, word, vec, budget):
+    """One word on vec, applied letter by letter, first letter first."""
+    return _eval_word_by_word(dmod, ((ONE, word),), vec, budget)
+
+
+def _reference_check(dmod, exprs, vec):
+    """(residual_zero, budget_valid, note) with every word applied letter by letter, first letter first."""
+    budget, note = WindowBudget(), ""
+    for expr in exprs:
+        res = {}
+        for c, word in expr:
+            dvec_add(res, (word(budget) if callable(word) else _word_value(dmod, word, vec, budget)).items(), c)
+        if res and not note:
+            note = f"residual has {len(res)} term(s); lead key {min(res)}"
+    return not note, budget.valid, note
+
+
+@given(statement=statements())
+@settings(max_examples=60, deadline=None)
+# a word and its closed form cancel, and e_1 leaves the window on probe 3
+@example(statement=(3, [((ONE, (("e", 1), ("mode", "f", 1, 0))),
+                         (MINUS_ONE, ("closed", (("e", 1), ("mode", "f", 1, 0)))))]))
+# psi then a mode against the closed form of the other order, in a second expression
+@example(statement=(0, [((ONE, ()),), ((ONE, (("psi",), ("mode", "e", 2, 1))),
+                                       (MINUS_ONE, ("closed", (("mode", "e", 2, 1), ("psi",)))))]))
+def test_signed_statements_match_letter_by_letter_reference(dm_edge, statement):
+    dm, vecs = dm_edge
+    which, exprs = statement
+    vec = vecs[which]
+    ops, ref, closed = (DualityModule(PolynomialModule(dm.params, window=2)) for _ in range(3))
+
+    # a closed form evaluates its word on a module of its own
+    exprs = [tuple((c, partial(_word_value, closed, word[1], vec) if word[:1] == ("closed",) else word)
+                   for c, word in expr) for expr in exprs]
+    assert identity(lambda v: exprs, ops=ops)(vec) == _reference_check(ref, exprs, vec)
 
 
 @pytest.mark.parametrize("letter", [("mode", "k+", 1, -1), ("mode", "k-", 2, 1)])
@@ -357,7 +460,7 @@ def test_trie_keeps_the_mode_range_check(dm_edge, letter):
     # a Cartan mode outside its sign range is an error of the check's statement,
     # not a zero term: the builders leave such terms out themselves
     dm, vecs = dm_edge
-    check = identity(lambda vec: ((((ONE, (letter,)),), lambda budget: {}),), ops=dm)
+    check = identity(lambda vec: (((ONE, (letter,)), (MINUS_ONE, lambda budget: {})),), ops=dm)
     with pytest.raises(ValueError, match="mode needs"):
         check(vecs[0])
 
@@ -413,8 +516,8 @@ def test_translation_catches_planted_table_faults(poly_two_probes, monkeypatch):
 
     def flip_one_sign(n, qd):
         images = omega_images(n, qd)
-        (c, w), *rest = images[("f", 1)]
-        images[("f", 1)] = ((-c, w), *rest)
+        *rest, (c, w) = images[("f", 1)]
+        images[("f", 1)] = (*rest, (-c, w))
         return images
 
     with monkeypatch.context() as m:
@@ -422,9 +525,9 @@ def test_translation_catches_planted_table_faults(poly_two_probes, monkeypatch):
         assert _translation_failures(dm, probes) > 0
 
     def drop_one_term(n, qd):
-        # f_1's first term is a composed word that acts on these probes
+        # f_1's last term is a composed word that acts on these probes
         images = omega_images(n, qd)
-        images[("f", 1)] = images[("f", 1)][1:]
+        images[("f", 1)] = images[("f", 1)][:-1]
         return images
 
     with monkeypatch.context() as m:

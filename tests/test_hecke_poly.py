@@ -301,9 +301,9 @@ def test_hecke_word_memo_matches_apply_expr(window, run):
         budget = WindowBudget()
         want = apply_expr(ref, lhs, vec, budget)
         merge_vec(want, apply_expr(ref, rhs, vec, budget).items(), Fraction(-1))
-        # the exact residual: the memo walks rightmost letter first
-        walked = tuple((c, word[::-1]) for c, word in lhs) + tuple((-c, word[::-1]) for c, word in rhs)
-        assert identity(lambda v: ((walked, lambda b: want),), ops)(vec) == (True, budget.valid, "")
+        # the exact residual: right-module words list their letters in acting order
+        walked = lhs + tuple((-c, word) for c, word in rhs) + ((Fraction(-1), lambda b: want),)
+        assert identity(lambda v: (walked,), ops)(vec) == (True, budget.valid, "")
         # the item make_hecke_items states from the right-module words
         (_, thunk), = make_hecke_items(ops, [RelCheck("r", (), lhs, rhs)], [("p", vec)])
         note = f"residual has {len(want)} term(s); lead key {min(want)}" if want else ""
