@@ -2,9 +2,10 @@
 """
 Byte-level determinism harness: run each preset sweep, a Hecke sweep at
 l = 3, a toroidal sweep and three duality sweeps with formal q and d (one
-at l = 3), and a duality sweep at n = 7, whose translation tables are the
-largest, in two child processes with PYTHONHASHSEED=0 and
-PYTHONHASHSEED=1, and diff the canonical JSON streams and summaries.
+at l = 3), a duality sweep at n = 7, whose translation tables are the
+largest, and a duality sweep at n = 5, l = 3 with modes up to 3, in two
+child processes with PYTHONHASHSEED=0 and PYTHONHASHSEED=1, and diff the
+canonical JSON streams and summaries.
 Equal bytes show that no report depends on the iteration order of a set,
 which string hashing changes from one process to the next.
 The stream is the bytes `write_jsonl` writes, and each child first checks
@@ -38,6 +39,9 @@ SWEEPS = [
     ("duality-l3-symbolic", "duality", "poly", {"n": 5, "l": 3, "symbolic": True, "probes": 1, "modes": 2,
                                                 "hecke_probes": 3}),
     ("duality-n7", "duality", "poly", {"n": 7, "probes": 1}),
+    # the perfbench duality-l3 setting: Y powers up to 3 and every k+- degree up to 3
+    ("duality-l3-k3", "duality", "poly", {"n": 5, "l": 3, "q": "2", "d": "3", "window": 8, "modes": 3,
+                                          "probes": 5, "hecke_probes": 7}),
 ]
 
 

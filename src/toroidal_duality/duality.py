@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .hecke import WindowBudget, apply_expr, apply_word, lt, tij_word, vec_scale, wmul
+from .hecke import WindowBudget, apply_expr, apply_letter, apply_word, lt, tij_word, vec_scale, wmul
 from .hecke import merge_vec as dvec_add  # perfbench/layers.py traces the kernel by this name
 from .params import Params
 from .scalars import MINUS_ONE, ONE, Scalar, monomials, sc_inv, sc_mul
@@ -248,24 +248,31 @@ class DualityModule:
     # -- braid operators and the diagram rotation -----------------------------
 
     def _braid_basis(self, i, key, budget):
+        """
+        Lusztig's T''_i on a basis key of weight k: the sum over t, r and
+        s = r + t + k of (-1)^(s+k) q^(s-rt) e^r f^s e^t / ([r]! [s]! [t]!).
+        e^t is made from e^(t-1), and f^s e^t from f^(s-1) e^t as s grows
+        with r; only e^r is applied afresh to each f^s e^t.
+        """
         k = self.weight(i, key[1])
-        vec = {key: ONE}
         out = {}
+        et = {key: ONE}
         for t in range(self.l + 1):
-            et = vec
-            for _ in range(t):
+            if t:
                 et = self.km("e", i, et, budget)
             if not et:
                 break
+            fs, s_made = et, 0  # fs = f^s_made e^t
             for r in range(self.l + 1):
                 s = r + t + k
                 if s < 0 or s > self.l:
                     continue
-                mid = et
-                for _ in range(s):
-                    mid = self.km("f", i, mid, budget)
-                if not mid:
-                    continue
+                for _ in range(s - s_made):
+                    fs = self.km("f", i, fs, budget)
+                s_made = s
+                if not fs:
+                    break
+                mid = fs
                 for _ in range(r):
                     mid = self.km("e", i, mid, budget)
                 if not mid:
@@ -370,6 +377,14 @@ class DualityModule:
         return self._hecke_then_straighten([(hv, j2, ONE)], budget)
 
     def _kmode_basis(self, kind, i, k, key, budget):
+        """
+        The k+ (k >= 0) or k- (k <= 0) mode on a basis key: the z^-k
+        coefficient of the product, over the slots p holding i or i+1, of a
+        theta series in Y_p.  The product is expanded slot by slot with one
+        partial module vector per degree t <= |k|: each slot takes a part r
+        of the degree left, as Y_p^(e r) times its scaled coefficient, and
+        the last slot takes all of it, r = |k| - t.
+        """
         hkey, jt = key
         n, qd = self.n, self.qd
         sign = 1 if kind == "k+" else -1
@@ -379,26 +394,27 @@ class DualityModule:
         cmi = self._theta_coeffs(-1, direction, absk)
         e = -sign  # k+ modes shift by Y^-r, k- modes by Y^r
         factors = []
-        # slots holding i scale by beta = q^(n+2-i) d^i, slots holding i+1 by
-        # gamma = q^(n-i) d^i; pows[r] = scale^(e r) for a composition part r
+        # slots holding i scale part r by beta^(e r), beta = q^(n+2-i) d^i,
+        # and slots holding i+1 by gamma^(e r), gamma = q^(n-i) d^i
         for carrier, coefs, qexp in ((i, cpl, n + 2 - i), (i + 1, cmi, n - i)):
             slots = [p for p in range(1, self.l + 1) if jt[p - 1] == carrier]
             if slots:
-                pows = [qd(qexp * e * r, i * e * r) for r in range(absk + 1)]
-                factors += [(p, coefs, pows) for p in slots]
+                scale = [sc_mul(coefs[r], qd(qexp * e * r, i * e * r)) for r in range(absk + 1)]
+                factors += [(p, scale) for p in slots]
         if absk > 0 and not factors:
             return {}
-        out_hv = {}
-        for comp in _compositions(absk, len(factors)):
-            coeff = ONE
-            word = ()
-            for (p, coefs, pows), rp in zip(factors, comp):
-                coeff = sc_mul(coeff, coefs[rp])
-                if rp:
-                    coeff = sc_mul(coeff, pows[rp])
-                    word = wmul(word, lt("Y", p, e * rp))
-            dvec_add(out_hv, apply_word(self.h, word, {hkey: coeff}, budget).items())
-        return self._hecke_then_straighten([(out_hv, jt, ONE)], budget)
+        parts = [{hkey: ONE}] + [{} for _ in range(absk)]  # parts[t]: slots so far at degree t
+        last = len(factors) - 1
+        for at, (p, scale) in enumerate(factors):
+            grown = [{} for _ in parts]
+            for t, hv in enumerate(parts):
+                if not hv:
+                    continue
+                for r in range(absk - t if at == last else 0, absk - t + 1):
+                    hv_r = apply_letter(self.h, ("Y", p, e * r), hv, budget) if r else hv
+                    dvec_add(grown[t + r], hv_r.items(), scale[r])
+            parts = grown
+        return self._hecke_then_straighten([(parts[absk], jt, ONE)], budget)
 
     def mode(self, kind, i, k, vec, budget=None):
         """
@@ -457,16 +473,6 @@ def hvec_to_json(vec):
     from .scalars import scalar_to_json
 
     return [[list(k), scalar_to_json(c)] for k, c in sorted(vec.items())]
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def nondecreasing_tuples(n, l):

@@ -7,6 +7,9 @@ Words act on the right: apply_word evaluates letters left to right, so a
 relation like T.X1.T = q^2 X2 is checked by applying T, then X1, then T to
 each probe.  apply_letter is the one loop that applies a letter to a
 vector, for words, for the Y and Q programs and for the checks' word memo.
+Y and Q are programs of atomic letters at exponent +-1 only: a higher power
+is built from the power one below it through the letter cache, and a zero
+exponent is the identity.
 
 Two families are provided.
 
@@ -41,6 +44,7 @@ from math import gcd
 
 from .params import Params
 from .scalars import (
+    ONE,
     Scalar,
     bare_fraction,
     is_unit,
@@ -279,7 +283,7 @@ class PolynomialModule:
             return [(k2, sc_pow(self.xi, -key[-1]))]
         raise ValueError(f"not an atomic letter: {letter}")
 
-    # -- Y and Q as programs of atomic letters ------------------------------
+    # -- Y and Q: programs of atomic letters, powers stepped -----------------
 
     def y_program(self, j):
         """(coefficient, atomic letters) implementing Y_j."""
@@ -297,6 +301,7 @@ class PolynomialModule:
         return self._yprog[j]
 
     def _program_for(self, letter):
+        """(coefficient, atomic letters) of a program letter with exponent +-1."""
         kind, idx, exp = letter
         if kind == "Y":
             c, prog = self.y_program(idx)
@@ -308,22 +313,38 @@ class PolynomialModule:
         if exp < 0:
             c = sc_inv(c)
             prog = tuple((k, i, -e) for (k, i, e) in reversed(prog))
-        reps = abs(exp)
-        return sc_pow(c, reps), prog * reps
+        return c, prog
 
     # -- cached, window-clipped application ---------------------------------
 
     def letter_cached(self, letter, key):
+        """
+        The window-clipped image of one key under one letter, as (sorted
+        items, window valid), made once per (letter, key).  A zero exponent
+        is the identity, valid, and is never stored.  A Y or Q letter with
+        exponent +-1 runs its atom program; a higher power is the power one
+        step nearer zero, then the +-1 letter on each key it reaches, both
+        looked up here, so Y^3 reuses Y^2 of the key and Y of every key
+        that Y^2 reaches.
+        """
         hit = self._cache.get((letter, key))
         if hit is not None:
             return hit
-        kind = letter[0]
+        kind, idx, exp = letter
+        if not exp:
+            return ((key, ONE),), True
         if kind in ("Y", "Q"):
-            coeff, prog = self._program_for(letter)
-            vec = {key: coeff}
             budget = WindowBudget()
-            for atom in prog:
-                vec = apply_letter(self, atom, vec, budget)
+            if exp in (1, -1):
+                coeff, prog = self._program_for(letter)
+                vec = {key: coeff}
+                for atom in prog:
+                    vec = apply_letter(self, atom, vec, budget)
+            else:
+                step = 1 if exp > 0 else -1
+                items, valid = self.letter_cached((kind, idx, exp - step), key)
+                budget.observe(valid)
+                vec = apply_letter(self, (kind, idx, step), dict(items), budget)
             entry = (tuple(sorted(vec.items())), budget.valid)
         else:
             raw = self._atomic_items(letter, key)

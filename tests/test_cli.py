@@ -5,10 +5,16 @@ import gc
 import hashlib
 import json
 import os
+import re
+import shutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import toroidal_duality
 from toroidal_duality.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main
 from toroidal_duality.config import ConfigError, load_config
 from toroidal_duality.reports import run_relation_items
@@ -680,3 +686,35 @@ def test_benchmark_tracer_finds_every_patch_site(monkeypatch):
         assert reports.run_relation_items([], workers=1) == []
         assert all(getattr(owner, name) is not fn for owner, name, fn in sites)
     assert all(getattr(owner, name) is fn for owner, name, fn in sites)
+
+
+# -- planted faults in the stepped powers and the k± expansion -------------------
+
+DUALITY_L3 = ["duality", "--n", "5", "--l", "3", "--q", "2", "--d", "3", "--window", "8",
+              "--family", "polynomial", "--modes", "3", "--hecke-probes", "7"]
+
+
+@pytest.mark.parametrize("source, line, planted, argv", [
+    # Y^e becomes Y^(e-2): the last step of a stepped power applies the inverse letter
+    ("hecke.py", "vec = apply_letter(self, (kind, idx, step), dict(items), budget)",
+     "vec = apply_letter(self, (kind, idx, -step), dict(items), budget)",
+     [*DUALITY_L3, "--probes", "5"]),
+    # every slot takes part r with the first slot's theta coefficient and spectral power
+    ("duality.py", "dvec_add(grown[t + r], hv_r.items(), scale[r])",
+     "dvec_add(grown[t + r], hv_r.items(), factors[0][1][r])",
+     ["toroidal", "--preset", "poly"]),
+], ids=["stepped-power-sign", "kmode-wrong-slot-scale"])
+def test_planted_power_faults_fail_verify(tmp_path, source, line, planted, argv):
+    # the fault goes into a copy of the package, run in a child process
+    package = tmp_path / "toroidal_duality"
+    shutil.copytree(Path(toroidal_duality.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    text = (package / source).read_text()
+    assert text.count(line) == 1
+    (package / source).write_text(text.replace(line, planted))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("TOROIDAL_")}
+    env["PYTHONPATH"] = str(tmp_path)
+    done = subprocess.run([sys.executable, "-m", "toroidal_duality.cli", "verify", *argv, "--seed", "11"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == EXIT_FAIL, done.stderr
+    assert re.search(r" fail [1-9]", done.stdout) and "Traceback" not in done.stderr

@@ -26,6 +26,8 @@ from toroidal_duality.duality import (
 from toroidal_duality.hecke import PolynomialModule, UnitModule, WindowBudget, apply_word, lt
 from toroidal_duality.hecke import vec_scale as dvec_scale
 from toroidal_duality.params import specialized_params, symbolic_params
+from toroidal_duality.scalars import ONE, sc_inv, sc_mul
+from toroidal_duality.series import AT_INFINITY, AT_ZERO, theta_expand
 
 
 @pytest.fixture(scope="module")
@@ -357,3 +359,124 @@ def test_operator_columns_match_pinned_digest(name, top, digest):
     for line in _operator_columns(_COLUMN_MODULES[name](), top):
         h.update(line.encode() + b"\n")
     assert h.hexdigest() == digest
+
+
+# -- k± modes and braid operators against the constructions they replace ------
+
+
+def _compositions(total, parts):
+    if not parts:
+        return [()] if total == 0 else []
+    return [(first,) + rest for first in range(total + 1) for rest in _compositions(total - first, parts - 1)]
+
+
+def _kmode_by_compositions(dm, kind, i, k, key, budget):
+    """
+    The oracle for k±_{i,k} on a basis key: one Y word per composition of |k|
+    over the slots holding i or i+1, its coefficient the product of each
+    slot's theta coefficient and spectral power (the construction before the
+    product was expanded degree by degree).
+    """
+    hkey, jt = key
+    sign = 1 if kind == "k+" else -1
+    e, absk = -sign, abs(k)
+    direction = AT_INFINITY if sign > 0 else AT_ZERO
+    factors = []
+    for carrier, m, qexp in ((i, 1, dm.n + 2 - i), (i + 1, -1, dm.n - i)):
+        coefs = theta_expand(m, direction, absk, dm.q)
+        pows = [dm.qd(qexp * e * r, i * e * r) for r in range(absk + 1)]
+        factors += [(p, coefs, pows) for p in range(1, dm.l + 1) if jt[p - 1] == carrier]
+    if absk > 0 and not factors:
+        return {}
+    hv = {}
+    for comp in _compositions(absk, len(factors)):
+        coeff, word = ONE, ()
+        for (p, coefs, pows), r in zip(factors, comp):
+            coeff = sc_mul(coeff, sc_mul(coefs[r], pows[r]))
+            word += lt("Y", p, e * r) if r else ()
+        dvec_add(hv, apply_word(dm.h, word, {hkey: coeff}, budget).items())
+    return dm.straighten({(hk, jt): c for hk, c in hv.items()}, budget)
+
+
+def _basis_keys(dm):
+    """Every nondecreasing tuple at the module keys (0, 0, ..), (1, 0, ..) and (2, -1, 0, ..)."""
+    l = dm.l
+    hkeys = [(0,) * l, (1,) + (0,) * (l - 1), (2, -1) + (0,) * (l - 2)]
+    return [(hk, jt) for hk in hkeys for jt in nondecreasing_tuples(dm.n, l)]
+
+
+_POWER_MODULES = {
+    "poly": lambda: PolynomialModule(specialized_params(n=4, l=2, q=2, d=3), window=8),
+    "poly-formal": lambda: PolynomialModule(symbolic_params(n=4, l=2), window=8),
+    "n5l3": lambda: PolynomialModule(specialized_params(n=5, l=3, q=2, d=3), window=8),
+    "n5l3-formal": lambda: PolynomialModule(symbolic_params(n=5, l=3), window=8),
+}
+
+
+@pytest.mark.parametrize("name", list(_POWER_MODULES))
+def test_kmode_columns_match_the_per_composition_sum(name):
+    dm, ref = DualityModule(_POWER_MODULES[name]()), DualityModule(_POWER_MODULES[name]())
+    nonzero = 0
+    for key in _basis_keys(dm):
+        for i in range(1, dm.n + 1):
+            for kind, k in [("k+", k) for k in range(4)] + [("k-", -k) for k in range(4)]:
+                b, rb = WindowBudget(), WindowBudget()
+                got = dm.mode(kind, i, k, {key: ONE}, b)
+                want = _kmode_by_compositions(ref, kind, i, k, key, rb)
+                if rb.valid:
+                    assert got == want and b.valid, (key, kind, i, k)
+                nonzero += bool(want)
+    assert nonzero
+
+
+def _braid_by_nested_loops(dm, i, key, budget):
+    """
+    The oracle for Lusztig's T''_i on a basis key of weight k: for each t, r
+    and s = r + t + k, e^r f^s e^t made afresh from the key, scaled by
+    (-1)^(s+k) q^(s-rt) / ([r]! [s]! [t]!).
+    """
+    k = dm.weight(i, key[1])
+
+    def qfact(m):
+        out = ONE
+        for j in range(1, m + 1):
+            qint = Fraction(0)
+            for t in range(j):
+                qint = qint + dm.qd(j - 1 - 2 * t, 0)
+            out = sc_mul(out, qint)
+        return out
+
+    out = {}
+    for t in range(dm.l + 1):
+        et = {key: ONE}
+        for _ in range(t):
+            et = dm.km("e", i, et, budget)
+        if not et:
+            break
+        for r in range(dm.l + 1):
+            s = r + t + k
+            if s < 0 or s > dm.l:
+                continue
+            mid = et
+            for _ in range(s):
+                mid = dm.km("f", i, mid, budget)
+            for _ in range(r):
+                mid = dm.km("e", i, mid, budget)
+            sign = -1 if (s + k) % 2 else 1
+            scale = sc_mul(dm.qd(s - r * t, 0), sc_inv(sc_mul(qfact(r), sc_mul(qfact(s), qfact(t)))))
+            dvec_add(out, mid.items(), sc_mul(Fraction(sign), scale))
+    return out
+
+
+@pytest.mark.parametrize("name", ["poly", "poly-formal", "n5l3"])
+def test_braid_columns_match_the_nested_loops(name):
+    dm = DualityModule(_POWER_MODULES[name]())
+    moved = 0
+    for key in _basis_keys(dm):
+        for i in range(1, dm.n + 1):
+            b, rb = WindowBudget(), WindowBudget()
+            got = dm.braid(i, {key: ONE}, b)
+            want = _braid_by_nested_loops(dm, i, key, rb)
+            assert got == want and b.valid == rb.valid, (key, i)
+            moved += got != dm.straighten({key: ONE})
+    assert moved

@@ -12,6 +12,7 @@ from toroidal_duality.hecke import (
     RelCheck,
     WindowBudget,
     apply_expr,
+    apply_letter,
     apply_word,
     conjugation_lemma_checks,
     defining_relation_checks,
@@ -28,7 +29,7 @@ from toroidal_duality.hecke import (
 )
 from toroidal_duality.params import specialized_params, symbolic_params
 from toroidal_duality.reports import identity
-from toroidal_duality.scalars import sc_pow
+from toroidal_duality.scalars import ONE, sc_inv, sc_pow
 
 
 @pytest.fixture(scope="module")
@@ -308,3 +309,70 @@ def test_hecke_word_memo_matches_apply_expr(window, run):
         (_, thunk), = make_hecke_items(ops, [RelCheck("r", (), lhs, rhs)], [("p", vec)])
         note = f"residual has {len(want)} term(s); lead key {min(want)}" if want else ""
         assert thunk() == (not want, budget.valid, note)
+
+
+# -- Y and Q powers, stepped from the power below --------------------------------
+
+
+def _atom_program_power(mod, letter, key):
+    """
+    The oracle: a Y or Q letter with |e| >= 2 as its atom program run |e|
+    times on c^|e| key, c the program's coefficient (how powers were built
+    before they were stepped).
+    """
+    kind, idx, exp = letter
+    if kind == "Y":
+        c, prog = mod.y_program(idx)
+    else:
+        c, prog = Fraction(1), (("X", 1, 1),) + tuple(("T", i, 1) for i in range(1, mod.l))
+    if exp < 0:
+        c, prog = sc_inv(c), winv(prog)
+    vec, budget = {key: sc_pow(c, abs(exp))}, WindowBudget()
+    for atom in prog * abs(exp):
+        vec = apply_letter(mod, atom, vec, budget)
+    return vec, budget.valid
+
+
+@st.composite
+def stepped_power_runs(draw):
+    """(window, l, [(letter, key)]): Y_j^e or Q^e with 2 <= |e| <= 4 on random window keys."""
+    window, l = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    exps = st.integers(2, 4).flatmap(lambda a: st.sampled_from((a, -a)))
+    letters = st.one_of(st.tuples(st.just("Y"), st.integers(1, l), exps),
+                        st.tuples(st.just("Q"), st.just(0), exps))
+    keys = st.tuples(*[st.integers(-window, window)] * l)
+    return window, l, draw(st.lists(st.tuples(letters, keys), min_size=1, max_size=6))
+
+
+@given(run=stepped_power_runs())
+@settings(max_examples=40, deadline=None)
+def test_stepped_powers_match_the_atom_program(run):
+    # one module serves the whole run, so later powers step from entries that
+    # earlier ones made; the oracle runs on a module of its own
+    window, l, pairs = run
+    params = specialized_params(n=l + 2, l=l, q=2, d=3)
+    mod, ref = PolynomialModule(params, window), PolynomialModule(params, window)
+    for letter, key in pairs:
+        items, valid = mod.letter_cached(letter, key)
+        want, want_valid = _atom_program_power(ref, letter, key)
+        assert list(items) == sorted(items)
+        if want_valid:
+            assert dict(items) == want
+        assert want_valid or not valid
+
+
+def test_stepped_powers_reuse_the_power_below(module):
+    mod = PolynomialModule(module.params, window=8)
+    items, valid = mod.letter_cached(("Y", 2, -3), (1, 0))
+    assert valid and items
+    assert {(letter, key) for letter, key in mod._cache if letter[0] == "Y"} >= {
+        (("Y", 2, -2), (1, 0)), (("Y", 2, -1), (1, 0))}
+    assert not any(letter[0] == "Y" and abs(letter[2]) > 3 for letter, _ in mod._cache)
+
+
+def test_zero_exponent_is_the_identity_and_is_not_stored(module):
+    mod = PolynomialModule(module.params, window=8)
+    for letter in (("Y", 1, 0), ("Y", 2, 0), ("Q", 0, 0)):
+        assert mod.letter_cached(letter, (3, -1)) == ((((3, -1), ONE),), True)
+    assert apply_word(mod, (("Y", 2, 0),), {(0, 0): Fraction(5)}) == {(0, 0): Fraction(5)}
+    assert not mod._cache
