@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """
 Byte-level determinism harness: run each preset sweep, a Hecke sweep at
-l = 3, a toroidal sweep and three duality sweeps with formal q and d (one
-at l = 3), a duality sweep at n = 7, whose translation tables are the
+l = 3, a Hecke sweep, a toroidal sweep and three duality sweeps with formal
+q and d (one duality sweep at l = 3), a duality sweep at n = 7, whose translation tables are the
 largest, and a duality sweep at n = 5, l = 3 with modes up to 3, in two
 child processes with PYTHONHASHSEED=0 and PYTHONHASHSEED=1, and diff the
 canonical JSON streams and summaries.
@@ -28,6 +28,7 @@ from toroidal_duality.reports import dumps_canonical, write_jsonl
 SWEEPS = [
     ("hecke-poly", "hecke", "poly", {}),
     ("hecke-l3", "hecke", "poly", {"n": 5, "l": 3, "window": 7, "hecke_probes": 7}),
+    ("hecke-poly-symbolic", "hecke", "poly", {"symbolic": True}),
     ("toroidal-l1", "toroidal", "l1", {}),
     ("toroidal-poly", "toroidal", "poly", {}),
     ("toroidal-poly-symbolic", "toroidal", "poly", {"symbolic": True, "probes": 1, "modes": 1}),

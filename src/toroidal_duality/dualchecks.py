@@ -445,9 +445,9 @@ def reconstruction_items(dmod, K, hprobes):
             theta_cases.append(((sgn, r), e, sc_mul(coeffs[r], qd(n * e, 2 * e))))
 
     # the Y-shift and Y-wrap are Hecke words, checked as the Hecke suites are
-    shifts = [RelCheck("recon.y-wrap", (), ((ONE, wmul(qw, lt("Y", l), qinv)),), ((dmod.params.x, lt("Y", 1)),))]
+    shifts = [RelCheck("recon.y-wrap", (), ((ONE, wmul(qw, lt("Y", l), qinv)), (-dmod.params.x, lt("Y", 1))))]
     if l >= 2:
-        shifts.append(RelCheck("recon.y-shift", (), ((ONE, wmul(qw, lt("Y", 1), qinv)),), ((ONE, lt("Y", 2)),)))
+        shifts.append(RelCheck("recon.y-shift", (), ((ONE, wmul(qw, lt("Y", 1), qinv)), (MINUS_ONE, lt("Y", 2)))))
 
     def items():
         for pid, hvec in hprobes:

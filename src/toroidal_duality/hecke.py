@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd
+from typing import NamedTuple
 
 from .params import Params
 from .scalars import (
@@ -57,7 +57,7 @@ from .scalars import (
 
 Letter = tuple[str, int, int]  # (kind, index, exponent), kinds T X Y Q W
 Word = tuple[Letter, ...]
-Expr = tuple[tuple[Scalar, Word], ...]  # formal sum of scaled words
+Expr = tuple[tuple[Scalar, Word], ...]  # signed sum of scaled words, e.g. a relation's residual lhs - rhs
 
 EMPTY: Word = ()
 
@@ -226,8 +226,6 @@ class PolynomialModule:
     def __init__(self, params: Params, window: int, corrupt_t1=False):
         if params.l < 2:
             raise ValueError("polynomial family needs l >= 2")
-        if params.y != Fraction(1):
-            raise ValueError("polynomial family is built at y = 1")
         if window < 2:
             raise ValueError("window too small")
         self.params = params
@@ -370,7 +368,7 @@ class PolynomialModule:
             "q": scalar_to_json(p.q),
             "d": scalar_to_json(p.d),
             "x": scalar_to_json(p.x),
-            "y": scalar_to_json(p.y),
+            "y": "1",  # the module is built at y = 1
             "xi": scalar_to_json(self.xi),
             "corrupt_t1": self.corrupt_t1,
         }
@@ -405,20 +403,17 @@ def apply_expr(module, expr, vec, budget=None):
     return out
 
 
-@dataclass(frozen=True)
-class RelCheck:
+class RelCheck(NamedTuple):
+    """One relation instance, stated as its residual lhs - rhs."""
+
     relation: str
     indices: tuple
-    lhs: Expr
-    rhs: Expr
+    residual: Expr
 
 
-def _one(word) -> Expr:
-    return ((Fraction(1), word),)
-
-
-def _scaled(coeff, word) -> Expr:
-    return ((coeff, word),)
+def _equals(lhs, rhs, c=ONE) -> Expr:
+    """The residual of the relation lhs = c rhs, both sides words."""
+    return ((ONE, lhs), (-c, rhs))
 
 
 def _shared_checks(prefix, l, q2) -> list[RelCheck]:
@@ -426,44 +421,38 @@ def _shared_checks(prefix, l, q2) -> list[RelCheck]:
     out = []
     for i in range(1, l):
         ti, tiv = lt("T", i), lt("T", i, -1)
-        out.append(RelCheck(f"{prefix}.t-inv", (i,), _one(wmul(ti, tiv)), _one(EMPTY)))
-        # (T + 1)(T - q^2) = 0  <=>  T.T = (q^2 - 1) T + q^2
+        out.append(RelCheck(f"{prefix}.t-inv", (i,), _equals(wmul(ti, tiv), EMPTY)))
+        # (T + 1)(T - q^2) = 0  <=>  T.T - (q^2 - 1) T - q^2 = 0
         out.append(RelCheck(
             f"{prefix}.t-quad", (i,),
-            _one(wmul(ti, ti)),
-            ((q2 - Fraction(1), ti), (q2, EMPTY)),
+            ((ONE, wmul(ti, ti)), (ONE - q2, ti), (-q2, EMPTY)),
         ))
         out.append(RelCheck(
             f"{prefix}.tyt", (i,),
-            _one(wmul(tiv, lt("Y", i), tiv)),
-            _scaled(sc_inv(q2), lt("Y", i + 1)),
+            _equals(wmul(tiv, lt("Y", i), tiv), lt("Y", i + 1), sc_inv(q2)),
         ))
     for i in range(1, l - 1):
         out.append(RelCheck(
             f"{prefix}.t-braid", (i,),
-            _one(wmul(lt("T", i), lt("T", i + 1), lt("T", i))),
-            _one(wmul(lt("T", i + 1), lt("T", i), lt("T", i + 1))),
+            _equals(wmul(lt("T", i), lt("T", i + 1), lt("T", i)), wmul(lt("T", i + 1), lt("T", i), lt("T", i + 1))),
         ))
     for i, j in itertools.combinations(range(1, l), 2):
         if j - i > 1:
             out.append(RelCheck(
                 f"{prefix}.t-comm", (i, j),
-                _one(wmul(lt("T", i), lt("T", j))),
-                _one(wmul(lt("T", j), lt("T", i))),
+                _equals(wmul(lt("T", i), lt("T", j)), wmul(lt("T", j), lt("T", i))),
             ))
     for i, j in itertools.combinations(range(1, l + 1), 2):
         out.append(RelCheck(
             f"{prefix}.y-comm", (i, j),
-            _one(wmul(lt("Y", i), lt("Y", j))),
-            _one(wmul(lt("Y", j), lt("Y", i))),
+            _equals(wmul(lt("Y", i), lt("Y", j)), wmul(lt("Y", j), lt("Y", i))),
         ))
     for i in range(1, l):
         for j in range(1, l + 1):
             if j not in (i, i + 1):
                 out.append(RelCheck(
                     f"{prefix}.yt-comm", (j, i),
-                    _one(wmul(lt("Y", j), lt("T", i))),
-                    _one(wmul(lt("T", i), lt("Y", j))),
+                    _equals(wmul(lt("Y", j), lt("T", i)), wmul(lt("T", i), lt("Y", j))),
                 ))
     return out
 
@@ -475,38 +464,32 @@ def defining_relation_checks(module) -> list[RelCheck]:
     q2 = sc_mul(p.q, p.q)
     out = _shared_checks("defining", l, q2)
     for i in range(1, l):
-        out.append(RelCheck(
-            "defining.t-inv", (-i,), _one(wmul(lt("T", i, -1), lt("T", i))), _one(EMPTY)
-        ))
+        out.append(RelCheck("defining.t-inv", (-i,), _equals(wmul(lt("T", i, -1), lt("T", i)), EMPTY)))
     out.append(RelCheck(
         "defining.xy-twist", (),
-        _one(wmul(x0_word(l), lt("Y", 1))),
-        _scaled(p.x, wmul(lt("Y", 1), x0_word(l))),
+        _equals(wmul(x0_word(l), lt("Y", 1)), wmul(lt("Y", 1), x0_word(l)), p.x),
     ))
     for i, j in itertools.combinations(range(1, l + 1), 2):
         out.append(RelCheck(
             "defining.x-comm", (i, j),
-            _one(wmul(lt("X", i), lt("X", j))),
-            _one(wmul(lt("X", j), lt("X", i))),
+            _equals(wmul(lt("X", i), lt("X", j)), wmul(lt("X", j), lt("X", i))),
         ))
     for i in range(1, l):
         for j in range(1, l + 1):
             if j not in (i, i + 1):
                 out.append(RelCheck(
                     "defining.xt-comm", (j, i),
-                    _one(wmul(lt("X", j), lt("T", i))),
-                    _one(wmul(lt("T", i), lt("X", j))),
+                    _equals(wmul(lt("X", j), lt("T", i)), wmul(lt("T", i), lt("X", j))),
                 ))
         out.append(RelCheck(
             "defining.txt", (i,),
-            _one(wmul(lt("T", i), lt("X", i), lt("T", i))),
-            _scaled(q2, lt("X", i + 1)),
+            _equals(wmul(lt("T", i), lt("X", i), lt("T", i)), lt("X", i + 1), q2),
         ))
     if l >= 2:
         out.append(RelCheck(
             "defining.xy-commutator", (),
-            _one(wmul(lt("X", 2), lt("Y", 1, -1), lt("X", 2, -1), lt("Y", 1))),
-            _scaled(sc_mul(sc_inv(q2), p.y), wmul(lt("T", 1), lt("T", 1))),
+            _equals(wmul(lt("X", 2), lt("Y", 1, -1), lt("X", 2, -1), lt("Y", 1)), wmul(lt("T", 1), lt("T", 1)),
+                    sc_inv(q2)),
         ))
     return out
 
@@ -518,28 +501,12 @@ def q_presentation_checks(module) -> list[RelCheck]:
     qw, qinv = lt("Q"), lt("Q", 0, -1)
     out = _shared_checks("qpres", l, sc_mul(p.q, p.q))
     for i in range(2, l - 1):
-        out.append(RelCheck(
-            "qpres.q-shift-t", (i,),
-            _one(wmul(qw, lt("T", i - 1), qinv)),
-            _one(lt("T", i)),
-        ))
+        out.append(RelCheck("qpres.q-shift-t", (i,), _equals(wmul(qw, lt("T", i - 1), qinv), lt("T", i))))
     if l >= 2:
-        out.append(RelCheck(
-            "qpres.q2-wrap-t", (),
-            _one(wmul(qw, qw, lt("T", l - 1), qinv, qinv)),
-            _one(lt("T", 1)),
-        ))
+        out.append(RelCheck("qpres.q2-wrap-t", (), _equals(wmul(qw, qw, lt("T", l - 1), qinv, qinv), lt("T", 1))))
     for i in range(1, l):
-        out.append(RelCheck(
-            "qpres.q-shift-y", (i,),
-            _one(wmul(qw, lt("Y", i), qinv)),
-            _scaled(sc_inv(p.y), lt("Y", i + 1)),
-        ))
-    out.append(RelCheck(
-        "qpres.q-wrap-y", (),
-        _one(wmul(qw, lt("Y", l), qinv)),
-        _scaled(sc_mul(p.x, sc_pow(p.y, l - 1)), lt("Y", 1)),
-    ))
+        out.append(RelCheck("qpres.q-shift-y", (i,), _equals(wmul(qw, lt("Y", i), qinv), lt("Y", i + 1))))
+    out.append(RelCheck("qpres.q-wrap-y", (), _equals(wmul(qw, lt("Y", l), qinv), lt("Y", 1), p.x)))
     return out
 
 
@@ -548,7 +515,6 @@ def conjugation_lemma_checks(module) -> list[RelCheck]:
     l = module.l
     p = module.params
     out = []
-    yinv = sc_inv(p.y)
     for i in range(1, l):
         for j in range(i, l):
             qij = qij_word(i, j)
@@ -556,30 +522,25 @@ def conjugation_lemma_checks(module) -> list[RelCheck]:
             for r in range(i, j + 1):
                 out.append(RelCheck(
                     "segment.q-conj-y", (i, j, r),
-                    _one(wmul(qij, lt("Y", r), qij_inv)),
-                    _scaled(yinv, lt("Y", r + 1)),
+                    _equals(wmul(qij, lt("Y", r), qij_inv), lt("Y", r + 1)),
                 ))
             for t in range(i + 1, j):
                 out.append(RelCheck(
                     "segment.q-conj-t", (i, j, t),
-                    _one(wmul(qij, lt("T", t - 1), qij_inv)),
-                    _one(lt("T", t)),
+                    _equals(wmul(qij, lt("T", t - 1), qij_inv), lt("T", t)),
                 ))
     for r in range(1, l):
         pr = p_word(r, l)
         pr_inv = winv(pr)
-        xyr = sc_mul(p.x, sc_pow(p.y, r))
         for s in range(r, l):
             out.append(RelCheck(
                 "segment.p-conj-y", (r, s),
-                _one(wmul(pr, lt("Y", s + 1), pr_inv)),
-                _scaled(xyr, lt("Y", s - r + 1)),
+                _equals(wmul(pr, lt("Y", s + 1), pr_inv), lt("Y", s - r + 1), p.x),
             ))
         for k in range(r + 1, l):
             out.append(RelCheck(
                 "segment.p-conj-t", (r, k),
-                _one(wmul(pr, lt("T", k), pr_inv)),
-                _one(lt("T", k - r)),
+                _equals(wmul(pr, lt("T", k), pr_inv), lt("T", k - r)),
             ))
         rhs = wmul(
             tuple(("X", j, 1) for j in range(1, r + 1)),
@@ -588,8 +549,7 @@ def conjugation_lemma_checks(module) -> list[RelCheck]:
         # exponent 2r(r-l): forced by the quadratic/cross relations, see tests
         out.append(RelCheck(
             "segment.x0-wrap", (r,),
-            _one(wmul(x0_word(l), pr_inv)),
-            _scaled(sc_pow(p.q, 2 * r * (r - l)), rhs),
+            _equals(wmul(x0_word(l), pr_inv), rhs, sc_pow(p.q, 2 * r * (r - l))),
         ))
     return out
 
@@ -632,10 +592,9 @@ def make_hecke_items(module, checks, probes):
     """
     (meta, thunk) pairs for the generic relation runner, made as they are
     consumed, every check of one probe before the next probe: the word memo
-    of `reports.identity` holds one probe's words at a time.  Right-module
-    words list their letters in acting order, so each check is the
-    expression lhs - rhs, its right side negated once per call; the memo
-    trusts its probe, so a probe outside the window raises ValueError here.
+    of `reports.identity` holds one probe's words at a time.  Each check's
+    residual is the expression the check walks, as stated; the memo trusts
+    its probe, so a probe outside the window raises ValueError here.
     """
     from .reports import identity  # reports imports this module
 
@@ -645,6 +604,5 @@ def make_hecke_items(module, checks, probes):
         if not budget.valid:
             raise ValueError(f"probe {pid} leaves the window {module.window}")
     check = identity(lambda vec, expr: (expr,), module)
-    stated = [(chk, chk.lhs + tuple([(-c, w) for c, w in chk.rhs])) for chk in checks]
-    return (((chk.relation, chk.indices, (), pid), partial(check, vec, expr))
-            for pid, vec in probes for chk, expr in stated)
+    return (((chk.relation, chk.indices, (), pid), partial(check, vec, chk.residual))
+            for pid, vec in probes for chk in checks)

@@ -13,7 +13,7 @@ coefficient of z^-R w^-S,
         = q^a d^m H_{S-1} G_{R+1} - H_S G_R ,
 
 which at the zero modes specializes to the familiar q-commutator form.
-All checks run at trivial central charge; central extensions are refused.
+All checks run at trivial central charge, which every module here has.
 
 Every instance is stated as data for `reports.identity`: its residual
 lhs - rhs as signed terms, each a q-power coefficient and a word of mode
@@ -28,7 +28,6 @@ the weight display.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from .duality import dvec_add, nondecreasing_tuples  # noqa: F401 (perfbench/layers.py traces dvec_add by this name)
@@ -112,8 +111,6 @@ def current_relation_items(ops, K, probes):
     (meta, thunk) pairs for relations 2.1.1 - 2.1.9 at mode window K, made
     as they are consumed; the arguments are checked at the call.
     """
-    if ops.params.c != Fraction(1):
-        raise ValueError("relation sweeps are defined at trivial central charge only")
     if K < 1:
         raise ValueError(f"mode window K must be at least 1, got {K}")
     cartan = CartanData(ops.n)

@@ -614,6 +614,24 @@ def test_symbolic_duality_l3_sweep_golden_digests(tmp_path, monkeypatch):
     assert hashlib.sha256(summary).hexdigest() == SYMBOLIC_DUALITY_L3_SUMMARY_SHA256
 
 
+# the same for `verify hecke --preset poly --symbolic` (950 checks): the
+# defining, Q-presentation and segment suites on the polynomial module with
+# formal q, d, so every relation's coefficient is a Laurent polynomial.
+SYMBOLIC_HECKE_STREAM_SHA256 = "290f4ecb72dfe03ee884e578ff4bc0f5473357a853bae050e56e304b791e21eb"
+SYMBOLIC_HECKE_SUMMARY_SHA256 = "b053cfb2dab93d2f7cf0dfc33b520bf2a28afdd98d73c16655ae3da89fb63151"
+
+
+def test_symbolic_hecke_sweep_golden_digests(tmp_path, monkeypatch):
+    for key in [k for k in os.environ if k.startswith("TOROIDAL_")]:
+        monkeypatch.delenv(key)
+    out = tmp_path / "symhecke.jsonl"
+    code = main(["verify", "hecke", "--preset", "poly", "--symbolic", "--out", str(out)])
+    assert code == EXIT_PASS
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SYMBOLIC_HECKE_STREAM_SHA256
+    summary = (tmp_path / "symhecke.summary.json").read_bytes()
+    assert hashlib.sha256(summary).hexdigest() == SYMBOLIC_HECKE_SUMMARY_SHA256
+
+
 def test_summary_manifest(tmp_path):
     out = tmp_path / "r.jsonl"
     main(["verify", "hecke", "--preset", "poly", *FAST, "--out", str(out)])

@@ -172,8 +172,8 @@ def test_symbolic_duality_residuals_are_exact_zero():
             assert dm.mode("e", i, 0, dict(vec)) == dm.km("e", i, dict(vec))
     items = current_relation_items(dm, 1, probes)
     sample = [entry for entry in items
-              if entry[0][0] in ("2.1.5", "2.1.6") and entry[0][1] in ((1, 1), (1, 2))]
-    assert sample
+              if entry[0][0] in ("2.1.3", "2.1.5", "2.1.6") and entry[0][1] in ((1, 1), (1, 2), (2, 1))]
+    assert len(sample) == 126
     for meta, thunk in sample:
         zero, valid, note = thunk()
         assert valid and zero, (meta, note)

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from toroidal_duality import dualchecks
+from toroidal_duality.config import load_config
+from toroidal_duality.duality import DualityModule
 from toroidal_duality.hecke import (
     PolynomialModule,
     RelCheck,
@@ -305,8 +308,8 @@ def test_hecke_word_memo_matches_apply_expr(window, run):
         # the exact residual: right-module words list their letters in acting order
         walked = lhs + tuple((-c, word) for c, word in rhs) + ((Fraction(-1), lambda b: want),)
         assert identity(lambda v: (walked,), ops)(vec) == (True, budget.valid, "")
-        # the item make_hecke_items states from the right-module words
-        (_, thunk), = make_hecke_items(ops, [RelCheck("r", (), lhs, rhs)], [("p", vec)])
+        # the item make_hecke_items states from the residual
+        (_, thunk), = make_hecke_items(ops, [RelCheck("r", (), walked[:-1])], [("p", vec)])
         note = f"residual has {len(want)} term(s); lead key {min(want)}" if want else ""
         assert thunk() == (not want, budget.valid, note)
 
@@ -376,3 +379,36 @@ def test_zero_exponent_is_the_identity_and_is_not_stored(module):
         assert mod.letter_cached(letter, (3, -1)) == ((((3, -1), ONE),), True)
     assert apply_word(mod, (("Y", 2, 0),), {(0, 0): Fraction(5)}) == {(0, 0): Fraction(5)}
     assert not mod._cache
+
+
+# -- every stated relation bites ---------------------------------------------------
+
+
+def _negate_last_term(chk):
+    *head, (c, word) = chk.residual
+    return chk._replace(residual=(*head, (-c, word)))
+
+
+@pytest.mark.parametrize("preset, overrides, statements", [
+    ("poly", {}, 19),
+    ("poly", {"n": 5, "l": 3, "window": 7}, 49),
+    ("l1", {}, 2),
+], ids=["poly", "n5-l3", "l1"])
+def test_every_hecke_relation_bites(monkeypatch, preset, overrides, statements):
+    # each statement of the three suites and of the recon.y-* shifts, alone
+    # with the last term of its residual negated, must fail a check of its id
+    hmod = load_config(preset=preset, overrides=overrides, env={}).build_hecke_module()
+    checks = defining_relation_checks(hmod) + q_presentation_checks(hmod) + conjugation_lemma_checks(hmod)
+    assert len(checks) == statements
+    shifts = []  # reconstruction_items hands its two shifts to make_hecke_items
+    monkeypatch.setattr(dualchecks, "make_hecke_items", lambda module, stated, probes: shifts.extend(stated) or ())
+    dualchecks.reconstruction_items(DualityModule(hmod), 1, [])
+    assert [s.relation for s in shifts] == ["recon.y-wrap", "recon.y-shift"][:hmod.l]
+    probes = hecke_probes(hmod, 3, seed=11)
+    assert all(thunk() == (True, True, "") for _, thunk in make_hecke_items(hmod, checks + shifts, probes))
+    missed = []
+    for chk in checks + shifts:
+        results = (thunk() for _, thunk in make_hecke_items(hmod, [_negate_last_term(chk)], probes))
+        if not any(valid and not zero for zero, valid, _ in results):
+            missed.append((chk.relation, chk.indices))
+    assert missed == []

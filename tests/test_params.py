@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from toroidal_duality.params import ParameterError, Params, specialized_params, symbolic_params
+from toroidal_duality.params import ParameterError, specialized_params, symbolic_params
 from toroidal_duality.scalars import D, Q, monomials, sc_pow
 
 
 def test_derived_twist():
     p = specialized_params(n=4, l=2, q=2, d=3)
     assert p.x == Fraction(32, 243)
-    assert p.y == Fraction(1) and p.c == Fraction(1)
 
 
 def test_symbolic_twist():
@@ -30,11 +29,6 @@ def test_duality_mode_rejects_root_of_unity_q():
     for bad in (1, -1, 0):
         with pytest.raises(ParameterError):
             specialized_params(n=4, l=2, q=bad, d=3)
-
-
-def test_duality_mode_pins_x():
-    with pytest.raises(ParameterError):
-        Params(n=4, l=2, q=Fraction(2), d=Fraction(3), x=Fraction(1))
 
 
 def test_alpha_scale():

@@ -155,18 +155,6 @@ def test_mode_window_guard(dm):
         current_relation_items(dm, 0, [])
 
 
-def test_central_charge_refused_off_one(dm):
-    class FakeParams:
-        c = Fraction(2)
-
-    class FakeOps:
-        params = FakeParams()
-        n = 3
-
-    with pytest.raises(ValueError):
-        current_relation_items(FakeOps(), 2, [])
-
-
 def test_perturbed_operator_is_caught(dm):
     # scaling one mode operator by 2 must produce at least one nonzero residual
     class Perturbed:
