@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """
 Byte-level determinism harness: run each preset sweep, a Hecke sweep at
-l = 3, a Hecke sweep, a toroidal sweep and three duality sweeps with formal
-q and d (one duality sweep at l = 3), a duality sweep at n = 7, whose translation tables are the
-largest, and a duality sweep at n = 5, l = 3 with modes up to 3, in two
-child processes with PYTHONHASHSEED=0 and PYTHONHASHSEED=1, and diff the
-canonical JSON streams and summaries.
+l = 3, two Hecke sweeps (one at n = 5, l = 3), a toroidal sweep and three
+duality sweeps with formal q and d (one duality sweep at l = 3), a duality
+sweep at n = 7, whose translation tables are the largest, and a duality
+sweep at n = 5, l = 3 with modes up to 3, in two child processes with
+PYTHONHASHSEED=0 and PYTHONHASHSEED=1, and diff the canonical JSON streams
+and summaries.  Each line also prints the sha256 of those bytes, so two
+checkouts can be compared sweep by sweep.
 Equal bytes show that no report depends on the iteration order of a set,
 which string hashing changes from one process to the next.
 The stream is the bytes `write_jsonl` writes, and each child first checks
@@ -15,6 +17,7 @@ Usage:
     python scripts/determinism_harness.py
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -29,6 +32,8 @@ SWEEPS = [
     ("hecke-poly", "hecke", "poly", {}),
     ("hecke-l3", "hecke", "poly", {"n": 5, "l": 3, "window": 7, "hecke_probes": 7}),
     ("hecke-poly-symbolic", "hecke", "poly", {"symbolic": True}),
+    # formal Hecke words at scale: 2,450 checks
+    ("hecke-l3-symbolic", "hecke", "poly", {"n": 5, "l": 3, "window": 10, "symbolic": True}),
     ("toroidal-l1", "toroidal", "l1", {}),
     ("toroidal-poly", "toroidal", "poly", {}),
     ("toroidal-poly-symbolic", "toroidal", "poly", {"symbolic": True, "probes": 1, "modes": 1}),
@@ -75,9 +80,11 @@ def main():
         return 0
     bad = 0
     for label, *_ in SWEEPS:
-        ok = blob_in_child(label, 0) == blob_in_child(label, 1)
+        first = blob_in_child(label, 0)
+        ok = first == blob_in_child(label, 1)
         print(f"{label:<26} PYTHONHASHSEED 0 vs 1: "
-              f"{'byte-identical' if ok else 'MISMATCH'}")
+              f"{'byte-identical' if ok else 'MISMATCH'} "
+              f"sha256 {hashlib.sha256(first.encode('utf-8')).hexdigest()}", flush=True)
         bad += 0 if ok else 1
     return 1 if bad else 0
 

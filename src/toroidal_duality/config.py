@@ -25,9 +25,9 @@ setting.  Each of these is a ConfigError: a TOROIDAL_ variable that names
 no key, an unknown INI key or section, a [DEFAULT] section with keys, a
 file that does not parse, a boolean other than 1/0, yes/no, true/false or
 on/off (any case), a count below 1, and a negative control outside the
-polynomial family.  Duality-mode constraints (the x formula, l + 1 < n,
-y = c = 1, q away from roots of unity) are enforced when the blocks are
-materialized into Params.
+polynomial family.  The parameter constraints are enforced when the blocks
+are materialized into Params, which refuses l < 1, a q or d that is not a
+unit, n < 2, l + 1 >= n, and q in {0, 1, -1}.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ A scalar is one of three progressively wider kinds:
 
   * ``fractions.Fraction``  -- arbitrary-precision rational,
   * ``Laurent``             -- Laurent polynomial in the formal symbols
-                               q, d, y with rational coefficients,
+                               q, d with rational coefficients,
   * ``LaurentFrac``         -- quotient of two Laurent polynomials.
 
 Every operation returns the *narrowest* kind that can represent the
@@ -24,10 +24,10 @@ denominator is a non-unit polynomial in q alone with nonnegative
 exponents, integer coprime coefficients, positive leading coefficient and
 no common factor with the numerator.  Every non-unit the workbench
 divides by (the q-integers of the symmetrizers and the braid operators)
-is a polynomial in q, and d, y enter only as units; so a quotient takes
+is a polynomial in q, and d enters only as a unit; so a quotient takes
 as its denominator only a unit times a polynomial in q, and the common
 factor is cleared by a Euclidean gcd over Q[q] with each group of
-numerator terms that share their d and y exponents.
+numerator terms that share their d exponent.
 
 A rational scalar is always a reduced ``Fraction`` with a positive
 denominator, also where the Fraction fast paths make it: ``sc_mul``,
@@ -43,11 +43,8 @@ from fractions import Fraction
 from functools import cache, partial
 from math import gcd
 
-SYMBOLS = ("q", "d", "y")
-_NVARS = len(SYMBOLS)
-_ZEXP = (0, 0, 0)
-
-Exponent = tuple[int, int, int]
+SYMBOLS = ("q", "d")
+_ZEXP = (0, 0)  # the exponent (a, b) of q^a d^b
 
 # A Fraction whose two slots, `_numerator` and `_denominator`, the caller sets
 # to a reduced pair with a positive denominator (see the docstring above).
@@ -105,19 +102,13 @@ def make_laurent(terms):
 
 
 class Laurent:
-    """Laurent polynomial in q, d, y over the rationals."""
+    """Laurent polynomial in q, d over the rationals."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
         # `terms` is assumed normalized; use make_laurent from outside.
         self.terms = terms
-
-    @staticmethod
-    def var(name, power=1):
-        i = SYMBOLS.index(name)
-        exp = tuple(power if k == i else 0 for k in range(_NVARS))
-        return Laurent({exp: 1})
 
     def _lift(self, other):
         if isinstance(other, Laurent):
@@ -175,7 +166,7 @@ class Laurent:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+                exp = (e1[0] + e2[0], e1[1] + e2[1])
                 s = terms.get(exp, 0) + c1 * c2
                 if s:
                     terms[exp] = s
@@ -190,7 +181,7 @@ class Laurent:
         (e2, c2), = mono.terms.items()
         unit = c2 == 1
         terms = {
-            (e[0] + e2[0], e[1] + e2[1], e[2] + e2[2]): c if unit else c * c2
+            (e[0] + e2[0], e[1] + e2[1]): c if unit else c * c2
             for e, c in self.terms.items()
         }
         return _narrowest(terms if unit else _settle(terms))
@@ -284,16 +275,16 @@ class LaurentFrac:
             return Fraction(0)
         if den.is_unit():
             return num * sc_inv(den)
-        dy = {e[1:] for e in den.terms}
-        if len(dy) != 1:
+        ds = {e[1] for e in den.terms}
+        if len(ds) != 1:
             raise ValueError(f"a quotient divides only by a unit times a polynomial in q, not by {den!r}")
-        (ed, ey), = dy
+        ed, = ds
 
-        # split the unit q^low d^ed y^ey off den and num; num becomes one row in q per (d, y) exponent
+        # split the unit q^low d^ed off den and num; num becomes one row in q per d exponent
         low, dcoefs = _qlist({e[0]: c for e, c in den.terms.items()})
         rows = {}
         for e, c in (num.terms if isinstance(num, Laurent) else {_ZEXP: num}).items():
-            rows.setdefault((e[1] - ed, e[2] - ey), {})[e[0] - low] = c
+            rows.setdefault(e[1] - ed, {})[e[0] - low] = c
         rows = {key: _qlist(row) for key, row in rows.items()}
 
         # a common factor is a polynomial in q, so it divides every row; Euclid over Q[q]
@@ -318,12 +309,12 @@ class LaurentFrac:
         if dcoefs[-1] * scale < 0:
             scale = -scale
         num = make_laurent({
-            (lo + i, key[0], key[1]): c * scale
-            for key, (lo, coefs) in rows.items() for i, c in enumerate(coefs)
+            (lo + i, b): c * scale
+            for b, (lo, coefs) in rows.items() for i, c in enumerate(coefs)
         })  # a constant numerator demotes to a Fraction
         if len(dcoefs) == 1:  # the whole denominator cancelled; scale is 1/its constant
             return num
-        return LaurentFrac(num, Laurent({(i, 0, 0): (c * scale).numerator for i, c in enumerate(dcoefs) if c}))
+        return LaurentFrac(num, Laurent({(i, 0): (c * scale).numerator for i, c in enumerate(dcoefs) if c}))
 
     def _lift(self, other):
         if isinstance(other, LaurentFrac):
@@ -392,9 +383,8 @@ class LaurentFrac:
 
 Scalar = Fraction | Laurent | LaurentFrac
 
-Q = Laurent.var("q")
-D = Laurent.var("d")
-YSYM = Laurent.var("y")
+Q = Laurent({(1, 0): 1})
+D = Laurent({(0, 1): 1})
 ONE, MINUS_ONE = Fraction(1), Fraction(-1)
 
 
@@ -492,24 +482,12 @@ def scalar_to_json(a):
         return str(a) if a.denominator != 1 else str(a.numerator)
     if isinstance(a, Laurent):
         return {
+            # [a, b, 0]: the 0 keeps the slot of the retired y exponent, which the pinned formal digests hold
             "laurent": [
-                [list(exp), scalar_to_json(a.terms[exp])]
+                [[*exp, 0], scalar_to_json(a.terms[exp])]
                 for exp in sorted(a.terms, key=_grlex_key)
             ]
         }
     if isinstance(a, LaurentFrac):
         return {"num": scalar_to_json(a.num), "den": scalar_to_json(a.den)}
     raise TypeError(f"not a scalar: {a!r}")
-
-
-def scalar_from_json(obj):
-    if isinstance(obj, str):
-        return Fraction(obj)
-    if isinstance(obj, dict) and "laurent" in obj:
-        return make_laurent({
-            tuple(exp): Fraction(c) for exp, c in obj["laurent"]
-        })
-    if isinstance(obj, dict) and "num" in obj:
-        return LaurentFrac.make(scalar_from_json(obj["num"]), scalar_from_json(obj["den"]))
-    raise ValueError(f"not a serialized scalar: {obj!r}")
-

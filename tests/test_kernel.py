@@ -23,12 +23,12 @@ nonzero_rationals = rationals.filter(bool)
 @st.composite
 def formal(draw):
     """A Laurent polynomial or a reduced quotient with a q-denominator: the generic path's kinds."""
-    exps = st.tuples(st.integers(-2, 2), st.integers(-1, 1), st.just(0))
+    exps = st.tuples(st.integers(-2, 2), st.integers(-1, 1))
     num = make_laurent(draw(st.dictionaries(exps, st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)),
                                             min_size=1, max_size=3)))
     if draw(st.booleans()) or is_zero(num):
         return num
-    return LaurentFrac.make(num, make_laurent({(0, 0, 0): Fraction(1), (2, 0, 0): Fraction(1)}))
+    return LaurentFrac.make(num, make_laurent({(0, 0): Fraction(1), (2, 0): Fraction(1)}))
 
 
 entries = st.one_of(nonzero_rationals, nonzero_rationals, nonzero_rationals, formal()).filter(lambda c: not is_zero(c))
@@ -102,8 +102,8 @@ def test_merge_vec_matches_stdlib_fractions(case):
 @example(Fraction(0), Fraction(5, 7))
 @example(Fraction(-4, 9), Fraction(0))
 @example(Fraction(6, 35), Fraction(-35, 6))
-@example(Fraction(-1), make_laurent({(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(2)}))
-@example(Fraction(1, 3), LaurentFrac.make(make_laurent({(1, 1, 0): Fraction(3)}), make_laurent({(0, 0, 0): 1, (2, 0, 0): 1})))
+@example(Fraction(-1), make_laurent({(1, 0): Fraction(1), (0, 1): Fraction(2)}))
+@example(Fraction(1, 3), LaurentFrac.make(make_laurent({(1, 1): Fraction(3)}), make_laurent({(0, 0): 1, (2, 0): 1})))
 def test_sc_mul_and_sc_neg_match_stdlib_fractions(a, b):
     for x, y in ((a, b), (b, a)):  # mixed kinds in both orders
         got = sc_mul(x, y)
