@@ -30,6 +30,7 @@ from .hecke import RelCheck, apply_expr, apply_word, lt, make_hecke_items, tij_w
 from .qtoroidal import CartanData, weight_display
 from .reports import MINUS_ONE, MINUS_UNIT, ONE, identity
 from .scalars import sc_mul, sc_neg
+from .series import theta_expand
 
 PSI, PSI_INV, TAU, T_OMEGA1, STRAIGHTEN = ("psi",), ("psi_inv",), ("tau",), ("t_omega1",), ("straighten",)
 KINDS = ("e", "f", "k+", "k-")
@@ -141,14 +142,14 @@ def substitute(expr, images):
 
 
 class CoefficientScalars(dict):
-    """The scalar sign * s * q^a d^b of each coefficient (s, a, b), made from the table `qd` on first lookup."""
+    """The negated scalar -s * q^a d^b of each coefficient (s, a, b), made from the table `qd` on first lookup."""
 
-    def __init__(self, qd, sign=1):
-        self.qd, self.sign = qd, sign
+    def __init__(self, qd):
+        self.qd = qd
 
     def __missing__(self, coeff):
         s, a, b = coeff
-        c = self[coeff] = self.qd(a, b) if s == self.sign else sc_neg(self.qd(a, b))
+        c = self[coeff] = self.qd(a, b) if s == -1 else sc_neg(self.qd(a, b))
         return c
 
 
@@ -199,7 +200,7 @@ def omega_images(n, qd):
         # t'_i fixes the letters at the vertices not joined to i
         level = {x: substitute(tprime_symbol(i, x, cartan), level) if _affine_a(cartan, i, x[1]) else image
                  for x, image in level.items()}
-    scalars = CoefficientScalars(qd, -1)
+    scalars = CoefficientScalars(qd)
     return {sym: scalar_terms(level[sym], scalars, (T_OMEGA1,)) for sym in gen_symbols(n)}
 
 
@@ -214,7 +215,7 @@ def intertwining_items(dmod, probes):
     gens = gen_symbols(n)
     # built per call, so every sweep pays for its tables as a command-line run does;
     # each check's whole residual is a table entry, the lhs term leading the negated right side
-    minus = CoefficientScalars(dmod.qd, -1)
+    minus = CoefficientScalars(dmod.qd)
     exprs = {("braid", i, sym): ((ONE, (sym, ("braid", i))),)
              + scalar_terms(tprime_symbol(i, sym, cartan), minus, (("braid", i),))
              for i in range(1, n + 1) for sym in gens}
@@ -413,9 +414,11 @@ def _module_probe_keys(dmod):
 
 
 def reconstruction_items(dmod, K, hprobes):
-    """(4.2.1) on the module side plus the two displays from its proof."""
-    from .series import AT_INFINITY, AT_ZERO, theta_expand
-
+    """
+    (4.2.1) on the module side plus the two displays from its proof.  The
+    theta conjugation takes theta_1 at infinity (sgn +1, Y^-r) and at zero
+    (sgn -1, Y^r), which is theta_-1 at infinity (`series`).
+    """
     n, l, qd = dmod.n, dmod.l, dmod.qd
     qw, qinv = lt("Q"), lt("Q", 0, -1)
     w_first = tuple(range(2, l + 1)) + (n + 1,)
@@ -438,8 +441,8 @@ def reconstruction_items(dmod, K, hprobes):
 
     # (sgn, r), the Y exponent and the theta coefficient scaled by (q^n d^2)^e of each theta conjugation
     theta_cases = []
-    for direction, sgn in ((AT_INFINITY, +1), (AT_ZERO, -1)):
-        coeffs = theta_expand(1, direction, K, dmod.q)
+    for sgn in (+1, -1):
+        coeffs = theta_expand(sgn, K, dmod.q)
         for r in range(K + 1):
             e = -r if sgn > 0 else r
             theta_cases.append(((sgn, r), e, sc_mul(coeffs[r], qd(n * e, 2 * e))))

@@ -29,13 +29,14 @@ means the z^-k coefficient with k >= 0, a "k-" mode k means k <= 0.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from .hecke import WindowBudget, apply_expr, apply_letter, apply_word, lt, tij_word, vec_scale, wmul
 from .hecke import merge_vec as dvec_add  # perfbench/layers.py traces the kernel by this name
 from .params import Params
-from .scalars import MINUS_ONE, ONE, Scalar, monomials, sc_inv, sc_mul
-from .series import AT_INFINITY, AT_ZERO, theta_expand
+from .scalars import MINUS_ONE, ONE, Scalar, monomials, sc_inv, sc_mul, scalar_to_json
+from .series import theta_expand
 
 JTuple = tuple[int, ...]
 DKey = tuple[tuple, JTuple]
@@ -101,7 +102,6 @@ class DualityModule:
         self.n = p.n
         self.l = p.l
         self.q = p.q
-        self.d = p.d
         self.qd = monomials(p.q, p.d)  # (a, b) -> q^a d^b, every power of q and d the columns take
         self._cache = {}  # column tag -> {basis key: (image items, window valid)}
         self._mode_columns = {}  # (kind, i, k) -> (cache tag, basis function)
@@ -335,12 +335,10 @@ class DualityModule:
 
     # -- Drinfeld modes --------------------------------------------------------
 
-    def _theta_coeffs(self, m, direction, order):
-        key = (m, direction, order)
-        hit = self._theta_cache.get(key)
+    def _theta_coeffs(self, m, order):
+        hit = self._theta_cache.get((m, order))
         if hit is None:
-            hit = theta_expand(m, direction, order, self.q)
-            self._theta_cache[key] = hit
+            hit = self._theta_cache[m, order] = theta_expand(m, order, self.q)
         return hit
 
     def _segments(self, jt, i):
@@ -380,18 +378,20 @@ class DualityModule:
         """
         The k+ (k >= 0) or k- (k <= 0) mode on a basis key: the z^-k
         coefficient of the product, over the slots p holding i or i+1, of a
-        theta series in Y_p.  The product is expanded slot by slot with one
-        partial module vector per degree t <= |k|: each slot takes a part r
-        of the degree left, as Y_p^(e r) times its scaled coefficient, and
-        the last slot takes all of it, r = |k| - t.
+        theta series in Y_p, theta_1 on an i-slot and theta_-1 on an
+        (i+1)-slot, at infinity for k+ and at zero for k-.  A theta at zero
+        is the theta of the opposite m at infinity (`series`), so a k- mode
+        reads the coefficients of theta_-1 and theta_1.  The product is
+        expanded slot by slot with one partial module vector per degree
+        t <= |k|: each slot takes a part r of the degree left, as Y_p^(e r)
+        times its scaled coefficient, and the last slot takes all of it,
+        r = |k| - t.
         """
         hkey, jt = key
         n, qd = self.n, self.qd
         sign = 1 if kind == "k+" else -1
         absk = abs(k)
-        direction = AT_INFINITY if sign > 0 else AT_ZERO
-        cpl = self._theta_coeffs(1, direction, absk)
-        cmi = self._theta_coeffs(-1, direction, absk)
+        cpl, cmi = self._theta_coeffs(sign, absk), self._theta_coeffs(-sign, absk)
         e = -sign  # k+ modes shift by Y^-r, k- modes by Y^r
         factors = []
         # slots holding i scale part r by beta^(e r), beta = q^(n+2-i) d^i,
@@ -461,8 +461,6 @@ class DualityModule:
 
 def dvec_to_json(vec):
     """Serializable form: sorted (module key, tuple, scalar) triples."""
-    from .scalars import scalar_to_json
-
     return [
         [list(hk), list(jt), scalar_to_json(c)]
         for (hk, jt), c in sorted(vec.items())
@@ -470,8 +468,6 @@ def dvec_to_json(vec):
 
 
 def hvec_to_json(vec):
-    from .scalars import scalar_to_json
-
     return [[list(k), scalar_to_json(c)] for k, c in sorted(vec.items())]
 
 
@@ -485,8 +481,6 @@ def duality_probes(dmod, count, seed):
     segments for every vertex first, then seeded random small combinations
     once the basis pool is exhausted.
     """
-    import random
-
     rng = random.Random(seed)
     n, l = dmod.n, dmod.l
     tuples = nondecreasing_tuples(n, l)

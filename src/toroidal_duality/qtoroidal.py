@@ -194,8 +194,7 @@ def current_relation_items(ops, K, probes):
                     ):
                         # modes R and R+1 must stay inside the window or be
                         # definitionally zero for the given sign
-                        Rs = [-1] + kplus_range[:-1] if sign > 0 else kminus_range
-                        Rs = sorted(set(Rs))
+                        Rs = range(-1, K) if sign > 0 else kminus_range
                         coeffs = twist[aa]
                         for R in Rs:
                             for S in range(-K + 1, K + 1):
@@ -217,9 +216,7 @@ def current_relation_items(ops, K, probes):
                 ij = pairs[i][j]
                 for rel, kind in (("2.1.8", "e"), ("2.1.9", "f")):
                     for k1 in e_range:
-                        for k2 in e_range:
-                            if k2 < k1:
-                                continue  # the z1 <-> z2 symmetrization makes (k1,k2) ~ (k2,k1)
+                        for k2 in range(k1, K + 1):  # the z1 <-> z2 symmetrization makes (k1,k2) ~ (k2,k1)
                             for kk in e_range:
                                 yield ((rel, ij, (k1, k2, kk), pid),
                                        partial(serre, vec, i, j, kind, k1, k2, kk))

@@ -706,7 +706,7 @@ def test_benchmark_tracer_finds_every_patch_site(monkeypatch):
     assert all(getattr(owner, name) is fn for owner, name, fn in sites)
 
 
-# -- planted faults in the stepped powers and the k± expansion -------------------
+# -- planted faults in the stepped powers, the k± expansion and the theta series --
 
 DUALITY_L3 = ["duality", "--n", "5", "--l", "3", "--q", "2", "--d", "3", "--window", "8",
               "--family", "polynomial", "--modes", "3", "--hecke-probes", "7"]
@@ -721,7 +721,9 @@ DUALITY_L3 = ["duality", "--n", "5", "--l", "3", "--q", "2", "--d", "3", "--wind
     ("duality.py", "dvec_add(grown[t + r], hv_r.items(), scale[r])",
      "dvec_add(grown[t + r], hv_r.items(), factors[0][1][r])",
      ["toroidal", "--preset", "poly"]),
-], ids=["stepped-power-sign", "kmode-wrong-slot-scale"])
+    # every theta coefficient past the first takes q^(m(r-2)) for q^(m(r-1))
+    ("series.py", "m * (r - 1)", "m * (r - 2)", ["toroidal", "--preset", "poly"]),
+], ids=["stepped-power-sign", "kmode-wrong-slot-scale", "theta-closed-form"])
 def test_planted_power_faults_fail_verify(tmp_path, source, line, planted, argv):
     # the fault goes into a copy of the package, run in a child process
     package = tmp_path / "toroidal_duality"

@@ -90,8 +90,8 @@ def _tprime_value(coeff, q, d):
 
 
 def test_tprime_multiplicative(monkeypatch):
-    # the image of a product is the expanded product of the images, merged by word:
-    # the repeated input word merges, and the two e_3 e_4 terms cancel
+    # the image of a product is the expanded product of the images, merged by word
+    # and negated: the repeated input word merges, and the two e_3 e_4 terms cancel
     merges = _counting_merges(monkeypatch)
     cartan = CartanData(3)
     images = {x: tprime_symbol(2, x, cartan) for x in (("e", 2), ("e", 3), ("e", 4), ("k", 3))}
@@ -101,7 +101,7 @@ def test_tprime_multiplicative(monkeypatch):
     want = {}
     for coeff, word in expr:
         for factors in product(*(images[x] for x in word)):
-            w, c = (), _tprime_value(coeff, Q, D)
+            w, c = (), -_tprime_value(coeff, Q, D)
             for c2, w2 in factors:
                 w, c = w + w2, c * _tprime_value(c2, Q, D)
             want[w] = want[w] + c if w in want else c

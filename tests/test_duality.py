@@ -27,7 +27,7 @@ from toroidal_duality.hecke import PolynomialModule, UnitModule, WindowBudget, a
 from toroidal_duality.hecke import vec_scale as dvec_scale
 from toroidal_duality.params import specialized_params, symbolic_params
 from toroidal_duality.scalars import ONE, sc_inv, sc_mul
-from toroidal_duality.series import AT_INFINITY, AT_ZERO, theta_expand
+from toroidal_duality.series import theta_expand
 
 
 @pytest.fixture(scope="module")
@@ -380,10 +380,9 @@ def _kmode_by_compositions(dm, kind, i, k, key, budget):
     hkey, jt = key
     sign = 1 if kind == "k+" else -1
     e, absk = -sign, abs(k)
-    direction = AT_INFINITY if sign > 0 else AT_ZERO
     factors = []
     for carrier, m, qexp in ((i, 1, dm.n + 2 - i), (i + 1, -1, dm.n - i)):
-        coefs = theta_expand(m, direction, absk, dm.q)
+        coefs = theta_expand(sign * m, absk, dm.q)  # theta_m at zero is theta_-m at infinity
         pows = [dm.qd(qexp * e * r, i * e * r) for r in range(absk + 1)]
         factors += [(p, coefs, pows) for p in range(1, dm.l + 1) if jt[p - 1] == carrier]
     if absk > 0 and not factors:

@@ -16,7 +16,7 @@ from toroidal_duality.qtoroidal import (
     level_weight_set,
 )
 from toroidal_duality.reports import run_relation_items
-from toroidal_duality.series import AT_INFINITY, theta_expand
+from toroidal_duality.series import theta_expand
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +67,7 @@ def test_cleared_form_matches_series_identity(dm):
     #   kappa_A e_B = sum_{r<=A} c_r e_{B+r} kappa_{A-r}
     K = 3
     i = 1
-    coeffs = theta_expand(2, AT_INFINITY, K, dm.q)
+    coeffs = theta_expand(2, K, dm.q)
     probes = duality_probes(dm, 4, seed=9)
     for pid, vec in probes:
         for A in range(0, K + 1):
@@ -161,7 +161,7 @@ def test_perturbed_operator_is_caught(dm):
         def __init__(self, inner):
             self.inner = inner
             self.params, self.n, self.l = inner.params, inner.n, inner.l
-            self.q, self.d, self.qd = inner.q, inner.d, inner.qd
+            self.q, self.qd = inner.q, inner.qd
             self.weight = inner.weight
 
         def mode(self, kind, i, k, vec, budget=None):
@@ -181,7 +181,7 @@ class _DoubledE10:
     def __init__(self, inner):
         self.inner = inner
         self.params, self.n, self.l = inner.params, inner.n, inner.l
-        self.q, self.d, self.qd = inner.q, inner.d, inner.qd
+        self.q, self.qd = inner.q, inner.qd
         self.weight = inner.weight
 
     def mode(self, kind, i, k, vec, budget=None):
