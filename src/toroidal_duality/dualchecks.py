@@ -3,13 +3,15 @@ Closed-form regressions and conjugation/intertwining suites for the duality
 module: everything that pins the operator implementation against an
 independently written formula rather than against an algebra relation.
 
-Every check is stated as data for `reports.identity` (see there for the
-letters): its residual lhs - rhs, whose words list their letters in acting
-order.  The intertwining checks need images of Kac-Moody generators under
-the braid-group automorphisms, composed symbolically as noncommutative
-polynomials in the generator symbols (the diagram has no edges of weight
-below -1, so no divided powers survive in the tables): words over the same
-alphabet, in acting order too.  Their coefficients are all +-q^a d^b, so
+Every check is stated as data: its thunk is partial(identity, vec, ops,
+*residuals) (see `reports` for the letters), each residual lhs - rhs built
+as the item is made, whose words list their letters in acting order.  A
+closed form places its Hecke vectors on their slot tuples and straightens
+them with `DualityModule.place`.  The intertwining checks need images of
+Kac-Moody generators under the braid-group automorphisms, composed
+symbolically as noncommutative polynomials in the generator symbols (the
+diagram has no edges of weight below -1, so no divided powers survive in
+the tables): words over the same alphabet, in acting order too.  Their coefficients are all +-q^a d^b, so
 they are composed as (sign, a, b); the tables are the negated right sides,
 so the last pass makes each distinct coefficient, sign flipped, a scalar
 once from the module's monomial table `qd`, which every q^a d^b a check
@@ -53,23 +55,19 @@ def psi_conjugation_items(dmod, K, probes):
     n, qd = dmod.n, dmod.qd
     minus = {k: sc_neg(qd(k, -k)) for k in range(-2 * K, 2 * K + 1)}  # -(q^-1 d)^-k, each made once
 
-    @partial(identity, ops=dmod)
-    def shift(vec, i, kind, k):
-        return ((ONE, (PSI, ("mode", kind, i, k), PSI_INV)), (minus[k], (("mode", kind, (i - 1) % (n + 1), k),))),
-
-    @partial(identity, ops=dmod)
-    def double(vec, kind, k):
-        return ((ONE, (PSI, PSI, ("mode", kind, 1, k), PSI_INV, PSI_INV)), (minus[2 * k], (("mode", kind, n, k),))),
-
     def items():
         for pid, vec in probes:
             for i in range(n + 1):
                 for kind in KINDS:
                     for k in _mode_range(kind, K):
-                        yield (f"psi.shift-{kind}", (i,), (k,), pid), partial(shift, vec, i, kind, k)
+                        shift = ((ONE, (PSI, ("mode", kind, i, k), PSI_INV)),
+                                 (minus[k], (("mode", kind, (i - 1) % (n + 1), k),)))
+                        yield (f"psi.shift-{kind}", (i,), (k,), pid), partial(identity, vec, dmod, shift)
             for kind in KINDS:
                 for k in _mode_range(kind, K):
-                    yield (f"psi.double-{kind}", (1, n), (k,), pid), partial(double, vec, kind, k)
+                    double = ((ONE, (PSI, PSI, ("mode", kind, 1, k), PSI_INV, PSI_INV)),
+                              (minus[2 * k], (("mode", kind, n, k),)))
+                    yield (f"psi.double-{kind}", (1, n), (k,), pid), partial(identity, vec, dmod, double)
     return items()
 
 
@@ -224,16 +222,17 @@ def intertwining_items(dmod, probes):
         kind, j = sym
         exprs["rotation", sym] = ((ONE, (sym, TAU)),
                                   (minus[1, 0, wrap_exponent(kind, j, n)], (TAU, (kind, j % (n + 1) + 1))))
-    stated = identity(lambda vec, expr: (expr,), dmod)
 
     def items():
         for pid, vec in probes:
             for sym in gens:
                 label = f"{sym[0]}{sym[1]}|{pid}"
                 for i in range(1, n + 1):
-                    yield ("braid.intertwine", (i, sym[1]), (), label), partial(stated, vec, exprs["braid", i, sym])
-                yield ("rotation.intertwine", sym[1:], (), label), partial(stated, vec, exprs["rotation", sym])
-                yield ("translation.intertwine", sym[1:], (), label), partial(stated, vec, exprs["translation", sym])
+                    yield (("braid.intertwine", (i, sym[1]), (), label),
+                           partial(identity, vec, dmod, exprs["braid", i, sym]))
+                yield ("rotation.intertwine", sym[1:], (), label), partial(identity, vec, dmod, exprs["rotation", sym])
+                yield (("translation.intertwine", sym[1:], (), label),
+                       partial(identity, vec, dmod, exprs["translation", sym]))
     return items()
 
 
@@ -257,35 +256,24 @@ def regression_items(dmod, K, probes):
     def sign_rhs(hkey, j, b):
         if j != 1:
             return vec_scale(MINUS_ONE, dmod.basis_vector(hkey, (j,), b))
-        hv = apply_word(dmod.h, lt("Y", 1), {hkey: qd(n, 0)}, b)
-        return dmod.straighten({(hk, (1,)): c for hk, c in hv.items()}, b)
-
-    # both act on the unstraightened slot vector, straightened first
-    @partial(identity, ops=dmod)
-    def braid_slot(vec, hkey, i, j):
-        return ((ONE, (STRAIGHTEN, ("braid", i))), (MINUS_ONE, partial(slot_rhs, hkey, i, j))),
-
-    @partial(identity, ops=dmod)
-    def translation_sign(vec, hkey, j):
-        return ((ONE, (STRAIGHTEN, T_OMEGA1)), (MINUS_ONE, partial(sign_rhs, hkey, j))),
+        return dmod.place([(apply_word(dmod.h, lt("Y", 1), {hkey: qd(n, 0)}, b), (1,), ONE)], b)
 
     # translation-operator product formula on every nondecreasing probe term
     def product_rhs(vec, b):
-        want = {}
+        raw = []
         for (hkey, jt), c in vec.items():
-            s = sum(1 for v in jt if v == 1)
+            s = jt.count(1)
             word = tuple(("Y", p, 1) for p in range(1, s + 1))
-            hv = apply_word(dmod.h, word, {hkey: c}, b)
             qpow = qd(n * s, 0)
-            dvec_add(want, [((hk, jt), cc) for hk, cc in hv.items()], sc_neg(qpow) if (l + s) % 2 else qpow)
-        return dmod.straighten(want, b)
+            raw.append((apply_word(dmod.h, word, {hkey: c}, b), jt, sc_neg(qpow) if (l + s) % 2 else qpow))
+        return dmod.place(raw, b)
 
     # the independently written closed form for the first-vertex e modes
     def first_mode_rhs(h, vec, b):
-        want = {}
+        raw = []
         for (hkey, jt), c in vec.items():
-            s = sum(1 for v in jt if v == 1)
-            t = s + sum(1 for v in jt if v == 2)
+            s = jt.count(1)
+            t = s + jt.count(2)
             if t == s:
                 continue
             pref = qd(1 - t + s - h * n, -h)
@@ -298,15 +286,15 @@ def regression_items(dmod, K, probes):
             )
             hv = apply_expr(dmod.h, expr, {hkey: sc_mul(c, pref)}, b)
             j2 = jt[:s] + (1,) + jt[s + 1 :]
-            dvec_add(want, [((hk, j2), cc) for hk, cc in hv.items()])
-        return dmod.straighten(want, b)
+            raw.append((hv, j2, ONE))
+        return dmod.place(raw, b)
 
     # the first Cartan mode display
     def cartan_mode1_rhs(i, vec, budget):
-        want = {}
+        raw = []
         for (hkey, jt), c in vec.items():
-            a = sum(1 for v in jt if v == i)
-            b = sum(1 for v in jt if v == i + 1)
+            a = jt.count(i)
+            b = jt.count(i + 1)
             base = sc_mul(qd(i - n + a - b, -i), ONE - qd(-2, 0))
             hv = {}
             for p, v in enumerate(jt, 1):
@@ -317,16 +305,16 @@ def regression_items(dmod, K, probes):
                 else:
                     continue
                 dvec_add(hv, apply_word(dmod.h, lt("Y", p, -1), {hkey: start}, budget).items())
-            dvec_add(want, [((hk, jt), cc) for hk, cc in hv.items()], sc_mul(c, base))
-        return dmod.straighten(want, budget)
+            raw.append((hv, jt, sc_mul(c, base)))
+        return dmod.place(raw, budget)
 
     # wrap-vertex zero modes in closed form
     def wrap_zero_rhs(kind, vec, b):
-        want = {}
+        raw = []
         for (hkey, jt), c in vec.items():
             if kind == "k":
                 w = -sum(fund_ktheta_exp(v, n) for v in jt)
-                dvec_add(want, [((hkey, jt), sc_mul(c, qd(w, 0)))])
+                raw.append(({hkey: c}, jt, qd(w, 0)))
                 continue
             for p, v in enumerate(jt, 1):
                 if kind == "e" and v == 1:
@@ -339,67 +327,50 @@ def regression_items(dmod, K, probes):
                     j2 = jt[: p - 1] + (1,) + jt[p:]
                 else:
                     continue
-                dvec_add(want, [((hk, j2), cc) for hk, cc in hv.items()], c)
-        return dmod.straighten(want, b)
+                raw.append((hv, j2, c))
+        return dmod.place(raw, b)
 
-    @partial(identity, ops=dmod)
-    def translation_product(vec):
-        return ((ONE, (T_OMEGA1,)), (MINUS_ONE, partial(product_rhs, vec))),
-
-    @partial(identity, ops=dmod)
-    def first_mode(vec, h):
-        return ((ONE, (("mode", "e", 1, h),)), (MINUS_ONE, partial(first_mode_rhs, h, vec))),
-
-    @partial(identity, ops=dmod)
-    def cartan_weight(vec, i):
-        return ((ONE, (("k", i),)), (MINUS_ONE, partial(weight_display, dmod, i, vec))),
-
-    @partial(identity, ops=dmod)
-    def cartan_mode1(vec, i):
-        return ((ONE, (("mode", "k+", i, 1),)), (MINUS_ONE, partial(cartan_mode1_rhs, i, vec))),
+    # wrap-vertex action on the standard tuple lands on q^(1-l) m Q (x) w, for l <= n
+    def standard_e0_rhs(hkey, b):
+        hv = apply_word(dmod.h, lt("Q"), {hkey: qd(1 - l, 0)}, b)
+        w = tuple(range(2, l + 1)) + (n + 1,)
+        return dmod.place([(hv, w, ONE)], b)
 
     # consequence of the Cartan-current exchange at trivial central charge:
     # e_1 k_{2,1} - q k_{2,1} e_1 = (q - q^-1) d^-1 e_{1,1} k_2
     e10, k21 = ("mode", "e", 1, 0), ("mode", "k+", 2, 1)
     charge = ((ONE, (k21, e10)), (sc_neg(q), (e10, k21)),
               (sc_neg(sc_mul(q - qd(-1, 0), qd(0, -1))), (("mode", "k+", 2, 0), ("mode", "e", 1, 1))))
-    charge_one = identity(lambda vec: (charge,), dmod)
-
-    @partial(identity, ops=dmod)
-    def wrap_zero(vec, kind):
-        mode = ("mode", {"e": "e", "f": "f", "k": "k+"}[kind], 0, 0)
-        return ((ONE, (mode,)), (MINUS_ONE, partial(wrap_zero_rhs, kind, vec))),
-
-    # wrap-vertex action on the standard tuple lands on q^(1-l) m Q (x) w, for l <= n
-    def standard_e0_rhs(hkey, b):
-        hv = apply_word(dmod.h, lt("Q"), {hkey: qd(1 - l, 0)}, b)
-        w = tuple(range(2, l + 1)) + (n + 1,)
-        return dmod.straighten({(hk, w): c for hk, c in hv.items()}, b)
-
-    @partial(identity, ops=dmod)
-    def standard_e0(vec, hkey):
-        return ((ONE, (STRAIGHTEN, ("mode", "e", 0, 0))), (MINUS_ONE, partial(standard_e0_rhs, hkey))),
 
     def items():
         for hkey in _module_probe_keys(dmod) if l == 1 else ():
             for j in range(1, n + 2):
+                # both act on the unstraightened slot vector, straightened first
                 slot = {(hkey, (j,)): ONE}
                 for i in range(1, n + 1):
-                    yield ("reg.braid-slot", (i, j), (), "basis"), partial(braid_slot, slot, hkey, i, j)
-                yield ("reg.translation-sign", (j,), (), "basis"), partial(translation_sign, slot, hkey, j)
+                    braid_slot = (ONE, (STRAIGHTEN, ("braid", i))), (MINUS_ONE, partial(slot_rhs, hkey, i, j))
+                    yield ("reg.braid-slot", (i, j), (), "basis"), partial(identity, slot, dmod, braid_slot)
+                sign = (ONE, (STRAIGHTEN, T_OMEGA1)), (MINUS_ONE, partial(sign_rhs, hkey, j))
+                yield ("reg.translation-sign", (j,), (), "basis"), partial(identity, slot, dmod, sign)
         for pid, vec in probes:
-            yield ("reg.translation-product", (), (), pid), partial(translation_product, vec)
+            product = (ONE, (T_OMEGA1,)), (MINUS_ONE, partial(product_rhs, vec))
+            yield ("reg.translation-product", (), (), pid), partial(identity, vec, dmod, product)
             for h in range(-K, K + 1):
-                yield ("reg.first-vertex-mode", (1,), (h,), pid), partial(first_mode, vec, h)
+                first_mode = (ONE, (("mode", "e", 1, h),)), (MINUS_ONE, partial(first_mode_rhs, h, vec))
+                yield ("reg.first-vertex-mode", (1,), (h,), pid), partial(identity, vec, dmod, first_mode)
             for i in range(1, n + 1):
-                yield ("reg.cartan-weight", (i,), (0,), pid), partial(cartan_weight, vec, i)
-                yield ("reg.cartan-mode1", (i,), (1,), pid), partial(cartan_mode1, vec, i)
-            yield ("reg.charge-one", (1, 2), (0, 1), pid), partial(charge_one, vec)
-            for kind in ("e", "f", "k"):
-                yield (f"reg.wrap-{kind}0", (0,), (0,), pid), partial(wrap_zero, vec, kind)
+                weight = (ONE, (("k", i),)), (MINUS_ONE, partial(weight_display, dmod, i, vec))
+                yield ("reg.cartan-weight", (i,), (0,), pid), partial(identity, vec, dmod, weight)
+                mode1 = (ONE, (("mode", "k+", i, 1),)), (MINUS_ONE, partial(cartan_mode1_rhs, i, vec))
+                yield ("reg.cartan-mode1", (i,), (1,), pid), partial(identity, vec, dmod, mode1)
+            yield ("reg.charge-one", (1, 2), (0, 1), pid), partial(identity, vec, dmod, charge)
+            for kind, mode in (("e", "e"), ("f", "f"), ("k", "k+")):
+                wrap = (ONE, (("mode", mode, 0, 0),)), (MINUS_ONE, partial(wrap_zero_rhs, kind, vec))
+                yield (f"reg.wrap-{kind}0", (0,), (0,), pid), partial(identity, vec, dmod, wrap)
         for hkey in _module_probe_keys(dmod) if l <= n else ():
             standard = {(hkey, tuple(range(1, l + 1))): ONE}
-            yield ("reg.standard-e0", (0,), (0,), f"m{hkey}"), partial(standard_e0, standard, hkey)
+            e0 = (ONE, (STRAIGHTEN, ("mode", "e", 0, 0))), (MINUS_ONE, partial(standard_e0_rhs, hkey))
+            yield ("reg.standard-e0", (0,), (0,), f"m{hkey}"), partial(identity, standard, dmod, e0)
     return items()
 
 
@@ -425,19 +396,8 @@ def reconstruction_items(dmod, K, hprobes):
     w_second = tuple(range(3, l + 2)) + (n + 1,)
 
     def placed(word, c, hvec, slots, b):
-        """The straightened vector (word applied to c * hvec) (x) slots."""
-        hv = apply_word(dmod.h, word, vec_scale(c, hvec), b)
-        return dmod.straighten({(hk, slots): cc for hk, cc in hv.items()}, b)
-
-    @partial(identity, ops=dmod.h)
-    def theta_conj(hvec, e, c):
-        return ((ONE, partial(placed, wmul(lt("Y", 2, e), qw), c, hvec, w_first)),
-                (MINUS_ONE, partial(placed, wmul(qw, lt("Y", 1, e)), c, hvec, w_first))),
-
-    @partial(identity, ops=dmod.h)
-    def wrap_display(hvec):
-        return ((ONE, partial(placed, wmul(qw, lt("Y", l)), qd(0, n + 1), hvec, w_second)),
-                (MINUS_ONE, partial(placed, wmul(lt("Y", 1), qw), qd(n + 1, 0), hvec, w_second))),
+        """The straightened vector c * (word applied to hvec) (x) slots."""
+        return dmod.place([(apply_word(dmod.h, word, hvec, b), slots, c)], b)
 
     # (sgn, r), the Y exponent and the theta coefficient scaled by (q^n d^2)^e of each theta conjugation
     theta_cases = []
@@ -456,15 +416,17 @@ def reconstruction_items(dmod, K, hprobes):
         for pid, hvec in hprobes:
             if l >= 2:
                 for modes, e, c in theta_cases:
-                    yield ("recon.theta-conj", (2, 1), modes, pid), partial(theta_conj, hvec, e, c)
+                    conj = ((ONE, partial(placed, wmul(lt("Y", 2, e), qw), c, hvec, w_first)),
+                            (MINUS_ONE, partial(placed, wmul(qw, lt("Y", 1, e)), c, hvec, w_first)))
+                    yield ("recon.theta-conj", (2, 1), modes, pid), partial(identity, hvec, dmod.h, conj)
             if n > l + 1:
-                yield ("recon.wrap-display", (0, n), (), pid), partial(wrap_display, hvec)
+                display = ((ONE, partial(placed, wmul(qw, lt("Y", l)), qd(0, n + 1), hvec, w_second)),
+                           (MINUS_ONE, partial(placed, wmul(lt("Y", 1), qw), qd(n + 1, 0), hvec, w_second)))
+                yield ("recon.wrap-display", (0, n), (), pid), partial(identity, hvec, dmod.h, display)
     return chain(make_hecke_items(dmod.h, shifts, hprobes), items())
 
 
 def psi_inverse_items(dmod, probes):
     """psi o psi_inv and psi_inv o psi are the identity."""
-
-    inverse = identity(lambda vec: (((ONE, (PSI, PSI_INV)), MINUS_UNIT), ((ONE, (PSI_INV, PSI)), MINUS_UNIT)), dmod)
-
-    return ((("psi.inverse", (), (), pid), partial(inverse, vec)) for pid, vec in probes)
+    inverse = ((ONE, (PSI, PSI_INV)), MINUS_UNIT), ((ONE, (PSI_INV, PSI)), MINUS_UNIT)
+    return ((("psi.inverse", (), (), pid), partial(identity, vec, dmod, *inverse)) for pid, vec in probes)

@@ -196,8 +196,8 @@ class DualityModule:
     def straighten(self, vec, budget=None):
         return self._linear(("S",), DualityModule._straighten_basis, vec, budget)
 
-    def _hecke_then_straighten(self, raw_terms, budget):
-        """raw_terms: list of (module vector expr applied already, tuple, coeff)."""
+    def place(self, raw_terms, budget):
+        """The straightened sum of coeff * hv (x) j over the (hecke vector hv, tuple j, coeff) triples."""
         out = {}
         for hv, j, coeff in raw_terms:
             dvec_add(out, [((hk, j), c) for hk, c in hv.items()], coeff)
@@ -235,7 +235,7 @@ class DualityModule:
             else:
                 hv = apply_word(self.h, lt("Y", p, sign), hv, budget)
                 raw.append((hv, j2, self.qd(0, sign)))
-        return self._hecke_then_straighten(raw, budget)
+        return self.place(raw, budget)
 
     def km(self, kind, j, vec, budget=None):
         """Kac-Moody generator action, vertices j in 1..n+1; kinds e f k kinv."""
@@ -309,7 +309,7 @@ class DualityModule:
         word = tuple((letter, p, exp) for p in range(1, self.l + 1) if jt[p - 1] == carrier)
         hv = apply_word(self.h, word, {hkey: ONE}, budget)
         j2 = tuple((v - 1 + step) % (n + 1) + 1 for v in jt)
-        return self._hecke_then_straighten([(hv, j2, ONE)], budget)
+        return self.place([(hv, j2, ONE)], budget)
 
     def tau(self, vec, budget=None):
         """Diagram rotation on the module: slot entries advance, wrap picks up Y's."""
@@ -343,13 +343,9 @@ class DualityModule:
 
     def _segments(self, jt, i):
         """(r, s, t) with ]r,s] the i-slots and ]s,t] the (i+1)-slots of a sorted tuple."""
-        ci = sum(1 for v in jt if v == i)
-        cip = sum(1 for v in jt if v == i + 1)
         before = sum(1 for v in jt if v < i)
-        r = before
-        s = before + ci
-        t = s + cip
-        return r, s, t
+        s = before + jt.count(i)
+        return before, s, s + jt.count(i + 1)
 
     def _efmode_basis(self, kind, i, k, key, budget):
         """
@@ -372,7 +368,7 @@ class DualityModule:
         expr = tuple([(ONE, y)] + [(ONE, w) for w in words])
         hv = apply_expr(self.h, expr, {hkey: pref}, budget)
         j2 = jt[: m - 1] + (i if e else i + 1,) + jt[m:]
-        return self._hecke_then_straighten([(hv, j2, ONE)], budget)
+        return self.place([(hv, j2, ONE)], budget)
 
     def _kmode_basis(self, kind, i, k, key, budget):
         """
@@ -414,7 +410,7 @@ class DualityModule:
                     hv_r = apply_letter(self.h, ("Y", p, e * r), hv, budget) if r else hv
                     dvec_add(grown[t + r], hv_r.items(), scale[r])
             parts = grown
-        return self._hecke_then_straighten([(parts[absk], jt, ONE)], budget)
+        return self.place([(parts[absk], jt, ONE)], budget)
 
     def mode(self, kind, i, k, vec, budget=None):
         """

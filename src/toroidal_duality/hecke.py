@@ -88,9 +88,7 @@ def tij_word(i, j) -> Word:
 
 
 def qij_word(i, j) -> Word:
-    """Q_{i,j} = X_i T_{i,j}; Q = Q_{1,l-1} with an empty T-part at l = 1."""
-    if j < i:
-        return lt("X", i)
+    """Q_{i,j} = X_i T_{i,j}; Q = Q_{1,l-1}."""
     return wmul(lt("X", i), tij_word(i, j))
 
 
@@ -592,9 +590,10 @@ def make_hecke_items(module, checks, probes):
     """
     (meta, thunk) pairs for the generic relation runner, made as they are
     consumed, every check of one probe before the next probe: the word memo
-    of `reports.identity` holds one probe's words at a time.  Each check's
-    residual is the expression the check walks, as stated; the memo trusts
-    its probe, so a probe outside the window raises ValueError here.
+    of `reports.identity` holds one probe's words at a time.  Each item's
+    thunk is partial(identity, vec, module, residual), the residual as
+    stated; the memo trusts its probe, so a probe outside the window raises
+    ValueError here.
     """
     from .reports import identity  # reports imports this module
 
@@ -603,6 +602,5 @@ def make_hecke_items(module, checks, probes):
         module.observe_vec(budget, vec)
         if not budget.valid:
             raise ValueError(f"probe {pid} leaves the window {module.window}")
-    check = identity(lambda vec, expr: (expr,), module)
-    return (((chk.relation, chk.indices, (), pid), partial(check, vec, chk.residual))
+    return (((chk.relation, chk.indices, (), pid), partial(identity, vec, module, chk.residual))
             for pid, vec in probes for chk in checks)

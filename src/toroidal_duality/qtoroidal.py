@@ -15,14 +15,15 @@ coefficient of z^-R w^-S,
 which at the zero modes specializes to the familiar q-commutator form.
 All checks run at trivial central charge, which every module here has.
 
-Every instance is stated as data for `reports.identity`: its residual
-lhs - rhs as signed terms, each a q-power coefficient and a word of mode
-letters ("mode", kind, i, k) listed in the order they act, built when the
-item's thunk runs.  A term with a k+ / k- letter outside its sign range is
-zero by definition and left out as it is built, so the sweeps need nothing
-more of the module than the modes `ops.mode` accepts, `q`, and `weight`
-and the monomial table `qd`, (a, b) -> q^a d^b, for the coefficients and
-the weight display.
+Every instance is stated as data: its thunk is partial(identity, vec, ops,
+residual), the residual lhs - rhs as signed terms, each a q-power
+coefficient and a word of mode letters ("mode", kind, i, k) listed in the
+order they act, built as the item is made; a letter that an outer loop
+fixes is built once in that loop.  A term with a k+ / k- letter outside
+its sign range is zero by definition and left out as it is built, so the
+sweeps need nothing more of the module than the modes `ops.mode` accepts,
+`q`, and `weight` and the monomial table `qd`, (a, b) -> q^a d^b, for the
+coefficients and the weight display.
 """
 
 from __future__ import annotations
@@ -118,47 +119,6 @@ def current_relation_items(ops, K, probes):
     qmqinv, minus_qmqinv = q - qd(-1, 0), qd(-1, 0) - q
     minus_qqinv = -(q + qd(-1, 0))
 
-    # (2.1.1) at the zero modes: k_{i,0}^+ and k_{i,0}^- are inverse
-    @partial(identity, ops=ops)
-    def unit(vec, i):
-        kp, km = ("mode", "k+", i, 0), ("mode", "k-", i, 0)
-        return ((ONE, (km, kp)), MINUS_UNIT), ((ONE, (kp, km)), MINUS_UNIT)
-
-    # (2.1.1): like-sign Cartan currents commute; (2.1.2) degenerates at c = 1
-    # to mixed-sign commutation
-    @partial(identity, ops=ops)
-    def comm(vec, i, j, s1, ka, s2, kb):
-        return _swap(("mode", K_KIND[s1], i, ka), ("mode", K_KIND[s2], j, kb)),
-
-    # (2.1.3)/(2.1.4): Cartan current against e / f currents
-    @partial(identity, ops=ops)
-    def cartan_exchange(vec, i, j, sign, other_kind, coeffs, R, S):
-        return _cleared_terms(("mode", K_KIND[sign], i), ("mode", other_kind, j), coeffs, R, S),
-
-    # (2.1.5): exchange of e and f closes on the Cartan modes
-    @partial(identity, ops=ops)
-    def ef_exchange(vec, i, j, r, s):
-        e, f = ("mode", "e", i, r), ("mode", "f", j, s)
-        terms = (qmqinv, (f, e)), (minus_qmqinv, (e, f))
-        if i != j:
-            return terms,
-        kp, km = ("mode", "k+", i, r + s), ("mode", "k-", i, r + s)
-        return terms + tuple(t for t in ((MINUS_ONE, (kp,)), (ONE, (km,))) if not _zero(t[1][0])),
-
-    # (2.1.6)/(2.1.7): e-e and f-f exchange with theta twist
-    @partial(identity, ops=ops)
-    def like_exchange(vec, i, j, kind, coeffs, r, s):
-        return _cleared_terms(("mode", kind, i), ("mode", kind, j), coeffs, r - 1, s),
-
-    # (2.1.8)/(2.1.9): cubic Serre relations, symmetrized over z1 <-> z2
-    @partial(identity, ops=ops)
-    def serre(vec, i, j, kind, k1, k2, kk):
-        a, b, c = ("mode", kind, i, k1), ("mode", kind, i, k2), ("mode", kind, j, kk)
-        if k1 == k2:
-            return ((ONE, (c, a, a)), (minus_qqinv, (a, c, a)), (ONE, (a, a, c))),
-        return ((ONE, (c, b, a)), (minus_qqinv, (b, c, a)), (ONE, (b, a, c)),
-                (ONE, (c, a, b)), (minus_qqinv, (a, c, b)), (ONE, (a, b, c))),
-
     kplus_range = list(range(0, K + 1))
     kminus_range = list(range(-K, 1))
     e_range = list(range(-K, K + 1))
@@ -166,11 +126,16 @@ def current_relation_items(ops, K, probes):
 
     def items():
         for pid, vec in probes:
+            # (2.1.1) at the zero modes: k_{i,0}^+ and k_{i,0}^- are inverse
             for i in range(n + 1):
-                yield ("2.1.1-unit", pairs[i][i], (0, 0), pid), partial(unit, vec, i)
+                kp, km = ("mode", "k+", i, 0), ("mode", "k-", i, 0)
+                yield (("2.1.1-unit", pairs[i][i], (0, 0), pid),
+                       partial(identity, vec, ops, ((ONE, (km, kp)), MINUS_UNIT), ((ONE, (kp, km)), MINUS_UNIT)))
 
             for i in range(n + 1):
                 for j, ij in enumerate(pairs[i]):
+                    # (2.1.1): like-sign Cartan currents commute; (2.1.2) degenerates
+                    # at c = 1 to mixed-sign commutation
                     for rel, s1, s2, range1, range2 in (
                         ("2.1.1", +1, +1, kplus_range, kplus_range),
                         ("2.1.1", -1, -1, kminus_range, kminus_range),
@@ -178,14 +143,16 @@ def current_relation_items(ops, K, probes):
                         ("2.1.2", -1, +1, kminus_range, kplus_range),
                     ):
                         for ka in range1:
+                            g = ("mode", K_KIND[s1], i, ka)
                             for kb in range2:
                                 yield ((rel, ij, (s1, ka, s2, kb), pid),
-                                       partial(comm, vec, i, j, s1, ka, s2, kb))
+                                       partial(identity, vec, ops, _swap(g, ("mode", K_KIND[s2], j, kb))))
 
                     a = cartan.a(i, j)
                     m = cartan.m(i, j)
                     # (d^m, -q^aa, -q^aa d^m) of this pair's two twists (aa, m)
                     twist = {aa: (qd(0, m), sc_neg(qd(aa, 0)), sc_neg(qd(aa, m))) for aa in (a, -a)}
+                    # (2.1.3)/(2.1.4): Cartan current against e / f currents
                     for rel, sign, other_kind, aa in (
                         ("2.1.3", +1, "e", a),
                         ("2.1.3", -1, "e", a),
@@ -195,31 +162,47 @@ def current_relation_items(ops, K, probes):
                         # modes R and R+1 must stay inside the window or be
                         # definitionally zero for the given sign
                         Rs = range(-1, K) if sign > 0 else kminus_range
-                        coeffs = twist[aa]
+                        left, right, coeffs = ("mode", K_KIND[sign], i), ("mode", other_kind, j), twist[aa]
                         for R in Rs:
                             for S in range(-K + 1, K + 1):
                                 yield ((rel, ij, (sign, R, S), pid),
-                                       partial(cartan_exchange, vec, i, j, sign, other_kind, coeffs, R, S))
+                                       partial(identity, vec, ops, _cleared_terms(left, right, coeffs, R, S)))
 
+                    # (2.1.5): exchange of e and f closes on the Cartan modes
                     for r in e_range:
+                        e = ("mode", "e", i, r)
                         for s in e_range:
-                            yield ("2.1.5", ij, (r, s), pid), partial(ef_exchange, vec, i, j, r, s)
+                            f = ("mode", "f", j, s)
+                            terms = (qmqinv, (f, e)), (minus_qmqinv, (e, f))
+                            if i == j:
+                                kp, km = ("mode", "k+", i, r + s), ("mode", "k-", i, r + s)
+                                terms += tuple(t for t in ((MINUS_ONE, (kp,)), (ONE, (km,))) if not _zero(t[1][0]))
+                            yield ("2.1.5", ij, (r, s), pid), partial(identity, vec, ops, terms)
 
+                    # (2.1.6)/(2.1.7): e-e and f-f exchange with theta twist
                     for rel, kind, aa in (("2.1.6", "e", a), ("2.1.7", "f", -a)):
-                        coeffs = twist[aa]
+                        left, right, coeffs = ("mode", kind, i), ("mode", kind, j), twist[aa]
                         for r in range(-K + 1, K + 1):
                             for s in range(-K + 1, K + 1):
                                 yield ((rel, ij, (r, s), pid),
-                                       partial(like_exchange, vec, i, j, kind, coeffs, r, s))
+                                       partial(identity, vec, ops, _cleared_terms(left, right, coeffs, r - 1, s)))
 
+            # (2.1.8)/(2.1.9): cubic Serre relations, symmetrized over z1 <-> z2
             for i, j in cartan.adjacent_pairs():
                 ij = pairs[i][j]
                 for rel, kind in (("2.1.8", "e"), ("2.1.9", "f")):
                     for k1 in e_range:
+                        a = ("mode", kind, i, k1)
                         for k2 in range(k1, K + 1):  # the z1 <-> z2 symmetrization makes (k1,k2) ~ (k2,k1)
+                            b = ("mode", kind, i, k2)
                             for kk in e_range:
-                                yield ((rel, ij, (k1, k2, kk), pid),
-                                       partial(serre, vec, i, j, kind, k1, k2, kk))
+                                c = ("mode", kind, j, kk)
+                                if k1 == k2:
+                                    terms = (ONE, (c, a, a)), (minus_qqinv, (a, c, a)), (ONE, (a, a, c))
+                                else:
+                                    terms = ((ONE, (c, b, a)), (minus_qqinv, (b, c, a)), (ONE, (b, a, c)),
+                                             (ONE, (c, a, b)), (minus_qqinv, (a, c, b)), (ONE, (a, b, c)))
+                                yield (rel, ij, (k1, k2, kk), pid), partial(identity, vec, ops, terms)
     return items()
 
 
@@ -227,43 +210,32 @@ def integrability_items(ops, K, probes):
     """Weight decomposition with q-power eigenvalues, and mode nilpotency of order <= l + 1."""
     n, l = ops.n, ops.l
 
-    @partial(identity, ops=ops)
-    def weight(vec, i):
-        return ((ONE, (("mode", "k+", i, 0),)), (MINUS_ONE, partial(weight_display, ops, i, vec))),
-
-    @partial(identity, ops=ops)
-    def nilpotent(vec, i, kind, k):
-        return ((ONE, (("mode", kind, i, k),) * (l + 1)),),
-
     def items():
         for pid, vec in probes:
             for i in range(n + 1):
-                yield ("int.weight", (i,), (0,), pid), partial(weight, vec, i)
+                display = partial(weight_display, ops, i, vec)
+                yield (("int.weight", (i,), (0,), pid),
+                       partial(identity, vec, ops, ((ONE, (("mode", "k+", i, 0),)), (MINUS_ONE, display))))
             for i in range(n + 1):
                 for kind in ("e", "f"):  # e and f share a key; the runner's stable sort keeps e first
                     for k in range(-K, K + 1):
-                        yield ("int.nilpotent", (i,), (k,), pid), partial(nilpotent, vec, i, kind, k)
+                        yield (("int.nilpotent", (i,), (k,), pid),
+                               partial(identity, vec, ops, ((ONE, (("mode", kind, i, k),) * (l + 1)),)))
     return items()
 
 
 def central_charge_items(ops, probes):
     """k_{0,0} k_{1,0} ... k_{n,0} = id, plus a mixed-sign commutation spot check."""
     n = ops.n
-
-    @partial(identity, ops=ops)
-    def product(vec):
-        return ((ONE, tuple(("mode", "k+", i, 0) for i in range(n, -1, -1))), MINUS_UNIT),
-
-    @partial(identity, ops=ops)
-    def mixed(vec, i, j):
-        return _swap(("mode", "k+", i, 1), ("mode", "k-", j, -1)),
+    product = (ONE, tuple(("mode", "k+", i, 0) for i in range(n, -1, -1))), MINUS_UNIT
+    mixed = [((i, j), _swap(("mode", "k+", i, 1), ("mode", "k-", j, -1)))
+             for i in range(n + 1) for j in range(n + 1)]
 
     def items():
         for pid, vec in probes:
-            yield ("cc.k-product", (), (), pid), partial(product, vec)
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    yield ("cc.kpm-comm", (i, j), (1, -1), pid), partial(mixed, vec, i, j)
+            yield ("cc.k-product", (), (), pid), partial(identity, vec, ops, product)
+            for ij, swap in mixed:
+                yield ("cc.kpm-comm", ij, (1, -1), pid), partial(identity, vec, ops, swap)
     return items()
 
 
@@ -271,10 +243,7 @@ def level_weight_set(n, l):
     """All finite-type weight vectors occurring in V^(x)l."""
     out = set()
     for jt in nondecreasing_tuples(n, l):
-        out.add(tuple(
-            sum(1 for v in jt if v == i) - sum(1 for v in jt if v == i + 1)
-            for i in range(1, n + 1)
-        ))
+        out.add(tuple(jt.count(i) - jt.count(i + 1) for i in range(1, n + 1)))
     return out
 
 

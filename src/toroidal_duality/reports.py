@@ -5,10 +5,11 @@ check runner.
 A check item is ((relation, indices, modes, probe), thunk) where the thunk
 returns (residual_zero, budget_valid, note).  Item builders return lazy
 iterables: each item is made as the runner takes it and dropped once its
-report exists, so a sweep never holds all its items.  `identity` builds
-the thunk of every identity check, stated as expressions: each one residual
-lhs - rhs, a tuple of signed (coeff, word) terms, a closed-form display
-entering as a term whose word is a function of the window budget.  A word
+report exists, so a sweep never holds all its items.  Every identity check
+is stated as data: its thunk is partial(identity, vec, ops, *residuals),
+each residual lhs - rhs a tuple of signed (coeff, word) terms, a
+closed-form display entering as a term whose word is a function of the
+window budget.  A word
 lists its letters in the order they act; a letter is a Kac-Moody generator
 (kind, j) as printed, acting through `km`, a Hecke letter (kind, index,
 exponent), kind T X Y Q or W, acting through `hecke.apply_letter`, or
@@ -67,53 +68,48 @@ def _child(ops, node, letter):
     return child
 
 
-def identity(sides, ops):
+def identity(vec, ops, *residuals):
     """
-    The check that every expression sides(vec, *args) returns is zero, as a
-    function of (vec, *args).
+    The check that every residual, an expression lhs - rhs, is zero on vec:
+    (residual_zero, budget_valid, note), the note naming the first nonzero
+    residual.
 
     Each term whose word is a tuple walks it through the memo that ops holds
     for vec, first letter first, stopping at an empty vector, so a prefix
     that an earlier check on the same probe used costs a dict lookup; a check
     on another vec replaces the memo, freeing the last probe's words.  Any
     other word is a closed form of the window budget; the closed forms of a
-    check share one WindowBudget, made only when a check has one.  The check
-    returns (residual_zero, budget_valid, note), the note naming the first
-    nonzero residual.  Bind the arguments with functools.partial to get the
-    item's thunk; `sides` runs inside it, so an item is only a key and a
-    partial, made as the runner takes it.
+    check share one WindowBudget, made only when a check has one.  An item's
+    thunk is partial(identity, vec, ops, *residuals), its residuals built as
+    the item is made.
     """
-
-    def check(vec, *args):
-        budget, valid, note = None, True, ""
-        root = getattr(ops, "_word_memo", None)
-        if root is None or root[0] is not vec:  # a new probe: drop the last one's words
-            root = ops._word_memo = [vec, True, None]
-        for expr in sides(vec, *args):
-            res = {}
-            for c, word in expr:
-                if word.__class__ is not tuple:  # a closed form
-                    budget = budget or hecke.WindowBudget()
-                    hecke.merge_vec(res, word(budget).items(), c)
-                    continue
-                node = root
-                for letter in word:
-                    kids = node[2]
-                    child = kids.get(letter) if kids else None
-                    node = _child(ops, node, letter) if child is None else child
-                    if node.__class__ is not list:  # an empty vector: the word stops here
-                        if not node:  # the window broke along the word
-                            valid = False
-                        break
-                else:
-                    hecke.merge_vec(res, node[0].items(), c)
-                    if not node[1]:
+    budget, valid, note = None, True, ""
+    root = getattr(ops, "_word_memo", None)
+    if root is None or root[0] is not vec:  # a new probe: drop the last one's words
+        root = ops._word_memo = [vec, True, None]
+    for expr in residuals:
+        res = {}
+        for c, word in expr:
+            if word.__class__ is not tuple:  # a closed form
+                budget = budget or hecke.WindowBudget()
+                hecke.merge_vec(res, word(budget).items(), c)
+                continue
+            node = root
+            for letter in word:
+                kids = node[2]
+                child = kids.get(letter) if kids else None
+                node = _child(ops, node, letter) if child is None else child
+                if node.__class__ is not list:  # an empty vector: the word stops here
+                    if not node:  # the window broke along the word
                         valid = False
-            if res and not note:
-                note = f"residual has {len(res)} term(s); lead key {min(res)}"
-        return not note, valid and (budget is None or budget.valid), note
-
-    return check
+                    break
+            else:
+                hecke.merge_vec(res, node[0].items(), c)
+                if not node[1]:
+                    valid = False
+        if res and not note:
+            note = f"residual has {len(res)} term(s); lead key {min(res)}"
+    return not note, valid and (budget is None or budget.valid), note
 
 
 def _status(residual_zero, budget_valid):

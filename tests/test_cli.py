@@ -232,7 +232,8 @@ def test_only_nilpotent_pairs_share_a_key_and_keep_their_emission_order(sweep, t
     assert len(repeated) == tied
     for meta, at in repeated.items():
         assert meta[0] == "int.nilpotent" and len(at) == 2, meta
-        assert [items[n][1].args[2] for n in at] == ["e", "f"], meta  # partial(nilpotent, vec, i, kind, k)
+        # partial(identity, vec, ops, ((ONE, (("mode", kind, i, k),) * (l + 1)),)): the kind of its one letter
+        assert [items[n][1].args[2][0][1][0][1] for n in at] == ["e", "f"], meta
     # each report's note names the item it came from
     reports = run_relation_items((meta, lambda n=n: (True, True, n)) for n, (meta, _) in enumerate(items))
     ran = {}
@@ -657,6 +658,47 @@ def test_every_manifest_probe_id_names_the_vector_its_records_were_checked_on():
                 (relation, pid)
             checked[relation.split(".")[0]] += 1
     assert {"defining", "qpres", "segment", "recon", "psi", "reg"} <= checked.keys()
+
+
+@pytest.mark.parametrize("sweep", ["all --preset poly", "all --preset l1",
+                                   "hecke --preset poly --negative-control --hecke-probes 10"])
+def test_every_identity_check_is_stated_as_data(sweep):
+    # every thunk but the level test's set test is partial(identity, vec, ops, *residuals):
+    # the probe vector, then the one Hecke module or its one duality module, then
+    # residuals of (coefficient, word) terms, a word being letters or a closed form
+    from toroidal_duality.cli import collect_items
+    from toroidal_duality.duality import DualityModule, dvec_to_json, hvec_to_json
+    from toroidal_duality.hecke import PolynomialModule, UnitModule
+    from toroidal_duality.reports import identity
+
+    items, manifest = collect_items(*_verify_config(["verify", *sweep.split()]))
+    bound, modules, stated = {}, set(), Counter()
+    for (relation, _, _, probe), thunk in items:
+        if relation == "level.weights":
+            continue
+        assert thunk.func is identity and not thunk.keywords, relation
+        vec, ops, *residuals = thunk.args
+        pid = probe.rpartition("|")[2]  # an intertwining label is "<generator>|<probe id>"
+        if pid in manifest["probes"]:  # else a basis slot vector, "basis" or "m<module key>"
+            assert bound.setdefault(pid, vec) is vec, (relation, pid)  # one vector per probe
+            assert (hvec_to_json(vec) if pid.startswith("h") else dvec_to_json(vec)) == manifest["probes"][pid]
+        assert isinstance(ops, (PolynomialModule, UnitModule) if pid.startswith("h") else DualityModule), relation
+        modules.add(ops)
+        assert residuals, relation
+        for expr in residuals:
+            assert expr.__class__ is tuple and expr, relation
+            for term in expr:
+                assert term.__class__ is tuple and len(term) == 2, relation
+                c, word = term
+                assert not callable(c), relation
+                assert callable(word) or word.__class__ is tuple and all(x.__class__ is tuple for x in word), relation
+        stated[relation.split(".")[0]] += 1
+    hecke = [m for m in modules if not isinstance(m, DualityModule)]
+    assert len(hecke) == 1 and all(m.h is hecke[0] for m in modules - set(hecke))
+    assert len(modules) == (1 if sweep.startswith("hecke") else 2)
+    assert stated.keys() >= ({"defining", "qpres"} if sweep.startswith("hecke") else
+                             {"defining", "qpres", "2", "int", "cc", "psi", "braid", "rotation",
+                              "translation", "reg", "recon"})
 
 
 def test_config_summary_echo(tmp_path):

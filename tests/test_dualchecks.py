@@ -189,8 +189,7 @@ def test_eval_nc_order(dm_unit):
     vec = dm_unit.basis_vector((), (2,))
     manual = dm_unit.km("e", 1, dm_unit.km("k", 1, dict(vec)))
     assert manual and manual != dm_unit.km("k", 1, dm_unit.km("e", 1, dict(vec)))
-    check = identity(lambda v: (((ONE, (("k", 1), ("e", 1))), (MINUS_ONE, lambda budget: manual)),), ops=dm_unit)
-    assert check(vec) == (True, True, "")
+    assert identity(vec, dm_unit, ((ONE, (("k", 1), ("e", 1))), (MINUS_ONE, lambda budget: manual))) == (True, True, "")
 
 
 # -- the translation tables against their first, per-letter construction -------
@@ -369,8 +368,7 @@ def test_word_memo_matches_word_by_word(dm_edge, run):
     for which, expr in run:
         b_words = WindowBudget()
         want = _eval_word_by_word(ref, expr, vecs[which], b_words)
-        check = identity(lambda vec: (expr + ((MINUS_ONE, lambda budget: want),),), ops=ops)
-        assert check(vecs[which]) == (True, b_words.valid, "")
+        assert identity(vecs[which], ops, expr + ((MINUS_ONE, lambda budget: want),)) == (True, b_words.valid, "")
 
 
 def test_words_act_first_letter_first(dm_poly):
@@ -382,9 +380,8 @@ def test_words_act_first_letter_first(dm_poly):
     ef = dm_poly.mode("e", 1, 0, dm_poly.mode("f", 1, 0, dict(vec)))
     fe = dm_poly.mode("f", 1, 0, dm_poly.mode("e", 1, 0, dict(vec)))
     assert ef and fe and ef != fe
-    check = identity(lambda v, word: (((ONE, word), (MINUS_ONE, lambda budget: ef)),), ops=dm_poly)
-    assert check(vec, (f, e)) == (True, True, "")
-    zero, valid, note = check(vec, (e, f))
+    assert identity(vec, dm_poly, ((ONE, (f, e)), (MINUS_ONE, lambda budget: ef))) == (True, True, "")
+    zero, valid, note = identity(vec, dm_poly, ((ONE, (e, f)), (MINUS_ONE, lambda budget: ef)))
     assert not zero and valid and note
 
 
@@ -452,7 +449,7 @@ def test_signed_statements_match_letter_by_letter_reference(dm_edge, statement):
     # a closed form evaluates its word on a module of its own
     exprs = [tuple((c, partial(_word_value, closed, word[1], vec) if word[:1] == ("closed",) else word)
                    for c, word in expr) for expr in exprs]
-    assert identity(lambda v: exprs, ops=ops)(vec) == _reference_check(ref, exprs, vec)
+    assert identity(vec, ops, *exprs) == _reference_check(ref, exprs, vec)
 
 
 @pytest.mark.parametrize("letter", [("mode", "k+", 1, -1), ("mode", "k-", 2, 1)])
@@ -460,9 +457,8 @@ def test_trie_keeps_the_mode_range_check(dm_edge, letter):
     # a Cartan mode outside its sign range is an error of the check's statement,
     # not a zero term: the builders leave such terms out themselves
     dm, vecs = dm_edge
-    check = identity(lambda vec: (((ONE, (letter,)), (MINUS_ONE, lambda budget: {})),), ops=dm)
     with pytest.raises(ValueError, match="mode needs"):
-        check(vecs[0])
+        identity(vecs[0], dm, ((ONE, (letter,)), (MINUS_ONE, lambda budget: {})))
 
 
 def test_edge_probe_leaves_window_and_words_empty_out(dm_edge):

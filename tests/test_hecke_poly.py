@@ -307,7 +307,7 @@ def test_hecke_word_memo_matches_apply_expr(window, run):
         merge_vec(want, apply_expr(ref, rhs, vec, budget).items(), Fraction(-1))
         # the exact residual: right-module words list their letters in acting order
         walked = lhs + tuple((-c, word) for c, word in rhs) + ((Fraction(-1), lambda b: want),)
-        assert identity(lambda v: (walked,), ops)(vec) == (True, budget.valid, "")
+        assert identity(vec, ops, walked) == (True, budget.valid, "")
         # the item make_hecke_items states from the residual
         (_, thunk), = make_hecke_items(ops, [RelCheck("r", (), walked[:-1])], [("p", vec)])
         note = f"residual has {len(want)} term(s); lead key {min(want)}" if want else ""

@@ -110,7 +110,7 @@ def _invalid_by_closed_form(budget):
     ((ONE, (("leave", True), ("keep",))), LESS_KEEP),  # a non-empty node carries False
 ], ids=["closed-form", "empty-leaf", "nonempty-node"])
 def test_a_check_outside_the_window_is_not_budget_valid(expr):
-    check = identity(lambda vec: (expr,), ops=_Stub())
-    assert check(VEC) == (True, False, "")
-    assert check(VEC) == (True, False, "")  # again from the filled memo
-    assert identity(lambda vec: ((KEEP, LESS_KEEP),), ops=_Stub())(VEC) == (True, True, "")
+    ops = _Stub()
+    assert identity(VEC, ops, expr) == (True, False, "")
+    assert identity(VEC, ops, expr) == (True, False, "")  # again from the filled memo
+    assert identity(VEC, _Stub(), (KEEP, LESS_KEEP)) == (True, True, "")
