@@ -107,6 +107,10 @@ class DualityModule:
         self._mode_columns = {}  # (kind, i, k) -> (cache tag, basis function)
         self._sym_cache = {}
         self._theta_cache = {}
+        self._scale_cache = {}
+        self._chain_images = {}  # (kind, i, basis key) -> e/f T-chain images, as (items, window valid)
+        self._theta_prefixes = {}  # (sign, i, basis key) -> (theta factors, degree parts, a flag per degree)
+        self._theta_top = 0  # the largest |k| any k+ or k- column has asked for
         self._qfact_inv = self._build_qfact_inv(self.l + 1)
 
     def _build_qfact_inv(self, top):
@@ -341,6 +345,22 @@ class DualityModule:
             hit = self._theta_cache[m, order] = theta_expand(m, order, self.q)
         return hit
 
+    def _theta_scales(self, sign, i, top):
+        """
+        Parts 0..top of the theta factor on an i-slot and on an (i+1)-slot:
+        part r is the theta coefficient times beta^(e r) resp. gamma^(e r),
+        e = -sign, beta = q^(n+2-i) d^i and gamma = q^(n-i) d^i.
+        """
+        hit = self._scale_cache.get((sign, i, top))
+        if hit is None:
+            n, qd, e = self.n, self.qd, -sign
+            hit = self._scale_cache[sign, i, top] = tuple(
+                tuple(sc_mul(coefs[r], qd(qexp * e * r, i * e * r)) for r in range(top + 1))
+                for coefs, qexp in ((self._theta_coeffs(sign, top), n + 2 - i),
+                                    (self._theta_coeffs(-sign, top), n - i))
+            )
+        return hit
+
     def _segments(self, jt, i):
         """(r, s, t) with ]r,s] the i-slots and ]s,t] the (i+1)-slots of a sorted tuple."""
         before = sum(1 for v in jt if v < i)
@@ -351,7 +371,32 @@ class DualityModule:
         """
         e moves the first (i+1)-slot m = s+1 to i, f the last i-slot m = s to
         i+1, with Y_m^-k and the T-chains from m across the rest of the moved
-        segment ]lo, hi].
+        segment ]lo, hi].  The images of the module key under the empty
+        chain and under each T-chain do not depend on k (`_ef_chains`), so
+        mode k applies only Y_m^-k to each, and passes its scalar prefactor
+        to `place` as the coefficient.
+        """
+        chains = self._chain_images.get((kind, i, key))
+        if chains is None:
+            chains = self._chain_images[kind, i, key] = self._ef_chains(kind, i, key)
+        if not chains:
+            return {}
+        m, lead, j2, images = chains
+        y = ("Y", m, -k)
+        hv = {}
+        for items, valid in images:
+            budget.observe(valid)
+            dvec_add(hv, apply_letter(self.h, y, dict(items), budget).items())
+        # q^(1-hi+lo) times the spectral scale alpha_i^-k = (q^(n+1-i) d^i)^-k
+        pref = self.qd(lead - k * (self.n + 1 - i), -k * i)
+        return self.place([(hv, j2, pref)], budget)
+
+    def _ef_chains(self, kind, i, key):
+        """
+        (m, 1 - hi + lo, the moved tuple, chain images) of the e or f current
+        on a basis key, or () when the moved segment ]lo, hi] is empty.  The
+        images are those of the module key under the empty chain and under
+        each T-chain, as (items, window valid).
         """
         hkey, jt = key
         assert all(jt[p] <= jt[p + 1] for p in range(len(jt) - 1))
@@ -359,16 +404,15 @@ class DualityModule:
         e = kind == "e"
         lo, hi = (s, t) if e else (r, s)
         if lo == hi:
-            return {}
+            return ()
         m = s + 1 if e else s
-        # q^(1-hi+lo) times the spectral scale alpha_i^-k = (q^(n+1-i) d^i)^-k
-        pref = self.qd(1 - hi + lo - k * (self.n + 1 - i), -k * i)
-        y = lt("Y", m, -k)
-        words = [wmul(tij_word(kk, m if e else m - 1), y) for kk in range(lo + 1, hi)]
-        expr = tuple([(ONE, y)] + [(ONE, w) for w in words])
-        hv = apply_expr(self.h, expr, {hkey: pref}, budget)
+        chains = [()] + [tij_word(kk, m if e else m - 1) for kk in range(lo + 1, hi)]
+        images = []
+        for chain in chains:
+            b = WindowBudget()
+            images.append((tuple(apply_word(self.h, chain, {hkey: ONE}, b).items()), b.valid))
         j2 = jt[: m - 1] + (i if e else i + 1,) + jt[m:]
-        return self.place([(hv, j2, ONE)], budget)
+        return m, 1 - hi + lo, j2, tuple(images)
 
     def _kmode_basis(self, kind, i, k, key, budget):
         """
@@ -379,38 +423,69 @@ class DualityModule:
         is the theta of the opposite m at infinity (`series`), so a k- mode
         reads the coefficients of theta_-1 and theta_1.  The product is
         expanded slot by slot with one partial module vector per degree
-        t <= |k|: each slot takes a part r of the degree left, as Y_p^(e r)
-        times its scaled coefficient, and the last slot takes all of it,
-        r = |k| - t.
+        t <= |k| (`_theta_slots`).  The product over every slot but the last
+        does not depend on k: `_theta_prefixes` keeps its degree parts
+        0..D, D the largest |k| asked of this module so far, each with the
+        window flag of the lookups that made it, and mode k applies only
+        the last slot, to parts 0..|k|.
         """
         hkey, jt = key
-        n, qd = self.n, self.qd
-        sign = 1 if kind == "k+" else -1
         absk = abs(k)
-        cpl, cmi = self._theta_coeffs(sign, absk), self._theta_coeffs(-sign, absk)
-        e = -sign  # k+ modes shift by Y^-r, k- modes by Y^r
-        factors = []
-        # slots holding i scale part r by beta^(e r), beta = q^(n+2-i) d^i,
-        # and slots holding i+1 by gamma^(e r), gamma = q^(n-i) d^i
-        for carrier, coefs, qexp in ((i, cpl, n + 2 - i), (i + 1, cmi, n - i)):
-            slots = [p for p in range(1, self.l + 1) if jt[p - 1] == carrier]
-            if slots:
-                scale = [sc_mul(coefs[r], qd(qexp * e * r, i * e * r)) for r in range(absk + 1)]
-                factors += [(p, scale) for p in slots]
-        if absk > 0 and not factors:
-            return {}
-        parts = [{hkey: ONE}] + [{} for _ in range(absk)]  # parts[t]: slots so far at degree t
+        if i not in jt and i + 1 not in jt:
+            return {} if absk else self.place([({hkey: ONE}, jt, ONE)], budget)
+        sign = 1 if kind == "k+" else -1
+        self._theta_top = max(self._theta_top, absk)
+        prefix = self._theta_prefixes.get((sign, i, key))
+        if prefix is None or len(prefix[1]) <= absk:
+            prefix = self._theta_prefixes[sign, i, key] = self._theta_prefix(sign, i, key)
+        factors, parts, flags = prefix
+        for valid in flags[: absk + 1]:
+            budget.observe(valid)
         last = len(factors) - 1
-        for at, (p, scale) in enumerate(factors):
+        parts = [dict(items) for items in parts[: absk + 1]]
+        # k+ modes shift by Y^-r, k- modes by Y^r
+        parts = self._theta_slots(-sign, factors, (last,), parts, [budget] * (absk + 1))
+        return self.place([(parts[absk], jt, ONE)], budget)
+
+    def _theta_prefix(self, sign, i, key):
+        """
+        (factors, degree parts, flags) of the k+ (sign 1) or k- (sign -1)
+        theta product on a basis key, taken over every slot but the last up
+        to degree D = `_theta_top`: factors lists each slot p holding i or
+        i+1, i-slots first, with its parts 0..D; parts[t] is an item tuple
+        and flags[t] the window flag of the lookups that landed in degree t.
+        """
+        hkey, jt = key
+        top = self._theta_top
+        factors = []
+        for carrier, scale in zip((i, i + 1), self._theta_scales(sign, i, top)):
+            factors += [(p, scale) for p in range(1, self.l + 1) if jt[p - 1] == carrier]
+        budgets = [WindowBudget() for _ in range(top + 1)]
+        parts = [{hkey: ONE}] + [{} for _ in range(top)]
+        parts = self._theta_slots(-sign, factors, range(len(factors) - 1), parts, budgets)
+        return factors, tuple(tuple(hv.items()) for hv in parts), tuple(b.valid for b in budgets)
+
+    def _theta_slots(self, e, factors, slots, parts, budgets):
+        """
+        Multiply the degree parts 0..top, top = len(parts) - 1, by the theta
+        factors at the positions `slots` of `factors`: each slot takes a part
+        r of the degree left, as Y_p^(e r) times its scaled coefficient, and
+        the last slot of `factors` takes all of it, r = top - t.  A lookup
+        that lands in degree t reports to budgets[t].
+        """
+        last = len(factors) - 1
+        top = len(parts) - 1
+        for at in slots:
+            p, scale = factors[at]
             grown = [{} for _ in parts]
             for t, hv in enumerate(parts):
                 if not hv:
                     continue
-                for r in range(absk - t if at == last else 0, absk - t + 1):
-                    hv_r = apply_letter(self.h, ("Y", p, e * r), hv, budget) if r else hv
+                for r in range(top - t if at == last else 0, top - t + 1):
+                    hv_r = apply_letter(self.h, ("Y", p, e * r), hv, budgets[t + r]) if r else hv
                     dvec_add(grown[t + r], hv_r.items(), scale[r])
             parts = grown
-        return self.place([(parts[absk], jt, ONE)], budget)
+        return parts
 
     def mode(self, kind, i, k, vec, budget=None):
         """

@@ -7,9 +7,11 @@ Words act on the right: apply_word evaluates letters left to right, so a
 relation like T.X1.T = q^2 X2 is checked by applying T, then X1, then T to
 each probe.  apply_letter is the one loop that applies a letter to a
 vector, for words, for the Y and Q programs and for the checks' word memo.
-Y and Q are programs of atomic letters at exponent +-1 only: a higher power
-is built from the power one below it through the letter cache, and a zero
-exponent is the identity.
+Y and Q are programs at exponent +-1 only.  Q and Y_1 are programs of
+atomic letters; Y_j for j >= 2 is q^2 T_{j-1}^-1 Y_{j-1} T_{j-1}^-1, so
+its middle letter is read from the letter cache.  A higher power is built
+from the power one below it through the letter cache, and a zero exponent
+is the identity.
 
 Two families are provided.
 
@@ -237,7 +239,6 @@ class PolynomialModule:
         self._q2inv = sc_inv(self._q2)
         self._tlead1 = sc_mul(self._q2, q) if corrupt_t1 else self._q2
         self._cache = {}
-        self._yprog = {}
 
     # -- raw letter actions on a single monomial key ------------------------
 
@@ -279,28 +280,22 @@ class PolynomialModule:
             return [(k2, sc_pow(self.xi, -key[-1]))]
         raise ValueError(f"not an atomic letter: {letter}")
 
-    # -- Y and Q: programs of atomic letters, powers stepped -----------------
-
-    def y_program(self, j):
-        """(coefficient, atomic letters) implementing Y_j."""
-        assert 1 <= j <= self.l
-        if j not in self._yprog:
-            if j == 1:
-                prog = (("W", 0, 1),) + tuple(("T", i, 1) for i in range(self.l - 1, 0, -1))
-                self._yprog[1] = (Fraction(1), prog)
-            else:
-                c, prog = self.y_program(j - 1)
-                self._yprog[j] = (
-                    sc_mul(self._q2, c),
-                    (("T", j - 1, -1),) + prog + (("T", j - 1, -1),),
-                )
-        return self._yprog[j]
+    # -- Y and Q: programs at exponent +-1, powers stepped -------------------
 
     def _program_for(self, letter):
-        """(coefficient, atomic letters) of a program letter with exponent +-1."""
+        """
+        (coefficient, letters) of a program letter with exponent +-1.  Q and
+        Y_1 are atom programs; Y_j for j >= 2 is q^2 T_{j-1}^-1 Y_{j-1}
+        T_{j-1}^-1, whose Y_{j-1} the letter cache supplies.
+        """
         kind, idx, exp = letter
         if kind == "Y":
-            c, prog = self.y_program(idx)
+            assert 1 <= idx <= self.l
+            if idx == 1:
+                c, prog = Fraction(1), (("W", 0, 1),) + tuple(("T", i, 1) for i in range(self.l - 1, 0, -1))
+            else:
+                tinv = ("T", idx - 1, -1)
+                c, prog = self._q2, (tinv, ("Y", idx - 1, 1), tinv)
         elif kind == "Q":
             assert idx == 0
             c, prog = Fraction(1), (("X", 1, 1),) + tuple(("T", i, 1) for i in range(1, self.l))
@@ -318,10 +313,11 @@ class PolynomialModule:
         The window-clipped image of one key under one letter, as (sorted
         items, window valid), made once per (letter, key).  A zero exponent
         is the identity, valid, and is never stored.  A Y or Q letter with
-        exponent +-1 runs its atom program; a higher power is the power one
-        step nearer zero, then the +-1 letter on each key it reaches, both
-        looked up here, so Y^3 reuses Y^2 of the key and Y of every key
-        that Y^2 reaches.
+        exponent +-1 runs its program, whose Y_{j-1} letter (in Y_j, j >= 2)
+        is looked up here; a higher power is the power one step nearer
+        zero, then the +-1 letter on each key it reaches, both looked up
+        here, so Y^3 reuses Y^2 of the key and Y of every key that Y^2
+        reaches.
         """
         hit = self._cache.get((letter, key))
         if hit is not None:
@@ -334,8 +330,8 @@ class PolynomialModule:
             if exp in (1, -1):
                 coeff, prog = self._program_for(letter)
                 vec = {key: coeff}
-                for atom in prog:
-                    vec = apply_letter(self, atom, vec, budget)
+                for step_letter in prog:
+                    vec = apply_letter(self, step_letter, vec, budget)
             else:
                 step = 1 if exp > 0 else -1
                 items, valid = self.letter_cached((kind, idx, exp - step), key)

@@ -748,7 +748,7 @@ def test_benchmark_tracer_finds_every_patch_site(monkeypatch):
     assert all(getattr(owner, name) is fn for owner, name, fn in sites)
 
 
-# -- planted faults in the stepped powers, the k± expansion and the theta series --
+# -- planted faults in the stepped powers, Y_j, the mode columns and the theta series --
 
 DUALITY_L3 = ["duality", "--n", "5", "--l", "3", "--q", "2", "--d", "3", "--window", "8",
               "--family", "polynomial", "--modes", "3", "--hecke-probes", "7"]
@@ -765,7 +765,12 @@ DUALITY_L3 = ["duality", "--n", "5", "--l", "3", "--q", "2", "--d", "3", "--wind
      ["toroidal", "--preset", "poly"]),
     # every theta coefficient past the first takes q^(m(r-2)) for q^(m(r-1))
     ("series.py", "m * (r - 1)", "m * (r - 2)", ["toroidal", "--preset", "poly"]),
-], ids=["stepped-power-sign", "kmode-wrong-slot-scale", "theta-closed-form"])
+    # the e/f chain images leave out the empty chain, so Y_m^-k misses the module key itself
+    ("duality.py", "chains = [()] + [tij_word(", "chains = [tij_word(", ["toroidal", "--preset", "poly"]),
+    # Y_j is built on T_(j-1) in place of T_(j-1)^-1
+    ("hecke.py", 'tinv = ("T", idx - 1, -1)', 'tinv = ("T", idx - 1, 1)', ["hecke", "--preset", "poly"]),
+], ids=["stepped-power-sign", "kmode-wrong-slot-scale", "theta-closed-form", "efmode-no-empty-chain",
+        "y-step-uninverted-t"])
 def test_planted_power_faults_fail_verify(tmp_path, source, line, planted, argv):
     # the fault goes into a copy of the package, run in a child process
     package = tmp_path / "toroidal_duality"

@@ -23,7 +23,7 @@ from toroidal_duality.duality import (
     nondecreasing_tuples,
     t_on_tensor,
 )
-from toroidal_duality.hecke import PolynomialModule, UnitModule, WindowBudget, apply_word, lt
+from toroidal_duality.hecke import PolynomialModule, UnitModule, WindowBudget, apply_expr, apply_word, lt, tij_word, wmul
 from toroidal_duality.hecke import vec_scale as dvec_scale
 from toroidal_duality.params import specialized_params, symbolic_params
 from toroidal_duality.scalars import ONE, sc_inv, sc_mul
@@ -412,11 +412,31 @@ _POWER_MODULES = {
 }
 
 
-@pytest.mark.parametrize("name", list(_POWER_MODULES))
+# window 2 with module keys outside it: a Y letter keeps a key's exponents in
+# their range, so only a key outside the window has its k± parts clipped, and
+# then only from degree 1 on
+_CLIPPED_MODULE = lambda: PolynomialModule(specialized_params(n=4, l=2, q=2, d=3), window=2)
+
+
+def _kmode_entries(dm, pairs):
+    """Fill the k+ and k- columns at every vertex 1..n of each (key, |k|) in the order given; every filled entry."""
+    for key, absk in pairs:
+        for i in range(1, dm.n + 1):
+            dm.mode("k+", i, absk, {key: ONE})
+            dm.mode("k-", i, -absk, {key: ONE})
+    return {(tag, key): entry for tag, column in dm._cache.items() if tag[:2] in (("M", "k+"), ("M", "k-"))
+            for key, entry in column.items()}
+
+
+@pytest.mark.parametrize("name", [*_POWER_MODULES, "poly-clipped"])
 def test_kmode_columns_match_the_per_composition_sum(name):
-    dm, ref = DualityModule(_POWER_MODULES[name]()), DualityModule(_POWER_MODULES[name]())
+    make = _CLIPPED_MODULE if name == "poly-clipped" else _POWER_MODULES[name]
+    dm, ref = DualityModule(make()), DualityModule(make())
+    keys = _basis_keys(dm)
+    if name == "poly-clipped":
+        keys += [(hk, jt) for hk in ((3, 0), (0, -3)) for jt in nondecreasing_tuples(dm.n, dm.l)]
     nonzero = 0
-    for key in _basis_keys(dm):
+    for key in keys:
         for i in range(1, dm.n + 1):
             for kind, k in [("k+", k) for k in range(4)] + [("k-", -k) for k in range(4)]:
                 b, rb = WindowBudget(), WindowBudget()
@@ -426,6 +446,69 @@ def test_kmode_columns_match_the_per_composition_sum(name):
                     assert got == want and b.valid, (key, kind, i, k)
                 nonzero += bool(want)
     assert nonzero
+    if "formal" in name:  # the fill order concerns the caches, not the scalars
+        return
+    # every entry, window flag included, is the same whatever the fill order:
+    # |k| decreasing per key, then interleaved across keys (each key's theta
+    # prefix made at |k| = 2 and made again at 3); and it equals the entry of
+    # a module asked that one |k| only, whose prefixes stop at that degree
+    filled = _kmode_entries(dm, [])
+    for pairs in ([(key, a) for key in keys for a in (3, 2, 1, 0)],
+                  [(key, a) for a in (2, 0, 3, 1) for key in keys]):
+        assert _kmode_entries(DualityModule(make()), pairs) == filled
+    alone = {}
+    for a in range(4):
+        alone.update(_kmode_entries(DualityModule(make()), [(key, a) for key in keys]))
+    assert alone == filled
+    if name == "poly-clipped":  # a k = 0 column stays valid where degree 1 and up were clipped
+        clipped = {(tag[1:3], key) for (tag, key), (_, valid) in filled.items() if abs(tag[3]) == 3 and not valid}
+        assert any(valid and (tag[1:3], key) in clipped
+                   for (tag, key), (_, valid) in filled.items() if tag[3] == 0)
+
+
+def _efmode_by_words(dm, kind, i, k, key, budget):
+    """
+    The oracle for e_{i,k} or f_{i,k} on a basis key: apply_expr of Y_m^-k
+    and of each T-chain followed by Y_m^-k on the prefactor times the module
+    key, then `place` (the construction before the chain images were kept
+    across the modes of one current).
+    """
+    hkey, jt = key
+    r = sum(1 for v in jt if v < i)
+    s = r + jt.count(i)
+    t = s + jt.count(i + 1)
+    e = kind == "e"
+    lo, hi = (s, t) if e else (r, s)
+    if lo == hi:
+        return {}
+    m = s + 1 if e else s
+    pref = dm.qd(1 - hi + lo - k * (dm.n + 1 - i), -k * i)
+    y = lt("Y", m, -k)
+    expr = ((ONE, y),) + tuple((ONE, wmul(tij_word(kk, m if e else m - 1), y)) for kk in range(lo + 1, hi))
+    hv = apply_expr(dm.h, expr, {hkey: pref}, budget)
+    j2 = jt[: m - 1] + (i if e else i + 1,) + jt[m:]
+    return dm.place([(hv, j2, ONE)], budget)
+
+
+@pytest.mark.parametrize("name", list(_POWER_MODULES))
+def test_ef_mode_columns_match_the_chain_words(name):
+    # k increasing on one module; on the poly module also k decreasing on a
+    # second, so that a column is made before and after the chain images are.
+    # The oracle shares the module's letter and straightening caches only
+    orders = [range(-3, 4)] + ([range(3, -4, -1)] if name == "poly" else [])
+    moved = 0
+    for ks in orders:
+        dm = DualityModule(_POWER_MODULES[name]())
+        for key in _basis_keys(dm):
+            for i in range(1, dm.n + 1):
+                for kind in ("e", "f"):
+                    for k in ks:
+                        b, rb = WindowBudget(), WindowBudget()
+                        got = dm.mode(kind, i, k, {key: ONE}, b)
+                        want = _efmode_by_words(dm, kind, i, k, key, rb)
+                        assert got == want and b.valid == rb.valid, (key, kind, i, k)
+                        moved += bool(got)
+    assert moved
 
 
 def _braid_by_nested_loops(dm, i, key, budget):

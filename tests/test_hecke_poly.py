@@ -32,7 +32,7 @@ from toroidal_duality.hecke import (
 )
 from toroidal_duality.params import specialized_params, symbolic_params
 from toroidal_duality.reports import identity
-from toroidal_duality.scalars import ONE, sc_inv, sc_pow
+from toroidal_duality.scalars import ONE, sc_inv, sc_mul, sc_pow
 
 
 @pytest.fixture(scope="module")
@@ -317,15 +317,28 @@ def test_hecke_word_memo_matches_apply_expr(window, run):
 # -- Y and Q powers, stepped from the power below --------------------------------
 
 
+def _y_atom_program(mod, j):
+    """
+    (coefficient, atoms) of Y_j: Y_1 = W T_{l-1} .. T_1 and
+    Y_j = q^2 T_{j-1}^-1 Y_{j-1} T_{j-1}^-1 expanded down to atoms (how Y_j
+    was built before it was read from Y_{j-1}).
+    """
+    q2 = sc_mul(mod.params.q, mod.params.q)
+    c, prog = Fraction(1), (("W", 0, 1),) + tuple(("T", i, 1) for i in range(mod.l - 1, 0, -1))
+    for i in range(1, j):
+        c, prog = sc_mul(q2, c), (("T", i, -1),) + prog + (("T", i, -1),)
+    return c, prog
+
+
 def _atom_program_power(mod, letter, key):
     """
-    The oracle: a Y or Q letter with |e| >= 2 as its atom program run |e|
-    times on c^|e| key, c the program's coefficient (how powers were built
-    before they were stepped).
+    The oracle: a Y or Q letter as its atom program run |e| times on
+    c^|e| key, c the program's coefficient (how powers were built before
+    they were stepped).
     """
     kind, idx, exp = letter
     if kind == "Y":
-        c, prog = mod.y_program(idx)
+        c, prog = _y_atom_program(mod, idx)
     else:
         c, prog = Fraction(1), (("X", 1, 1),) + tuple(("T", i, 1) for i in range(1, mod.l))
     if exp < 0:
@@ -338,11 +351,15 @@ def _atom_program_power(mod, letter, key):
 
 @st.composite
 def stepped_power_runs(draw):
-    """(window, l, [(letter, key)]): Y_j^e or Q^e with 2 <= |e| <= 4 on random window keys."""
+    """
+    (window, l, [(letter, key)]) on random window keys: Y_j^e or Q^e with
+    2 <= |e| <= 4, and Y_j^e with j >= 2 and |e| = 1.
+    """
     window, l = draw(st.integers(2, 3)), draw(st.integers(2, 3))
     exps = st.integers(2, 4).flatmap(lambda a: st.sampled_from((a, -a)))
     letters = st.one_of(st.tuples(st.just("Y"), st.integers(1, l), exps),
-                        st.tuples(st.just("Q"), st.just(0), exps))
+                        st.tuples(st.just("Q"), st.just(0), exps),
+                        st.tuples(st.just("Y"), st.integers(2, l), st.sampled_from((1, -1))))
     keys = st.tuples(*[st.integers(-window, window)] * l)
     return window, l, draw(st.lists(st.tuples(letters, keys), min_size=1, max_size=6))
 
@@ -351,7 +368,8 @@ def stepped_power_runs(draw):
 @settings(max_examples=40, deadline=None)
 def test_stepped_powers_match_the_atom_program(run):
     # one module serves the whole run, so later powers step from entries that
-    # earlier ones made; the oracle runs on a module of its own
+    # earlier ones made, and Y_j from the Y_{j-1} entries; the oracle runs
+    # atoms only, on a module of its own
     window, l, pairs = run
     params = specialized_params(n=l + 2, l=l, q=2, d=3)
     mod, ref = PolynomialModule(params, window), PolynomialModule(params, window)
