@@ -249,27 +249,27 @@ def regression_items(dmod, K, probes):
     n, l, q, qd = dmod.n, dmod.l, dmod.q, dmod.qd
 
     # the l = 1 slot formulas
-    def slot_rhs(hkey, i, j, b):
+    def slot_rhs(hkey, i, j):
         sij, coeff = _expect_l1_braid(dmod, i, j)
-        return vec_scale(coeff, dmod.basis_vector(hkey, (sij,), b))
+        return vec_scale(coeff, dmod.basis_vector(hkey, (sij,)))
 
-    def sign_rhs(hkey, j, b):
+    def sign_rhs(hkey, j):
         if j != 1:
-            return vec_scale(MINUS_ONE, dmod.basis_vector(hkey, (j,), b))
-        return dmod.place([(apply_word(dmod.h, lt("Y", 1), {hkey: qd(n, 0)}, b), (1,), ONE)], b)
+            return vec_scale(MINUS_ONE, dmod.basis_vector(hkey, (j,)))
+        return dmod.place([(apply_word(dmod.h, lt("Y", 1), {hkey: qd(n, 0)}), (1,), ONE)])
 
     # translation-operator product formula on every nondecreasing probe term
-    def product_rhs(vec, b):
+    def product_rhs(vec):
         raw = []
         for (hkey, jt), c in vec.items():
             s = jt.count(1)
             word = tuple(("Y", p, 1) for p in range(1, s + 1))
             qpow = qd(n * s, 0)
-            raw.append((apply_word(dmod.h, word, {hkey: c}, b), jt, sc_neg(qpow) if (l + s) % 2 else qpow))
-        return dmod.place(raw, b)
+            raw.append((apply_word(dmod.h, word, {hkey: c}), jt, sc_neg(qpow) if (l + s) % 2 else qpow))
+        return dmod.place(raw)
 
     # the independently written closed form for the first-vertex e modes
-    def first_mode_rhs(h, vec, b):
+    def first_mode_rhs(h, vec):
         raw = []
         for (hkey, jt), c in vec.items():
             s = jt.count(1)
@@ -284,13 +284,13 @@ def regression_items(dmod, K, probes):
                     for kk in range(s + 1, t)
                 ]
             )
-            hv = apply_expr(dmod.h, expr, {hkey: sc_mul(c, pref)}, b)
+            hv = apply_expr(dmod.h, expr, {hkey: sc_mul(c, pref)})
             j2 = jt[:s] + (1,) + jt[s + 1 :]
             raw.append((hv, j2, ONE))
-        return dmod.place(raw, b)
+        return dmod.place(raw)
 
     # the first Cartan mode display
-    def cartan_mode1_rhs(i, vec, budget):
+    def cartan_mode1_rhs(i, vec):
         raw = []
         for (hkey, jt), c in vec.items():
             a = jt.count(i)
@@ -304,12 +304,12 @@ def regression_items(dmod, K, probes):
                     start = sc_neg(q)
                 else:
                     continue
-                dvec_add(hv, apply_word(dmod.h, lt("Y", p, -1), {hkey: start}, budget).items())
+                dvec_add(hv, apply_word(dmod.h, lt("Y", p, -1), {hkey: start}).items())
             raw.append((hv, jt, sc_mul(c, base)))
-        return dmod.place(raw, budget)
+        return dmod.place(raw)
 
     # wrap-vertex zero modes in closed form
-    def wrap_zero_rhs(kind, vec, b):
+    def wrap_zero_rhs(kind, vec):
         raw = []
         for (hkey, jt), c in vec.items():
             if kind == "k":
@@ -319,22 +319,22 @@ def regression_items(dmod, K, probes):
             for p, v in enumerate(jt, 1):
                 if kind == "e" and v == 1:
                     wexp = -sum(fund_ktheta_exp(jt[t], n) for t in range(p, l))
-                    hv = apply_word(dmod.h, lt("X", p), {hkey: qd(wexp, 0)}, b)
+                    hv = apply_word(dmod.h, lt("X", p), {hkey: qd(wexp, 0)})
                     j2 = jt[: p - 1] + (n + 1,) + jt[p:]
                 elif kind == "f" and v == n + 1:
                     wexp = sum(fund_ktheta_exp(jt[t], n) for t in range(p - 1))
-                    hv = apply_word(dmod.h, lt("X", p, -1), {hkey: qd(wexp, 0)}, b)
+                    hv = apply_word(dmod.h, lt("X", p, -1), {hkey: qd(wexp, 0)})
                     j2 = jt[: p - 1] + (1,) + jt[p:]
                 else:
                     continue
                 raw.append((hv, j2, c))
-        return dmod.place(raw, b)
+        return dmod.place(raw)
 
     # wrap-vertex action on the standard tuple lands on q^(1-l) m Q (x) w, for l <= n
-    def standard_e0_rhs(hkey, b):
-        hv = apply_word(dmod.h, lt("Q"), {hkey: qd(1 - l, 0)}, b)
+    def standard_e0_rhs(hkey):
+        hv = apply_word(dmod.h, lt("Q"), {hkey: qd(1 - l, 0)})
         w = tuple(range(2, l + 1)) + (n + 1,)
-        return dmod.place([(hv, w, ONE)], b)
+        return dmod.place([(hv, w, ONE)])
 
     # consequence of the Cartan-current exchange at trivial central charge:
     # e_1 k_{2,1} - q k_{2,1} e_1 = (q - q^-1) d^-1 e_{1,1} k_2
@@ -395,9 +395,9 @@ def reconstruction_items(dmod, K, hprobes):
     w_first = tuple(range(2, l + 1)) + (n + 1,)
     w_second = tuple(range(3, l + 2)) + (n + 1,)
 
-    def placed(word, c, hvec, slots, b):
+    def placed(word, c, hvec, slots):
         """The straightened vector c * (word applied to hvec) (x) slots."""
-        return dmod.place([(apply_word(dmod.h, word, hvec, b), slots, c)], b)
+        return dmod.place([(apply_word(dmod.h, word, hvec), slots, c)])
 
     # (sgn, r), the Y exponent and the theta coefficient scaled by (q^n d^2)^e of each theta conjugation
     theta_cases = []

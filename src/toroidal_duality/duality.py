@@ -32,7 +32,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .hecke import WindowBudget, apply_expr, apply_letter, apply_word, lt, tij_word, vec_scale, wmul
+from .hecke import apply_expr, apply_letter, apply_word, lt, tij_word, vec_scale, wmul
 from .hecke import merge_vec as dvec_add  # perfbench/layers.py traces the kernel by this name
 from .params import Params
 from .scalars import MINUS_ONE, ONE, Scalar, monomials, sc_inv, sc_mul, scalar_to_json
@@ -103,13 +103,12 @@ class DualityModule:
         self.l = p.l
         self.q = p.q
         self.qd = monomials(p.q, p.d)  # (a, b) -> q^a d^b, every power of q and d the columns take
-        self._cache = {}  # column tag -> {basis key: (image items, window valid)}
+        self._cache = {}  # column tag -> {basis key: image items}
         self._mode_columns = {}  # (kind, i, k) -> (cache tag, basis function)
         self._sym_cache = {}
-        self._theta_cache = {}
         self._scale_cache = {}
-        self._chain_images = {}  # (kind, i, basis key) -> e/f T-chain images, as (items, window valid)
-        self._theta_prefixes = {}  # (sign, i, basis key) -> (theta factors, degree parts, a flag per degree)
+        self._chain_images = {}  # (kind, i, basis key) -> e/f T-chain images, as items
+        self._theta_prefixes = {}  # (sign, i, basis key) -> (theta factors, degree parts)
         self._theta_top = 0  # the largest |k| any k+ or k- column has asked for
         self._qfact_inv = self._build_qfact_inv(self.l + 1)
 
@@ -126,26 +125,21 @@ class DualityModule:
 
     # -- generic cached linear extension ------------------------------------
 
-    def _linear(self, tag, basis, vec, budget=None):
+    def _linear(self, tag, basis, vec):
         """
         The column operator `tag` = (label, *args) on vec: the image of a basis
-        key is basis(self, *args, key, budget), made once per (tag, key).
+        key is basis(self, *args, key), made once per (tag, key); a basis
+        image that leaves the window raises, and nothing is stored for it.
         The basis is a plain function, so nothing stored holds `self`.
         """
-        if budget is None:
-            budget = WindowBudget()
         columns = self._cache.get(tag)
         if columns is None:
             columns = self._cache[tag] = {}
         out = {}
         for key, coeff in vec.items():
-            entry = columns.get(key)
-            if entry is None:
-                b = WindowBudget()
-                res = basis(self, *tag[1:], key, b)
-                entry = columns[key] = (tuple(sorted(res.items())), b.valid)
-            items, valid = entry
-            budget.observe(valid)
+            items = columns.get(key)
+            if items is None:
+                items = columns[key] = tuple(sorted(basis(self, *tag[1:], key).items()))
             if items:
                 dvec_add(out, items, coeff)
         return out
@@ -176,7 +170,7 @@ class DualityModule:
         self._sym_cache[blocks] = expr
         return expr
 
-    def _straighten_basis(self, key, budget):
+    def _straighten_basis(self, key):
         hkey, jt = key
         pending = [({hkey: ONE}, jt)]
         by_tuple = {}
@@ -187,25 +181,25 @@ class DualityModule:
                 dvec_add(by_tuple.setdefault(j, {}), hv.items())
             else:
                 j2 = j[: p - 1] + (j[p], j[p - 1]) + j[p + 1 :]
-                hv2 = apply_expr(self.h, ((self.qd(-1, 0), lt("T", p)),), hv, budget)
+                hv2 = apply_expr(self.h, ((self.qd(-1, 0), lt("T", p)),), hv)
                 pending.append((hv2, j2))
         out = {}
         for j, hv in by_tuple.items():
             blocks = _blocks(j)
             if blocks:
-                hv = apply_expr(self.h, self._symmetrizer_expr(blocks), hv, budget)
+                hv = apply_expr(self.h, self._symmetrizer_expr(blocks), hv)
             dvec_add(out, [((hk, j), c) for hk, c in hv.items()])
         return out
 
-    def straighten(self, vec, budget=None):
-        return self._linear(("S",), DualityModule._straighten_basis, vec, budget)
+    def straighten(self, vec):
+        return self._linear(("S",), DualityModule._straighten_basis, vec)
 
-    def place(self, raw_terms, budget):
+    def place(self, raw_terms):
         """The straightened sum of coeff * hv (x) j over the (hecke vector hv, tuple j, coeff) triples."""
         out = {}
         for hv, j, coeff in raw_terms:
             dvec_add(out, [((hk, j), c) for hk, c in hv.items()], coeff)
-        return self.straighten(out, budget)
+        return self.straighten(out)
 
     # -- Kac-Moody actions ----------------------------------------------------
 
@@ -213,7 +207,7 @@ class DualityModule:
         """k_{i,0} exponent on a tuple, vertices 0..n (vertex 0 counts n+1 in place of 0)."""
         return jt.count(i or self.n + 1) - jt.count(i + 1)
 
-    def _km_basis(self, kind, j, key, budget):
+    def _km_basis(self, kind, j, key):
         """
         Vertex j in 1..n+1 through the coproduct, one slot p at a time, with
         i = j % (n+1): e moves a slot holding i+1 to j, f a slot holding j to
@@ -237,21 +231,21 @@ class DualityModule:
             if i:
                 raw.append((hv, j2, ONE))
             else:
-                hv = apply_word(self.h, lt("Y", p, sign), hv, budget)
+                hv = apply_word(self.h, lt("Y", p, sign), hv)
                 raw.append((hv, j2, self.qd(0, sign)))
-        return self.place(raw, budget)
+        return self.place(raw)
 
-    def km(self, kind, j, vec, budget=None):
+    def km(self, kind, j, vec):
         """Kac-Moody generator action, vertices j in 1..n+1; kinds e f k kinv."""
         if not 1 <= j <= self.n + 1:
             raise ValueError(f"km vertex {j} outside 1..{self.n + 1}")
         if kind not in ("e", "f", "k", "kinv"):
             raise ValueError(kind)
-        return self._linear(("K", kind, j), DualityModule._km_basis, vec, budget)
+        return self._linear(("K", kind, j), DualityModule._km_basis, vec)
 
     # -- braid operators and the diagram rotation -----------------------------
 
-    def _braid_basis(self, i, key, budget):
+    def _braid_basis(self, i, key):
         """
         Lusztig's T''_i on a basis key of weight k: the sum over t, r and
         s = r + t + k of (-1)^(s+k) q^(s-rt) e^r f^s e^t / ([r]! [s]! [t]!).
@@ -263,7 +257,7 @@ class DualityModule:
         et = {key: ONE}
         for t in range(self.l + 1):
             if t:
-                et = self.km("e", i, et, budget)
+                et = self.km("e", i, et)
             if not et:
                 break
             fs, s_made = et, 0  # fs = f^s_made e^t
@@ -272,13 +266,13 @@ class DualityModule:
                 if s < 0 or s > self.l:
                     continue
                 for _ in range(s - s_made):
-                    fs = self.km("f", i, fs, budget)
+                    fs = self.km("f", i, fs)
                 s_made = s
                 if not fs:
                     break
                 mid = fs
                 for _ in range(r):
-                    mid = self.km("e", i, mid, budget)
+                    mid = self.km("e", i, mid)
                 if not mid:
                     continue
                 sign = MINUS_ONE if (s + k) % 2 else ONE
@@ -295,13 +289,13 @@ class DualityModule:
                 dvec_add(out, mid.items(), coeff)
         return out
 
-    def braid(self, i, vec, budget=None):
+    def braid(self, i, vec):
         """Lusztig's integrable braid operator at a finite vertex i in 1..n."""
         if not 1 <= i <= self.n:
             raise ValueError(f"braid vertex {i} outside 1..{self.n}")
-        return self._linear(("B", i), DualityModule._braid_basis, vec, budget)
+        return self._linear(("B", i), DualityModule._braid_basis, vec)
 
-    def _rotate_basis(self, letter, exp, step, key, budget):
+    def _rotate_basis(self, letter, exp, step, key):
         """
         Every slot entry v moves to (v - 1 + step) % (n + 1) + 1; each slot p
         holding the entry that wraps (n + 1 for step 1, 1 for step -1) first
@@ -311,39 +305,33 @@ class DualityModule:
         n = self.n
         carrier = n + 1 if step > 0 else 1
         word = tuple((letter, p, exp) for p in range(1, self.l + 1) if jt[p - 1] == carrier)
-        hv = apply_word(self.h, word, {hkey: ONE}, budget)
+        hv = apply_word(self.h, word, {hkey: ONE})
         j2 = tuple((v - 1 + step) % (n + 1) + 1 for v in jt)
-        return self.place([(hv, j2, ONE)], budget)
+        return self.place([(hv, j2, ONE)])
 
-    def tau(self, vec, budget=None):
+    def tau(self, vec):
         """Diagram rotation on the module: slot entries advance, wrap picks up Y's."""
-        return self._linear(("TAU", "Y", 1, 1), DualityModule._rotate_basis, vec, budget)
+        return self._linear(("TAU", "Y", 1, 1), DualityModule._rotate_basis, vec)
 
-    def _t_omega1_basis(self, key, budget):
+    def _t_omega1_basis(self, key):
         v = {key: ONE}
         for i in range(1, self.n + 1):
-            v = self.braid(i, v, budget)
-        return self.tau(v, budget)
+            v = self.braid(i, v)
+        return self.tau(v)
 
-    def t_omega1(self, vec, budget=None):
+    def t_omega1(self, vec):
         """The translation operator tau'' o t''_n o ... o t''_1."""
-        return self._linear(("TW1",), DualityModule._t_omega1_basis, vec, budget)
+        return self._linear(("TW1",), DualityModule._t_omega1_basis, vec)
 
     # -- the psi twist ---------------------------------------------------------
 
-    def psi(self, vec, budget=None):
-        return self._linear(("P", "X", -1, 1), DualityModule._rotate_basis, vec, budget)
+    def psi(self, vec):
+        return self._linear(("P", "X", -1, 1), DualityModule._rotate_basis, vec)
 
-    def psi_inv(self, vec, budget=None):
-        return self._linear(("Pi", "X", 1, -1), DualityModule._rotate_basis, vec, budget)
+    def psi_inv(self, vec):
+        return self._linear(("Pi", "X", 1, -1), DualityModule._rotate_basis, vec)
 
     # -- Drinfeld modes --------------------------------------------------------
-
-    def _theta_coeffs(self, m, order):
-        hit = self._theta_cache.get((m, order))
-        if hit is None:
-            hit = self._theta_cache[m, order] = theta_expand(m, order, self.q)
-        return hit
 
     def _theta_scales(self, sign, i, top):
         """
@@ -356,8 +344,8 @@ class DualityModule:
             n, qd, e = self.n, self.qd, -sign
             hit = self._scale_cache[sign, i, top] = tuple(
                 tuple(sc_mul(coefs[r], qd(qexp * e * r, i * e * r)) for r in range(top + 1))
-                for coefs, qexp in ((self._theta_coeffs(sign, top), n + 2 - i),
-                                    (self._theta_coeffs(-sign, top), n - i))
+                for coefs, qexp in ((theta_expand(sign, top, self.q), n + 2 - i),
+                                    (theta_expand(-sign, top, self.q), n - i))
             )
         return hit
 
@@ -367,7 +355,7 @@ class DualityModule:
         s = before + jt.count(i)
         return before, s, s + jt.count(i + 1)
 
-    def _efmode_basis(self, kind, i, k, key, budget):
+    def _efmode_basis(self, kind, i, k, key):
         """
         e moves the first (i+1)-slot m = s+1 to i, f the last i-slot m = s to
         i+1, with Y_m^-k and the T-chains from m across the rest of the moved
@@ -384,19 +372,18 @@ class DualityModule:
         m, lead, j2, images = chains
         y = ("Y", m, -k)
         hv = {}
-        for items, valid in images:
-            budget.observe(valid)
-            dvec_add(hv, apply_letter(self.h, y, dict(items), budget).items())
+        for items in images:
+            dvec_add(hv, apply_letter(self.h, y, dict(items)).items())
         # q^(1-hi+lo) times the spectral scale alpha_i^-k = (q^(n+1-i) d^i)^-k
         pref = self.qd(lead - k * (self.n + 1 - i), -k * i)
-        return self.place([(hv, j2, pref)], budget)
+        return self.place([(hv, j2, pref)])
 
     def _ef_chains(self, kind, i, key):
         """
         (m, 1 - hi + lo, the moved tuple, chain images) of the e or f current
         on a basis key, or () when the moved segment ]lo, hi] is empty.  The
         images are those of the module key under the empty chain and under
-        each T-chain, as (items, window valid).
+        each T-chain, as item tuples.
         """
         hkey, jt = key
         assert all(jt[p] <= jt[p + 1] for p in range(len(jt) - 1))
@@ -407,14 +394,11 @@ class DualityModule:
             return ()
         m = s + 1 if e else s
         chains = [()] + [tij_word(kk, m if e else m - 1) for kk in range(lo + 1, hi)]
-        images = []
-        for chain in chains:
-            b = WindowBudget()
-            images.append((tuple(apply_word(self.h, chain, {hkey: ONE}, b).items()), b.valid))
+        images = tuple(tuple(apply_word(self.h, chain, {hkey: ONE}).items()) for chain in chains)
         j2 = jt[: m - 1] + (i if e else i + 1,) + jt[m:]
-        return m, 1 - hi + lo, j2, tuple(images)
+        return m, 1 - hi + lo, j2, images
 
-    def _kmode_basis(self, kind, i, k, key, budget):
+    def _kmode_basis(self, kind, i, k, key):
         """
         The k+ (k >= 0) or k- (k <= 0) mode on a basis key: the z^-k
         coefficient of the product, over the slots p holding i or i+1, of a
@@ -425,53 +409,46 @@ class DualityModule:
         expanded slot by slot with one partial module vector per degree
         t <= |k| (`_theta_slots`).  The product over every slot but the last
         does not depend on k: `_theta_prefixes` keeps its degree parts
-        0..D, D the largest |k| asked of this module so far, each with the
-        window flag of the lookups that made it, and mode k applies only
-        the last slot, to parts 0..|k|.
+        0..D, D the largest |k| asked of this module so far, and mode k
+        applies only the last slot, to parts 0..|k|.
         """
         hkey, jt = key
         absk = abs(k)
         if i not in jt and i + 1 not in jt:
-            return {} if absk else self.place([({hkey: ONE}, jt, ONE)], budget)
+            return {} if absk else self.place([({hkey: ONE}, jt, ONE)])
         sign = 1 if kind == "k+" else -1
         self._theta_top = max(self._theta_top, absk)
         prefix = self._theta_prefixes.get((sign, i, key))
         if prefix is None or len(prefix[1]) <= absk:
             prefix = self._theta_prefixes[sign, i, key] = self._theta_prefix(sign, i, key)
-        factors, parts, flags = prefix
-        for valid in flags[: absk + 1]:
-            budget.observe(valid)
-        last = len(factors) - 1
+        factors, parts = prefix
         parts = [dict(items) for items in parts[: absk + 1]]
         # k+ modes shift by Y^-r, k- modes by Y^r
-        parts = self._theta_slots(-sign, factors, (last,), parts, [budget] * (absk + 1))
-        return self.place([(parts[absk], jt, ONE)], budget)
+        parts = self._theta_slots(-sign, factors, (len(factors) - 1,), parts)
+        return self.place([(parts[absk], jt, ONE)])
 
     def _theta_prefix(self, sign, i, key):
         """
-        (factors, degree parts, flags) of the k+ (sign 1) or k- (sign -1)
-        theta product on a basis key, taken over every slot but the last up
-        to degree D = `_theta_top`: factors lists each slot p holding i or
-        i+1, i-slots first, with its parts 0..D; parts[t] is an item tuple
-        and flags[t] the window flag of the lookups that landed in degree t.
+        (factors, degree parts) of the k+ (sign 1) or k- (sign -1) theta
+        product on a basis key, taken over every slot but the last up to
+        degree D = `_theta_top`: factors lists each slot p holding i or i+1,
+        i-slots first, with its parts 0..D; parts[t] is an item tuple.
         """
         hkey, jt = key
         top = self._theta_top
         factors = []
         for carrier, scale in zip((i, i + 1), self._theta_scales(sign, i, top)):
             factors += [(p, scale) for p in range(1, self.l + 1) if jt[p - 1] == carrier]
-        budgets = [WindowBudget() for _ in range(top + 1)]
         parts = [{hkey: ONE}] + [{} for _ in range(top)]
-        parts = self._theta_slots(-sign, factors, range(len(factors) - 1), parts, budgets)
-        return factors, tuple(tuple(hv.items()) for hv in parts), tuple(b.valid for b in budgets)
+        parts = self._theta_slots(-sign, factors, range(len(factors) - 1), parts)
+        return factors, tuple(tuple(hv.items()) for hv in parts)
 
-    def _theta_slots(self, e, factors, slots, parts, budgets):
+    def _theta_slots(self, e, factors, slots, parts):
         """
         Multiply the degree parts 0..top, top = len(parts) - 1, by the theta
         factors at the positions `slots` of `factors`: each slot takes a part
         r of the degree left, as Y_p^(e r) times its scaled coefficient, and
-        the last slot of `factors` takes all of it, r = top - t.  A lookup
-        that lands in degree t reports to budgets[t].
+        the last slot of `factors` takes all of it, r = top - t.
         """
         last = len(factors) - 1
         top = len(parts) - 1
@@ -482,12 +459,12 @@ class DualityModule:
                 if not hv:
                     continue
                 for r in range(top - t if at == last else 0, top - t + 1):
-                    hv_r = apply_letter(self.h, ("Y", p, e * r), hv, budgets[t + r]) if r else hv
+                    hv_r = apply_letter(self.h, ("Y", p, e * r), hv) if r else hv
                     dvec_add(grown[t + r], hv_r.items(), scale[r])
             parts = grown
         return parts
 
-    def mode(self, kind, i, k, vec, budget=None):
+    def mode(self, kind, i, k, vec):
         """
         Fourier mode of a current at vertex i in 0..n.
 
@@ -498,7 +475,7 @@ class DualityModule:
         column = self._mode_columns.get((kind, i, k))
         if column is None:  # invalid arguments raise here, and are never stored
             column = self._mode_columns[kind, i, k] = self._mode_column(kind, i, k)
-        return self._linear(*column, vec, budget)
+        return self._linear(*column, vec)
 
     def _mode_column(self, kind, i, k):
         """The `_linear` cache tag and basis function of mode (kind, i, k), once its arguments are checked."""
@@ -518,16 +495,16 @@ class DualityModule:
             return ("M", kind, i, k), DualityModule._efmode_basis
         return ("M", kind, i, k), DualityModule._kmode_basis
 
-    def _mode0_basis(self, kind, k, key, budget):
-        v = self.psi({key: ONE}, budget)
-        v = self.mode(kind, 1, k, v, budget)
-        v = self.psi_inv(v, budget)
+    def _mode0_basis(self, kind, k, key):
+        v = self.psi({key: ONE})
+        v = self.mode(kind, 1, k, v)
+        v = self.psi_inv(v)
         return vec_scale(self.qd(-k, k), v)
 
     # -- probes ----------------------------------------------------------------
 
-    def basis_vector(self, hkey, jt, budget=None):
-        return self.straighten({(hkey, jt): ONE}, budget)
+    def basis_vector(self, hkey, jt):
+        return self.straighten({(hkey, jt): ONE})
 
 
 def dvec_to_json(vec):

@@ -31,8 +31,11 @@ Two families are provided.
     conjugation suites below are the oracle that the construction is a
     module at all.
 
-Monomial keys live in the box [-N, N]^l; any evaluation that escapes is
-clipped and flagged so the caller can skip (never trust) that probe.
+Monomial keys live in the box [-N, N]^l.  An evaluation that would take a
+key out of it raises WindowExit, so the caller can skip (never trust) that
+probe.  From a key inside the box only X, and so Q, can do this: W
+permutes a key's exponents, and T (and so Y) keeps them between the two it
+mixes.
 """
 
 from __future__ import annotations
@@ -100,17 +103,12 @@ def p_word(r, l) -> Word:
     return wmul(*[qij_word(k, k + r - 1) for k in range(l - r, 0, -1)])
 
 
-class WindowBudget:
-    """Whether an evaluation stayed inside the lattice window."""
+class WindowExit(Exception):
+    """A letter took a key out of the lattice window; args are (letter, key)."""
 
-    __slots__ = ("valid",)
-
-    def __init__(self):
-        self.valid = True
-
-    def observe(self, valid):
-        if not valid:
-            self.valid = False
+    def __str__(self):
+        letter, key = self.args
+        return f"letter {letter} takes key {key} out of the window"
 
 
 # -- the sparse-vector kernel: vectors are {key: scalar} with no zero entries --
@@ -192,19 +190,19 @@ class UnitModule:
         self.a = a
         self.b = b
 
-    def observe_vec(self, budget, vec):
-        pass
+    def inside(self, keys):
+        return True
 
     def letter_cached(self, letter, key):
         kind, idx, exp = letter
         if kind in ("X", "Q"):
             if kind == "X" and idx != 1:
                 raise ValueError(f"X index {idx} out of range for l = 1")
-            return ((key, sc_pow(self.a, exp)),), True
+            return ((key, sc_pow(self.a, exp)),)
         if kind == "Y":
             if idx != 1:
                 raise ValueError(f"Y index {idx} out of range for l = 1")
-            return ((key, sc_pow(self.b, exp)),), True
+            return ((key, sc_pow(self.b, exp)),)
         raise ValueError(f"letter {letter} undefined for l = 1")
 
     def descriptor(self):
@@ -306,50 +304,46 @@ class PolynomialModule:
             prog = tuple((k, i, -e) for (k, i, e) in reversed(prog))
         return c, prog
 
-    # -- cached, window-clipped application ---------------------------------
+    # -- cached application --------------------------------------------------
 
     def letter_cached(self, letter, key):
         """
-        The window-clipped image of one key under one letter, as (sorted
-        items, window valid), made once per (letter, key).  A zero exponent
-        is the identity, valid, and is never stored.  A Y or Q letter with
-        exponent +-1 runs its program, whose Y_{j-1} letter (in Y_j, j >= 2)
-        is looked up here; a higher power is the power one step nearer
-        zero, then the +-1 letter on each key it reaches, both looked up
-        here, so Y^3 reuses Y^2 of the key and Y of every key that Y^2
-        reaches.
+        The image of one key under one letter, as sorted items, made once
+        per (letter, key).  A zero exponent is the identity and is never
+        stored.  A Y or Q letter with exponent +-1 runs its program, whose
+        Y_{j-1} letter (in Y_j, j >= 2) is looked up here; a higher power is
+        the power one step nearer zero, then the +-1 letter on each key it
+        reaches, both looked up here, so Y^3 reuses Y^2 of the key and Y of
+        every key that Y^2 reaches.  An atomic image with a key outside the
+        window raises WindowExit, and nothing is stored.
         """
         hit = self._cache.get((letter, key))
         if hit is not None:
             return hit
         kind, idx, exp = letter
         if not exp:
-            return ((key, ONE),), True
+            return ((key, ONE),)
         if kind in ("Y", "Q"):
-            budget = WindowBudget()
             if exp in (1, -1):
                 coeff, prog = self._program_for(letter)
                 vec = {key: coeff}
                 for step_letter in prog:
-                    vec = apply_letter(self, step_letter, vec, budget)
+                    vec = apply_letter(self, step_letter, vec)
             else:
                 step = 1 if exp > 0 else -1
-                items, valid = self.letter_cached((kind, idx, exp - step), key)
-                budget.observe(valid)
-                vec = apply_letter(self, (kind, idx, step), dict(items), budget)
-            entry = (tuple(sorted(vec.items())), budget.valid)
+                items = self.letter_cached((kind, idx, exp - step), key)
+                vec = apply_letter(self, (kind, idx, step), dict(items))
+            entry = tuple(sorted(vec.items()))
         else:
-            raw = self._atomic_items(letter, key)
-            kept = [(k, c) for k, c in raw if self._inside(k)]
-            entry = (tuple(kept), len(kept) == len(raw))
+            entry = tuple(self._atomic_items(letter, key))
+            if not self.inside(k for k, _ in entry):
+                raise WindowExit(letter, key)
         self._cache[(letter, key)] = entry
         return entry
 
-    def _inside(self, key):
-        return max(abs(x) for x in key) <= self.window
-
-    def observe_vec(self, budget, vec):
-        budget.observe(all(self._inside(k) for k in vec))
+    def inside(self, keys):
+        window = self.window
+        return all(max(map(abs, key)) <= window for key in keys)
 
     def descriptor(self):
         p = self.params
@@ -368,32 +362,25 @@ class PolynomialModule:
         }
 
 
-def apply_letter(module, letter, vec, budget):
+def apply_letter(module, letter, vec):
     """One letter's action on a vector: each key's image comes from the module's letter cache."""
     out = {}
     for key, c in vec.items():
-        items, valid = module.letter_cached(letter, key)
-        budget.observe(valid)
-        merge_vec(out, items, c)
+        merge_vec(out, module.letter_cached(letter, key), c)
     return out
 
 
-def apply_word(module, word, vec, budget=None):
+def apply_word(module, word, vec):
     """Right action of a word on a finitely supported vector."""
-    if budget is None:
-        budget = WindowBudget()
-    module.observe_vec(budget, vec)
     for letter in word:
-        vec = apply_letter(module, letter, vec, budget)
+        vec = apply_letter(module, letter, vec)
     return vec
 
 
-def apply_expr(module, expr, vec, budget=None):
-    if budget is None:
-        budget = WindowBudget()
+def apply_expr(module, expr, vec):
     out = {}
     for coeff, word in expr:
-        merge_vec(out, apply_word(module, word, vec, budget).items(), coeff)
+        merge_vec(out, apply_word(module, word, vec).items(), coeff)
     return out
 
 
@@ -594,9 +581,7 @@ def make_hecke_items(module, checks, probes):
     from .reports import identity  # reports imports this module
 
     for pid, vec in probes:
-        budget = WindowBudget()
-        module.observe_vec(budget, vec)
-        if not budget.valid:
+        if not module.inside(vec):
             raise ValueError(f"probe {pid} leaves the window {module.window}")
     return (((chk.relation, chk.indices, (), pid), partial(identity, vec, module, chk.residual))
             for pid, vec in probes for chk in checks)

@@ -102,8 +102,8 @@ def _cleared_terms(left, right, coeffs, R, S):
     return terms + (() if _zero(gR) else ((mqa, (hS, gR)), (ONE, (gR, hS))))
 
 
-def weight_display(ops, i, vec, budget=None):
-    """k_{i,0} in closed form: every term scaled by q to its weight at vertex i (no budget used)."""
+def weight_display(ops, i, vec):
+    """k_{i,0} in closed form: every term scaled by q to its weight at vertex i."""
     return {key: sc_mul(c, ops.qd(ops.weight(i, key[1]), 0)) for key, c in vec.items()}
 
 

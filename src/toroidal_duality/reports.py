@@ -8,9 +8,8 @@ iterables: each item is made as the runner takes it and dropped once its
 report exists, so a sweep never holds all its items.  Every identity check
 is stated as data: its thunk is partial(identity, vec, ops, *residuals),
 each residual lhs - rhs a tuple of signed (coeff, word) terms, a
-closed-form display entering as a term whose word is a function of the
-window budget.  A word
-lists its letters in the order they act; a letter is a Kac-Moody generator
+closed-form display entering as a term whose word is a function of no
+arguments.  A word lists its letters in the order they act; a letter is a Kac-Moody generator
 (kind, j) as printed, acting through `km`, a Hecke letter (kind, index,
 exponent), kind T X Y Q or W, acting through `hecke.apply_letter`, or
 (operator, *arguments) for any other operator method, e.g. ("mode", kind,
@@ -19,6 +18,9 @@ its last check ran on, a prefix trie filled as checks walk it: each word
 prefix is applied once and shared by every check on that probe, and a check
 on another probe starts a new memo, so builders emit their items probe by
 probe; the check's own loop walks every term, and `_child` makes each node.
+An evaluation that leaves the lattice window raises `hecke.WindowExit`;
+the check catches it and reports a skip: residual_zero and budget_valid
+false, the note naming the letter and the module key.
 The runner sorts the reports (NamedTuples) by key and `write_jsonl` fills
 one sorted-key line template, so the emitted JSON stream is byte-identical
 across runs; per-check wall time stays out of the JSON.  `summarize` counts
@@ -40,7 +42,6 @@ from .scalars import MINUS_ONE, ONE
 KM_KINDS = frozenset(("e", "f", "k", "kinv"))
 HECKE_KINDS = frozenset("TXYQW")
 MINUS_UNIT = (MINUS_ONE, ())  # the term -1: the empty word, the identity operator, subtracted
-_BUDGET = hecke.WindowBudget()  # reset by `_child` per call; checks run serially and never reenter the memo
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode  # dumps_canonical's encoding of one value
 _STATUS_FIELDS = attrgetter("relation", "residual_zero", "budget_valid")  # what `summarize` counts
 _TOTAL_KEY = {"pass": "passed", "fail": "failed", "skip": "skipped"}  # summary totals key of a status
@@ -49,22 +50,21 @@ _TOTAL_KEY = {"pass": "passed", "fail": "failed", "skip": "skipped"}  # summary 
 def _child(ops, node, letter):
     """
     The memo node of `letter` applied to `node`, made on first use: the one
-    place an operator is applied.  A node is [vector, valid along its path,
-    children or None]; an empty result, where words stop, is its validity.
+    place an operator is applied.  A node is [vector, children or None]; an
+    empty result, where words stop, is False.  A letter that leaves the
+    window raises, and no node is stored for it.
     """
-    _BUDGET.valid = True
     v, name = node[0], letter[0]
     if name == "mode":  # the hot letter, called without the generic splat below
-        w = ops.mode(letter[1], letter[2], letter[3], v, _BUDGET)
+        w = ops.mode(letter[1], letter[2], letter[3], v)
     elif name in KM_KINDS:
-        w = ops.km(name, letter[1], v, _BUDGET)
+        w = ops.km(name, letter[1], v)
     elif name in HECKE_KINDS:
-        w = hecke.apply_letter(ops, letter, v, _BUDGET)
+        w = hecke.apply_letter(ops, letter, v)
     else:
-        w = getattr(ops, name)(*letter[1:], v, _BUDGET)
-    valid = node[1] and _BUDGET.valid
-    node[2] = kids = node[2] or {}
-    kids[letter] = child = [w, valid, None] if w else valid
+        w = getattr(ops, name)(*letter[1:], v)
+    node[1] = kids = node[1] or {}
+    kids[letter] = child = [w, None] if w else False
     return child
 
 
@@ -72,48 +72,46 @@ def identity(vec, ops, *residuals):
     """
     The check that every residual, an expression lhs - rhs, is zero on vec:
     (residual_zero, budget_valid, note), the note naming the first nonzero
-    residual.
+    residual, or (False, False, note) when an evaluation leaves the window,
+    the note naming the letter and the key it took out.
 
     Each term whose word is a tuple walks it through the memo that ops holds
     for vec, first letter first, stopping at an empty vector, so a prefix
     that an earlier check on the same probe used costs a dict lookup; a check
     on another vec replaces the memo, freeing the last probe's words.  Any
-    other word is a closed form of the window budget; the closed forms of a
-    check share one WindowBudget, made only when a check has one.  An item's
-    thunk is partial(identity, vec, ops, *residuals), its residuals built as
-    the item is made.
+    other word is a closed form, called with no arguments.  An item's thunk
+    is partial(identity, vec, ops, *residuals), its residuals built as the
+    item is made.
     """
-    budget, valid, note = None, True, ""
+    note = ""
     root = getattr(ops, "_word_memo", None)
     if root is None or root[0] is not vec:  # a new probe: drop the last one's words
-        root = ops._word_memo = [vec, True, None]
-    for expr in residuals:
-        res = {}
-        for c, word in expr:
-            if word.__class__ is not tuple:  # a closed form
-                budget = budget or hecke.WindowBudget()
-                hecke.merge_vec(res, word(budget).items(), c)
-                continue
-            node = root
-            for letter in word:
-                kids = node[2]
-                child = kids.get(letter) if kids else None
-                node = _child(ops, node, letter) if child is None else child
-                if node.__class__ is not list:  # an empty vector: the word stops here
-                    if not node:  # the window broke along the word
-                        valid = False
-                    break
-            else:
-                hecke.merge_vec(res, node[0].items(), c)
-                if not node[1]:
-                    valid = False
-        if res and not note:
-            note = f"residual has {len(res)} term(s); lead key {min(res)}"
-    return not note, valid and (budget is None or budget.valid), note
+        root = ops._word_memo = [vec, None]
+    try:
+        for expr in residuals:
+            res = {}
+            for c, word in expr:
+                if word.__class__ is not tuple:  # a closed form
+                    hecke.merge_vec(res, word().items(), c)
+                    continue
+                node = root
+                for letter in word:
+                    kids = node[1]
+                    child = kids.get(letter) if kids else None
+                    node = _child(ops, node, letter) if child is None else child
+                    if not node:  # an empty vector: the word stops here
+                        break
+                else:
+                    hecke.merge_vec(res, node[0].items(), c)
+            if res and not note:
+                note = f"residual has {len(res)} term(s); lead key {min(res)}"
+    except hecke.WindowExit as exc:
+        return False, False, str(exc)
+    return not note, True, note
 
 
 def _status(residual_zero, budget_valid):
-    # a budget-invalid probe is never a pass
+    # a check that left the window is never a pass
     return ("pass" if residual_zero else "fail") if budget_valid else "skip"
 
 

@@ -30,6 +30,14 @@ def test_verify_hecke_passes(tmp_path, capsys):
     assert out.exists() and (tmp_path / "r.summary.json").exists()
 
 
+def test_smallest_window_sweep_skips_nothing(tmp_path, capsys):
+    # at window 2, the smallest, no check of any suite leaves the window
+    out = tmp_path / "w2.jsonl"
+    assert main(["verify", "all", "--preset", "poly", "--window", "2", "--out", str(out)]) == EXIT_PASS
+    totals = json.loads((tmp_path / "w2.summary.json").read_text())["totals"]
+    assert totals["skipped"] == 0 and totals["passed"] == totals["checked"] > 0
+
+
 def test_verify_negative_control_fails(tmp_path):
     code = main(["verify", "hecke", "--preset", "poly", *FAST, "--negative-control",
                  "--out", str(tmp_path / "n.jsonl")])
@@ -756,8 +764,8 @@ DUALITY_L3 = ["duality", "--n", "5", "--l", "3", "--q", "2", "--d", "3", "--wind
 
 @pytest.mark.parametrize("source, line, planted, argv", [
     # Y^e becomes Y^(e-2): the last step of a stepped power applies the inverse letter
-    ("hecke.py", "vec = apply_letter(self, (kind, idx, step), dict(items), budget)",
-     "vec = apply_letter(self, (kind, idx, -step), dict(items), budget)",
+    ("hecke.py", "vec = apply_letter(self, (kind, idx, step), dict(items))",
+     "vec = apply_letter(self, (kind, idx, -step), dict(items))",
      [*DUALITY_L3, "--probes", "5"]),
     # every slot takes part r with the first slot's theta coefficient and spectral power
     ("duality.py", "dvec_add(grown[t + r], hv_r.items(), scale[r])",

@@ -23,7 +23,7 @@ from toroidal_duality.duality import (
     nondecreasing_tuples,
     t_on_tensor,
 )
-from toroidal_duality.hecke import PolynomialModule, UnitModule, WindowBudget, apply_expr, apply_word, lt, tij_word, wmul
+from toroidal_duality.hecke import PolynomialModule, UnitModule, WindowExit, apply_expr, apply_word, lt, tij_word, wmul
 from toroidal_duality.hecke import vec_scale as dvec_scale
 from toroidal_duality.params import specialized_params, symbolic_params
 from toroidal_duality.scalars import ONE, sc_inv, sc_mul
@@ -339,13 +339,13 @@ def _operator_columns(dm, top):
             if not vec:
                 continue
             for op, kind, i, k in calls:
-                b = WindowBudget()
-                out = dm.km(kind, i, dict(vec), b) if op == "km" else dm.mode(kind, i, k, dict(vec), b)
-                yield json.dumps([list(hk), list(jt), op, kind, i, k, b.valid, dvec_to_json(out)])
+                out = dm.km(kind, i, dict(vec)) if op == "km" else dm.mode(kind, i, k, dict(vec))
+                # true: the column stayed in the window, where leaving it would raise
+                yield json.dumps([list(hk), list(jt), op, kind, i, k, True, dvec_to_json(out)])
 
 
 # sha256 of the km (vertices 1..n+1) and mode (vertices 0..n, |k| <= top)
-# columns of every straightened basis vector, budget validity included; the
+# columns of every straightened basis vector, each with a window flag; the
 # formal columns hold LaurentFrac scalars such as 1/(1 + q^2), whose constant
 # numerator is written as the Fraction "1"
 @pytest.mark.parametrize("name, top, digest", [
@@ -370,7 +370,7 @@ def _compositions(total, parts):
     return [(first,) + rest for first in range(total + 1) for rest in _compositions(total - first, parts - 1)]
 
 
-def _kmode_by_compositions(dm, kind, i, k, key, budget):
+def _kmode_by_compositions(dm, kind, i, k, key):
     """
     The oracle for k±_{i,k} on a basis key: one Y word per composition of |k|
     over the slots holding i or i+1, its coefficient the product of each
@@ -393,8 +393,8 @@ def _kmode_by_compositions(dm, kind, i, k, key, budget):
         for (p, coefs, pows), r in zip(factors, comp):
             coeff = sc_mul(coeff, sc_mul(coefs[r], pows[r]))
             word += lt("Y", p, e * r) if r else ()
-        dvec_add(hv, apply_word(dm.h, word, {hkey: coeff}, budget).items())
-    return dm.straighten({(hk, jt): c for hk, c in hv.items()}, budget)
+        dvec_add(hv, apply_word(dm.h, word, {hkey: coeff}).items())
+    return dm.straighten({(hk, jt): c for hk, c in hv.items()})
 
 
 def _basis_keys(dm):
@@ -413,7 +413,7 @@ _POWER_MODULES = {
 
 
 # window 2 with module keys outside it: a Y letter keeps a key's exponents in
-# their range, so only a key outside the window has its k± parts clipped, and
+# their range, so only a key outside the window leaves it in a k± column, and
 # then only from degree 1 on
 _CLIPPED_MODULE = lambda: PolynomialModule(specialized_params(n=4, l=2, q=2, d=3), window=2)
 
@@ -428,27 +428,35 @@ def _kmode_entries(dm, pairs):
             for key, entry in column.items()}
 
 
+def _kmode_exits(dm, pairs):
+    """(kind, i, k, key) of every k+ and k- call that left the window, filled as `_kmode_entries` fills."""
+    exits = set()
+    for key, absk in pairs:
+        for i in range(1, dm.n + 1):
+            for kind, k in (("k+", absk), ("k-", -absk)):
+                try:
+                    dm.mode(kind, i, k, {key: ONE})
+                except WindowExit:
+                    exits.add((kind, i, k, key))
+    return exits
+
+
 @pytest.mark.parametrize("name", [*_POWER_MODULES, "poly-clipped"])
 def test_kmode_columns_match_the_per_composition_sum(name):
     make = _CLIPPED_MODULE if name == "poly-clipped" else _POWER_MODULES[name]
     dm, ref = DualityModule(make()), DualityModule(make())
     keys = _basis_keys(dm)
-    if name == "poly-clipped":
-        keys += [(hk, jt) for hk in ((3, 0), (0, -3)) for jt in nondecreasing_tuples(dm.n, dm.l)]
     nonzero = 0
     for key in keys:
         for i in range(1, dm.n + 1):
             for kind, k in [("k+", k) for k in range(4)] + [("k-", -k) for k in range(4)]:
-                b, rb = WindowBudget(), WindowBudget()
-                got = dm.mode(kind, i, k, {key: ONE}, b)
-                want = _kmode_by_compositions(ref, kind, i, k, key, rb)
-                if rb.valid:
-                    assert got == want and b.valid, (key, kind, i, k)
-                nonzero += bool(want)
+                got = dm.mode(kind, i, k, {key: ONE})
+                assert got == _kmode_by_compositions(ref, kind, i, k, key), (key, kind, i, k)
+                nonzero += bool(got)
     assert nonzero
     if "formal" in name:  # the fill order concerns the caches, not the scalars
         return
-    # every entry, window flag included, is the same whatever the fill order:
+    # every entry is the same whatever the fill order:
     # |k| decreasing per key, then interleaved across keys (each key's theta
     # prefix made at |k| = 2 and made again at 3); and it equals the entry of
     # a module asked that one |k| only, whose prefixes stop at that degree
@@ -460,13 +468,22 @@ def test_kmode_columns_match_the_per_composition_sum(name):
     for a in range(4):
         alone.update(_kmode_entries(DualityModule(make()), [(key, a) for key in keys]))
     assert alone == filled
-    if name == "poly-clipped":  # a k = 0 column stays valid where degree 1 and up were clipped
-        clipped = {(tag[1:3], key) for (tag, key), (_, valid) in filled.items() if abs(tag[3]) == 3 and not valid}
-        assert any(valid and (tag[1:3], key) in clipped
-                   for (tag, key), (_, valid) in filled.items() if tag[3] == 0)
+    if name == "poly-clipped":
+        # on a key outside the window, every column with |k| >= 1 and a slot
+        # holding i or i+1 leaves it, in every fill order: nothing is stored.
+        # (A k = 0 column there leaves too once a larger |k| has raised the
+        # degree its theta prefix is made to.)
+        outside = [(hk, jt) for hk in ((3, 0), (0, -3)) for jt in nondecreasing_tuples(dm.n, dm.l)]
+        want = {(kind, i, sign * a, (hk, jt)) for hk, jt in outside for i in range(1, dm.n + 1)
+                if i in jt or i + 1 in jt for a in (1, 2, 3) for kind, sign in (("k+", 1), ("k-", -1))}
+        orders = ([(key, a) for key in outside for a in (3, 2, 1, 0)],
+                  [(key, a) for a in (2, 0, 3, 1) for key in outside],
+                  [(key, a) for a in range(4) for key in outside])
+        for pairs in orders:
+            assert want <= _kmode_exits(DualityModule(make()), pairs)
 
 
-def _efmode_by_words(dm, kind, i, k, key, budget):
+def _efmode_by_words(dm, kind, i, k, key):
     """
     The oracle for e_{i,k} or f_{i,k} on a basis key: apply_expr of Y_m^-k
     and of each T-chain followed by Y_m^-k on the prefactor times the module
@@ -485,9 +502,9 @@ def _efmode_by_words(dm, kind, i, k, key, budget):
     pref = dm.qd(1 - hi + lo - k * (dm.n + 1 - i), -k * i)
     y = lt("Y", m, -k)
     expr = ((ONE, y),) + tuple((ONE, wmul(tij_word(kk, m if e else m - 1), y)) for kk in range(lo + 1, hi))
-    hv = apply_expr(dm.h, expr, {hkey: pref}, budget)
+    hv = apply_expr(dm.h, expr, {hkey: pref})
     j2 = jt[: m - 1] + (i if e else i + 1,) + jt[m:]
-    return dm.place([(hv, j2, ONE)], budget)
+    return dm.place([(hv, j2, ONE)])
 
 
 @pytest.mark.parametrize("name", list(_POWER_MODULES))
@@ -503,15 +520,13 @@ def test_ef_mode_columns_match_the_chain_words(name):
             for i in range(1, dm.n + 1):
                 for kind in ("e", "f"):
                     for k in ks:
-                        b, rb = WindowBudget(), WindowBudget()
-                        got = dm.mode(kind, i, k, {key: ONE}, b)
-                        want = _efmode_by_words(dm, kind, i, k, key, rb)
-                        assert got == want and b.valid == rb.valid, (key, kind, i, k)
+                        got = dm.mode(kind, i, k, {key: ONE})
+                        assert got == _efmode_by_words(dm, kind, i, k, key), (key, kind, i, k)
                         moved += bool(got)
     assert moved
 
 
-def _braid_by_nested_loops(dm, i, key, budget):
+def _braid_by_nested_loops(dm, i, key):
     """
     The oracle for Lusztig's T''_i on a basis key of weight k: for each t, r
     and s = r + t + k, e^r f^s e^t made afresh from the key, scaled by
@@ -532,7 +547,7 @@ def _braid_by_nested_loops(dm, i, key, budget):
     for t in range(dm.l + 1):
         et = {key: ONE}
         for _ in range(t):
-            et = dm.km("e", i, et, budget)
+            et = dm.km("e", i, et)
         if not et:
             break
         for r in range(dm.l + 1):
@@ -541,9 +556,9 @@ def _braid_by_nested_loops(dm, i, key, budget):
                 continue
             mid = et
             for _ in range(s):
-                mid = dm.km("f", i, mid, budget)
+                mid = dm.km("f", i, mid)
             for _ in range(r):
-                mid = dm.km("e", i, mid, budget)
+                mid = dm.km("e", i, mid)
             sign = -1 if (s + k) % 2 else 1
             scale = sc_mul(dm.qd(s - r * t, 0), sc_inv(sc_mul(qfact(r), sc_mul(qfact(s), qfact(t)))))
             dvec_add(out, mid.items(), sc_mul(Fraction(sign), scale))
@@ -556,9 +571,7 @@ def test_braid_columns_match_the_nested_loops(name):
     moved = 0
     for key in _basis_keys(dm):
         for i in range(1, dm.n + 1):
-            b, rb = WindowBudget(), WindowBudget()
-            got = dm.braid(i, {key: ONE}, b)
-            want = _braid_by_nested_loops(dm, i, key, rb)
-            assert got == want and b.valid == rb.valid, (key, i)
+            got = dm.braid(i, {key: ONE})
+            assert got == _braid_by_nested_loops(dm, i, key), (key, i)
             moved += got != dm.straighten({key: ONE})
     assert moved

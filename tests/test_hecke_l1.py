@@ -6,7 +6,6 @@ import pytest
 
 from toroidal_duality.hecke import (
     UnitModule,
-    WindowBudget,
     apply_word,
     defining_relation_checks,
     hecke_probes,
@@ -57,11 +56,9 @@ def test_word_value(module):
     assert out == {(): Fraction(25, 7)}
 
 
-def test_empty_word_keeps_vector_and_budget(module):
+def test_empty_word_keeps_vector(module):
     vec = {(): Fraction(3)}
-    budget = WindowBudget()
-    assert apply_word(module, (), vec, budget) == vec
-    assert budget.valid
+    assert apply_word(module, (), vec) == vec
 
 
 def test_q_letter_is_x(module):

@@ -1,4 +1,4 @@
-"""The canonical line writer and the summary against reference recounts of the reports, and a check's window flag."""
+"""The canonical line writer and the summary against reference recounts of the reports, and a check that leaves the window."""
 
 from collections import Counter
 
@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from toroidal_duality.hecke import PolynomialModule, WindowExit, lt, wmul
+from toroidal_duality.params import specialized_params
 from toroidal_duality.reports import MINUS_ONE, ONE, RelationReport, dumps_canonical, identity, summarize, write_jsonl
 
 # quotes, backslashes, control characters and non-ASCII, among any characters
@@ -85,32 +87,55 @@ def test_summary_tallies_each_report_status(reports):
 
 
 class _Stub:
-    """Letters ("keep",) and ("leave", nonempty): the identity, and a step out of the window."""
+    """Letters ("keep",) and ("leave",): the identity, and a step out of the window."""
 
-    def keep(self, vec, budget):
+    def __init__(self):
+        self.leaves = 0
+
+    def keep(self, vec):
         return dict(vec)
 
-    def leave(self, nonempty, vec, budget):
-        budget.valid = False
-        return dict(vec) if nonempty else {}
+    def leave(self, vec):
+        self.leaves += 1
+        raise WindowExit(("X", 1, 1), (2, 0))
 
 
 VEC = {"v": ONE}
 KEEP, LESS_KEEP = (ONE, (("keep",),)), (MINUS_ONE, (("keep",),))
+NOTE = "letter ('X', 1, 1) takes key (2, 0) out of the window"
 
 
-def _invalid_by_closed_form(budget):
-    budget.valid = False
-    return VEC
+def _memo_letters(node):
+    """Every letter with a node under `node` in a word memo."""
+    kids = node[1] or {}
+    return set(kids).union(*(_memo_letters(child) for child in kids.values() if child))
+
+
+def _leave_by_closed_form():
+    raise WindowExit(("X", 1, 1), (2, 0))
 
 
 @pytest.mark.parametrize("expr", [
-    (KEEP, (MINUS_ONE, _invalid_by_closed_form)),  # a closed-form term marks its budget invalid
-    ((ONE, (("leave", False), ("keep",))),),  # the walk stops at a False leaf
-    ((ONE, (("leave", True), ("keep",))), LESS_KEEP),  # a non-empty node carries False
+    (KEEP, (MINUS_ONE, _leave_by_closed_form)),  # a closed-form term leaves the window
+    ((ONE, (("leave",), ("keep",))),),  # the first letter of a word leaves
+    ((ONE, (("keep",), ("leave",))), LESS_KEEP),  # a later letter leaves, after a stored node
 ], ids=["closed-form", "empty-leaf", "nonempty-node"])
 def test_a_check_outside_the_window_is_not_budget_valid(expr):
     ops = _Stub()
-    assert identity(VEC, ops, expr) == (True, False, "")
-    assert identity(VEC, ops, expr) == (True, False, "")  # again from the filled memo
+    assert identity(VEC, ops, expr) == (False, False, NOTE)
+    assert identity(VEC, ops, expr) == (False, False, NOTE)  # again from the filled memo
+    # no node holds the letter that left: it ran again on the second call
+    assert ("leave",) not in _memo_letters(ops._word_memo)
+    assert ops.leaves == (0 if callable(expr[-1][1]) else 2)
     assert identity(VEC, _Stub(), (KEEP, LESS_KEEP)) == (True, True, "")
+
+
+def test_an_x_word_at_the_window_edge_is_a_skip():
+    # X_1 takes the edge key (3, 0) of the window [-3, 3]^2 out of it
+    module = PolynomialModule(specialized_params(n=4, l=2, q=2, d=3), window=3)
+    edge = {(3, 0): ONE}
+    residual = ((ONE, wmul(lt("X", 1), lt("X", 1, -1))), (MINUS_ONE, ()))
+    note = "letter ('X', 1, 1) takes key (3, 0) out of the window"
+    assert identity(edge, module, residual) == (False, False, note)
+    report = RelationReport("defining.x", (), (), "h000", False, False, 0.0, note)
+    assert report.status == "skip" and report.to_json_obj()["note"] == note

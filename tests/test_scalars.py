@@ -368,7 +368,7 @@ def test_formal_sweep_columns_hold_stored_forms(monkeypatch):
     assert columns and all(columns.values())
     formal = 0
     for column in columns.values():
-        for items, _valid in column.values():
+        for items in column.values():
             for _key, c in items:
                 assert_stored_forms(c)
                 formal += isinstance(c, (Laurent, LaurentFrac))
