@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """
-Byte-level determinism harness: run each preset sweep, a Hecke sweep at
+Byte-level determinism harness: run each preset sweep, the Hecke negative
+control (the one sweep with fail lines and notes), a Hecke sweep at
 l = 3, two Hecke sweeps (one at n = 5, l = 3), a toroidal sweep and three
 duality sweeps with formal q and d (one duality sweep at l = 3), a duality
 sweep at n = 7, whose translation tables are the largest, and a duality
@@ -32,6 +33,8 @@ from toroidal_duality.reports import dumps_canonical, write_jsonl
 # (label, target, preset, overrides)
 SWEEPS = [
     ("hecke-poly", "hecke", "poly", {}),
+    # the negative control: 450 fail lines, whose notes no other sweep writes
+    ("hecke-poly-negative", "hecke", "poly", {"negative_control": True}),
     ("hecke-l3", "hecke", "poly", {"n": 5, "l": 3, "window": 7, "hecke_probes": 7}),
     ("hecke-poly-symbolic", "hecke", "poly", {"symbolic": True}),
     # formal Hecke words at scale: 2,450 checks
@@ -55,6 +58,7 @@ SWEEPS = [
 # sha256 of each sweep's stream and summary, pinned from the reports as they stand
 DIGESTS = {
     "hecke-poly": "4fcadaf75095b33f8e8ba555967e7d8ea0065ee7e356bd3683a14c179686aa93",
+    "hecke-poly-negative": "14380375290d5808dcc3f70631a0d3be6883a6172dc36fda8e317aab8a443a78",
     "hecke-l3": "35e3521900d6754f7c7118ad71027d651b50260df540031b638d7bc806bd5a0e",
     "hecke-poly-symbolic": "f8d5f7961ab4049facaa0224c0767c4cbb8bd0100cac5e1180cab317ddb780af",
     "hecke-l3-symbolic": "7386257b90899c8a2d6fafb315e74bfd6eb8207b71a764c0cbf41bf0bc137371",

@@ -177,7 +177,8 @@ def _cmd_verify(args):
         if state != "pass":
             print(f"  {state.upper()}: {rel}")
     if summary["status"] == "warn":
-        print("warning: some probes were skipped for window-budget reasons", file=sys.stderr)
+        print("warning: some checks left the lattice window and were skipped; "
+              "each skip's note names the letter and the key", file=sys.stderr)
     return EXIT_PASS if summary["status"] != "fail" else EXIT_FAIL
 
 

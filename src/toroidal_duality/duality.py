@@ -107,7 +107,7 @@ class DualityModule:
         self._mode_columns = {}  # (kind, i, k) -> (cache tag, basis function)
         self._sym_cache = {}
         self._scale_cache = {}
-        self._chain_images = {}  # (kind, i, basis key) -> e/f T-chain images, as items
+        self._chain_images = {}  # (kind, i, basis key) -> the e/f chain sum (`_ef_chains`)
         self._theta_prefixes = {}  # (sign, i, basis key) -> (theta factors, degree parts)
         self._theta_top = 0  # the largest |k| any k+ or k- column has asked for
         self._qfact_inv = self._build_qfact_inv(self.l + 1)
@@ -359,31 +359,28 @@ class DualityModule:
         """
         e moves the first (i+1)-slot m = s+1 to i, f the last i-slot m = s to
         i+1, with Y_m^-k and the T-chains from m across the rest of the moved
-        segment ]lo, hi].  The images of the module key under the empty
-        chain and under each T-chain do not depend on k (`_ef_chains`), so
-        mode k applies only Y_m^-k to each, and passes its scalar prefactor
-        to `place` as the coefficient.
+        segment ]lo, hi].  The sum of the module key's images under the
+        empty chain and under each T-chain does not depend on k
+        (`_ef_chains`), so mode k applies Y_m^-k once, to that sum, and
+        passes its scalar prefactor to `place` as the coefficient.
         """
         chains = self._chain_images.get((kind, i, key))
         if chains is None:
             chains = self._chain_images[kind, i, key] = self._ef_chains(kind, i, key)
         if not chains:
             return {}
-        m, lead, j2, images = chains
-        y = ("Y", m, -k)
-        hv = {}
-        for items in images:
-            dvec_add(hv, apply_letter(self.h, y, dict(items)).items())
+        m, lead, j2, base = chains
+        hv = apply_letter(self.h, ("Y", m, -k), base)
         # q^(1-hi+lo) times the spectral scale alpha_i^-k = (q^(n+1-i) d^i)^-k
         pref = self.qd(lead - k * (self.n + 1 - i), -k * i)
         return self.place([(hv, j2, pref)])
 
     def _ef_chains(self, kind, i, key):
         """
-        (m, 1 - hi + lo, the moved tuple, chain images) of the e or f current
+        (m, 1 - hi + lo, the moved tuple, chain sum) of the e or f current
         on a basis key, or () when the moved segment ]lo, hi] is empty.  The
-        images are those of the module key under the empty chain and under
-        each T-chain, as item tuples.
+        chain sum is the module key's image under the empty chain plus its
+        images under each T-chain, one k-free Hecke vector.
         """
         hkey, jt = key
         assert all(jt[p] <= jt[p + 1] for p in range(len(jt) - 1))
@@ -393,10 +390,11 @@ class DualityModule:
         if lo == hi:
             return ()
         m = s + 1 if e else s
-        chains = [()] + [tij_word(kk, m if e else m - 1) for kk in range(lo + 1, hi)]
-        images = tuple(tuple(apply_word(self.h, chain, {hkey: ONE}).items()) for chain in chains)
+        base = {hkey: ONE}  # the empty chain's image
+        for kk in range(lo + 1, hi):
+            dvec_add(base, apply_word(self.h, tij_word(kk, m if e else m - 1), {hkey: ONE}).items())
         j2 = jt[: m - 1] + (i if e else i + 1,) + jt[m:]
-        return m, 1 - hi + lo, j2, images
+        return m, 1 - hi + lo, j2, base
 
     def _kmode_basis(self, kind, i, k, key):
         """

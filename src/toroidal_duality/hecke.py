@@ -32,8 +32,8 @@ Two families are provided.
     module at all.
 
 Monomial keys live in the box [-N, N]^l.  An evaluation that would take a
-key out of it raises WindowExit, so the caller can skip (never trust) that
-probe.  From a key inside the box only X, and so Q, can do this: W
+key out of it raises WindowExit, which the check runner reports as a skip,
+never a pass.  From a key inside the box only X, and so Q, can do this: W
 permutes a key's exponents, and T (and so Y) keeps them between the two it
 mixes.
 """

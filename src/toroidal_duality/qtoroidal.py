@@ -257,6 +257,6 @@ def level_items(ops, probes):
             for (_, jt) in vec.keys()
         }
         bad = seen - allowed
-        return (not bad), True, "" if not bad else f"foreign weights {sorted(bad)[:3]}"
+        return f"foreign weights {sorted(bad)[:3]}" if bad else ""
 
     return ((("level.weights", (), (), pid), partial(level_thunk, vec)) for pid, vec in probes)

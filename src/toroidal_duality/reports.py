@@ -3,28 +3,30 @@ Relation reports, the one way to state a check, and the deterministic
 check runner.
 
 A check item is ((relation, indices, modes, probe), thunk) where the thunk
-returns (residual_zero, budget_valid, note).  Item builders return lazy
-iterables: each item is made as the runner takes it and dropped once its
-report exists, so a sweep never holds all its items.  Every identity check
-is stated as data: its thunk is partial(identity, vec, ops, *residuals),
-each residual lhs - rhs a tuple of signed (coeff, word) terms, a
-closed-form display entering as a term whose word is a function of no
-arguments.  A word lists its letters in the order they act; a letter is a Kac-Moody generator
-(kind, j) as printed, acting through `km`, a Hecke letter (kind, index,
-exponent), kind T X Y Q or W, acting through `hecke.apply_letter`, or
-(operator, *arguments) for any other operator method, e.g. ("mode", kind,
-i, k) or ("psi",).  Each ops object keeps the word memo of the probe vector
-its last check ran on, a prefix trie filled as checks walk it: each word
-prefix is applied once and shared by every check on that probe, and a check
-on another probe starts a new memo, so builders emit their items probe by
-probe; the check's own loop walks every term, and `_child` makes each node.
-An evaluation that leaves the lattice window raises `hecke.WindowExit`;
-the check catches it and reports a skip: residual_zero and budget_valid
-false, the note naming the letter and the module key.
-The runner sorts the reports (NamedTuples) by key and `write_jsonl` fills
-one sorted-key line template, so the emitted JSON stream is byte-identical
-across runs; per-check wall time stays out of the JSON.  `summarize` counts
-the reports' (relation, residual_zero, budget_valid) triples.
+returns its failure note, or "" when every residual is zero, and raises
+when an evaluation leaves the lattice window.  The runner is the one place
+a status is made: "pass" for "", "fail" for a note, and "skip" for a
+window exit, whose text, naming the letter and the module key, is the
+note.  Item builders return lazy iterables: each item is made as the
+runner takes it and dropped once its report exists, so a sweep never holds
+all its items.  Every identity check is stated as data: its thunk is
+partial(identity, vec, ops, *residuals), each residual lhs - rhs a tuple of
+signed (coeff, word) terms, a closed-form display entering as a term whose
+word is a function of no arguments.  A word lists its letters in the order
+they act; a letter is a Kac-Moody generator (kind, j) as printed, acting
+through `km`, a Hecke letter (kind, index, exponent), kind T X Y Q or W,
+acting through `hecke.apply_letter`, or (operator, *arguments) for any
+other operator method, e.g. ("mode", kind, i, k) or ("psi",).  Each ops
+object keeps the word memo of the probe vector its last check ran on, a
+prefix trie filled as checks walk it: each word prefix is applied once and
+shared by every check on that probe, and a check on another probe starts a
+new memo, so builders emit their items probe by probe; the check's own loop
+walks every term, and `_child` makes each node.  A report stores the
+status, from which its JSON bools residual_zero and budget_valid are
+derived.  The runner sorts the reports (NamedTuples) by key and
+`write_jsonl` fills one sorted-key line template, so the emitted JSON
+stream is byte-identical across runs; per-check wall time stays out of the
+JSON.  `summarize` counts the reports' (relation, status) pairs.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import json
 import time
 from collections import Counter
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import hecke  # the kernel by its module name, which perfbench/layers.py traces
@@ -43,7 +45,7 @@ KM_KINDS = frozenset(("e", "f", "k", "kinv"))
 HECKE_KINDS = frozenset("TXYQW")
 MINUS_UNIT = (MINUS_ONE, ())  # the term -1: the empty word, the identity operator, subtracted
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode  # dumps_canonical's encoding of one value
-_STATUS_FIELDS = attrgetter("relation", "residual_zero", "budget_valid")  # what `summarize` counts
+_RELATION_STATUS = itemgetter(0, 4)  # (relation, status) of a report, what `summarize` counts
 _TOTAL_KEY = {"pass": "passed", "fail": "failed", "skip": "skipped"}  # summary totals key of a status
 
 
@@ -71,9 +73,9 @@ def _child(ops, node, letter):
 def identity(vec, ops, *residuals):
     """
     The check that every residual, an expression lhs - rhs, is zero on vec:
-    (residual_zero, budget_valid, note), the note naming the first nonzero
-    residual, or (False, False, note) when an evaluation leaves the window,
-    the note naming the letter and the key it took out.
+    "" when it is, else a note naming the first nonzero residual.  An
+    evaluation that leaves the window raises, and the runner reports the
+    check as a skip.
 
     Each term whose word is a tuple walks it through the memo that ops holds
     for vec, first letter first, stopping at an empty vector, so a prefix
@@ -87,32 +89,24 @@ def identity(vec, ops, *residuals):
     root = getattr(ops, "_word_memo", None)
     if root is None or root[0] is not vec:  # a new probe: drop the last one's words
         root = ops._word_memo = [vec, None]
-    try:
-        for expr in residuals:
-            res = {}
-            for c, word in expr:
-                if word.__class__ is not tuple:  # a closed form
-                    hecke.merge_vec(res, word().items(), c)
-                    continue
-                node = root
-                for letter in word:
-                    kids = node[1]
-                    child = kids.get(letter) if kids else None
-                    node = _child(ops, node, letter) if child is None else child
-                    if not node:  # an empty vector: the word stops here
-                        break
-                else:
-                    hecke.merge_vec(res, node[0].items(), c)
-            if res and not note:
-                note = f"residual has {len(res)} term(s); lead key {min(res)}"
-    except hecke.WindowExit as exc:
-        return False, False, str(exc)
-    return not note, True, note
-
-
-def _status(residual_zero, budget_valid):
-    # a check that left the window is never a pass
-    return ("pass" if residual_zero else "fail") if budget_valid else "skip"
+    for expr in residuals:
+        res = {}
+        for c, word in expr:
+            if word.__class__ is not tuple:  # a closed form
+                hecke.merge_vec(res, word().items(), c)
+                continue
+            node = root
+            for letter in word:
+                kids = node[1]
+                child = kids.get(letter) if kids else None
+                node = _child(ops, node, letter) if child is None else child
+                if not node:  # an empty vector: the word stops here
+                    break
+            else:
+                hecke.merge_vec(res, node[0].items(), c)
+        if res and not note:
+            note = f"residual has {len(res)} term(s); lead key {min(res)}"
+    return note
 
 
 class RelationReport(NamedTuple):
@@ -120,14 +114,9 @@ class RelationReport(NamedTuple):
     indices: tuple
     modes: tuple
     probe: str
-    residual_zero: bool
-    budget_valid: bool
+    status: str  # "pass", "fail", or "skip" for a check that left the window
     elapsed: float = 0.0
     note: str = ""
-
-    @property
-    def status(self):
-        return _status(self.residual_zero, self.budget_valid)
 
     def to_json_obj(self):
         obj = {
@@ -135,8 +124,8 @@ class RelationReport(NamedTuple):
             "indices": list(self.indices),
             "modes": list(self.modes),
             "probe": self.probe,
-            "residual_zero": self.residual_zero,
-            "budget_valid": self.budget_valid,
+            "residual_zero": self.status == "pass",
+            "budget_valid": self.status != "skip",
             "status": self.status,
         }
         if self.note and self.status != "pass":
@@ -147,8 +136,10 @@ class RelationReport(NamedTuple):
 def run_relation_items(items, *, workers=1):
     """
     Execute check items, taking each from the iterable only when it runs,
-    and return reports sorted by (relation, indices, modes, probe).  The
-    sort is stable: reports under one key keep the order of their items.
+    and return reports sorted by (relation, indices, modes, probe).  A
+    thunk's "" is a pass and its note a fail; a window exit it raises is a
+    skip, the exception's text its note.  The sort is stable: reports under
+    one key keep the order of their items.
     """
     # kept only because perfbench/sweep.py forwards workers=1 to this runner
     if workers != 1:
@@ -157,10 +148,14 @@ def run_relation_items(items, *, workers=1):
     append = reports.append
     for (relation, indices, modes, probe), thunk in items:
         t0 = clock()
-        zero, valid, note = thunk()
+        try:
+            note = thunk()
+        except hecke.WindowExit as exc:
+            status, note = "skip", str(exc)
+        else:
+            status = "fail" if note else "pass"
         dt = clock() - t0
-        append(new(RelationReport, (relation, tuple(indices), tuple(modes), probe,
-                                    bool(zero), bool(valid), dt, note)))
+        append(new(RelationReport, (relation, tuple(indices), tuple(modes), probe, status, dt, note)))
     thunk = None  # the last item holds the module and its word memo: free them before the sort
     reports.sort(key=itemgetter(0, 1, 2, 3))
     return reports
@@ -169,8 +164,7 @@ def run_relation_items(items, *, workers=1):
 def summarize(reports, config_echo):
     totals = {"checked": len(reports), "passed": 0, "failed": 0, "skipped": 0}
     per_relation = {}
-    for (relation, zero, valid), count in Counter(map(_STATUS_FIELDS, reports)).items():
-        status = _status(zero, valid)
+    for (relation, status), count in Counter(map(_RELATION_STATUS, reports)).items():
         per_relation.setdefault(relation, {"pass": 0, "fail": 0, "skip": 0})[status] += count
         totals[_TOTAL_KEY[status]] += count
     status = "fail" if totals["failed"] else "warn" if totals["skipped"] else "pass"
@@ -196,7 +190,8 @@ def write_jsonl(path, reports):
     """
     Stream the lines dumps_canonical(r.to_json_obj()) from one sorted-key template, each
     relation, probe, indices and modes value encoded once.  Tuples share a text only when
-    every element is an int, since (1,) == (True,); residual_zero and budget_valid are bools.
+    every element is an int, since (1,) == (True,).  The bools residual_zero (a pass) and
+    budget_valid (not a skip) are derived from the status.
     """
     memo = {}
     hit = memo.get
@@ -208,13 +203,12 @@ def write_jsonl(path, reports):
         return text
 
     def lines():
-        for relation, indices, modes, probe, zero, valid, _, note in reports:
-            status = ("pass" if zero else "fail") if valid else "skip"  # `_status`, inlined per line
+        for relation, indices, modes, probe, status, _, note in reports:
             note = f'"note":{_ENCODE(note)},' if note and status != "pass" else ""
-            yield (f'{{"budget_valid":{"true" if valid else "false"},'
+            yield (f'{{"budget_valid":{"false" if status == "skip" else "true"},'
                    f'"indices":{hit_tuple(indices) or encode(indices)},"modes":{hit_tuple(modes) or encode(modes)},'
                    f'{note}"probe":{hit(probe) or encode(probe)},"relation":{hit(relation) or encode(relation)},'
-                   f'"residual_zero":{"true" if zero else "false"},"status":"{status}"}}\n')
+                   f'"residual_zero":{"true" if status == "pass" else "false"},"status":"{status}"}}\n')
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines())
@@ -240,7 +234,7 @@ def render_table(objs):
         lines.append(
             f"{o['relation']:<16} {str(tuple(o['indices'])):<10} "
             f"{str(tuple(o['modes'])):<16} {o['probe']:<7} {o['status']}"
-            + (f"  {o.get('note', '')}" if o["status"] == "fail" else "")
+            + (f"  {o.get('note', '')}" if o["status"] != "pass" else "")
         )
         shown += 1
     counts = {"pass": 0, "fail": 0, "skip": 0}

@@ -17,7 +17,7 @@ import pytest
 import toroidal_duality
 from toroidal_duality.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, main
 from toroidal_duality.config import ConfigError, load_config
-from toroidal_duality.reports import run_relation_items
+from toroidal_duality.reports import RelationReport, run_relation_items, summarize
 
 FAST = ["--probes", "3", "--hecke-probes", "6", "--modes", "1", "--seed", "11"]
 
@@ -77,6 +77,23 @@ def test_report_table(tmp_path, capsys):
     assert main(["report", "table", str(out)]) == EXIT_PASS
     table = capsys.readouterr().out
     assert "relation" in table and "total" in table
+
+
+def test_a_skip_warns_and_its_note_shows_in_the_table(tmp_path, capsys, monkeypatch):
+    # no sweep at a supported window skips, so the sweep is a stub with one skip line
+    import toroidal_duality.cli as cli
+
+    note = "letter ('X', 1, 1) takes key (3, 0) out of the window"
+    reports = [RelationReport("defining.x", (), (), "h000", "skip", 0.0, note),
+               RelationReport("defining.x", (), (), "h001", "pass")]
+    monkeypatch.setattr(cli, "run_verify", lambda target, cfg: (reports, summarize(reports, {}), 0.0))
+    out = tmp_path / "s.jsonl"
+    assert main(["verify", "hecke", "--preset", "poly", "--out", str(out)]) == EXIT_PASS
+    err = capsys.readouterr().err
+    assert "left the lattice window" in err and "Traceback" not in err
+    assert main(["report", "table", str(out)]) == EXIT_PASS
+    skip_row, = [line for line in capsys.readouterr().out.splitlines() if line.startswith("defining.x") and "skip" in line]
+    assert skip_row.endswith("skip  " + note)
 
 
 def test_report_rejects_garbage(tmp_path, capsys):
@@ -243,7 +260,7 @@ def test_only_nilpotent_pairs_share_a_key_and_keep_their_emission_order(sweep, t
         # partial(identity, vec, ops, ((ONE, (("mode", kind, i, k),) * (l + 1)),)): the kind of its one letter
         assert [items[n][1].args[2][0][1][0][1] for n in at] == ["e", "f"], meta
     # each report's note names the item it came from
-    reports = run_relation_items((meta, lambda n=n: (True, True, n)) for n, (meta, _) in enumerate(items))
+    reports = run_relation_items((meta, lambda n=n: n) for n, (meta, _) in enumerate(items))
     ran = {}
     for r in reports:
         ran.setdefault(r[:4], []).append(r.note)
@@ -773,8 +790,8 @@ DUALITY_L3 = ["duality", "--n", "5", "--l", "3", "--q", "2", "--d", "3", "--wind
      ["toroidal", "--preset", "poly"]),
     # every theta coefficient past the first takes q^(m(r-2)) for q^(m(r-1))
     ("series.py", "m * (r - 1)", "m * (r - 2)", ["toroidal", "--preset", "poly"]),
-    # the e/f chain images leave out the empty chain, so Y_m^-k misses the module key itself
-    ("duality.py", "chains = [()] + [tij_word(", "chains = [tij_word(", ["toroidal", "--preset", "poly"]),
+    # the e/f chain sum leaves out the empty chain, so Y_m^-k misses the module key itself
+    ("duality.py", "base = {hkey: ONE}", "base = {}", ["toroidal", "--preset", "poly"]),
     # Y_j is built on T_(j-1) in place of T_(j-1)^-1
     ("hecke.py", 'tinv = ("T", idx - 1, -1)', 'tinv = ("T", idx - 1, 1)', ["hecke", "--preset", "poly"]),
 ], ids=["stepped-power-sign", "kmode-wrong-slot-scale", "theta-closed-form", "efmode-no-empty-chain",

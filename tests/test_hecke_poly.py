@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,7 +33,7 @@ from toroidal_duality.hecke import (
     x0_word,
 )
 from toroidal_duality.params import specialized_params, symbolic_params
-from toroidal_duality.reports import identity
+from toroidal_duality.reports import identity, run_relation_items
 from toroidal_duality.scalars import ONE, sc_inv, sc_mul, sc_pow
 
 
@@ -44,11 +45,13 @@ def module():
 def run_suite(mod, checks, probes, allow_skips=False):
     failures = []
     for meta, thunk in make_hecke_items(mod, checks, probes):
-        zero, valid, note = thunk()
-        if not valid:
+        try:
+            note = thunk()
+        except WindowExit:
             if not allow_skips:
-                failures.append((meta, "budget-invalid probe in a suite that expects none"))
-        elif not zero:
+                failures.append((meta, "a probe left the window in a suite that expects none"))
+            continue
+        if note:
             failures.append((meta, note))
     return failures
 
@@ -275,7 +278,7 @@ def test_memo_shares_words_between_hecke_thunks(monkeypatch, module):
 
     monkeypatch.setattr(PolynomialModule, "letter_cached", counting)
     result = first()
-    assert calls and result == (True, True, "")
+    assert calls and result == ""
     calls.clear()
     assert second() == result and not calls
 
@@ -326,14 +329,15 @@ def test_hecke_word_memo_matches_apply_expr(window, run):
         try:
             want = apply_expr(ref, lhs, vec)
             merge_vec(want, apply_expr(ref, rhs, vec).items(), Fraction(-1))
-        except WindowExit as exc:  # a skip that names the same letter and key
-            assert identity(vec, ops, residual) == (False, False, str(exc))
-            assert thunk() == (False, False, str(exc))
+        except WindowExit as exc:  # the check leaves the window at the same letter and key
+            for check in (partial(identity, vec, ops, residual), thunk):
+                with pytest.raises(WindowExit) as left:
+                    check()
+                assert str(left.value) == str(exc)
             continue
-        assert identity(vec, ops, residual + ((Fraction(-1), lambda: want),)) == (True, True, "")
+        assert identity(vec, ops, residual + ((Fraction(-1), lambda: want),)) == ""
         # the item make_hecke_items states from the residual
-        note = f"residual has {len(want)} term(s); lead key {min(want)}" if want else ""
-        assert thunk() == (not want, True, note)
+        assert thunk() == (f"residual has {len(want)} term(s); lead key {min(want)}" if want else "")
 
 
 # -- Y and Q powers, stepped from the power below --------------------------------
@@ -446,10 +450,10 @@ def test_every_hecke_relation_bites(monkeypatch, preset, overrides, statements):
     dualchecks.reconstruction_items(DualityModule(hmod), 1, [])
     assert [s.relation for s in shifts] == ["recon.y-wrap", "recon.y-shift"][:hmod.l]
     probes = hecke_probes(hmod, 3, seed=11)
-    assert all(thunk() == (True, True, "") for _, thunk in make_hecke_items(hmod, checks + shifts, probes))
+    assert all(thunk() == "" for _, thunk in make_hecke_items(hmod, checks + shifts, probes))
     missed = []
     for chk in checks + shifts:
-        results = (thunk() for _, thunk in make_hecke_items(hmod, [_negate_last_term(chk)], probes))
-        if not any(valid and not zero for zero, valid, _ in results):
+        reports = run_relation_items(make_hecke_items(hmod, [_negate_last_term(chk)], probes))
+        if not any(r.status == "fail" for r in reports):
             missed.append((chk.relation, chk.indices))
     assert missed == []

@@ -52,12 +52,7 @@ def test_hecke_suites_off_preset(dm_wide):
         + q_presentation_checks(mod)
         + conjugation_lemma_checks(mod)
     )
-    failures = []
-    for meta, thunk in make_hecke_items(mod, checks, probes):
-        zero, valid, note = thunk()
-        if not (zero and valid):
-            failures.append((meta, note))
-    assert failures == []
+    assert_all_pass(make_hecke_items(mod, checks, probes))
 
 
 def test_current_relations_off_preset(dm_wide):

@@ -1,6 +1,7 @@
 """The canonical line writer and the summary against reference recounts of the reports, and a check that leaves the window."""
 
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,10 @@ from hypothesis import strategies as st
 
 from toroidal_duality.hecke import PolynomialModule, WindowExit, lt, wmul
 from toroidal_duality.params import specialized_params
-from toroidal_duality.reports import MINUS_ONE, ONE, RelationReport, dumps_canonical, identity, summarize, write_jsonl
+from toroidal_duality.qtoroidal import level_items
+from toroidal_duality.reports import (
+    MINUS_ONE, ONE, RelationReport, dumps_canonical, identity, run_relation_items, summarize, write_jsonl,
+)
 
 # quotes, backslashes, control characters and non-ASCII, among any characters
 TEXT = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7fé€\ud800\U0001d52e'),
@@ -16,15 +20,15 @@ TEXT = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7fé€\ud800\U0001d5
 # True == 1 and False == 0, yet they encode as true and false: a memo must not share them
 ELEMENT = st.sampled_from([0, 1, True, False, -1, 2, -(10 ** 20)])
 INTS = st.lists(ELEMENT, max_size=3).map(tuple)
-REPORT = st.builds(RelationReport, TEXT, INTS, INTS, TEXT, st.booleans(), st.booleans(),
-                   st.floats(0, 1), TEXT)
+STATUS = st.sampled_from(("pass", "fail", "skip"))
+REPORT = st.builds(RelationReport, TEXT, INTS, INTS, TEXT, STATUS, st.floats(0, 1), TEXT)
 
 # pass (its note is left out), fail and skip with notes, and (1,) beside (True,)
 ALL_STATUSES = [
-    RelationReport("2.1.1", (1,), (0, 1), "p000", True, True, 0.0, "not written"),
-    RelationReport("2.1.1", (True,), (False, True), "p000", False, True, 0.0, 'fail "note"\\\n'),
-    RelationReport("2.1.é", (1,), (True,), "p\x01", True, False, 0.0, "skip €"),
-    RelationReport("2.1.1", (), (), "p000", False, True),
+    RelationReport("2.1.1", (1,), (0, 1), "p000", "pass", 0.0, "not written"),
+    RelationReport("2.1.1", (True,), (False, True), "p000", "fail", 0.0, 'fail "note"\\\n'),
+    RelationReport("2.1.é", (1,), (True,), "p\x01", "skip", 0.0, "skip €"),
+    RelationReport("2.1.1", (), (), "p000", "fail"),
 ]
 
 
@@ -44,8 +48,7 @@ def test_writer_matches_the_reference_encoding(path, reports):
 
 # pass, fail and skip records spread over several relations, in no order
 SUMMARY_REPORT = st.builds(RelationReport, st.sampled_from(["2.1.1", "2.1.2", "braid.e", "recon.t"]),
-                           st.just(()), st.just(()), st.sampled_from(["p000", "p001"]),
-                           st.booleans(), st.booleans())
+                           st.just(()), st.just(()), st.sampled_from(["p000", "p001"]), STATUS)
 
 
 @given(st.lists(SUMMARY_REPORT, max_size=30))
@@ -122,12 +125,14 @@ def _leave_by_closed_form():
 ], ids=["closed-form", "empty-leaf", "nonempty-node"])
 def test_a_check_outside_the_window_is_not_budget_valid(expr):
     ops = _Stub()
-    assert identity(VEC, ops, expr) == (False, False, NOTE)
-    assert identity(VEC, ops, expr) == (False, False, NOTE)  # again from the filled memo
+    item = (("2.1.1", (), (), "p000"), partial(identity, VEC, ops, expr))
+    reports = run_relation_items([item, item])  # again from the filled memo
+    assert [(r.status, r.note) for r in reports] == [("skip", NOTE)] * 2
+    assert [r.to_json_obj()["budget_valid"] for r in reports] == [False] * 2
     # no node holds the letter that left: it ran again on the second call
     assert ("leave",) not in _memo_letters(ops._word_memo)
     assert ops.leaves == (0 if callable(expr[-1][1]) else 2)
-    assert identity(VEC, _Stub(), (KEEP, LESS_KEEP)) == (True, True, "")
+    assert identity(VEC, _Stub(), (KEEP, LESS_KEEP)) == ""
 
 
 def test_an_x_word_at_the_window_edge_is_a_skip():
@@ -136,6 +141,32 @@ def test_an_x_word_at_the_window_edge_is_a_skip():
     edge = {(3, 0): ONE}
     residual = ((ONE, wmul(lt("X", 1), lt("X", 1, -1))), (MINUS_ONE, ()))
     note = "letter ('X', 1, 1) takes key (3, 0) out of the window"
-    assert identity(edge, module, residual) == (False, False, note)
-    report = RelationReport("defining.x", (), (), "h000", False, False, 0.0, note)
+    with pytest.raises(WindowExit) as left:
+        identity(edge, module, residual)
+    assert str(left.value) == note
+    report, = run_relation_items([(("defining.x", (), (), "h000"), partial(identity, edge, module, residual))])
     assert report.status == "skip" and report.to_json_obj()["note"] == note
+
+
+class _LeavingModule:
+    """A module stub whose weights leave the window, for the level check."""
+
+    n, l = 3, 1
+
+    def weight(self, i, jt):
+        raise WindowExit(("X", 1, 1), (2, 0))
+
+
+def test_a_window_exit_from_any_thunk_is_one_skip():
+    # the runner makes the skip, so a thunk other than `identity` that leaves
+    # the window is one skip report too, and the items after it still run
+    def leave():
+        raise WindowExit(("X", 1, 1), (2, 0))
+
+    items = [*level_items(_LeavingModule(), [("p000", {((), (1,)): ONE})]),
+             (("stub", (), (), "p001"), leave), (("stub", (), (), "p002"), lambda: ""),
+             (("stub", (), (), "p003"), lambda: "off by one")]
+    reports = run_relation_items(items)
+    assert [(r.relation, r.probe, r.status, r.note) for r in reports] == [
+        ("level.weights", "p000", "skip", NOTE), ("stub", "p001", "skip", NOTE),
+        ("stub", "p002", "pass", ""), ("stub", "p003", "fail", "off by one")]
