@@ -111,6 +111,7 @@ class DualityModule:
         self._theta_prefixes = {}  # (sign, i, basis key) -> (theta factors, degree parts)
         self._theta_top = 0  # the largest |k| any k+ or k- column has asked for
         self._qfact_inv = self._build_qfact_inv(self.l + 1)
+        self._braid_scales = {}  # (r, s, t, k) -> (-1)^(s+k) q^(s-rt) / ([r]! [s]! [t]!)
 
     def _build_qfact_inv(self, top):
         out = [ONE]
@@ -250,7 +251,8 @@ class DualityModule:
         Lusztig's T''_i on a basis key of weight k: the sum over t, r and
         s = r + t + k of (-1)^(s+k) q^(s-rt) e^r f^s e^t / ([r]! [s]! [t]!).
         e^t is made from e^(t-1), and f^s e^t from f^(s-1) e^t as s grows
-        with r; only e^r is applied afresh to each f^s e^t.
+        with r; only e^r is applied afresh to each f^s e^t.  The scalar
+        depends on (r, s, t, k) alone, so the module makes each once.
         """
         k = self.weight(i, key[1])
         out = {}
@@ -275,17 +277,18 @@ class DualityModule:
                     mid = self.km("e", i, mid)
                 if not mid:
                     continue
-                sign = MINUS_ONE if (s + k) % 2 else ONE
-                coeff = sc_mul(
-                    sign,
-                    sc_mul(
-                        self.qd(s - r * t, 0),
+                coeff = self._braid_scales.get((r, s, t, k))
+                if coeff is None:
+                    coeff = self._braid_scales[r, s, t, k] = sc_mul(
+                        MINUS_ONE if (s + k) % 2 else ONE,
                         sc_mul(
-                            self._qfact_inv[r],
-                            sc_mul(self._qfact_inv[s], self._qfact_inv[t]),
+                            self.qd(s - r * t, 0),
+                            sc_mul(
+                                self._qfact_inv[r],
+                                sc_mul(self._qfact_inv[s], self._qfact_inv[t]),
+                            ),
                         ),
-                    ),
-                )
+                    )
                 dvec_add(out, mid.items(), coeff)
         return out
 

@@ -35,7 +35,9 @@ Monomial keys live in the box [-N, N]^l.  An evaluation that would take a
 key out of it raises WindowExit, which the check runner reports as a skip,
 never a pass.  From a key inside the box only X, and so Q, can do this: W
 permutes a key's exponents, and T (and so Y) keeps them between the two it
-mixes.
+mixes.  So the window test of an atomic letter reads one key of its image,
+the one the letter moves the key to (T's swapped key, W's rotated key, X's
+moved key): every other key of the image is no further out.
 """
 
 from __future__ import annotations
@@ -233,10 +235,13 @@ class PolynomialModule:
         self.corrupt_t1 = corrupt_t1
         q = params.q
         self._q2 = sc_mul(q, q)
-        self._q2m1 = self._q2 - Fraction(1)
+        self._q2m1 = self._q2 - ONE
+        self._neg_q2m1 = -self._q2m1
         self._q2inv = sc_inv(self._q2)
+        self._q2inv_m1 = self._q2inv - ONE  # T^-1's diagonal term
         self._tlead1 = sc_mul(self._q2, q) if corrupt_t1 else self._q2
         self._cache = {}
+        self._programs = {}  # Y or Q letter with exponent +-1 -> `_program_for(letter)`
 
     # -- raw letter actions on a single monomial key ------------------------
 
@@ -244,7 +249,7 @@ class PolynomialModule:
         a, b = key[i - 1], key[i]
         items = {key[: i - 1] + (b, a) + key[i + 1 :]: lead}
         if a != b:
-            c = self._q2m1 if a < b else -self._q2m1
+            c = self._q2m1 if a < b else self._neg_q2m1
             hi, lo = (b, a) if a < b else (a, b)
             merge_vec(items, [
                 (key[: i - 1] + (hi - 1 - t, lo + 1 + t) + key[i + 1 :], c)
@@ -253,11 +258,16 @@ class PolynomialModule:
         return list(items.items())
 
     def _atomic_items(self, letter, key):
+        """
+        The image of `key` under a T, W or X letter.  Its first key is where
+        the letter moves `key`: T's swapped key, W's rotated key, X's moved
+        key; `letter_cached` tests that key alone against the window.
+        """
         kind, idx, exp = letter
         if kind == "X":
             assert 1 <= idx <= self.l
             k2 = key[: idx - 1] + (key[idx - 1] + exp,) + key[idx:]
-            return [(k2, Fraction(1))]
+            return [(k2, ONE)]
         if kind == "T":
             assert 1 <= idx <= self.l - 1 and exp in (1, -1)
             lead = self._tlead1 if idx == 1 else self._q2
@@ -267,7 +277,7 @@ class PolynomialModule:
             # T^-1 = q^-2 (T + 1 - q^2)
             out = {}
             merge_vec(out, items, self._q2inv)
-            merge_vec(out, [(key, self._q2inv - Fraction(1))])
+            merge_vec(out, [(key, self._q2inv_m1)])
             return list(out.items())
         if kind == "W":
             assert exp in (1, -1)
@@ -308,14 +318,22 @@ class PolynomialModule:
 
     def letter_cached(self, letter, key):
         """
-        The image of one key under one letter, as sorted items, made once
-        per (letter, key).  A zero exponent is the identity and is never
-        stored.  A Y or Q letter with exponent +-1 runs its program, whose
-        Y_{j-1} letter (in Y_j, j >= 2) is looked up here; a higher power is
-        the power one step nearer zero, then the +-1 letter on each key it
-        reaches, both looked up here, so Y^3 reuses Y^2 of the key and Y of
-        every key that Y^2 reaches.  An atomic image with a key outside the
-        window raises WindowExit, and nothing is stored.
+        The image of one key under one letter, as items (sorted for a Y or
+        Q letter), made once per (letter, key).  A zero exponent is the
+        identity and is never stored.  A Y or Q letter with exponent +-1 runs
+        its program, made once per letter, whose Y_{j-1} letter (in Y_j,
+        j >= 2) is looked up here; a higher power is the power one step
+        nearer zero, then the +-1 letter on each key it reaches, both looked
+        up here, so Y^3 reuses Y^2 of the key and Y of every key that Y^2
+        reaches.
+
+        An atomic image with a key outside the window raises WindowExit, and
+        nothing is stored.  The test reads one key, the image's first: T's
+        swapped key, W's rotated key or X's moved key.  Every other key of a
+        T image holds, where T mixes, exponents between the two there, so it
+        is no further out; W's and X's images have one key.  So this raises
+        exactly when some image key leaves the window, and an X step from
+        outside the window back into it does not raise.
         """
         hit = self._cache.get((letter, key))
         if hit is not None:
@@ -325,7 +343,10 @@ class PolynomialModule:
             return ((key, ONE),)
         if kind in ("Y", "Q"):
             if exp in (1, -1):
-                coeff, prog = self._program_for(letter)
+                program = self._programs.get(letter)
+                if program is None:
+                    program = self._programs[letter] = self._program_for(letter)
+                coeff, prog = program
                 vec = {key: coeff}
                 for step_letter in prog:
                     vec = apply_letter(self, step_letter, vec)
@@ -336,7 +357,7 @@ class PolynomialModule:
             entry = tuple(sorted(vec.items()))
         else:
             entry = tuple(self._atomic_items(letter, key))
-            if not self.inside(k for k, _ in entry):
+            if max(map(abs, entry[0][0])) > self.window:
                 raise WindowExit(letter, key)
         self._cache[(letter, key)] = entry
         return entry

@@ -257,6 +257,32 @@ def test_monomial_table_leaves_the_module_free_of_cycles():
             gc.enable()
 
 
+def test_filled_letter_program_and_braid_tables_leave_the_hecke_module_free_of_cycles():
+    # the letter cache, the program table and the braid scalars hold keys,
+    # letters and scalars only: after a sweep has filled them, the Hecke
+    # module is freed by reference counting alone
+    from toroidal_duality.dualchecks import intertwining_items
+    from toroidal_duality.hecke import make_hecke_items, q_presentation_checks
+    from toroidal_duality.reports import run_relation_items
+
+    hmod = PolynomialModule(specialized_params(n=4, l=2, q=2, d=3), window=8)
+    dm = DualityModule(hmod)
+    items = chain(intertwining_items(dm, duality_probes(dm, 2, seed=3)),
+                  make_hecke_items(hmod, q_presentation_checks(hmod), [("h000", {(1, 0): ONE})]))
+    assert all(r.status == "pass" for r in run_relation_items(items))
+    assert hmod._cache and hmod._programs and dm._braid_scales
+    del items, dm
+    ref = weakref.ref(hmod)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del hmod
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 @pytest.mark.parametrize("dm_name", ["dm_unit", "dm_poly"])
 def test_km_rejects_vertices_outside_the_diagram(dm_name, request):
     dm = request.getfixturevalue(dm_name)
@@ -565,9 +591,18 @@ def _braid_by_nested_loops(dm, i, key):
     return out
 
 
-@pytest.mark.parametrize("name", ["poly", "poly-formal", "n5l3"])
+@pytest.mark.parametrize("name", ["poly", "poly-formal", "n5l3", "q3-after-q2"])
 def test_braid_columns_match_the_nested_loops(name):
-    dm = DualityModule(_POWER_MODULES[name]())
+    # q3-after-q2 fills every braid column of a q = 2 module, then checks a
+    # q = 3 module's: each module makes its own braid scalars
+    if name == "q3-after-q2":
+        first = DualityModule(_POWER_MODULES["poly"]())
+        for key in _basis_keys(first):
+            for i in range(1, first.n + 1):
+                first.braid(i, {key: ONE})
+        dm = DualityModule(PolynomialModule(specialized_params(n=4, l=2, q=3, d=5), window=8))
+    else:
+        dm = DualityModule(_POWER_MODULES[name]())
     moved = 0
     for key in _basis_keys(dm):
         for i in range(1, dm.n + 1):

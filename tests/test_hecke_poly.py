@@ -170,6 +170,79 @@ def test_only_x_takes_a_window_key_out(params, window):
     assert exc.value.args == (("X", 1, 1), edge)
 
 
+_WINDOW_MODULES = {
+    "specialized": lambda n, l: PolynomialModule(specialized_params(n=n, l=l, q=2, d=3), window=2),
+    "formal": lambda n, l: PolynomialModule(symbolic_params(n=n, l=l), window=2),
+    "negative-control": lambda n, l: PolynomialModule(specialized_params(n=n, l=l, q=2, d=3), window=2,
+                                                      corrupt_t1=True),
+}
+
+
+@pytest.mark.parametrize("n, l", [(4, 2), (5, 3)], ids=["n4l2", "n5l3"])
+@pytest.mark.parametrize("name", list(_WINDOW_MODULES))
+def test_the_one_key_window_test_raises_as_the_whole_image_does(name, n, l):
+    # letter_cached tests only the key a T, W or X letter moves its key to;
+    # it must raise exactly when some key of the atomic image is outside the
+    # window, and then store nothing.  The keys fill the box two steps wider
+    # than the window, so keys outside it, and X steps from outside back in,
+    # are covered
+    mod = _WINDOW_MODULES[name](n, l)
+    window = mod.window
+    letters = [("T", i, e) for i in range(1, l) for e in (1, -1)] + [("W", 0, 1), ("W", 0, -1)]
+    letters += [("X", j, e) for j in range(1, l + 1) for e in (1, -1)]
+    raised = back_in = 0
+    for key in itertools.product(range(-window - 2, window + 3), repeat=l):
+        for letter in letters:
+            leaves = not mod.inside(k for k, _ in mod._atomic_items(letter, key))
+            try:
+                mod.letter_cached(letter, key)
+            except WindowExit as exc:
+                assert leaves and exc.args == (letter, key), (letter, key)
+                assert (letter, key) not in mod._cache
+                raised += 1
+                continue
+            assert not leaves, (letter, key)
+            back_in += not mod.inside([key])
+    assert raised and back_in
+
+
+def _program_by_definition(mod, letter):
+    """
+    (coefficient, letters) of Y_j^+-1 or Q^+-1 as defined: Y_1 = W T_{l-1}
+    .. T_1, Y_j = q^2 T_{j-1}^-1 Y_{j-1} T_{j-1}^-1, Q = X_1 T_1 .. T_{l-1};
+    c w has the inverse c^-1 winv(w).
+    """
+    kind, idx, exp = letter
+    if kind == "Q":
+        c, prog = ONE, wmul(lt("X", 1), tij_word(1, mod.l - 1))
+    elif idx == 1:
+        c, prog = ONE, wmul(lt("W"), tij_word(mod.l - 1, 1))
+    else:
+        tinv = lt("T", idx - 1, -1)
+        c, prog = sc_mul(mod.params.q, mod.params.q), wmul(tinv, lt("Y", idx - 1), tinv)
+    return (sc_inv(c), winv(prog)) if exp < 0 else (c, prog)
+
+
+@pytest.mark.parametrize("params", [
+    specialized_params(n=4, l=2, q=2, d=3),
+    symbolic_params(n=4, l=2),
+    specialized_params(n=5, l=3, q=2, d=3),
+    symbolic_params(n=5, l=3),
+], ids=["l2", "l2-formal", "l3", "l3-formal"])
+def test_programs_are_made_once_per_letter_as_defined(params):
+    mod = PolynomialModule(params, window=4)
+    made = []
+    program_for = mod._program_for
+    mod._program_for = lambda letter: made.append(letter) or program_for(letter)
+    letters = [("Y", j, e) for j in range(1, mod.l + 1) for e in (1, -1)] + [("Q", 0, 1), ("Q", 0, -1)]
+    for key in ((0,) * mod.l, (1,) + (0,) * (mod.l - 1)):
+        for letter in letters:
+            mod.letter_cached(letter, key)
+    assert sorted(made) == sorted(letters) and set(mod._programs) == set(letters)
+    for letter in letters:
+        assert mod._programs[letter] == _program_by_definition(mod, letter), letter
+
+
 def test_window_independence_on_trusted_region():
     small = PolynomialModule(specialized_params(n=4, l=2, q=2, d=3), window=8)
     big = PolynomialModule(specialized_params(n=4, l=2, q=2, d=3), window=13)
