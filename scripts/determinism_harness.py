@@ -4,8 +4,10 @@ Byte-level determinism harness: run each preset sweep, the Hecke negative
 control (the one sweep with fail lines and notes), a Hecke sweep at
 l = 3, two Hecke sweeps (one at n = 5, l = 3), a toroidal sweep and three
 duality sweeps with formal q and d (one duality sweep at l = 3), a duality
-sweep at n = 7, whose translation tables are the largest, and a duality
-sweep at n = 5, l = 3 with modes up to 3, in two child processes with
+sweep at n = 7, whose translation tables are the largest, a duality
+sweep at n = 5, l = 3 with modes up to 3, and a formal duality sweep at
+n = 5, l = 3 whose probes reach the size-3 symmetrizer blocks at module
+key (1, 0, 0), in two child processes with
 PYTHONHASHSEED=0 and PYTHONHASHSEED=1, and diff the canonical JSON streams
 and summaries.  Each line also prints the sha256 of those bytes and
 compares it with the sweep's pinned digest in DIGESTS; the harness exits 1
@@ -53,6 +55,10 @@ SWEEPS = [
     # the perfbench duality-l3 setting: Y powers up to 3 and every k+- degree up to 3
     ("duality-l3-k3", "duality", "poly", {"n": 5, "l": 3, "q": "2", "d": "3", "window": 8, "modes": 3,
                                           "probes": 5, "hecke_probes": 7}),
+    # probes 56-59 are the constant tuples at module key (1, 0, 0), whose size-3 blocks make
+    # the symmetrizer's 1/(1 + q^2 + q^4) quotients
+    ("duality-l3-symbolic-k100", "duality", "poly", {"n": 5, "l": 3, "window": 10, "symbolic": True,
+                                                     "probes": 60, "modes": 1}),
 ]
 
 # sha256 of each sweep's stream and summary, pinned from the reports as they stand
@@ -72,6 +78,7 @@ DIGESTS = {
     "duality-l3-symbolic": "ae457641438ccb424d93c6231f3d27dc363f95a836249b42b1a72df400980658",
     "duality-n7": "17317357ce0d022ba204279014a3e80ecf15cac8926e61f42bc13ccfaf111ff7",
     "duality-l3-k3": "8c8648814dff7ae13b8e53c4019d527b3bb53fa96cf253cf1c5d9584c2194807",
+    "duality-l3-symbolic-k100": "ee820f262ae3d803b66aca6989501bb4fd90924f46edefe90d6f8138e31a7af0",
 }
 
 

@@ -4,18 +4,20 @@ representation V gives the left module M (x)_H V^(x)l, with currents at
 every vertex of the cyclic diagram.
 
 Vectors are finitely supported maps (module key, l-tuple) -> scalar.  The
-canonical form keeps every tuple nondecreasing (descents trade a slot swap
-for a Hecke generator on the module side at the cost q^-1) and multiplies
-the module part by the normalized q-symmetrizer idempotent of the tuple's
-stabilizer, so equality of canonical dictionaries decides equality in the
-tensor product over H.
+canonical form is Jimbo's q-Schur picture: it keeps every tuple
+nondecreasing (each descent trades a slot swap for one Hecke generator on
+the module side at the cost q^-1) and multiplies the module part by the
+normalized q-symmetrizer idempotent of the tuple's stabilizer, applied
+block by block as a product of sums of suffix chains, so equality of
+canonical dictionaries decides equality in the tensor product over H.
 
 Operator conventions:
 
   * vertices j in 1..n+1 act through the coproduct on the V factors; the
     affine vertex n+1 is the wrap n+1 <-> 1, decorated by Y_p^(-+1) d^(-+1);
   * Drinfeld modes at vertices 1..n come straight from the closed mode
-    formulas (spectral scale alpha_i = q^(n+1-i) d^i, argument Y);
+    formulas (spectral scale alpha_i = q^(n+1-i) d^i, argument Y); a k+-
+    mode is one degree part of a product of theta series in Cherednik's Y_p;
   * vertex 0 is psi-conjugation of vertex 1 with spectral rescale q d^-1.
 
 So every scalar a column multiplies in is +-q^a d^b (or a q-integer built
@@ -32,7 +34,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from .hecke import apply_expr, apply_letter, apply_word, lt, tij_word, vec_scale, wmul
+from .hecke import apply_expr  # noqa: F401  perfbench/layers.py traces duality.apply_expr by this name
+from .hecke import apply_letter, apply_word, lt, tij_word, vec_scale
 from .hecke import merge_vec as dvec_add  # perfbench/layers.py traces the kernel by this name
 from .params import Params
 from .scalars import MINUS_ONE, ONE, Scalar, monomials, sc_inv, sc_mul, scalar_to_json
@@ -83,15 +86,6 @@ def _blocks(jt):
     return tuple(out)
 
 
-def _sym_group_words(k):
-    """All elements of S_k as reduced words in generators 1..k-1 (suffix chains)."""
-    words = [()]
-    for m in range(2, k + 1):
-        suffixes = [tuple(range(m - 1, m - 1 - t, -1)) for t in range(m)]
-        words = [w + s for w in words for s in suffixes]
-    return words
-
-
 class DualityModule:
     """M (x)_H V^(x)l with its full operator suite."""
 
@@ -105,10 +99,9 @@ class DualityModule:
         self.qd = monomials(p.q, p.d)  # (a, b) -> q^a d^b, every power of q and d the columns take
         self._cache = {}  # column tag -> {basis key: image items}
         self._mode_columns = {}  # (kind, i, k) -> (cache tag, basis function)
-        self._sym_cache = {}
         self._scale_cache = {}
         self._chain_images = {}  # (kind, i, basis key) -> the e/f chain sum (`_ef_chains`)
-        self._theta_prefixes = {}  # (sign, i, basis key) -> (theta factors, degree parts)
+        self._theta_products = {}  # (sign, i, basis key) -> degree parts 0..D of the theta product
         self._theta_top = 0  # the largest |k| any k+ or k- column has asked for
         self._qfact_inv = self._build_qfact_inv(self.l + 1)
         self._braid_scales = {}  # (r, s, t, k) -> (-1)^(s+k) q^(s-rt) / ([r]! [s]! [t]!)
@@ -147,49 +140,34 @@ class DualityModule:
 
     # -- canonical form ------------------------------------------------------
 
-    def _symmetrizer_expr(self, blocks):
-        """Normalized q-symmetrizer of the parabolic stabilizer, as a word expression."""
-        hit = self._sym_cache.get(blocks)
-        if hit is not None:
-            return hit
-        block_words = []
-        poincare = ONE
-        for start, size in blocks:
-            words = [
-                tuple(("T", start - 1 + g, 1) for g in w)
-                for w in _sym_group_words(size)
-            ]
-            block_words.append(words)
-            psum = Fraction(0)
-            for w in words:
-                psum = psum + self.qd(2 * len(w), 0)
-            poincare = sc_mul(poincare, psum)
-        norm = sc_inv(poincare)
-        expr = tuple(
-            (norm, wmul(*combo)) for combo in itertools.product(*block_words)
-        )
-        self._sym_cache[blocks] = expr
-        return expr
-
     def _straighten_basis(self, key):
+        """
+        Jimbo's canonical form of one basis key.  The tuple is sorted one
+        descent at a time: a swap of slots p, p+1 applies T_p to the module
+        side at the cost q^-1.  Then each block of k equal entries applies its
+        q-symmetrizer: the sum of T_w over S_k is the product over m = 2..k of
+        the sums of the suffix chains T_(m-1)...T_(m-t), t = 0..m-1, each
+        chain one letter longer than the one before, and its normalization
+        1 / sum_w q^(2 l(w)) is q^(-k(k-1)/2) / [k]!.  Every scalar goes into
+        one coefficient, applied once.
+        """
         hkey, jt = key
-        pending = [({hkey: ONE}, jt)]
-        by_tuple = {}
-        while pending:
-            hv, j = pending.pop()
-            p = _first_descent(j)
-            if p is None:
-                dvec_add(by_tuple.setdefault(j, {}), hv.items())
-            else:
-                j2 = j[: p - 1] + (j[p], j[p - 1]) + j[p + 1 :]
-                hv2 = apply_expr(self.h, ((self.qd(-1, 0), lt("T", p)),), hv)
-                pending.append((hv2, j2))
+        hv, coeff = {hkey: ONE}, ONE
+        p = _first_descent(jt)
+        while p is not None:
+            hv = apply_letter(self.h, ("T", p, 1), hv)
+            coeff = sc_mul(coeff, self.qd(-1, 0))
+            jt = jt[: p - 1] + (jt[p], jt[p - 1]) + jt[p + 1 :]
+            p = _first_descent(jt)
+        for start, size in _blocks(jt):
+            for m in range(2, size + 1):
+                chain, hv = hv, dict(hv)  # the empty chain
+                for t in range(1, m):
+                    chain = apply_letter(self.h, ("T", start - 1 + m - t, 1), chain)
+                    dvec_add(hv, chain.items())
+            coeff = sc_mul(coeff, sc_mul(self.qd(-size * (size - 1) // 2, 0), self._qfact_inv[size]))
         out = {}
-        for j, hv in by_tuple.items():
-            blocks = _blocks(j)
-            if blocks:
-                hv = apply_expr(self.h, self._symmetrizer_expr(blocks), hv)
-            dvec_add(out, [((hk, j), c) for hk, c in hv.items()])
+        dvec_add(out, [((hk, jt), c) for hk, c in hv.items()], coeff)
         return out
 
     def straighten(self, vec):
@@ -406,12 +384,9 @@ class DualityModule:
         theta series in Y_p, theta_1 on an i-slot and theta_-1 on an
         (i+1)-slot, at infinity for k+ and at zero for k-.  A theta at zero
         is the theta of the opposite m at infinity (`series`), so a k- mode
-        reads the coefficients of theta_-1 and theta_1.  The product is
-        expanded slot by slot with one partial module vector per degree
-        t <= |k| (`_theta_slots`).  The product over every slot but the last
-        does not depend on k: `_theta_prefixes` keeps its degree parts
-        0..D, D the largest |k| asked of this module so far, and mode k
-        applies only the last slot, to parts 0..|k|.
+        reads the coefficients of theta_-1 and theta_1.  The product does not
+        depend on k: `_theta_product` keeps its degree parts 0..D, D the
+        largest |k| asked of this module so far, and mode k places part |k|.
         """
         hkey, jt = key
         absk = abs(k)
@@ -419,50 +394,34 @@ class DualityModule:
             return {} if absk else self.place([({hkey: ONE}, jt, ONE)])
         sign = 1 if kind == "k+" else -1
         self._theta_top = max(self._theta_top, absk)
-        prefix = self._theta_prefixes.get((sign, i, key))
-        if prefix is None or len(prefix[1]) <= absk:
-            prefix = self._theta_prefixes[sign, i, key] = self._theta_prefix(sign, i, key)
-        factors, parts = prefix
-        parts = [dict(items) for items in parts[: absk + 1]]
-        # k+ modes shift by Y^-r, k- modes by Y^r
-        parts = self._theta_slots(-sign, factors, (len(factors) - 1,), parts)
+        parts = self._theta_products.get((sign, i, key))
+        if parts is None or len(parts) <= absk:
+            parts = self._theta_products[sign, i, key] = self._theta_product(sign, i, key)
         return self.place([(parts[absk], jt, ONE)])
 
-    def _theta_prefix(self, sign, i, key):
+    def _theta_product(self, sign, i, key):
         """
-        (factors, degree parts) of the k+ (sign 1) or k- (sign -1) theta
-        product on a basis key, taken over every slot but the last up to
-        degree D = `_theta_top`: factors lists each slot p holding i or i+1,
-        i-slots first, with its parts 0..D; parts[t] is an item tuple.
+        The degree parts 0..D, D = `_theta_top`, of the k+ (sign 1) or k-
+        (sign -1) theta product on a basis key, one module vector per degree,
+        expanded slot by slot over the i-slots and then the (i+1)-slots: a
+        slot p takes a part r of the degree left, as Y_p^(-sign r) times its
+        scaled coefficient (`_theta_scales`).
         """
         hkey, jt = key
         top = self._theta_top
-        factors = []
-        for carrier, scale in zip((i, i + 1), self._theta_scales(sign, i, top)):
-            factors += [(p, scale) for p in range(1, self.l + 1) if jt[p - 1] == carrier]
         parts = [{hkey: ONE}] + [{} for _ in range(top)]
-        parts = self._theta_slots(-sign, factors, range(len(factors) - 1), parts)
-        return factors, tuple(tuple(hv.items()) for hv in parts)
-
-    def _theta_slots(self, e, factors, slots, parts):
-        """
-        Multiply the degree parts 0..top, top = len(parts) - 1, by the theta
-        factors at the positions `slots` of `factors`: each slot takes a part
-        r of the degree left, as Y_p^(e r) times its scaled coefficient, and
-        the last slot of `factors` takes all of it, r = top - t.
-        """
-        last = len(factors) - 1
-        top = len(parts) - 1
-        for at in slots:
-            p, scale = factors[at]
-            grown = [{} for _ in parts]
-            for t, hv in enumerate(parts):
-                if not hv:
+        for carrier, scale in zip((i, i + 1), self._theta_scales(sign, i, top)):
+            for p in range(1, self.l + 1):
+                if jt[p - 1] != carrier:
                     continue
-                for r in range(top - t if at == last else 0, top - t + 1):
-                    hv_r = apply_letter(self.h, ("Y", p, e * r), hv) if r else hv
-                    dvec_add(grown[t + r], hv_r.items(), scale[r])
-            parts = grown
+                grown = [{} for _ in parts]
+                for t, hv in enumerate(parts):
+                    if not hv:
+                        continue
+                    for r in range(top - t + 1):
+                        hv_r = apply_letter(self.h, ("Y", p, -sign * r), hv) if r else hv
+                        dvec_add(grown[t + r], hv_r.items(), scale[r])
+                parts = grown
         return parts
 
     def mode(self, kind, i, k, vec):

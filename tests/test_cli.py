@@ -773,7 +773,7 @@ def test_benchmark_tracer_finds_every_patch_site(monkeypatch):
     assert all(getattr(owner, name) is fn for owner, name, fn in sites)
 
 
-# -- planted faults in the stepped powers, Y_j, the mode columns and the theta series --
+# -- planted faults in the stepped powers, Y_j, the mode columns, the theta series and straightening --
 
 DUALITY_L3 = ["duality", "--n", "5", "--l", "3", "--q", "2", "--d", "3", "--window", "8",
               "--family", "polynomial", "--modes", "3", "--hecke-probes", "7"]
@@ -784,9 +784,9 @@ DUALITY_L3 = ["duality", "--n", "5", "--l", "3", "--q", "2", "--d", "3", "--wind
     ("hecke.py", "vec = apply_letter(self, (kind, idx, step), dict(items))",
      "vec = apply_letter(self, (kind, idx, -step), dict(items))",
      [*DUALITY_L3, "--probes", "5"]),
-    # every slot takes part r with the first slot's theta coefficient and spectral power
+    # every slot takes part r with the i-slot's theta coefficient and spectral power
     ("duality.py", "dvec_add(grown[t + r], hv_r.items(), scale[r])",
-     "dvec_add(grown[t + r], hv_r.items(), factors[0][1][r])",
+     "dvec_add(grown[t + r], hv_r.items(), self._theta_scales(sign, i, top)[0][r])",
      ["toroidal", "--preset", "poly"]),
     # every theta coefficient past the first takes q^(m(r-2)) for q^(m(r-1))
     ("series.py", "m * (r - 1)", "m * (r - 2)", ["toroidal", "--preset", "poly"]),
@@ -794,8 +794,16 @@ DUALITY_L3 = ["duality", "--n", "5", "--l", "3", "--q", "2", "--d", "3", "--wind
     ("duality.py", "base = {hkey: ONE}", "base = {}", ["toroidal", "--preset", "poly"]),
     # Y_j is built on T_(j-1) in place of T_(j-1)^-1
     ("hecke.py", 'tinv = ("T", idx - 1, -1)', 'tinv = ("T", idx - 1, 1)', ["hecke", "--preset", "poly"]),
+    # the symmetrizer of a block of k equal entries is normalized by 1/[k]! without its q^(-k(k-1)/2)
+    ("duality.py", "coeff = sc_mul(coeff, sc_mul(self.qd(-size * (size - 1) // 2, 0), self._qfact_inv[size]))",
+     "coeff = sc_mul(coeff, self._qfact_inv[size])", ["toroidal", "--preset", "poly"]),
+    # the symmetrizer leaves out the longest suffix chain T_(m-1)...T_1 of each factor
+    ("duality.py", "for t in range(1, m):", "for t in range(1, m - 1):", ["toroidal", "--preset", "poly"]),
+    # a descent costs q in place of q^-1
+    ("duality.py", "coeff = sc_mul(coeff, self.qd(-1, 0))", "coeff = sc_mul(coeff, self.qd(1, 0))",
+     ["toroidal", "--preset", "poly"]),
 ], ids=["stepped-power-sign", "kmode-wrong-slot-scale", "theta-closed-form", "efmode-no-empty-chain",
-        "y-step-uninverted-t"])
+        "y-step-uninverted-t", "symmetrizer-no-q-power", "symmetrizer-no-longest-chain", "descent-cost-q"])
 def test_planted_power_faults_fail_verify(tmp_path, source, line, planted, argv):
     # the fault goes into a copy of the package, run in a child process
     package = tmp_path / "toroidal_duality"

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import weakref
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
@@ -387,7 +387,7 @@ def test_operator_columns_match_pinned_digest(name, top, digest):
     assert h.hexdigest() == digest
 
 
-# -- k± modes and braid operators against the constructions they replace ------
+# -- k± modes, braid operators and straightening against the constructions they replace --
 
 
 def _compositions(total, parts):
@@ -484,8 +484,8 @@ def test_kmode_columns_match_the_per_composition_sum(name):
         return
     # every entry is the same whatever the fill order:
     # |k| decreasing per key, then interleaved across keys (each key's theta
-    # prefix made at |k| = 2 and made again at 3); and it equals the entry of
-    # a module asked that one |k| only, whose prefixes stop at that degree
+    # product made at |k| = 2 and made again at 3); and it equals the entry of
+    # a module asked that one |k| only, whose products stop at that degree
     filled = _kmode_entries(dm, [])
     for pairs in ([(key, a) for key in keys for a in (3, 2, 1, 0)],
                   [(key, a) for a in (2, 0, 3, 1) for key in keys]):
@@ -498,7 +498,10 @@ def test_kmode_columns_match_the_per_composition_sum(name):
         # on a key outside the window, every column with |k| >= 1 and a slot
         # holding i or i+1 leaves it, in every fill order: nothing is stored.
         # (A k = 0 column there leaves too once a larger |k| has raised the
-        # degree its theta prefix is made to.)
+        # degree its theta product is made to, D >= 1, with one slot or more.
+        # No sweep asks a column of such a key: every operator raises before
+        # it makes a key outside the window, and
+        # `test_smallest_window_sweep_skips_nothing` pins 0 skipped.)
         outside = [(hk, jt) for hk in ((3, 0), (0, -3)) for jt in nondecreasing_tuples(dm.n, dm.l)]
         want = {(kind, i, sign * a, (hk, jt)) for hk, jt in outside for i in range(1, dm.n + 1)
                 if i in jt or i + 1 in jt for a in (1, 2, 3) for kind, sign in (("k+", 1), ("k-", -1))}
@@ -610,3 +613,58 @@ def test_braid_columns_match_the_nested_loops(name):
             assert got == _braid_by_nested_loops(dm, i, key), (key, i)
             moved += got != dm.straighten({key: ONE})
     assert moved
+
+
+def _sym_group_words(k):
+    """All elements of S_k as reduced words in the generators 1..k-1, each a product of suffix chains."""
+    words = [()]
+    for m in range(2, k + 1):
+        words = [w + tuple(range(m - 1, m - 1 - t, -1)) for w in words for t in range(m)]
+    return words
+
+
+def _straighten_by_words(dm, key):
+    """
+    The oracle for straightening one (module key, tuple): each descent swap
+    is an apply_expr of q^-1 T_p, then the sorted tuple's blocks apply one
+    word per element of the product of their symmetric groups, each scaled
+    by the inverse of the summed Poincare polynomial sum_w q^(2 l(w)) (the
+    construction before the symmetrizer was factored into chain sums).
+    """
+    hkey, jt = key
+    hv = {hkey: ONE}
+    while any(a > b for a, b in zip(jt, jt[1:])):
+        p = next(p for p in range(1, len(jt)) if jt[p - 1] > jt[p])
+        hv = apply_expr(dm.h, ((dm.qd(-1, 0), lt("T", p)),), hv)
+        jt = jt[: p - 1] + (jt[p], jt[p - 1]) + jt[p + 1 :]
+    block_words, poincare = [], ONE
+    for v in sorted(set(jt)):
+        start, size = jt.index(v) + 1, jt.count(v)
+        if size < 2:
+            continue
+        words = [tuple(("T", start - 1 + g, 1) for g in w) for w in _sym_group_words(size)]
+        block_words.append(words)
+        psum = Fraction(0)
+        for w in words:
+            psum = psum + dm.qd(2 * len(w), 0)
+        poincare = sc_mul(poincare, psum)
+    if block_words:
+        norm = sc_inv(poincare)
+        hv = apply_expr(dm.h, tuple((norm, wmul(*combo)) for combo in product(*block_words)), hv)
+    return {(hk, jt): c for hk, c in hv.items()}
+
+
+@pytest.mark.parametrize("name", ["poly", "poly-formal", "n5l3"])
+def test_straightening_matches_the_symmetric_group_words(name):
+    # every tuple, sorted or not, at the module keys of `_basis_keys`: tuples
+    # with descents, with descents and a block of size l - 1 (2 at l = 3), and
+    # sorted ones with a block of size l all come up
+    dm = DualityModule(_POWER_MODULES[name]())
+    hkeys = dict.fromkeys(hk for hk, _ in _basis_keys(dm))
+    seen = set()
+    for hk in hkeys:
+        for jt in product(range(1, dm.n + 2), repeat=dm.l):
+            got = dm.straighten({(hk, jt): ONE})
+            assert got == _straighten_by_words(dm, (hk, jt)), (hk, jt)
+            seen.add((jt != tuple(sorted(jt)), max(jt.count(v) for v in jt)))
+    assert {(True, 1), (True, dm.l - 1), (False, dm.l)} <= seen
