@@ -3,6 +3,7 @@
 Paired perfbench runs of a parent revision against this tree.
 
     python scripts/bench_pairs.py --parent REV [--pairs N] [--seed S] [--out FILE]
+    python scripts/bench_pairs.py --parent REV --scale "verify ..." [--pairs N] [--out FILE]
 
 Run from the repository root.  It makes a clean `git archive` copy of REV
 in a temporary directory, then runs
@@ -27,18 +28,29 @@ With --out it writes a `bench-trajectory@1` JSON holding every run and the
 summary.  If FILE already holds one for the same parent, this run is added
 to its `sets` list and every other key is kept, so one file can hold
 several seeds.  The exit code is 0 only when every run was correct.
+
+With --scale it runs the given `verify` command (without --out, which it
+adds) N times on each side instead, alternately, each in a fresh process
+from that side's `src`, and reads each run's wall time, its peak RSS
+(`ru_maxrss` through `os.wait4`), its exit code and the sha256 of its
+stream.  With --out these runs go under `scale` in the same document, one
+entry per command.  The exit code is 0 only when every run exited 0 and
+both sides wrote the same stream.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +74,27 @@ def perfbench(cwd, seed, seconds):
         return {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
     result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
     return result
+
+
+def scale_run(cwd, argv, out):
+    """(wall seconds, peak RSS in MB, exit code, stream sha256) of one fresh `toroidal-duality` process in cwd."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cwd) / "src")}
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "toroidal_duality.cli", *argv, "--out", out], cwd=cwd, env=env,
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen must not wait again
+    digest = hashlib.sha256(Path(out).read_bytes()).hexdigest() if os.path.exists(out) else None
+    return wall, usage.ru_maxrss / 1024, proc.returncode, digest
+
+
+def scale_argv(command):
+    """The argument list of a --scale command: a `verify` command line without --out."""
+    argv = shlex.split(command)
+    if argv[:1] != ["verify"] or any(a == "--out" or a.startswith("--out=") for a in argv):
+        raise ValueError(f"--scale takes a `verify ...` command without --out, got {command!r}")
+    return argv
 
 
 def quartiles(values):
@@ -124,15 +157,56 @@ def print_summary(summary, metrics):
                   f"{row['change_wins']:>4}/{row['pairs']:<3}  {'met' if row['rule'] else '-'}")
 
 
-def main(argv=None):
+def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--scale", help='a "verify ..." command to run in fresh processes instead of perfbench')
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.scale is not None:
+        try:
+            args.scale = scale_argv(args.scale)
+        except ValueError as exc:
+            parser.error(str(exc))
+    return args
+
+
+def write_doc(path, parent, change, update):
+    """Add to the `bench-trajectory@1` document at path, started afresh unless it has the same parent."""
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    if doc.get("schema") != "bench-trajectory@1" or doc.get("parent_commit") != parent:
+        doc = {"schema": "bench-trajectory@1", "parent_commit": parent, "sets": []}
+    doc["host"] = f"{os.cpu_count()} CPU, {platform.system()}, Python {platform.python_version()}; " \
+                  "perfbench times are calibrated seconds (see perfbench/run.py)"
+    doc["change_commit"] = change
+    update(doc)
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+def main_scale(args, parent, change, copy):
+    runs = []
+    for pair in range(1, args.pairs + 1):
+        for side in ("parent", "change") if pair % 2 else ("change", "parent"):
+            out = os.path.join(copy, f"scale-{side}.jsonl")
+            wall, rss, code, digest = scale_run(copy if side == "parent" else ROOT, args.scale, out)
+            runs.append({"pair": pair, "side": side, "wall_s": round(wall, 3), "peak_rss_mb": round(rss, 1),
+                         "exit": code, "stream_sha256": digest})
+            print(f"pair {pair} {side}: {wall:.2f} s, {rss:.1f} MB, exit {code}, stream {digest}", file=sys.stderr)
+    digests = {r["stream_sha256"] for r in runs}
+    ok = all(r["exit"] == 0 for r in runs) and len(digests) == 1 and None not in digests
+    if args.out:
+        entry = {"command": shlex.join(args.scale), "same_stream": len(digests) == 1,
+                 "order": f"{args.pairs} pairs; parent first in odd pairs, change first in even pairs", "runs": runs}
+        write_doc(args.out, parent, change, lambda doc: doc.setdefault("scale", []).append(entry))
+    return 0 if ok else 1
+
+
+def main(argv=None):
+    args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     metrics = bench["end_to_end"]
@@ -144,6 +218,8 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as copy:
         archive = subprocess.run(["git", "archive", parent], cwd=ROOT, check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", copy], input=archive, check=True)
+        if args.scale is not None:
+            return main_scale(args, parent, change, copy)
         for pair in range(1, args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
@@ -166,14 +242,7 @@ def main(argv=None):
             "summary": summary,
             "runs": runs,
         }
-        doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-        if doc.get("schema") != "bench-trajectory@1" or doc.get("parent_commit") != parent:
-            doc = {"schema": "bench-trajectory@1", "parent_commit": parent, "sets": []}
-        doc["host"] = f"{os.cpu_count()} CPU, {platform.system()}, Python {platform.python_version()}; " \
-                      "perfbench times are calibrated seconds (see perfbench/run.py)"
-        doc["change_commit"] = change
-        doc.setdefault("sets", []).append(entry)
-        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        write_doc(args.out, parent, change, lambda doc: doc.setdefault("sets", []).append(entry))
     return 0 if all(r["correct"] for r in runs) else 1
 
 

@@ -5,8 +5,10 @@ independently written formula rather than against an algebra relation.
 
 Every check is stated as data: its thunk is partial(identity, vec, ops,
 *residuals) (see `reports` for the letters), each residual lhs - rhs built
-as the item is made, whose words list their letters in acting order.  A
-closed form places its Hecke vectors on their slot tuples and straightens
+as the item is made, whose words list their letters in acting order.  Each
+builder makes its relation strings, its indices and modes tuples and every
+residual part that does not depend on the probe once per sweep, outside
+the probe loop.  A closed form places its Hecke vectors on their slot tuples and straightens
 them with `DualityModule.place`.  The intertwining checks need images of
 Kac-Moody generators under the braid-group automorphisms, composed
 symbolically as noncommutative polynomials in the generator symbols (the
@@ -56,18 +58,25 @@ def psi_conjugation_items(dmod, K, probes):
     minus = {k: sc_neg(qd(k, -k)) for k in range(-2 * K, 2 * K + 1)}  # -(q^-1 d)^-k, each made once
 
     def items():
-        for pid, vec in probes:
-            for i in range(n + 1):
-                for kind in KINDS:
-                    for k in _mode_range(kind, K):
-                        shift = ((ONE, (PSI, ("mode", kind, i, k), PSI_INV)),
-                                 (minus[k], (("mode", kind, (i - 1) % (n + 1), k),)))
-                        yield (f"psi.shift-{kind}", (i,), (k,), pid), partial(identity, vec, dmod, shift)
+        # each relation string, key tuple and residual is made once per sweep, shared by every probe
+        modes = {k: (k,) for k in range(-K, K + 1)}
+        shift = {kind: f"psi.shift-{kind}" for kind in KINDS}
+        checks = []
+        for i in range(n + 1):
+            index = (i,)
             for kind in KINDS:
-                for k in _mode_range(kind, K):
-                    double = ((ONE, (PSI, PSI, ("mode", kind, 1, k), PSI_INV, PSI_INV)),
-                              (minus[2 * k], (("mode", kind, n, k),)))
-                    yield (f"psi.double-{kind}", (1, n), (k,), pid), partial(identity, vec, dmod, double)
+                checks += [(shift[kind], index, modes[k], ((ONE, (PSI, ("mode", kind, i, k), PSI_INV)),
+                                                           (minus[k], (("mode", kind, (i - 1) % (n + 1), k),))))
+                           for k in _mode_range(kind, K)]
+        index = (1, n)
+        for kind in KINDS:
+            rel = f"psi.double-{kind}"
+            checks += [(rel, index, modes[k], ((ONE, (PSI, PSI, ("mode", kind, 1, k), PSI_INV, PSI_INV)),
+                                               (minus[2 * k], (("mode", kind, n, k),))))
+                       for k in _mode_range(kind, K)]
+        for pid, vec in probes:
+            for rel, index, m, residual in checks:
+                yield (rel, index, m, pid), partial(identity, vec, dmod, residual)
     return items()
 
 
@@ -224,15 +233,21 @@ def intertwining_items(dmod, probes):
                                   (minus[1, 0, wrap_exponent(kind, j, n)], (TAU, (kind, j % (n + 1) + 1))))
 
     def items():
+        # each generator's checks as (relation, indices, residual), key tuples made once per sweep
+        index = {j: (j,) for j in range(1, n + 2)}
+        pairs = {(i, j): (i, j) for i in range(1, n + 1) for j in range(1, n + 2)}
+        checks = []
+        for sym in gens:
+            kind, j = sym
+            row = [("braid.intertwine", pairs[i, j], exprs["braid", i, sym]) for i in range(1, n + 1)]
+            row.append(("rotation.intertwine", index[j], exprs["rotation", sym]))
+            row.append(("translation.intertwine", index[j], exprs["translation", sym]))
+            checks.append((f"{kind}{j}|", row))
         for pid, vec in probes:
-            for sym in gens:
-                label = f"{sym[0]}{sym[1]}|{pid}"
-                for i in range(1, n + 1):
-                    yield (("braid.intertwine", (i, sym[1]), (), label),
-                           partial(identity, vec, dmod, exprs["braid", i, sym]))
-                yield ("rotation.intertwine", sym[1:], (), label), partial(identity, vec, dmod, exprs["rotation", sym])
-                yield (("translation.intertwine", sym[1:], (), label),
-                       partial(identity, vec, dmod, exprs["translation", sym]))
+            for head, row in checks:
+                label = head + pid
+                for rel, indices, residual in row:
+                    yield (rel, indices, (), label), partial(identity, vec, dmod, residual)
     return items()
 
 
@@ -343,6 +358,11 @@ def regression_items(dmod, K, probes):
               (sc_neg(sc_mul(q - qd(-1, 0), qd(0, -1))), (("mode", "k+", 2, 0), ("mode", "e", 1, 1))))
 
     def items():
+        # each key tuple, relation string and operator term is made once per sweep, shared by every probe
+        first_modes = [(h, (h,), (ONE, (("mode", "e", 1, h),))) for h in range(-K, K + 1)]
+        vertices = [(i, (i,), (ONE, (("k", i),)), (ONE, (("mode", "k+", i, 1),))) for i in range(1, n + 1)]
+        wraps = [(kind, f"reg.wrap-{kind}0", (ONE, (("mode", mode, 0, 0),)))
+                 for kind, mode in (("e", "e"), ("f", "f"), ("k", "k+"))]
         for hkey in _module_probe_keys(dmod) if l == 1 else ():
             for j in range(1, n + 2):
                 # both act on the unstraightened slot vector, straightened first
@@ -355,18 +375,18 @@ def regression_items(dmod, K, probes):
         for pid, vec in probes:
             product = (ONE, (T_OMEGA1,)), (MINUS_ONE, partial(product_rhs, vec))
             yield ("reg.translation-product", (), (), pid), partial(identity, vec, dmod, product)
-            for h in range(-K, K + 1):
-                first_mode = (ONE, (("mode", "e", 1, h),)), (MINUS_ONE, partial(first_mode_rhs, h, vec))
-                yield ("reg.first-vertex-mode", (1,), (h,), pid), partial(identity, vec, dmod, first_mode)
-            for i in range(1, n + 1):
-                weight = (ONE, (("k", i),)), (MINUS_ONE, partial(weight_display, dmod, i, vec))
-                yield ("reg.cartan-weight", (i,), (0,), pid), partial(identity, vec, dmod, weight)
-                mode1 = (ONE, (("mode", "k+", i, 1),)), (MINUS_ONE, partial(cartan_mode1_rhs, i, vec))
-                yield ("reg.cartan-mode1", (i,), (1,), pid), partial(identity, vec, dmod, mode1)
+            for h, modes, e1h in first_modes:
+                first_mode = e1h, (MINUS_ONE, partial(first_mode_rhs, h, vec))
+                yield ("reg.first-vertex-mode", (1,), modes, pid), partial(identity, vec, dmod, first_mode)
+            for i, index, k0, k1 in vertices:
+                weight = k0, (MINUS_ONE, partial(weight_display, dmod, i, vec))
+                yield ("reg.cartan-weight", index, (0,), pid), partial(identity, vec, dmod, weight)
+                mode1 = k1, (MINUS_ONE, partial(cartan_mode1_rhs, i, vec))
+                yield ("reg.cartan-mode1", index, (1,), pid), partial(identity, vec, dmod, mode1)
             yield ("reg.charge-one", (1, 2), (0, 1), pid), partial(identity, vec, dmod, charge)
-            for kind, mode in (("e", "e"), ("f", "f"), ("k", "k+")):
-                wrap = (ONE, (("mode", mode, 0, 0),)), (MINUS_ONE, partial(wrap_zero_rhs, kind, vec))
-                yield (f"reg.wrap-{kind}0", (0,), (0,), pid), partial(identity, vec, dmod, wrap)
+            for kind, rel, zero in wraps:
+                wrap = zero, (MINUS_ONE, partial(wrap_zero_rhs, kind, vec))
+                yield (rel, (0,), (0,), pid), partial(identity, vec, dmod, wrap)
         for hkey in _module_probe_keys(dmod) if l <= n else ():
             standard = {(hkey, tuple(range(1, l + 1))): ONE}
             e0 = (ONE, (STRAIGHTEN, ("mode", "e", 0, 0))), (MINUS_ONE, partial(standard_e0_rhs, hkey))
@@ -399,13 +419,18 @@ def reconstruction_items(dmod, K, hprobes):
         """The straightened vector c * (word applied to hvec) (x) slots."""
         return dmod.place([(apply_word(dmod.h, word, hvec), slots, c)])
 
-    # (sgn, r), the Y exponent and the theta coefficient scaled by (q^n d^2)^e of each theta conjugation
+    # (sgn, r), the two sides' words and the theta coefficient scaled by (q^n d^2)^e of each theta
+    # conjugation, e its Y exponent; like every key and word below, made once and shared by every probe
     theta_cases = []
     for sgn in (+1, -1):
         coeffs = theta_expand(sgn, K, dmod.q)
         for r in range(K + 1):
             e = -r if sgn > 0 else r
-            theta_cases.append(((sgn, r), e, sc_mul(coeffs[r], qd(n * e, 2 * e))))
+            theta_cases.append(((sgn, r), wmul(lt("Y", 2, e), qw), wmul(qw, lt("Y", 1, e)),
+                                sc_mul(coeffs[r], qd(n * e, 2 * e))))
+    wrap_index = (0, n)
+    wrap_left, wrap_right = wmul(qw, lt("Y", l)), wmul(lt("Y", 1), qw)
+    wrap_cl, wrap_cr = qd(0, n + 1), qd(n + 1, 0)
 
     # the Y-shift and Y-wrap are Hecke words, checked as the Hecke suites are
     shifts = [RelCheck("recon.y-wrap", (), ((ONE, wmul(qw, lt("Y", l), qinv)), (-dmod.params.x, lt("Y", 1))))]
@@ -415,14 +440,14 @@ def reconstruction_items(dmod, K, hprobes):
     def items():
         for pid, hvec in hprobes:
             if l >= 2:
-                for modes, e, c in theta_cases:
-                    conj = ((ONE, partial(placed, wmul(lt("Y", 2, e), qw), c, hvec, w_first)),
-                            (MINUS_ONE, partial(placed, wmul(qw, lt("Y", 1, e)), c, hvec, w_first)))
+                for modes, left, right, c in theta_cases:
+                    conj = ((ONE, partial(placed, left, c, hvec, w_first)),
+                            (MINUS_ONE, partial(placed, right, c, hvec, w_first)))
                     yield ("recon.theta-conj", (2, 1), modes, pid), partial(identity, hvec, dmod.h, conj)
             if n > l + 1:
-                display = ((ONE, partial(placed, wmul(qw, lt("Y", l)), qd(0, n + 1), hvec, w_second)),
-                           (MINUS_ONE, partial(placed, wmul(lt("Y", 1), qw), qd(n + 1, 0), hvec, w_second)))
-                yield ("recon.wrap-display", (0, n), (), pid), partial(identity, hvec, dmod.h, display)
+                display = ((ONE, partial(placed, wrap_left, wrap_cl, hvec, w_second)),
+                           (MINUS_ONE, partial(placed, wrap_right, wrap_cr, hvec, w_second)))
+                yield ("recon.wrap-display", wrap_index, (), pid), partial(identity, hvec, dmod.h, display)
     return chain(make_hecke_items(dmod.h, shifts, hprobes), items())
 
 

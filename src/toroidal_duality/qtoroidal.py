@@ -18,9 +18,12 @@ All checks run at trivial central charge, which every module here has.
 Every instance is stated as data: its thunk is partial(identity, vec, ops,
 residual), the residual lhs - rhs as signed terms, each a q-power
 coefficient and a word of mode letters ("mode", kind, i, k) listed in the
-order they act, built as the item is made; a letter that an outer loop
-fixes is built once in that loop.  A term with a k+ / k- letter outside
-its sign range is zero by definition and left out as it is built, so the
+order they act, built as the item is made.  Every mode letter is read
+from one table L[kind][i][k] (`mode_letters`), and every indices and
+modes tuple from a list, both made once per sweep when its first item is
+taken and shared by every item and probe that uses them.  A k+ / k- letter
+outside its sign range is zero by definition, None in the table, and its
+terms are left out as they are built, so the
 sweeps need nothing more of the module than the modes `ops.mode` accepts,
 `q`, and `weight` and the monomial table `qd`, (a, b) -> q^a d^b, for the
 coefficients and the weight display.
@@ -79,9 +82,18 @@ class CartanData:
 K_KIND = {+1: "k+", -1: "k-"}
 
 
-def _zero(letter):
-    """Whether a mode letter is zero by definition: k+ modes live at k >= 0 and k- modes at k <= 0."""
-    return letter[1] == "k+" and letter[3] < 0 or letter[1] == "k-" and letter[3] > 0
+def mode_letters(n, K):
+    """
+    The table L[kind][i][k] of every mode letter ("mode", kind, i, k) a sweep
+    at mode window K states, made once and shared by every check: e and f at
+    |k| <= K, and k+ and k- at |k| <= 2K, where a k+ mode at k < 0 and a k-
+    mode at k > 0 is zero by definition and its entry is None.
+    """
+    span, wide = range(-K, K + 1), range(-2 * K, 2 * K + 1)
+    L = {kind: [{k: ("mode", kind, i, k) for k in span} for i in range(n + 1)] for kind in ("e", "f")}
+    L["k+"] = [{k: ("mode", "k+", i, k) if k >= 0 else None for k in wide} for i in range(n + 1)]
+    L["k-"] = [{k: ("mode", "k-", i, k) if k <= 0 else None for k in wide} for i in range(n + 1)]
+    return L
 
 
 def _swap(a, b):
@@ -89,17 +101,16 @@ def _swap(a, b):
     return (ONE, (b, a)), (MINUS_ONE, (a, b))
 
 
-def _cleared_terms(left, right, coeffs, R, S):
+def _cleared_terms(gR1, gR, hS1, hS, coeffs):
     """
-    LHS - RHS of the cleared template for currents (left, right) twisted by
-    (a, m), as an expression of 4 terms, less the two of a zero Cartan mode
-    `left`.  `left` and `right` are mode letters without their mode, and
-    `coeffs` is (d^m, -q^a, -q^a d^m).
+    LHS - RHS of the cleared template for currents (G, H) twisted by (a, m),
+    as an expression of 4 terms, less the two of a Cartan mode of G that is
+    zero (None): gR1, gR, hS1 and hS are the letters G_{R+1}, G_R, H_{S-1}
+    and H_S, and `coeffs` is (d^m, -q^a, -q^a d^m).
     """
     dm, mqa, mqadm = coeffs
-    gR1, gR, hS1, hS = left + (R + 1,), left + (R,), right + (S - 1,), right + (S,)
-    terms = () if _zero(gR1) else ((dm, (hS1, gR1)), (mqadm, (gR1, hS1)))
-    return terms + (() if _zero(gR) else ((mqa, (hS, gR)), (ONE, (gR, hS))))
+    terms = () if gR1 is None else ((dm, (hS1, gR1)), (mqadm, (gR1, hS1)))
+    return terms + (() if gR is None else ((mqa, (hS, gR)), (ONE, (gR, hS))))
 
 
 def weight_display(ops, i, vec):
@@ -107,10 +118,17 @@ def weight_display(ops, i, vec):
     return {key: sc_mul(c, ops.qd(ops.weight(i, key[1]), 0)) for key, c in vec.items()}
 
 
+def _grid(rows, cols, head=()):
+    """[(r, [(c, head + (r, c)) for c in cols]) for r in rows]: each modes tuple made once."""
+    return [(r, [(c, head + (r, c)) for c in cols]) for r in rows]
+
+
 def current_relation_items(ops, K, probes):
     """
     (meta, thunk) pairs for relations 2.1.1 - 2.1.9 at mode window K, made
-    as they are consumed; the arguments are checked at the call.
+    as they are consumed; the arguments are checked at the call.  Every mode
+    letter, key tuple and twist coefficient is made once per sweep, when the
+    first item is taken, and shared by every item and probe that uses it.
     """
     if K < 1:
         raise ValueError(f"mode window K must be at least 1, got {K}")
@@ -119,90 +137,91 @@ def current_relation_items(ops, K, probes):
     qmqinv, minus_qmqinv = q - qd(-1, 0), qd(-1, 0) - q
     minus_qqinv = -(q + qd(-1, 0))
 
-    kplus_range = list(range(0, K + 1))
-    kminus_range = list(range(-K, 1))
-    e_range = list(range(-K, K + 1))
-    pairs = [[(i, j) for j in range(n + 1)] for i in range(n + 1)]  # each (i, j) key tuple, shared by its items
-
     def items():
+        L = mode_letters(n, K)
+        kplus, kminus, span, inner = range(0, K + 1), range(-K, 1), range(-K, K + 1), range(-K + 1, K + 1)
+        pairs = [[(i, j) for j in range(n + 1)] for i in range(n + 1)]
+        # (d^m, -q^aa, -q^aa d^m) of each pair's two twists (aa, m)
+        twists = [[{aa: (qd(0, m), sc_neg(qd(aa, 0)), sc_neg(qd(aa, m))) for aa in (a, -a)}
+                   for a, m in ((cartan.a(i, j), cartan.m(i, j)) for j in range(n + 1))] for i in range(n + 1)]
+        # (2.1.1) like-sign Cartan currents commute; (2.1.2) degenerates at c = 1 to mixed-sign commutation
+        commuting = [(rel, L[K_KIND[s1]], L[K_KIND[s2]], [(ka, [(kb, (s1, ka, s2, kb)) for kb in r2]) for ka in r1])
+                     for rel, s1, s2, r1, r2 in (("2.1.1", +1, +1, kplus, kplus), ("2.1.1", -1, -1, kminus, kminus),
+                                                 ("2.1.2", +1, -1, kplus, kminus), ("2.1.2", -1, +1, kminus, kplus))]
+        # (2.1.3)/(2.1.4): modes R and R+1 stay inside the window or are zero by definition for the sign
+        cartan_ef = [(rel, L[K_KIND[sign]], L[kind], exp, _grid(range(-1, K) if sign > 0 else kminus, inner, (sign,)))
+                     for rel, sign, kind, exp in (("2.1.3", +1, "e", 1), ("2.1.3", -1, "e", 1),
+                                                  ("2.1.4", +1, "f", -1), ("2.1.4", -1, "f", -1))]
+        rs = _grid(span, span)  # the (r, s) of 2.1.5, and at 1 - K <= r, s <= K of 2.1.6/2.1.7
+        rs_inner = [(r, row[1:]) for r, row in rs[1:]]
+        serre = [(k1, [(k2, [(kk, (k1, k2, kk)) for kk in span]) for k2 in range(k1, K + 1)]) for k1 in span]
+        unit = (0, 0)
         for pid, vec in probes:
             # (2.1.1) at the zero modes: k_{i,0}^+ and k_{i,0}^- are inverse
             for i in range(n + 1):
-                kp, km = ("mode", "k+", i, 0), ("mode", "k-", i, 0)
-                yield (("2.1.1-unit", pairs[i][i], (0, 0), pid),
+                kp, km = L["k+"][i][0], L["k-"][i][0]
+                yield (("2.1.1-unit", pairs[i][i], unit, pid),
                        partial(identity, vec, ops, ((ONE, (km, kp)), MINUS_UNIT), ((ONE, (kp, km)), MINUS_UNIT)))
 
             for i in range(n + 1):
                 for j, ij in enumerate(pairs[i]):
-                    # (2.1.1): like-sign Cartan currents commute; (2.1.2) degenerates
-                    # at c = 1 to mixed-sign commutation
-                    for rel, s1, s2, range1, range2 in (
-                        ("2.1.1", +1, +1, kplus_range, kplus_range),
-                        ("2.1.1", -1, -1, kminus_range, kminus_range),
-                        ("2.1.2", +1, -1, kplus_range, kminus_range),
-                        ("2.1.2", -1, +1, kminus_range, kplus_range),
-                    ):
-                        for ka in range1:
-                            g = ("mode", K_KIND[s1], i, ka)
-                            for kb in range2:
-                                yield ((rel, ij, (s1, ka, s2, kb), pid),
-                                       partial(identity, vec, ops, _swap(g, ("mode", K_KIND[s2], j, kb))))
+                    for rel, G, H, grid in commuting:
+                        Gi, Hj = G[i], H[j]
+                        for ka, row in grid:
+                            g = Gi[ka]
+                            for kb, modes in row:
+                                yield (rel, ij, modes, pid), partial(identity, vec, ops, _swap(g, Hj[kb]))
 
+                    twist = twists[i][j]
                     a = cartan.a(i, j)
-                    m = cartan.m(i, j)
-                    # (d^m, -q^aa, -q^aa d^m) of this pair's two twists (aa, m)
-                    twist = {aa: (qd(0, m), sc_neg(qd(aa, 0)), sc_neg(qd(aa, m))) for aa in (a, -a)}
                     # (2.1.3)/(2.1.4): Cartan current against e / f currents
-                    for rel, sign, other_kind, aa in (
-                        ("2.1.3", +1, "e", a),
-                        ("2.1.3", -1, "e", a),
-                        ("2.1.4", +1, "f", -a),
-                        ("2.1.4", -1, "f", -a),
-                    ):
-                        # modes R and R+1 must stay inside the window or be
-                        # definitionally zero for the given sign
-                        Rs = range(-1, K) if sign > 0 else kminus_range
-                        left, right, coeffs = ("mode", K_KIND[sign], i), ("mode", other_kind, j), twist[aa]
-                        for R in Rs:
-                            for S in range(-K + 1, K + 1):
-                                yield ((rel, ij, (sign, R, S), pid),
-                                       partial(identity, vec, ops, _cleared_terms(left, right, coeffs, R, S)))
+                    for rel, G, H, exp, grid in cartan_ef:
+                        Gi, Hj, coeffs = G[i], H[j], twist[exp * a]
+                        for R, row in grid:
+                            gR1, gR = Gi[R + 1], Gi[R]
+                            for S, modes in row:
+                                yield ((rel, ij, modes, pid),
+                                       partial(identity, vec, ops, _cleared_terms(gR1, gR, Hj[S - 1], Hj[S], coeffs)))
 
                     # (2.1.5): exchange of e and f closes on the Cartan modes
-                    for r in e_range:
-                        e = ("mode", "e", i, r)
-                        for s in e_range:
-                            f = ("mode", "f", j, s)
+                    Ei, Fj, KPi, KMi = L["e"][i], L["f"][j], L["k+"][i], L["k-"][i]
+                    for r, row in rs:
+                        e = Ei[r]
+                        for s, modes in row:
+                            f = Fj[s]
                             terms = (qmqinv, (f, e)), (minus_qmqinv, (e, f))
                             if i == j:
-                                kp, km = ("mode", "k+", i, r + s), ("mode", "k-", i, r + s)
-                                terms += tuple(t for t in ((MINUS_ONE, (kp,)), (ONE, (km,))) if not _zero(t[1][0]))
-                            yield ("2.1.5", ij, (r, s), pid), partial(identity, vec, ops, terms)
+                                kp, km = KPi[r + s], KMi[r + s]
+                                terms += ((MINUS_ONE, (kp,)),) if kp else ()
+                                terms += ((ONE, (km,)),) if km else ()
+                            yield ("2.1.5", ij, modes, pid), partial(identity, vec, ops, terms)
 
                     # (2.1.6)/(2.1.7): e-e and f-f exchange with theta twist
-                    for rel, kind, aa in (("2.1.6", "e", a), ("2.1.7", "f", -a)):
-                        left, right, coeffs = ("mode", kind, i), ("mode", kind, j), twist[aa]
-                        for r in range(-K + 1, K + 1):
-                            for s in range(-K + 1, K + 1):
-                                yield ((rel, ij, (r, s), pid),
-                                       partial(identity, vec, ops, _cleared_terms(left, right, coeffs, r - 1, s)))
+                    for rel, kind, coeffs in (("2.1.6", "e", twist[a]), ("2.1.7", "f", twist[-a])):
+                        Gi, Hj = L[kind][i], L[kind][j]
+                        for r, row in rs_inner:
+                            gR1, gR = Gi[r], Gi[r - 1]
+                            for s, modes in row:
+                                yield ((rel, ij, modes, pid),
+                                       partial(identity, vec, ops, _cleared_terms(gR1, gR, Hj[s - 1], Hj[s], coeffs)))
 
             # (2.1.8)/(2.1.9): cubic Serre relations, symmetrized over z1 <-> z2
             for i, j in cartan.adjacent_pairs():
                 ij = pairs[i][j]
                 for rel, kind in (("2.1.8", "e"), ("2.1.9", "f")):
-                    for k1 in e_range:
-                        a = ("mode", kind, i, k1)
-                        for k2 in range(k1, K + 1):  # the z1 <-> z2 symmetrization makes (k1,k2) ~ (k2,k1)
-                            b = ("mode", kind, i, k2)
-                            for kk in e_range:
-                                c = ("mode", kind, j, kk)
+                    Gi, Gj = L[kind][i], L[kind][j]
+                    for k1, rows in serre:
+                        a = Gi[k1]
+                        for k2, row in rows:  # the z1 <-> z2 symmetrization makes (k1,k2) ~ (k2,k1)
+                            b = Gi[k2]
+                            for kk, modes in row:
+                                c = Gj[kk]
                                 if k1 == k2:
                                     terms = (ONE, (c, a, a)), (minus_qqinv, (a, c, a)), (ONE, (a, a, c))
                                 else:
                                     terms = ((ONE, (c, b, a)), (minus_qqinv, (b, c, a)), (ONE, (b, a, c)),
                                              (ONE, (c, a, b)), (minus_qqinv, (a, c, b)), (ONE, (a, b, c)))
-                                yield (rel, ij, (k1, k2, kk), pid), partial(identity, vec, ops, terms)
+                                yield (rel, ij, modes, pid), partial(identity, vec, ops, terms)
     return items()
 
 
@@ -211,16 +230,21 @@ def integrability_items(ops, K, probes):
     n, l = ops.n, ops.l
 
     def items():
+        # each key tuple and each nilpotency residual is made once per sweep, shared by every probe
+        index = [(i,) for i in range(n + 1)]
+        weight = [(ONE, (("mode", "k+", i, 0),)) for i in range(n + 1)]
+        modes = [(k,) for k in range(-K, K + 1)]
+        # e and f share a key; the runner's stable sort keeps e first
+        nilpotent = [(index[i], [(m, ((ONE, (("mode", kind, i, m[0]),) * (l + 1)),))
+                                 for kind in ("e", "f") for m in modes]) for i in range(n + 1)]
         for pid, vec in probes:
             for i in range(n + 1):
                 display = partial(weight_display, ops, i, vec)
-                yield (("int.weight", (i,), (0,), pid),
-                       partial(identity, vec, ops, ((ONE, (("mode", "k+", i, 0),)), (MINUS_ONE, display))))
-            for i in range(n + 1):
-                for kind in ("e", "f"):  # e and f share a key; the runner's stable sort keeps e first
-                    for k in range(-K, K + 1):
-                        yield (("int.nilpotent", (i,), (k,), pid),
-                               partial(identity, vec, ops, ((ONE, (("mode", kind, i, k),) * (l + 1)),)))
+                yield (("int.weight", index[i], (0,), pid),
+                       partial(identity, vec, ops, (weight[i], (MINUS_ONE, display))))
+            for idx, checks in nilpotent:
+                for m, residual in checks:
+                    yield ("int.nilpotent", idx, m, pid), partial(identity, vec, ops, residual)
     return items()
 
 

@@ -23,10 +23,13 @@ shared by every check on that probe, and a check on another probe starts a
 new memo, so builders emit their items probe by probe; the check's own loop
 walks every term, and `_child` makes each node.  A report stores the
 status, from which its JSON bools residual_zero and budget_valid are
-derived.  The runner sorts the reports (NamedTuples) by key and
-`write_jsonl` fills one sorted-key line template, so the emitted JSON
-stream is byte-identical across runs; per-check wall time stays out of the
-JSON.  `summarize` counts the reports' (relation, status) pairs.
+derived.  The builders make every key tuple once per sweep and the runner
+stores it as given, with no copy.  The runner sorts the reports
+(NamedTuples) by key and `write_jsonl` fills one sorted-key line template,
+encoding each key tuple once, found again by its identity (no scan of
+element types), so the emitted JSON stream is byte-identical across runs;
+per-check wall time stays out of the JSON.  `summarize` counts the
+reports' (relation, status) pairs.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -155,7 +157,7 @@ def run_relation_items(items, *, workers=1):
         else:
             status = "fail" if note else "pass"
         dt = clock() - t0
-        append(new(RelationReport, (relation, tuple(indices), tuple(modes), probe, status, dt, note)))
+        append(new(RelationReport, (relation, indices, modes, probe, status, dt, note)))
     thunk = None  # the last item holds the module and its word memo: free them before the sort
     reports.sort(key=itemgetter(0, 1, 2, 3))
     return reports
@@ -188,25 +190,31 @@ def dumps_canonical(obj):
 
 def write_jsonl(path, reports):
     """
-    Stream the lines dumps_canonical(r.to_json_obj()) from one sorted-key template, each
-    relation, probe, indices and modes value encoded once.  Tuples share a text only when
-    every element is an int, since (1,) == (True,).  The bools residual_zero (a pass) and
-    budget_valid (not a skip) are derived from the status.
+    Stream the lines dumps_canonical(r.to_json_obj()) from one sorted-key template.  Each
+    indices and modes tuple is encoded once, found again by its identity: the builders make
+    each key tuple once per sweep and the runner keeps it, and `reports`, a sequence, holds
+    every tuple while the file is written, so no id is reused meanwhile.  Equal-valued
+    tuples such as (1,) and (True,) are distinct objects with texts of their own.  Each
+    relation and probe string is encoded once, found again by its value.  The bools
+    residual_zero (a pass) and budget_valid (not a skip) are derived from the status.
     """
-    memo = {}
-    hit = memo.get
-    ints = {*map(type, chain.from_iterable(chain.from_iterable(map(itemgetter(1, 2), reports))))} <= {int}
-    hit_tuple = hit if ints else {}.get  # else a lookup that always misses
+    keys, strings = {}, {}
+    key_hit, hit = keys.get, strings.get
+
+    def encode_key(value):
+        keys[id(value)] = text = _ENCODE(value)
+        return text
 
     def encode(value):
-        memo[value] = text = _ENCODE(value)
+        strings[value] = text = _ENCODE(value)
         return text
 
     def lines():
         for relation, indices, modes, probe, status, _, note in reports:
             note = f'"note":{_ENCODE(note)},' if note and status != "pass" else ""
             yield (f'{{"budget_valid":{"false" if status == "skip" else "true"},'
-                   f'"indices":{hit_tuple(indices) or encode(indices)},"modes":{hit_tuple(modes) or encode(modes)},'
+                   f'"indices":{key_hit(id(indices)) or encode_key(indices)},'
+                   f'"modes":{key_hit(id(modes)) or encode_key(modes)},'
                    f'{note}"probe":{hit(probe) or encode(probe)},"relation":{hit(relation) or encode(relation)},'
                    f'"residual_zero":{"true" if status == "pass" else "false"},"status":"{status}"}}\n')
 

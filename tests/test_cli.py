@@ -267,6 +267,22 @@ def test_only_nilpotent_pairs_share_a_key_and_keep_their_emission_order(sweep, t
     assert ran == emitted
 
 
+@pytest.mark.parametrize("preset", ["poly", "l1"])
+def test_key_tuples_are_made_once_per_sweep_not_once_per_probe(preset):
+    # the builders make each indices and modes tuple once per sweep and the runner
+    # keeps it as given, so doubling the probes adds no key object
+    from toroidal_duality.cli import collect_items
+
+    counts = []
+    for probes in (2, 4):
+        items = list(collect_items(*_verify_config(["verify", "all", "--preset", preset, "--probes", str(probes)]))[0])
+        keys = [part for (_, indices, modes, _), _ in items for part in (indices, modes)]
+        assert all(type(part) is tuple for part in keys)
+        counts.append((len(items), len({id(part) for part in keys})))
+    (few, distinct), (many, same) = counts
+    assert many > few and same == distinct
+
+
 def test_items_stream_into_the_runner():
     # no sweep holds all its items: at K = 3 (11,052 checks) building every
     # item before the first check traced a 9.1 MB peak, streaming them 5.5 MB
@@ -818,3 +834,22 @@ def test_planted_power_faults_fail_verify(tmp_path, source, line, planted, argv)
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == EXIT_FAIL, done.stderr
     assert re.search(r" fail [1-9]", done.stdout) and "Traceback" not in done.stderr
+
+
+def test_bench_pairs_scale_takes_one_verify_command_without_out():
+    # parsing only: no sweep or git command starts
+    import importlib.util
+
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "bench_pairs.py")
+    spec = importlib.util.spec_from_file_location("bench_pairs", script)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    args = bench_pairs.parse_args(["--parent", "HEAD", "--pairs", "2", "--scale",
+                                   "verify toroidal --preset poly --n 5 --l 3 --window 10 --probes 112"])
+    assert args.scale == ["verify", "toroidal", "--preset", "poly", "--n", "5", "--l", "3",
+                          "--window", "10", "--probes", "112"] and args.pairs == 2
+    assert bench_pairs.parse_args(["--parent", "HEAD"]).scale is None
+    for bad in ("report json x.jsonl", "verify hecke --out x.jsonl", "verify hecke --out=x.jsonl", ""):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.parse_args(["--parent", "HEAD", "--scale", bad])
+        assert exc.value.code == 2

@@ -46,6 +46,45 @@ def test_writer_matches_the_reference_encoding(path, reports):
     assert path.read_bytes() == want.encode("utf-8")
 
 
+def test_writer_encodes_a_shared_key_tuple_once(path, monkeypatch):
+    from toroidal_duality import reports as reports_module
+
+    calls = []
+    encode = reports_module._ENCODE
+    monkeypatch.setattr(reports_module, "_ENCODE", lambda value: calls.append(value) or encode(value))
+    key = (1, 2)
+    reports = [RelationReport("2.1.5", key, key, f"p{n:03}", "pass") for n in range(50)]
+    write_jsonl(path, reports)
+    assert path.read_bytes() == "".join(dumps_canonical(r.to_json_obj()) + "\n" for r in reports).encode("utf-8")
+    assert sum(value is key for value in calls) == 1
+
+
+def test_equal_valued_key_objects_keep_their_own_texts(path):
+    # (1,), (True,) and (1.0,) are equal and hash alike, yet encode as 1, true and 1.0
+    one, true, real = (1,), (True,), (1.0,)
+    reports = [RelationReport("r", one, true, "p", "pass"), RelationReport("r", true, real, "p", "fail", 0.0, "x"),
+               RelationReport("r", real, one, "p", "skip", 0.0, "y"), RelationReport("r", one, one, "p", "pass")]
+    write_jsonl(path, reports)
+    assert path.read_bytes() == "".join(dumps_canonical(r.to_json_obj()) + "\n" for r in reports).encode("utf-8")
+
+
+def test_writer_encodes_each_key_object_and_string_once_on_a_sweep(path, monkeypatch):
+    from toroidal_duality import reports as reports_module
+    from toroidal_duality.cli import run_verify
+    from toroidal_duality.config import load_config
+
+    reports, _, _ = run_verify("toroidal", load_config(preset="poly", env={}))
+    calls = []
+    encode = reports_module._ENCODE
+    monkeypatch.setattr(reports_module, "_ENCODE", lambda value: calls.append(value) or encode(value))
+    write_jsonl(path, reports)
+    keys = {id(part) for r in reports for part in (r.indices, r.modes)}
+    strings = {r.relation for r in reports} | {r.probe for r in reports}
+    notes = sum(1 for r in reports if r.note and r.status != "pass")
+    assert len(calls) <= len(keys) + len(strings) + notes
+    assert path.read_bytes() == "".join(dumps_canonical(r.to_json_obj()) + "\n" for r in reports).encode("utf-8")
+
+
 # pass, fail and skip records spread over several relations, in no order
 SUMMARY_REPORT = st.builds(RelationReport, st.sampled_from(["2.1.1", "2.1.2", "braid.e", "recon.t"]),
                            st.just(()), st.just(()), st.sampled_from(["p000", "p001"]), STATUS)
