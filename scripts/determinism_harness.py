@@ -83,7 +83,7 @@ DIGESTS = {
 
 
 def blob(target, preset, overrides):
-    cfg = load_config(preset=preset, overrides=overrides, env={})
+    cfg = load_config(preset=preset, overrides=overrides)
     reports, summary, _ = run_verify(target, cfg)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "stream.jsonl")

@@ -33,7 +33,7 @@ def main():
 
     failed = 0
     for target, preset in SWEEPS:
-        cfg = load_config(preset=preset, env={})
+        cfg = load_config(preset=preset)
         reports, summary, wall = run_verify(target, cfg)
         stem = f"{target}-{preset}"
         write_jsonl(outdir / f"{stem}.jsonl", reports)

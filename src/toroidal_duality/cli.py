@@ -146,9 +146,9 @@ def run_verify(target, cfg: SweepConfig):
 
 
 def _cmd_verify(args):
-    overrides = {key: getattr(args, key, None) for key in KEY_TYPES}  # a and b have no flag
+    overrides = {key: getattr(args, key) for key in KEY_TYPES}  # each setting is the flag of its name
     try:
-        cfg = load_config(path=args.config, preset=args.preset, overrides=overrides)
+        cfg = load_config(preset=args.preset, overrides=overrides)
         if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
             raise ConfigError(f"--out directory does not exist: {cfg.out!r}")
         if cfg.out and os.path.isdir(cfg.out):
@@ -210,7 +210,6 @@ def build_parser():
 
     v = sub.add_parser("verify", help="run a relation suite")
     v.add_argument("target", choices=TARGETS)
-    v.add_argument("--config", help="INI config document")
     v.add_argument("--preset", choices=sorted(PRESETS), help="named desk-scale preset")
     v.add_argument("--n", type=int)
     v.add_argument("--l", type=int)
@@ -222,6 +221,8 @@ def build_parser():
     v.add_argument("--probes", type=int)
     v.add_argument("--hecke-probes", dest="hecke_probes", type=int)
     v.add_argument("--seed", type=int)
+    v.add_argument("--a", help="the scalar X acts by on the l1 module")
+    v.add_argument("--b", help="the scalar Y acts by on the l1 module")
     v.add_argument("--relations", help="comma-separated relation-id prefixes to keep")
     v.add_argument("--out", help="JSON-lines report path (summary written alongside)")
     v.add_argument("--negative-control", action="store_true", default=None)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain
-from operator import itemgetter
 
 from .duality import dvec_add, fund_ktheta_exp
 from .hecke import RelCheck, apply_expr, apply_word, lt, make_hecke_items, tij_word, vec_scale, wmul
@@ -38,7 +37,6 @@ from .series import theta_expand
 
 PSI, PSI_INV, TAU, T_OMEGA1, STRAIGHTEN = ("psi",), ("psi_inv",), ("tau",), ("t_omega1",), ("straighten",)
 KINDS = ("e", "f", "k+", "k-")
-_WORD = itemgetter(1)  # the word of a term (coeff, word)
 
 
 def _mode_range(kind, K):
@@ -163,13 +161,9 @@ class CoefficientScalars(dict):
 def scalar_terms(terms, scalars, first):
     """
     The expression of `terms` in their order, each coefficient made a scalar
-    by the mapping `scalars` and each word led by the letters `first`; words
-    merge, at their first place, only where one comes up twice.
+    by the mapping `scalars` and each word led by the letters `first`.  Equal
+    words are not merged: `identity` sums a check's terms anyway.
     """
-    if len(set(map(_WORD, terms))) < len(terms):
-        merged = {}  # filled in term order, which the merge keeps
-        dvec_add(merged, [(w, scalars[coeff]) for coeff, w in terms])
-        return tuple([(c, first + w) for w, c in merged.items()])
     return tuple([(scalars[coeff], first + w) for coeff, w in terms])
 
 

@@ -46,7 +46,7 @@ PINNED = {
 def _run_all():
     out = {}
     for name, (target, preset, extra) in SWEEPS.items():
-        cfg = load_config(preset=preset, overrides=extra, env={})
+        cfg = load_config(preset=preset, overrides=extra)
         reports, summary, wall = run_verify(target, cfg)
         blob = "\n".join(dumps_canonical(r.to_json_obj()) for r in reports)
         out[name] = (reports, summary, blob, wall)
@@ -149,7 +149,7 @@ def test_criterion_5_conjugation_and_intertwining(runs):
         ok = ok and conj and tw and {0, 1, 2} <= modes
         ok = ok and all(r.status == "pass" for r in conj + tw)
     # psi o psi_inv = id on 50 random vectors of the windowed family
-    cfg = load_config(preset="poly", env={})
+    cfg = load_config(preset="poly")
     dmod = DualityModule(cfg.build_hecke_module())
     probes = duality_probes(dmod, 50, seed=cfg.seed)
     reports = run_relation_items(psi_inverse_items(dmod, probes))

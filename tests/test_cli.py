@@ -1,6 +1,5 @@
 """CLI contract: exit codes, config precedence, canonical report streams."""
 
-import configparser
 import gc
 import hashlib
 import json
@@ -216,8 +215,8 @@ def _verify_config(argv):
     from toroidal_duality.config import KEY_TYPES
 
     args = build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key, None) for key in KEY_TYPES}
-    return args.target, load_config(path=args.config, preset=args.preset, overrides=overrides, env={})
+    overrides = {key: getattr(args, key) for key in KEY_TYPES}
+    return args.target, load_config(preset=args.preset, overrides=overrides)
 
 
 def _benchmark_workloads():
@@ -290,7 +289,7 @@ def test_items_stream_into_the_runner():
 
     from toroidal_duality.cli import collect_items, run_verify
 
-    cfg = load_config(preset="poly", overrides={"modes": 3, "probes": 1}, env={})
+    cfg = load_config(preset="poly", overrides={"modes": 3, "probes": 1})
     items, _ = collect_items("toroidal", cfg)
     assert iter(items) is items  # an iterator, not a list
     tracemalloc.start()
@@ -325,7 +324,7 @@ def test_runner_frees_the_module_before_the_sort(target, monkeypatch):
 
     monkeypatch.setattr(duality.DualityModule, "__init__", tracked_init)
     monkeypatch.setattr(reports, "itemgetter", tracked_itemgetter)
-    cfg = load_config(preset="poly", overrides={"probes": 1, "modes": 1}, env={})
+    cfg = load_config(preset="poly", overrides={"probes": 1, "modes": 1})
     assert run_verify(target, cfg)[1]["status"] == "pass"
     assert alive_at_sort == [[False]]
 
@@ -338,7 +337,7 @@ def test_sweep_holds_one_probe_memo_at_a_time():
 
     from toroidal_duality.cli import run_verify
 
-    cfg = load_config(preset="poly", overrides={"probes": 30}, env={})
+    cfg = load_config(preset="poly", overrides={"probes": 30})
     tracemalloc.start()
     try:
         reports, summary, _ = run_verify("duality", cfg)
@@ -366,49 +365,55 @@ def test_runner_is_serial_only():
         run_relation_items([], workers=2)
 
 
-def test_config_file_and_env_and_flag_precedence(tmp_path, monkeypatch):
-    cfgfile = tmp_path / "sweep.ini"
-    cfgfile.write_text(
-        "[params]\nn = 4\nl = 2\nq = 2\nd = 3\n"
-        "[sweep]\nfamily = polynomial\nwindow = 8\nmodes = 2\nprobes = 5\nseed = 1\n"
-    )
-    cfg = load_config(path=str(cfgfile))
-    assert cfg.n == 4 and cfg.probes == 5 and cfg.family == "polynomial"
-    monkeypatch.setenv("TOROIDAL_PROBES", "7")
-    cfg = load_config(path=str(cfgfile))
-    assert cfg.probes == 7  # env beats file
-    cfg = load_config(path=str(cfgfile), overrides={"probes": 9})
-    assert cfg.probes == 9  # flags beat env
+def test_defaults_then_preset_then_flags():
+    assert load_config().probes == 8 and load_config(preset="l1").n == 3
+    cfg = load_config(preset="l1", overrides={"n": 5, "probes": None})
+    assert cfg.n == 5 and cfg.probes == 8 and cfg.family == "l1"  # None leaves a setting as it was
 
 
-def test_config_rejects_unknown_keys(tmp_path, capsys):
-    cfgfile = tmp_path / "sweep.ini"
+def test_poly_preset_is_the_defaults():
+    assert load_config(preset="poly") == load_config()
+
+
+def test_config_rejects_unknown_keys():
     for key in ("bogus", "workers"):  # the runner is serial; `workers` is no key
-        cfgfile.write_text(f"[sweep]\n{key} = 3\n")
         with pytest.raises(ConfigError, match=key):
-            load_config(path=str(cfgfile))
-        code = main(["verify", "toroidal", "--preset", "l1", "--config", str(cfgfile)])
-        assert code == EXIT_CONFIG
-        assert key in capsys.readouterr().err
+            load_config(preset="l1", overrides={key: 3})
+
+
+def test_settings_of_the_wrong_type_are_config_errors():
+    for key, value in (("n", "5"), ("q", 2), ("symbolic", "false"), ("probes", True)):
+        with pytest.raises(ConfigError, match=f"bad value for {key!r}"):
+            load_config(overrides={key: value})
+
+
+def test_the_environment_cannot_change_a_sweep(tmp_path, monkeypatch):
+    argv = ["verify", "toroidal", "--preset", "l1", *FAST, "--relations", "level"]
+    plain = tmp_path / "plain.jsonl"
+    assert main([*argv, "--out", str(plain)]) == EXIT_PASS
+    cfg = _verify_config(argv)
+    monkeypatch.setenv("TOROIDAL_PROBES", "7")
+    monkeypatch.setenv("TOROIDAL_BOGUS", "1")
+    assert _verify_config(argv) == cfg
+    env = tmp_path / "env.jsonl"
+    assert main([*argv, "--out", str(env)]) == EXIT_PASS
+    assert env.read_bytes() == plain.read_bytes()
+    assert (tmp_path / "env.summary.json").read_bytes() == (tmp_path / "plain.summary.json").read_bytes()
 
 
 def test_relation_selection(tmp_path):
     out = tmp_path / "r.jsonl"
     main(["verify", "toroidal", "--preset", "l1", *FAST, "--out", str(out)])
-    os.environ["TOROIDAL_RELATIONS"] = "2.1.5,2.1.6"
-    try:
-        out2 = tmp_path / "sel.jsonl"
-        main(["verify", "toroidal", "--preset", "l1", *FAST, "--out", str(out2)])
-    finally:
-        del os.environ["TOROIDAL_RELATIONS"]
+    out2 = tmp_path / "sel.jsonl"
+    code = main(["verify", "toroidal", "--preset", "l1", *FAST,
+                 "--relations", "2.1.5,2.1.6", "--out", str(out2)])
+    assert code == EXIT_PASS
     rels = {json.loads(line)["relation"] for line in out2.read_text().splitlines()}
     assert rels == {"2.1.5", "2.1.6"}
-
-    out3 = tmp_path / "flag.jsonl"
-    code = main(["verify", "toroidal", "--preset", "l1", *FAST,
-                 "--relations", "2.1.5,2.1.6", "--out", str(out3)])
-    assert code == EXIT_PASS
-    assert out3.read_bytes() == out2.read_bytes()
+    # the stream is the unfiltered run's records of the kept relations, byte for byte
+    kept = [line for line in out.read_text().splitlines(keepends=True)
+            if json.loads(line)["relation"] in rels]
+    assert out2.read_text() == "".join(kept)
 
 
 def test_relation_filter_skips_builders_it_cannot_keep(tmp_path, monkeypatch):
@@ -434,7 +439,7 @@ def test_relation_filter_keeps_every_builder_that_can_match():
     from toroidal_duality.cli import collect_items
 
     def ids(relations):
-        cfg = load_config(preset="l1", overrides={"probes": 1, "hecke_probes": 1, "relations": relations}, env={})
+        cfg = load_config(preset="l1", overrides={"probes": 1, "hecke_probes": 1, "relations": relations})
         return sorted({meta[0] for meta, _ in collect_items("all", cfg)[0]})
 
     every = ids("")
@@ -471,110 +476,25 @@ def test_count_flags_below_one_are_config_errors(target, flag, value, capsys):
     assert len(err.strip().splitlines()) == 1 and "at least 1" in err
 
 
-def test_unknown_environment_variable_is_config_error(monkeypatch, capsys):
-    for name in ("TOROIDAL_PROBE", "TOROIDAL_WORKERS", "TOROIDAL_probes"):
-        with pytest.raises(ConfigError, match=name):
-            load_config(preset="l1", env={name: "0"})
-        monkeypatch.setenv(name, "0")
-        code = main(["verify", "toroidal", "--preset", "l1", "--relations", "level"])
-        monkeypatch.delenv(name)
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert name in err and len(err.strip().splitlines()) == 1
-
-
-@pytest.mark.parametrize("text", ["n = 4\n", "[params]\nn = 4\ngarbage line\n", "[sweep]\nrelations = 2%\n"],
-                         ids=["no-section-header", "line-without-equals", "bad-interpolation"])
-def test_malformed_config_file_is_config_error(tmp_path, capsys, text):
-    cfgfile = tmp_path / "sweep.ini"
-    cfgfile.write_text(text)
-    with pytest.raises(ConfigError, match="cannot parse"):
-        load_config(path=str(cfgfile), env={})
-    code = main(["verify", "toroidal", "--preset", "l1", "--config", str(cfgfile)])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "cannot parse" in err and "Traceback" not in err
-    assert len(err.strip().splitlines()) == 1
-
-
-def test_count_keys_checked_from_environment_and_file(tmp_path):
-    with pytest.raises(ConfigError, match="modes"):
-        load_config(preset="l1", env={"TOROIDAL_MODES": "0"})
-    cfgfile = tmp_path / "sweep.ini"
-    cfgfile.write_text("[sweep]\nhecke_probes = 0\n")
-    with pytest.raises(ConfigError, match="hecke_probes"):
-        load_config(path=str(cfgfile), env={})
-
-
-@pytest.mark.parametrize("key", ["negative_control", "symbolic"])
-@pytest.mark.parametrize("source", ["env", "ini"])
-def test_bad_boolean_is_config_error(tmp_path, monkeypatch, capsys, key, source):
-    for name in [k for k in os.environ if k.startswith("TOROIDAL_")]:
-        monkeypatch.delenv(name)
-    argv = ["verify", "hecke", "--preset", "poly", *FAST]
-    if source == "env":
-        monkeypatch.setenv("TOROIDAL_" + key.upper(), "ture")
-        kwargs = {}
-    else:
-        cfgfile = tmp_path / "sweep.ini"
-        cfgfile.write_text(f"[sweep]\n{key} = ture\n")
-        kwargs = {"path": str(cfgfile)}
-        argv += ["--config", str(cfgfile)]
-    with pytest.raises(ConfigError, match=key):
-        load_config(preset="poly", **kwargs)
-    assert main(argv) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert key in err and "ture" in err and len(err.strip().splitlines()) == 1
-
-
-def test_boolean_spellings_follow_configparser():
-    for text, state in configparser.ConfigParser.BOOLEAN_STATES.items():
-        for spelled in (text, text.upper(), text.capitalize()):
-            cfg = load_config(preset="poly", env={"TOROIDAL_SYMBOLIC": spelled,
-                                                  "TOROIDAL_NEGATIVE_CONTROL": spelled})
-            assert cfg.symbolic is state and cfg.negative_control is state, spelled
-
-
-@pytest.mark.parametrize("text", ["[DEFAULT]\nbogus = 3\n", "[DEFAULT]\nprobes = 0\n",
-                                  "[DEFAULT]\nseed = 3\n[sweep]\nprobes = 2\n"],
-                         ids=["unknown-key", "bad-count", "beside-a-section"])
-def test_default_section_is_config_error(tmp_path, capsys, text):
-    cfgfile = tmp_path / "sweep.ini"
-    cfgfile.write_text(text)
-    with pytest.raises(ConfigError, match="DEFAULT"):
-        load_config(path=str(cfgfile), env={})
-    code = main(["verify", "toroidal", "--preset", "l1", "--config", str(cfgfile)])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "[DEFAULT]" in err and len(err.strip().splitlines()) == 1
-
-
-def test_empty_default_section_is_accepted(tmp_path):
-    cfgfile = tmp_path / "sweep.ini"
-    cfgfile.write_text("[DEFAULT]\n[sweep]\nprobes = 2\n")
-    assert load_config(path=str(cfgfile), env={}).probes == 2
-
-
 def test_negative_control_outside_the_polynomial_family_fails_to_load():
     # the check sits in load_config, so scripts calling run_verify get it too
     from toroidal_duality.cli import run_verify
 
     with pytest.raises(ConfigError, match="polynomial"):
-        run_verify("hecke", load_config(preset="l1", overrides={"negative_control": True}, env={}))
+        run_verify("hecke", load_config(preset="l1", overrides={"negative_control": True}))
     with pytest.raises(ConfigError, match="polynomial"):
-        load_config(preset="poly", env={"TOROIDAL_NEGATIVE_CONTROL": "yes", "TOROIDAL_FAMILY": "l1"})
-    assert load_config(preset="poly", overrides={"negative_control": True}, env={}).negative_control
+        load_config(preset="poly", overrides={"negative_control": True, "family": "l1"})
+    assert load_config(preset="poly", overrides={"negative_control": True}).negative_control
 
 
-
-@pytest.mark.parametrize("value", ["0/0", "1/0"])
-def test_zero_denominator_module_scalar_is_config_error(monkeypatch, capsys, value):
-    monkeypatch.setenv("TOROIDAL_A", value)
+@pytest.mark.parametrize("key, value", [("a", "1/0"), ("b", "0/0")], ids=["1/0", "0/0"])
+def test_zero_denominator_module_scalar_is_config_error(capsys, key, value):
     with pytest.raises(ConfigError, match="Fraction"):
-        load_config(preset="l1").build_hecke_module()
-    assert main(["verify", "hecke", "--preset", "l1", "--hecke-probes", "1"]) == EXIT_CONFIG
+        load_config(preset="l1", overrides={key: value}).build_hecke_module()
+    assert main(["verify", "hecke", "--preset", "l1", "--hecke-probes", "1", f"--{key}", value]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1 and "Fraction" in err
+
 
 def test_readme_flags_are_the_verify_options():
     # the "Flags:" list of README.md, the verify subparser and SweepConfig name the same settings
@@ -589,12 +509,13 @@ def test_readme_flags_are_the_verify_options():
         documented = re.search(r"^Flags: `([^`]*)`", fh.read(), re.MULTILINE).group(1).split()
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = [a for a in sub.choices["verify"]._actions
-               if a.option_strings and a.dest not in ("help", "config", "preset")]
+               if a.option_strings and a.dest not in ("help", "preset")]
     flags = [flag for action in options for flag in action.option_strings]
     assert sorted(documented) == sorted(flags)
     assert len(documented) == len(set(documented))
-    # _cmd_verify reads each setting as the flag attribute of the same name
-    assert {action.dest for action in options} == set(KEY_TYPES) - {"a", "b"}
+    # _cmd_verify reads each setting as the flag attribute of the same name, one flag per setting
+    assert sorted(action.dest for action in options) == sorted(KEY_TYPES)
+    assert all(len(action.option_strings) == 1 for action in options)
 
 
 # sha256 of the canonical stream and summary of
@@ -605,8 +526,6 @@ SYMBOLIC_SUMMARY_SHA256 = "588076cb0ebcaab96d64d5f70bc0d16229750fa8991d7cf328f96
 
 
 def test_symbolic_sweep_golden_digests(tmp_path, monkeypatch):
-    for key in [k for k in os.environ if k.startswith("TOROIDAL_")]:
-        monkeypatch.delenv(key)
     out = tmp_path / "sym.jsonl"
     code = main(["verify", "toroidal", "--preset", "poly", "--symbolic",
                  "--probes", "1", "--modes", "1", "--out", str(out)])
@@ -625,8 +544,6 @@ SYMBOLIC_DUALITY_SUMMARY_SHA256 = "3f2dcd0861368300e2537c4aee1b52b75d02eb0fdf938
 
 
 def test_symbolic_duality_sweep_golden_digests(tmp_path, monkeypatch):
-    for key in [k for k in os.environ if k.startswith("TOROIDAL_")]:
-        monkeypatch.delenv(key)
     out = tmp_path / "symdual.jsonl"
     code = main(["verify", "duality", "--preset", "poly", "--symbolic",
                  "--probes", "2", "--modes", "1", "--out", str(out)])
@@ -645,8 +562,6 @@ SYMBOLIC_DUALITY_L3_SUMMARY_SHA256 = "39ad1a3d6e6795a4264903f6b4d6689ee8d78dfd98
 
 
 def test_symbolic_duality_l3_sweep_golden_digests(tmp_path, monkeypatch):
-    for key in [k for k in os.environ if k.startswith("TOROIDAL_")]:
-        monkeypatch.delenv(key)
     out = tmp_path / "symdual3.jsonl"
     code = main(["verify", "duality", "--n", "5", "--l", "3", "--window", "8", "--family", "polynomial",
                  "--symbolic", "--probes", "1", "--modes", "2", "--hecke-probes", "3", "--out", str(out)])
@@ -664,8 +579,6 @@ SYMBOLIC_HECKE_SUMMARY_SHA256 = "b053cfb2dab93d2f7cf0dfc33b520bf2a28afdd98d73c16
 
 
 def test_symbolic_hecke_sweep_golden_digests(tmp_path, monkeypatch):
-    for key in [k for k in os.environ if k.startswith("TOROIDAL_")]:
-        monkeypatch.delenv(key)
     out = tmp_path / "symhecke.jsonl"
     code = main(["verify", "hecke", "--preset", "poly", "--symbolic", "--out", str(out)])
     assert code == EXIT_PASS
@@ -690,7 +603,7 @@ def test_every_manifest_probe_id_names_the_vector_its_records_were_checked_on():
     from toroidal_duality.cli import collect_items
     from toroidal_duality.duality import dvec_to_json, hvec_to_json
 
-    items, manifest = collect_items("all", load_config(preset="poly", env={}))
+    items, manifest = collect_items("all", load_config(preset="poly"))
     checked = Counter()
     for (relation, _, _, pid), thunk in items:
         if pid in manifest["probes"]:
@@ -755,8 +668,6 @@ def test_config_summary_echo(tmp_path):
 def test_benchmark_workloads_match_recorded_digests(tmp_path, monkeypatch):
     # the four perfbench workloads at their default seed, against the stream
     # and summary sha256 recorded in perfbench/baseline.json (read only)
-    for key in [k for k in os.environ if k.startswith("TOROIDAL_")]:
-        monkeypatch.delenv(key)
     workloads = _benchmark_workloads()
     assert len(workloads) == 4
     for name, spec in sorted(workloads.items()):
@@ -828,8 +739,7 @@ def test_planted_power_faults_fail_verify(tmp_path, source, line, planted, argv)
     text = (package / source).read_text()
     assert text.count(line) == 1
     (package / source).write_text(text.replace(line, planted))
-    env = {k: v for k, v in os.environ.items() if not k.startswith("TOROIDAL_")}
-    env["PYTHONPATH"] = str(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
     done = subprocess.run([sys.executable, "-m", "toroidal_duality.cli", "verify", *argv, "--seed", "11"],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == EXIT_FAIL, done.stderr
@@ -853,3 +763,29 @@ def test_bench_pairs_scale_takes_one_verify_command_without_out():
         with pytest.raises(SystemExit) as exc:
             bench_pairs.parse_args(["--parent", "HEAD", "--scale", bad])
         assert exc.value.code == 2
+
+
+def test_reach_census_lists_the_lines_a_sweep_does_not_run():
+    # one tiny l1 sweep: it never builds the polynomial module, and runs load_config to its end
+    import importlib.util
+    import inspect
+
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "reach_census.py")
+    spec = importlib.util.spec_from_file_location("reach_census", script)
+    reach_census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach_census)
+    tracing = sys.gettrace()
+    unreached = reach_census.census([["verify", "hecke", "--preset", "l1", "--hecke-probes", "1"]])
+    assert sys.gettrace() is tracing
+    from toroidal_duality import config, hecke
+
+    hecke_source = Path(hecke.__file__).read_text().splitlines()
+    assert "PolynomialModule.letter_cached" in unreached["hecke.py"].values()
+    refusals = [line for line, fn in unreached["hecke.py"].items() if fn == "UnitModule.__init__"]
+    assert refusals and all("raise ValueError" in hecke_source[line - 1] for line in refusals)  # nothing else
+    end = inspect.getsourcelines(config.load_config)[1] + len(inspect.getsource(config.load_config).splitlines()) - 1
+    assert end not in unreached["config.py"]  # `return cfg` ran
+    assert inspect.getsourcelines(hecke.PolynomialModule.letter_cached)[1] not in unreached["hecke.py"]  # a header
+    for name, lines in unreached.items():
+        source = Path(config.__file__).with_name(name).read_text().splitlines()
+        assert not any(source[line - 1].lstrip().startswith(("def ", "class ", "@")) for line in lines), name

@@ -71,28 +71,16 @@ def test_tprime_tables():
     assert tprime_symbol(2, ("k", 4), cartan) == (((1, 0, 0), (("k", 4),)),)
 
 
-def _counting_merges(monkeypatch):
-    """Patch the merge that `scalar_terms` falls back to; returns the list of its calls."""
-    merges = []
-
-    def counted(vec, terms, *args):
-        merges.append(len(terms))
-        return dvec_add(vec, terms, *args)
-
-    monkeypatch.setattr(dualchecks, "dvec_add", counted)
-    return merges
-
-
 def _tprime_value(coeff, q, d):
     """The scalar of a table coefficient (sign, q exponent, d exponent), by the stdlib operators."""
     sign, a, b = coeff
     return Fraction(sign) * (q ** a if a >= 0 else sc_inv(q) ** -a) * (d ** b if b >= 0 else sc_inv(d) ** -b)
 
 
-def test_tprime_multiplicative(monkeypatch):
-    # the image of a product is the expanded product of the images, merged by word
-    # and negated: the repeated input word merges, and the two e_3 e_4 terms cancel
-    merges = _counting_merges(monkeypatch)
+def test_tprime_multiplicative():
+    # the image of a product is the expanded product of the images, negated; the
+    # terms are kept as made, so summed by word they give the merged image, where
+    # the repeated input word adds up and the two e_3 e_4 terms cancel
     cartan = CartanData(3)
     images = {x: tprime_symbol(2, x, cartan) for x in (("e", 2), ("e", 3), ("e", 4), ("k", 3))}
     expr = (((1, 0, 1), (("e", 3), ("e", 2), ("k", 3))), ((1, 1, 0), (("e", 2), ("k", 3))),
@@ -106,10 +94,13 @@ def test_tprime_multiplicative(monkeypatch):
                 w, c = w + w2, c * _tprime_value(c2, Q, D)
             want[w] = want[w] + c if w in want else c
     want = [(w, type(c), c) for w, c in want.items() if c]
-    got = scalar_terms(substitute(expr, images), CoefficientScalars(monomials(Q, D)), ())
-    assert sorted((w, type(c), c) for c, w in got) == sorted(want)  # equal terms, as multisets
-    assert len(got) == 3 and not any(("e", 4) in w for _, w in got)
-    assert len(merges) == 1  # the repeated word and the cancelling pair take the merge
+    terms = substitute(expr, images)
+    got = scalar_terms(terms, CoefficientScalars(monomials(Q, D)), ())
+    assert [w for _, w in got] == [w for _, w in terms]  # one term per term, in order
+    summed = {}
+    dvec_add(summed, [(w, c) for c, w in got])
+    assert sorted((w, type(c), c) for w, c in summed.items()) == sorted(want)  # equal terms, as multisets
+    assert len(summed) == 3 and not any(("e", 4) in w for w in summed)
 
 
 def test_psi_conjugation(dm_unit, dm_poly):
@@ -221,11 +212,8 @@ def _omega_reference(n, q, d):
     return out
 
 
-def _assert_omega_images_match_reference(n, q, d, monkeypatch):
-    with monkeypatch.context() as m:
-        merges = _counting_merges(m)
-        got = omega_images(n, monomials(q, d))
-    assert merges == [], n  # no word comes up twice at any level
+def _assert_omega_images_match_reference(n, q, d):
+    got = omega_images(n, monomials(q, d))
     want = _omega_reference(n, q, d)
     assert got.keys() == want.keys()
     for sym in want:
@@ -240,15 +228,15 @@ def _assert_omega_images_match_reference(n, q, d, monkeypatch):
 
 @pytest.mark.parametrize("q, d", [(Fraction(2), Fraction(3)), (Fraction(-5, 7), Fraction(11, 3)), (Q, D)],
                          ids=["specialized", "specialized-negative", "formal"])
-def test_omega_images_match_per_letter_reference(q, d, monkeypatch):
+def test_omega_images_match_per_letter_reference(q, d):
     for n in range(2, 7):
-        _assert_omega_images_match_reference(n, q, d, monkeypatch)
+        _assert_omega_images_match_reference(n, q, d)
 
 
-def test_omega_images_match_per_letter_reference_at_n7(monkeypatch):
+def test_omega_images_match_per_letter_reference_at_n7():
     # the largest table where the level-by-level composition and the
     # per-generator reference differ most in how they reach each word
-    assert _assert_omega_images_match_reference(7, Fraction(2), Fraction(3), monkeypatch) == 11568
+    assert _assert_omega_images_match_reference(7, Fraction(2), Fraction(3)) == 11568
 
 
 _TABLE_DIGEST = """
@@ -261,10 +249,8 @@ print(hashlib.sha256(repr(sorted(images.items())).encode()).hexdigest())
 """
 
 
-def test_omega_images_at_n8_never_merge_and_keep_one_order(monkeypatch):
-    merges = _counting_merges(monkeypatch)
+def test_omega_images_at_n8_never_merge_and_keep_one_order():
     images = omega_images(8, monomials(Fraction(2), Fraction(3)))
-    assert merges == []
     assert sum(map(len, images.values())) == 44977
     for sym, image in images.items():
         words = [w for _, w in image]
@@ -482,7 +468,7 @@ def test_edge_probe_leaves_window_and_words_empty_out(dm_edge):
 
 @pytest.fixture(scope="module")
 def poly_two_probes():
-    cfg = load_config(preset="poly", overrides={"probes": 2}, env={})
+    cfg = load_config(preset="poly", overrides={"probes": 2})
     dm = DualityModule(cfg.build_hecke_module())
     return dm, duality_probes(dm, cfg.probes, cfg.seed)
 

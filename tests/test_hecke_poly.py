@@ -515,7 +515,7 @@ def _negate_last_term(chk):
 def test_every_hecke_relation_bites(monkeypatch, preset, overrides, statements):
     # each statement of the three suites and of the recon.y-* shifts, alone
     # with the last term of its residual negated, must fail a check of its id
-    hmod = load_config(preset=preset, overrides=overrides, env={}).build_hecke_module()
+    hmod = load_config(preset=preset, overrides=overrides).build_hecke_module()
     checks = defining_relation_checks(hmod) + q_presentation_checks(hmod) + conjugation_lemma_checks(hmod)
     assert len(checks) == statements
     shifts = []  # reconstruction_items hands its two shifts to make_hecke_items

@@ -73,7 +73,7 @@ def test_writer_encodes_each_key_object_and_string_once_on_a_sweep(path, monkeyp
     from toroidal_duality.cli import run_verify
     from toroidal_duality.config import load_config
 
-    reports, _, _ = run_verify("toroidal", load_config(preset="poly", env={}))
+    reports, _, _ = run_verify("toroidal", load_config(preset="poly"))
     calls = []
     encode = reports_module._ENCODE
     monkeypatch.setattr(reports_module, "_ENCODE", lambda value: calls.append(value) or encode(value))

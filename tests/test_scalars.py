@@ -361,7 +361,7 @@ def test_formal_sweep_columns_hold_stored_forms(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(duality, "DualityModule", Recorded)
-    cfg = load_config(preset="poly", overrides={"symbolic": True, "probes": 1, "modes": 1}, env={})
+    cfg = load_config(preset="poly", overrides={"symbolic": True, "probes": 1, "modes": 1})
     _, summary, _ = run_verify("toroidal", cfg)
     assert summary["status"] == "pass" and len(made) == 1
     columns = made[0]._cache

@@ -17,7 +17,7 @@ from toroidal_duality.qtoroidal import current_relation_items
 
 @pytest.fixture
 def l1_module():
-    cfg = load_config(preset="l1", env={})
+    cfg = load_config(preset="l1")
     dmod = DualityModule(cfg.build_hecke_module())
     return dmod, duality_probes(dmod, 2, seed=cfg.seed)
 
