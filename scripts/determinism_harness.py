@@ -5,9 +5,10 @@ control (the one sweep with fail lines and notes), a Hecke sweep at
 l = 3, two Hecke sweeps (one at n = 5, l = 3), a toroidal sweep and three
 duality sweeps with formal q and d (one duality sweep at l = 3), a duality
 sweep at n = 7, whose translation tables are the largest, a duality
-sweep at n = 5, l = 3 with modes up to 3, and a formal duality sweep at
+sweep at n = 5, l = 3 with modes up to 3, a formal duality sweep at
 n = 5, l = 3 whose probes reach the size-3 symmetrizer blocks at module
-key (1, 0, 0), in two child processes with
+key (1, 0, 0), a Hecke sweep at n = 6, l = 4 and a formal toroidal sweep
+at modes up to 2, in two child processes with
 PYTHONHASHSEED=0 and PYTHONHASHSEED=1, and diff the canonical JSON streams
 and summaries.  Each line also prints the sha256 of those bytes and
 compares it with the sweep's pinned digest in DIGESTS; the harness exits 1
@@ -59,6 +60,10 @@ SWEEPS = [
     # the symmetrizer's 1/(1 + q^2 + q^4) quotients
     ("duality-l3-symbolic-k100", "duality", "poly", {"n": 5, "l": 3, "window": 10, "symbolic": True,
                                                      "probes": 60, "modes": 1}),
+    # l = 4, the first l with the t-comm, q-shift-t and q-conj-t statements: 4,850 checks
+    ("hecke-l4", "hecke", "poly", {"n": 6, "l": 4, "window": 8}),
+    # the perfbench toroidal-poly-formal setting: every formal mode column up to K = 2
+    ("toroidal-poly-symbolic-k2", "toroidal", "poly", {"symbolic": True, "probes": 1}),
 ]
 
 # sha256 of each sweep's stream and summary, pinned from the reports as they stand
@@ -79,6 +84,8 @@ DIGESTS = {
     "duality-n7": "17317357ce0d022ba204279014a3e80ecf15cac8926e61f42bc13ccfaf111ff7",
     "duality-l3-k3": "8c8648814dff7ae13b8e53c4019d527b3bb53fa96cf253cf1c5d9584c2194807",
     "duality-l3-symbolic-k100": "ee820f262ae3d803b66aca6989501bb4fd90924f46edefe90d6f8138e31a7af0",
+    "hecke-l4": "af0db8e9d91e0b3baf8f1509b99807f36dc1a13e9de0f425065894307b808e9c",
+    "toroidal-poly-symbolic-k2": "7d1cd9aaa652d88504500190d72e4a9bf7394fc7e4c984c2586b50715a0a2174",
 }
 
 

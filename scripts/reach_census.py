@@ -10,7 +10,7 @@ code, which runs on import, are left out.
 Each sweep is `cli.main(argv)`, its stream written to a temporary
 directory, and the `report` commands then read the first sweep's stream.
 Tracing slows every sweep down several times over; the full list took
-15 s on a 2-vCPU machine.
+20 s on a 2-vCPU machine.
 
 Usage:
     python scripts/reach_census.py
@@ -39,6 +39,7 @@ SWEEPS = [
     ["verify", "hecke", "--preset", "poly", "--negative-control"],
     ["verify", "hecke", "--preset", "poly", "--symbolic"],
     ["verify", "hecke", *L3, "--window", "7", "--hecke-probes", "7"],
+    ["verify", "hecke", "--n", "6", "--l", "4", "--window", "8"],
     ["verify", "toroidal", "--preset", "poly", "--modes", "3", "--probes", "1"],
     ["verify", "toroidal", "--preset", "poly", "--symbolic", "--probes", "1", "--modes", "1"],
     ["verify", "toroidal", "--preset", "l1", "--relations", "2.1.5,level"],

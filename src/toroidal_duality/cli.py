@@ -179,6 +179,12 @@ def _cmd_verify(args):
     if summary["status"] == "warn":
         print("warning: some checks left the lattice window and were skipped; "
               "each skip's note names the letter and the key", file=sys.stderr)
+    if args.target in ("hecke", "all") and cfg.family != "l1" and "probes" in summary:
+        # the l1 module has one key, so one probe; a Hecke probe's id is h000, h001, ...
+        made = sum(pid.startswith("h") for pid in summary["probes"])
+        if made < cfg.hecke_probes:
+            print(f"warning: the Hecke suites ran {made} probes, not the {cfg.hecke_probes} asked for; "
+                  f"window {cfg.window} holds no more distinct probe keys", file=sys.stderr)
     return EXIT_PASS if summary["status"] != "fail" else EXIT_FAIL
 
 
@@ -205,10 +211,11 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="toroidal-duality",
         description="exact relation sweeps for toroidal Hecke modules and their dual currents",
+        allow_abbrev=False,  # a flag is spelled out in full, so no new flag changes what an old spelling means
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("verify", help="run a relation suite")
+    v = sub.add_parser("verify", help="run a relation suite", allow_abbrev=False)
     v.add_argument("target", choices=TARGETS)
     v.add_argument("--preset", choices=sorted(PRESETS), help="named desk-scale preset")
     v.add_argument("--n", type=int)
@@ -229,7 +236,7 @@ def build_parser():
     v.add_argument("--symbolic", action="store_true", default=None, help="keep q, d formal")
     v.set_defaults(func=_cmd_verify)
 
-    r = sub.add_parser("report", help="render a report stream")
+    r = sub.add_parser("report", help="render a report stream", allow_abbrev=False)
     r.add_argument("format", choices=("json", "table"))
     r.add_argument("input")
     r.set_defaults(func=_cmd_report)

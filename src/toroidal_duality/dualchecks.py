@@ -260,11 +260,11 @@ def regression_items(dmod, K, probes):
     # the l = 1 slot formulas
     def slot_rhs(hkey, i, j):
         sij, coeff = _expect_l1_braid(dmod, i, j)
-        return vec_scale(coeff, dmod.basis_vector(hkey, (sij,)))
+        return vec_scale(coeff, dmod.basis_vector(hkey, (sij,)).items())
 
     def sign_rhs(hkey, j):
         if j != 1:
-            return vec_scale(MINUS_ONE, dmod.basis_vector(hkey, (j,)))
+            return vec_scale(MINUS_ONE, dmod.basis_vector(hkey, (j,)).items())
         return dmod.place([(apply_word(dmod.h, lt("Y", 1), {hkey: qd(n, 0)}), (1,), ONE)])
 
     # translation-operator product formula on every nondecreasing probe term

@@ -24,6 +24,14 @@ So every scalar a column multiplies in is +-q^a d^b (or a q-integer built
 from them): the module's monomial table `qd` makes each q^a d^b once, and
 the duality checks read the same table.
 
+Every operator is a column operator: the image of a basis key is made
+once and kept, and a vector's image is the sum of its keys' columns, the
+first one a scaled copy (`vec_scale`) and the rest merged in.  `_linear`
+does this for every operator but the modes.  A mode is the hottest
+operator, so `mode` resolves (kind, i, k) once to its column record (the
+column dict, kept in `_cache` under the mode's tag, the basis function and
+its arguments) and runs the same loop itself.
+
 Currents are indexed so that e_i(z) = sum_k e_{i,k} z^-k; a "k+" mode k
 means the z^-k coefficient with k >= 0, a "k-" mode k means k <= 0.
 """
@@ -98,7 +106,7 @@ class DualityModule:
         self.q = p.q
         self.qd = monomials(p.q, p.d)  # (a, b) -> q^a d^b, every power of q and d the columns take
         self._cache = {}  # column tag -> {basis key: image items}
-        self._mode_columns = {}  # (kind, i, k) -> (cache tag, basis function)
+        self._mode_columns = {}  # (kind, i, k) -> (column dict, basis function, its arguments)
         self._scale_cache = {}
         self._chain_images = {}  # (kind, i, basis key) -> the e/f chain sum (`_ef_chains`)
         self._theta_products = {}  # (sign, i, basis key) -> degree parts 0..D of the theta product
@@ -124,7 +132,10 @@ class DualityModule:
         The column operator `tag` = (label, *args) on vec: the image of a basis
         key is basis(self, *args, key), made once per (tag, key); a basis
         image that leaves the window raises, and nothing is stored for it.
-        The basis is a plain function, so nothing stored holds `self`.
+        The basis is a plain function, so nothing stored holds `self`.  The
+        output starts as a scaled copy of its first non-empty column
+        (`vec_scale`), and the later columns merge into it.  `mode` runs
+        this same loop itself, on a column it resolves once.
         """
         columns = self._cache.get(tag)
         if columns is None:
@@ -135,7 +146,10 @@ class DualityModule:
             if items is None:
                 items = columns[key] = tuple(sorted(basis(self, *tag[1:], key).items()))
             if items:
-                dvec_add(out, items, coeff)
+                if out:
+                    dvec_add(out, items, coeff)
+                else:
+                    out = vec_scale(coeff, items)
         return out
 
     # -- canonical form ------------------------------------------------------
@@ -430,15 +444,33 @@ class DualityModule:
 
         kind "e"/"f": any integer k.  kind "k+": k >= 0; "k-": k <= 0 (the
         k = 0 modes are k_{i,0} and its inverse).  Vertex 0 is computed by
-        psi-conjugation with the spectral rescale (q d^-1)^-k.
+        psi-conjugation with the spectral rescale (q d^-1)^-k.  The first
+        call of a (kind, i, k) checks it and resolves it to its column
+        record (`_mode_column`); every call then runs `_linear`'s column
+        loop here, with no further frame or lookup by tag.
         """
         column = self._mode_columns.get((kind, i, k))
         if column is None:  # invalid arguments raise here, and are never stored
             column = self._mode_columns[kind, i, k] = self._mode_column(kind, i, k)
-        return self._linear(*column, vec)
+        columns, basis, args = column
+        out = {}
+        for key, coeff in vec.items():
+            items = columns.get(key)
+            if items is None:
+                items = columns[key] = tuple(sorted(basis(self, *args, key).items()))
+            if items:
+                if out:
+                    dvec_add(out, items, coeff)
+                else:
+                    out = vec_scale(coeff, items)
+        return out
 
     def _mode_column(self, kind, i, k):
-        """The `_linear` cache tag and basis function of mode (kind, i, k), once its arguments are checked."""
+        """
+        The column record of mode (kind, i, k), once its arguments are
+        checked: the column dict, kept in `_cache` under the mode's tag, the
+        basis function and its arguments before the key.
+        """
         if not 0 <= i <= self.n:
             raise ValueError(f"mode vertex {i} outside 0..{self.n}")
         if kind == "k+":
@@ -450,16 +482,18 @@ class DualityModule:
         elif kind not in ("e", "f"):
             raise ValueError(kind)
         if i == 0:
-            return ("M0", kind, k), DualityModule._mode0_basis
-        if kind in ("e", "f"):
-            return ("M", kind, i, k), DualityModule._efmode_basis
-        return ("M", kind, i, k), DualityModule._kmode_basis
+            tag, basis = ("M0", kind, k), DualityModule._mode0_basis
+        elif kind in ("e", "f"):
+            tag, basis = ("M", kind, i, k), DualityModule._efmode_basis
+        else:
+            tag, basis = ("M", kind, i, k), DualityModule._kmode_basis
+        return self._cache.setdefault(tag, {}), basis, tag[1:]
 
     def _mode0_basis(self, kind, k, key):
         v = self.psi({key: ONE})
         v = self.mode(kind, 1, k, v)
         v = self.psi_inv(v)
-        return vec_scale(self.qd(-k, k), v)
+        return vec_scale(self.qd(-k, k), v.items())
 
     # -- probes ----------------------------------------------------------------
 

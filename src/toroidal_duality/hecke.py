@@ -6,7 +6,8 @@ suites that certify them.
 Words act on the right: apply_word evaluates letters left to right, so a
 relation like T.X1.T = q^2 X2 is checked by applying T, then X1, then T to
 each probe.  apply_letter is the one loop that applies a letter to a
-vector, for words, for the Y and Q programs and for the checks' word memo.
+vector, for words, for the Y and Q programs and for the checks' word memo;
+its output starts as a scaled copy of the first key's image.
 Y and Q are programs at exponent +-1 only.  Q and Y_1 are programs of
 atomic letters; Y_j for j >= 2 is q^2 T_{j-1}^-1 Y_{j-1} T_{j-1}^-1, so
 its middle letter is read from the letter cache.  A higher power is built
@@ -113,7 +114,9 @@ class WindowExit(Exception):
         return f"letter {letter} takes key {key} out of the window"
 
 
-# -- the sparse-vector kernel: vectors are {key: scalar} with no zero entries --
+# -- the sparse-vector kernel: vectors are {key: scalar} with no zero entries;
+# a fresh output starts as vec_scale of its first image, and merge_vec adds
+# each later image into it --
 
 def merge_vec(acc, items, coeff=Fraction(1)):
     """
@@ -168,9 +171,29 @@ def merge_vec(acc, items, coeff=Fraction(1)):
             acc[key] = s
 
 
-def vec_scale(c, v):
+def vec_scale(coeff, items):
+    """
+    coeff * items as a new dict: what merge_vec makes in an empty
+    accumulator, for the items of one vector (distinct keys, nonzero
+    entries) and a nonzero coeff.  A unit coeff copies the items; a Fraction
+    coeff multiplies each Fraction entry by cross-cancelled gcds into a
+    `bare_fraction()`, and any other pair through `sc_mul`.  There is no
+    lookup, sum or zero test: a product of nonzero exact scalars is nonzero.
+    """
+    if coeff.__class__ is not Fraction:
+        return {key: sc_mul(coeff, c) for key, c in items}
+    an, ad = coeff._numerator, coeff._denominator
+    if an == 1 and ad == 1:
+        return dict(items)
     out = {}
-    merge_vec(out, v.items(), c)
+    for key, c in items:
+        if c.__class__ is Fraction:
+            n, d = c._numerator, c._denominator
+            g1, g2 = gcd(an, d), gcd(n, ad)
+            s = out[key] = bare_fraction()
+            s._numerator, s._denominator = (an // g1) * (n // g2), (ad // g2) * (d // g1)
+        else:
+            out[key] = sc_mul(coeff, c)
     return out
 
 
@@ -387,7 +410,11 @@ def apply_letter(module, letter, vec):
     """One letter's action on a vector: each key's image comes from the module's letter cache."""
     out = {}
     for key, c in vec.items():
-        merge_vec(out, module.letter_cached(letter, key), c)
+        items = module.letter_cached(letter, key)
+        if out:
+            merge_vec(out, items, c)
+        else:
+            out = vec_scale(c, items)
     return out
 
 

@@ -19,7 +19,10 @@ Canonical forms: no zero coefficients are stored; a Laurent coefficient
 is an ``int`` when integral and a reduced ``Fraction`` only when it is
 not, so formal runs, whose coefficients are integers, multiply machine
 ints (a constant that demotes out of a Laurent is still a Fraction, and
-every division goes through Fraction, so no float arises); a LaurentFrac
+every division goes through Fraction, so no float arises); a power of a
+one-term Laurent c q^a d^b is made in one step as c^n q^(an) d^(bn), its
+coefficient stored by the same rule (every Laurent power the workbench
+takes is of such a monomial: q, d or the twist); a LaurentFrac
 denominator is a non-unit polynomial in q alone with nonnegative
 exponents, integer coprime coefficients, positive leading coefficient and
 no common factor with the numerator.  Every non-unit the workbench
@@ -187,8 +190,13 @@ class Laurent:
         return _narrowest(terms if unit else _settle(terms))
 
     def __pow__(self, n):
+        if len(self.terms) == 1:  # a monomial c q^a d^b: c^n q^(an) d^(bn), in one step
+            if not n:
+                return Fraction(1)
+            ((a, b), c), = self.terms.items()
+            return Laurent({(a * n, b * n): c ** n if n > 0 else _coef(Fraction(1, c) ** -n)})
         if n < 0:
-            return sc_inv(self) ** (-n) if self.is_unit() else LaurentFrac.make(Fraction(1), self ** (-n))
+            return LaurentFrac.make(Fraction(1), self ** (-n))
         out = Fraction(1)
         base = self
         while n:
@@ -450,30 +458,6 @@ def monomials(q, d):
     q and d only, so a module that holds it makes no reference cycle.
     """
     return cache(lambda a, b: sc_mul(sc_pow(q, a), sc_pow(d, b)))
-
-
-def specialize(a, subs):
-    """Substitute rationals for formal symbols; `subs` maps symbol name -> Fraction."""
-    if isinstance(a, (int, Fraction)):
-        return _as_fraction(a)
-    if isinstance(a, Laurent):
-        vals = [subs.get(s) for s in SYMBOLS]
-        out = Fraction(0)
-        for exp, c in a.terms.items():
-            term = c
-            for v, e in zip(vals, exp):
-                if e:
-                    if v is None:
-                        raise ValueError("substitution missing for a used symbol")
-                    term = term * _as_fraction(v) ** e
-            out += term
-        return out
-    if isinstance(a, LaurentFrac):
-        den = specialize(a.den, subs)
-        if not den:
-            raise ZeroDivisionError("denominator vanishes under substitution")
-        return specialize(a.num, subs) / den
-    raise TypeError(f"not a scalar: {a!r}")
 
 
 def scalar_to_json(a):

@@ -496,26 +496,81 @@ def test_zero_denominator_module_scalar_is_config_error(capsys, key, value):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1 and "Fraction" in err
 
 
+def _readme_flags():
+    """The flags of the "Flags:" line of README.md, in order."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        return re.search(r"^Flags: `([^`]*)`", fh.read(), re.MULTILINE).group(1).split()
+
+
+def _verify_options(parser):
+    """The verify subparser's options, each one setting: every option but --help and --preset."""
+    import argparse
+
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices["verify"]._actions if a.option_strings and a.dest not in ("help", "preset")]
+
+
 def test_readme_flags_are_the_verify_options():
     # the "Flags:" list of README.md, the verify subparser and SweepConfig name the same settings
-    import argparse
-    import re
-
     from toroidal_duality.cli import build_parser
     from toroidal_duality.config import KEY_TYPES
 
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme, encoding="utf-8") as fh:
-        documented = re.search(r"^Flags: `([^`]*)`", fh.read(), re.MULTILINE).group(1).split()
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    options = [a for a in sub.choices["verify"]._actions
-               if a.option_strings and a.dest not in ("help", "preset")]
+    documented = _readme_flags()
+    options = _verify_options(build_parser())
     flags = [flag for action in options for flag in action.option_strings]
     assert sorted(documented) == sorted(flags)
     assert len(documented) == len(set(documented))
     # _cmd_verify reads each setting as the flag attribute of the same name, one flag per setting
     assert sorted(action.dest for action in options) == sorted(KEY_TYPES)
     assert all(len(action.option_strings) == 1 for action in options)
+
+
+@pytest.mark.parametrize("argv", [["--prob", "3"], ["--neg"], ["--hecke", "2"], ["--sym"],
+                                  ["--prob", "3", "--neg", "--hecke", "2"]])
+def test_abbreviated_flags_are_refused(argv, capsys):
+    # a flag is spelled out in full: a prefix of one, however unambiguous, is an unrecognized argument
+    from toroidal_duality.cli import build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["verify", "hecke", *argv])
+    assert exc.value.code == EXIT_CONFIG and "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_every_readme_flag_parses_spelled_out():
+    from toroidal_duality.cli import build_parser
+
+    parser = build_parser()
+    by_flag = {action.option_strings[0]: action for action in _verify_options(parser)}
+    for flag in _readme_flags():
+        action = by_flag[flag]
+        if action.nargs == 0:  # a switch
+            assert getattr(parser.parse_args(["verify", "hecke", flag]), action.dest) is True
+            continue
+        value = sorted(action.choices)[0] if action.choices else "3"
+        parsed = getattr(parser.parse_args(["verify", "hecke", flag, value]), action.dest)
+        assert parsed == (action.type or str)(value), flag
+
+
+def test_a_hecke_sweep_with_fewer_probes_than_asked_warns(tmp_path, capsys):
+    # at window 3 the probe box holds 25 keys, so 27 probes are made whether 30 or 1,000 are asked
+    out = tmp_path / "w3.jsonl"
+    assert main(["verify", "hecke", "--window", "3", "--hecke-probes", "30", "--out", str(out)]) == EXIT_PASS
+    warning, = capsys.readouterr().err.splitlines()
+    assert warning.startswith("warning: ") and "ran 27 probes" in warning and "30 asked" in warning
+    summary = json.loads((tmp_path / "w3.summary.json").read_text())
+    assert summary["status"] == "pass" and summary["config"]["hecke_probes"] == 30
+    assert len(summary["probes"]) == 27
+
+
+@pytest.mark.parametrize("argv", [
+    ["hecke"],  # the poly defaults make all 50 probes
+    ["hecke", "--preset", "l1", "--hecke-probes", "30"],  # the l1 module has one key, so one probe
+    ["duality", "--probes", "1", "--modes", "1"],  # the deliberate cap of 12 Hecke probes
+], ids=["poly", "l1", "duality-cap"])
+def test_a_hecke_sweep_with_every_probe_asked_is_silent(argv, capsys):
+    assert main(["verify", *argv]) == EXIT_PASS
+    assert capsys.readouterr().err == ""
 
 
 # sha256 of the canonical stream and summary of

@@ -98,9 +98,9 @@ def test_sorted_distinct_tuple_unchanged(dm_poly):
 def test_weight_action(dm_poly):
     # k_i multiplies by q^(count(i) - count(i+1)); j = (2, 3) at q = 2
     vec = dm_poly.basis_vector((0, 0), (2, 3))
-    assert dm_poly.km("k", 1, dict(vec)) == dvec_scale(Fraction(1, 2), vec)
+    assert dm_poly.km("k", 1, dict(vec)) == dvec_scale(Fraction(1, 2), vec.items())
     assert dm_poly.km("k", 2, dict(vec)) == vec
-    assert dm_poly.km("k", 3, dict(vec)) == dvec_scale(Fraction(2), vec)
+    assert dm_poly.km("k", 3, dict(vec)) == dvec_scale(Fraction(2), vec.items())
     assert dm_poly.km("k", 4, dict(vec)) == vec
 
 
@@ -135,7 +135,7 @@ def test_psi_example_l1(dm_unit):
     vec = dm_unit.basis_vector((), (n + 1,))
     got = dm_unit.psi(dict(vec))
     # module side picks up X_1^-1, i.e. a^-1 = 1/5
-    assert got == dvec_scale(Fraction(1, 5), dm_unit.basis_vector((), (1,)))
+    assert got == dvec_scale(Fraction(1, 5), dm_unit.basis_vector((), (1,)).items())
 
 
 def test_psi_double_sided_inverse(dm_poly):
@@ -165,7 +165,7 @@ def test_affine_action_example(dm_unit):
     vec = dm_unit.basis_vector((), (n + 1,))
     got = dm_unit.km("f", n + 1, dict(vec))
     # d * b = 2 * 7
-    assert got == dvec_scale(Fraction(14), dm_unit.basis_vector((), (1,)))
+    assert got == dvec_scale(Fraction(14), dm_unit.basis_vector((), (1,)).items())
 
 
 def test_k_mode_matches_finite(dm_poly):
@@ -183,9 +183,9 @@ def test_vertex_zero_zero_modes(dm_poly):
     vec = dm_poly.basis_vector((0, 0), (1, 5))
     n = dm_poly.n
     got = dm_poly.mode("k+", 0, 0, dict(vec))
-    assert got == dvec_scale(Fraction(1), vec)  # #(n+1) - #(1) = 0
+    assert got == dvec_scale(Fraction(1), vec.items())  # #(n+1) - #(1) = 0
     vec2 = dm_poly.basis_vector((0, 0), (5, 5))
-    assert dm_poly.mode("k+", 0, 0, dict(vec2)) == dvec_scale(Fraction(4), vec2)
+    assert dm_poly.mode("k+", 0, 0, dict(vec2)) == dvec_scale(Fraction(4), vec2.items())
 
 
 def test_mode_requires_signed_window(dm_poly):
@@ -232,6 +232,27 @@ def test_mode_columns_are_built_once_and_bad_arguments_raise_every_call():
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("params", [specialized_params(n=4, l=2, q=2, d=3), symbolic_params(n=4, l=2)],
+                         ids=["specialized", "formal"])
+def test_mode_applies_the_column_that_linear_applies(params):
+    # mode runs the column loop itself on the record it resolves once; at every (kind, i, k) with
+    # |k| <= 2 it gives, on the poly probes, what `_linear` gives on a module of its own, in order
+    dm, ref = (DualityModule(PolynomialModule(params, window=8)) for _ in range(2))
+    probes = duality_probes(dm, 8, 11)
+    for kind, ks in (("e", range(-2, 3)), ("f", range(-2, 3)), ("k+", range(3)), ("k-", range(-2, 1))):
+        for i in range(dm.n + 1):
+            for k in ks:
+                if i == 0:
+                    tag, basis = ("M0", kind, k), DualityModule._mode0_basis
+                elif kind in ("e", "f"):
+                    tag, basis = ("M", kind, i, k), DualityModule._efmode_basis
+                else:
+                    tag, basis = ("M", kind, i, k), DualityModule._kmode_basis
+                for _, vec in probes:
+                    assert list(dm.mode(kind, i, k, vec).items()) == list(ref._linear(tag, basis, vec).items())
+                assert dm._cache[tag] == ref._cache[tag]  # the column stays under its tag
 
 
 def test_monomial_table_leaves_the_module_free_of_cycles():

@@ -6,7 +6,7 @@ from math import gcd
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toroidal_duality.hecke import merge_vec
+from toroidal_duality.hecke import merge_vec, vec_scale
 from toroidal_duality.scalars import Laurent, LaurentFrac, bare_fraction, is_zero, make_laurent, sc_inv, sc_mul, sc_neg
 
 WIDE = 2 ** 100  # well past 64 bits, so no machine-word shortcut can hide
@@ -95,6 +95,25 @@ def test_merge_vec_matches_stdlib_fractions(case):
         assert not is_zero(v)
         assert_canonical(v)
     assert [type(v) for v in got.values()] == [type(want[key]) for key in got]
+
+
+@given(st.dictionaries(keys, entries, max_size=6), coefficients.filter(lambda c: not is_zero(c)))
+@settings(max_examples=250, deadline=None)
+@example({0: Fraction(2, 3), 1: make_laurent({(1, 0): 2})}, Fraction(1))
+@example({0: Fraction(2, 3), 1: make_laurent({(1, 0): 2})}, Fraction(-1))
+@example({0: Fraction(-6, 35), 2: Fraction(2 ** 70 + 1, 3 ** 45)}, Fraction(35, 6))
+@example({0: Fraction(1, 2), 1: LaurentFrac.make(make_laurent({(0, 1): 1}), make_laurent({(0, 0): 1, (2, 0): 1}))},
+         make_laurent({(1, -1): Fraction(1, 2)}))
+def test_vec_scale_is_a_merge_into_an_empty_accumulator(vec, coeff):
+    # a fresh output starts as vec_scale of its first column in place of a merge into {}
+    want = {}
+    merge_vec(want, vec.items(), coeff)
+    got = vec_scale(coeff, vec.items())
+    assert got == want and list(got) == list(want)
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+    for v in got.values():
+        assert not is_zero(v)
+        assert_canonical(v)
 
 
 @given(st.one_of(rationals, formal()), st.one_of(rationals, formal()))

@@ -13,6 +13,7 @@ from toroidal_duality.scalars import (
     Laurent,
     LaurentFrac,
     Q,
+    SYMBOLS,
     is_unit,
     is_zero,
     make_laurent,
@@ -20,9 +21,33 @@ from toroidal_duality.scalars import (
     sc_inv,
     sc_mul,
     sc_pow,
-    specialize,
 )
 from toroidal_duality.scalars import monomials as monomial_table
+
+
+def specialize(a, subs):
+    """The oracle of these tests: substitute rationals for formal symbols; `subs` maps symbol name -> Fraction."""
+    if isinstance(a, (int, Fraction)):
+        return Fraction(a)
+    if isinstance(a, Laurent):
+        vals = [subs.get(s) for s in SYMBOLS]
+        out = Fraction(0)
+        for exp, c in a.terms.items():
+            term = c
+            for v, e in zip(vals, exp):
+                if e:
+                    if v is None:
+                        raise ValueError("substitution missing for a used symbol")
+                    term = term * Fraction(v) ** e
+            out += term
+        return out
+    if isinstance(a, LaurentFrac):
+        den = specialize(a.den, subs)
+        if not den:
+            raise ZeroDivisionError("denominator vanishes under substitution")
+        return specialize(a.num, subs) / den
+    raise TypeError(f"not a scalar: {a!r}")
+
 
 rationals = st.builds(
     Fraction, st.integers(-60, 60), st.integers(1, 12)
@@ -329,6 +354,25 @@ def test_stored_forms_of_named_values():
     assert type(Q * sc_inv(Q)) is Fraction
     with pytest.raises(TypeError):
         make_laurent({(1, 0): 0.5})
+
+
+@given(monomials(), st.integers(-8, 8))
+@example(Q, -3)
+@example(D, 5)
+@example(sc_pow(Q, 5) * sc_pow(D, -5), -2)  # the twist q^5 d^-5
+@example(make_laurent({(1, 0): -1}), -3)
+@example(make_laurent({(0, 1): Fraction(-1, 2)}), -3)  # a power with an integral coefficient
+@example(make_laurent({(2, -1): Fraction(3, 2)}), 0)
+@settings(max_examples=200, deadline=None)
+def test_monomial_power_is_repeated_multiplication(m, n):
+    # a one-term power is made in one step; the reference multiplies m (or sc_inv(m) for n < 0) |n| times
+    assume(isinstance(m, Laurent))
+    base, want = m if n >= 0 else sc_inv(m), Fraction(1)
+    for _ in range(abs(n)):
+        want = want * base
+    got = m ** n
+    assert got == want and type(got) is type(want)
+    assert_stored_forms(got)  # equal values in stored form: the same stored coefficients
 
 
 rational_points = st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(1, 4))
